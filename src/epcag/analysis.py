@@ -65,12 +65,16 @@ class DecayCertificate:
 
 @dataclass(frozen=True, eq=False)
 class ConnectionCertificate:
+    """trajectories holds the solved bounded solutions the evidence was
+    read from: the subject's first, then one per target orbit."""
+
     kind: str
     forward: DecayCertificate
     backward: DecayCertificate
     distinctness: float
     verdict: bool
     constants: ProofConstants
+    trajectories: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +209,34 @@ def _check_driver(sys: EpcagSystem, orbit: DriverOrbit, label: str) -> None:
         )
 
 
+def _solve_once(sys: EpcagSystem, window: int, substeps: int, solve_tol: float, method: str):
+    """A solver for the bounded solution of each driver orbit on the
+    window that solves each distinct orbit object once."""
+    t_window = (-window, window)
+    cache: dict = {}
+
+    def solved(orbit: DriverOrbit) -> SampledTrajectory:
+        key = id(orbit)
+        if key not in cache:
+            traj = solve_bounded(replace(sys, driver=orbit), t_window, substeps, solve_tol, method)
+            cache[key] = (orbit, traj)  # holding the orbit keeps its id from being reused
+        return cache[key][1]
+
+    return solved
+
+
+def _entry(sys: EpcagSystem, pc: ProofConstants, seq_f, prof_f, prof_b, tol: float, window: int):
+    """Both directions' evidence, distinctness and verdict from the
+    forward and backward gap profiles."""
+    fwd = _forward_certificate(prof_f, seq_f, pc, sys, tol, window)
+    bwd = _backward_certificate(prof_b)
+    distinctness = float(min(max(g for _, g in prof_f), max(g for _, g in prof_b)))
+    passed = bool(
+        fwd.end_gap <= tol and bwd.end_gap <= tol and distinctness > DISTINCTNESS_FACTOR * tol
+    )
+    return TransferEntry(forward=fwd, backward=bwd, distinctness=distinctness, passed=passed)
+
+
 def certify_connection(
     sys: EpcagSystem,
     alphas,
@@ -221,12 +253,17 @@ def certify_connection(
 
     alphas: one target orbit (homoclinic) or a (forward, backward) pair
     (heteroclinic). The system's own driver is ignored; matrix,
-    envelope, schedule and nonlinearity are reused for every solve.
+    envelope, schedule and nonlinearity are reused for every solve, and
+    each distinct orbit object is solved once.
 
     Raises PremiseFailureError when the driver sequences themselves do
     not meet at the window ends, and AssumptionFailureError when the
     contraction conditions behind the certified bounds fail.
     """
+    return _certify(sys, alphas, beta, kind, tol, window, _solve_once(sys, window, substeps, solve_tol, method))
+
+
+def _certify(sys: EpcagSystem, alphas, beta: DriverOrbit, kind: str, tol: float, window: int, solved):
     if kind not in ("homoclinic", "heteroclinic"):
         raise OutOfRangeError(f"kind must be homoclinic or heteroclinic, got {kind!r}")
     if isinstance(alphas, DriverOrbit):
@@ -254,31 +291,18 @@ def certify_connection(
             f"backward sequence gap {seq_b[0]:.3g} at k={-window} exceeds tol {tol:g}"
         )
 
-    t_window = (-window, window)
-    traj_beta = solve_bounded(replace(sys, driver=beta), t_window, substeps, solve_tol, method)
-    traj_af = solve_bounded(replace(sys, driver=alpha_f), t_window, substeps, solve_tol, method)
-    prof_f = difference_profile(traj_beta, traj_af)
-    if alpha_b is alpha_f:
-        prof_b = prof_f
-    else:
-        traj_ab = solve_bounded(replace(sys, driver=alpha_b), t_window, substeps, solve_tol, method)
-        prof_b = difference_profile(traj_beta, traj_ab)
-
-    fwd = _forward_certificate(prof_f, seq_f, pc, sys, tol, window)
-    bwd = _backward_certificate(prof_b)
-    sups = {id(alpha_f): max(g for _, g in prof_f)}
-    sups[id(alpha_b)] = max(g for _, g in prof_b)
-    distinctness = float(min(sups.values()))
-    verdict = bool(
-        fwd.end_gap <= tol and bwd.end_gap <= tol and distinctness > DISTINCTNESS_FACTOR * tol
-    )
+    trajectories = tuple(solved(orbit) for orbit in (beta, *alphas))
+    prof_f = difference_profile(trajectories[0], trajectories[1])
+    prof_b = prof_f if alpha_b is alpha_f else difference_profile(trajectories[0], trajectories[-1])
+    entry = _entry(sys, pc, seq_f, prof_f, prof_b, tol, window)
     return ConnectionCertificate(
         kind=kind,
-        forward=fwd,
-        backward=bwd,
-        distinctness=distinctness,
-        verdict=verdict,
+        forward=entry.forward,
+        backward=entry.backward,
+        distinctness=entry.distinctness,
+        verdict=entry.passed,
         constants=pc,
+        trajectories=trajectories,
     )
 
 
@@ -319,25 +343,12 @@ def verify_hyperbolic_transfer(
     if not catalog:
         return TransferReport(entries=(), passed=True, notes=("empty catalog: vacuous pass",))
 
-    t_window = (-window, window)
-    traj_cache: dict = {}
-
-    def solved(orbit: DriverOrbit) -> SampledTrajectory:
-        key = id(orbit)
-        if key not in traj_cache:
-            traj_cache[key] = solve_bounded(
-                replace(sys, driver=orbit), t_window, substeps, solve_tol, method
-            )
-        return traj_cache[key]
-
+    solved = _solve_once(sys, window, substeps, solve_tol, method)
     entries = []
     notes: list[str] = []
     for idx, (alpha, beta_s, beta_u) in enumerate(catalog):
         if _same_orbit(beta_s, beta_u):
-            cert = certify_connection(
-                sys, alpha, beta_s, "homoclinic", tol,
-                window=window, substeps=substeps, solve_tol=solve_tol, method=method,
-            )
+            cert = _certify(sys, alpha, beta_s, "homoclinic", tol, window, solved)
             entry = TransferEntry(
                 forward=cert.forward,
                 backward=cert.backward,
@@ -361,19 +372,7 @@ def verify_hyperbolic_transfer(
             traj_a = solved(alpha)
             prof_s = difference_profile(solved(beta_s), traj_a)
             prof_u = difference_profile(solved(beta_u), traj_a)
-            fwd = _forward_certificate(prof_s, seq_s, pc, sys, tol, window)
-            bwd = _backward_certificate(prof_u)
-            distinctness = float(min(max(g for _, g in prof_s), max(g for _, g in prof_u)))
-            entry = TransferEntry(
-                forward=fwd,
-                backward=bwd,
-                distinctness=distinctness,
-                passed=bool(
-                    fwd.end_gap <= tol
-                    and bwd.end_gap <= tol
-                    and distinctness > DISTINCTNESS_FACTOR * tol
-                ),
-            )
+            entry = _entry(sys, pc, seq_s, prof_s, prof_u, tol, window)
         if not entry.passed:
             notes.append(f"entry {idx} failed (distinctness {entry.distinctness:.3g})")
         entries.append(entry)

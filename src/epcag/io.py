@@ -34,7 +34,7 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +404,7 @@ def _build_system_and_driver(spec: RunSpec):
 # artifact emission
 
 _FMT = "%.17g"
+_CSV_BLOCK_ROWS = 1000
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -440,14 +441,17 @@ def export_trajectory_csv(traj: SampledTrajectory, path) -> None:
         substeps = round(traj.meta["omega"] / traj.step)
     except KeyError:
         raise IoError("trajectory lacks schedule metadata (k_window/omega)") from None
-    dim = traj.samples.shape[1]
+    n, dim = traj.samples.shape
     header = "t," + ",".join(f"z_{i + 1}" for i in range(dim)) + ",interval_k"
-    ts = traj.times
-    lines = [header]
-    for r in range(len(traj.samples)):
-        vals = ",".join(_FMT % x for x in traj.samples[r])
-        lines.append(f"{_FMT % ts[r]},{vals},{k_lo + r // substeps}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    row = ",".join([_FMT] * (dim + 1)) + ",%d\n"
+    table = np.column_stack([traj.times, traj.samples])
+    parts = [header + "\n"]
+    # one % per row on Python floats; a block of rows at a time becomes
+    # one string, so few small objects are alive at once
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        block = table[lo : lo + _CSV_BLOCK_ROWS].tolist()
+        parts.append("".join([row % (*vals, k_lo + (lo + r) // substeps) for r, vals in enumerate(block)]))
+    _atomic_write(path, "".join(parts))
 
 
 def export_frozen_csv(traj: SampledTrajectory, path) -> None:
@@ -523,21 +527,17 @@ def _run_certification(system, beta, alphas, kind, numeric: NumericSpec, out: Pa
         system, alphas, beta, kind, n.cert_tol,
         window=n.window, substeps=n.substeps, solve_tol=n.tol, method=n.method,
     )
-    t_window = (-n.window, n.window)
-
-    def solve(orbit):
-        return solve_bounded(replace(system, driver=orbit), t_window, n.substeps, n.tol, n.method)
-
+    traj_beta, *traj_alphas = cert.trajectories
     _emit(out / "beta.csv", export_orbit_csv, beta)
-    _emit(out / "traj_beta.csv", export_trajectory_csv, solve(beta))
+    _emit(out / "traj_beta.csv", export_trajectory_csv, traj_beta)
     if kind == "homoclinic":
         _emit(out / "alpha.csv", export_orbit_csv, alphas[0])
-        _emit(out / "traj_alpha.csv", export_trajectory_csv, solve(alphas[0]))
+        _emit(out / "traj_alpha.csv", export_trajectory_csv, traj_alphas[0])
     else:
         _emit(out / "alpha1.csv", export_orbit_csv, alphas[0])
         _emit(out / "alpha2.csv", export_orbit_csv, alphas[1])
-        _emit(out / "traj_alpha1.csv", export_trajectory_csv, solve(alphas[0]))
-        _emit(out / "traj_alpha2.csv", export_trajectory_csv, solve(alphas[1]))
+        _emit(out / "traj_alpha1.csv", export_trajectory_csv, traj_alphas[0])
+        _emit(out / "traj_alpha2.csv", export_trajectory_csv, traj_alphas[1])
     cert_path = out / "certificate.json"
     _write_json(cert_path, certificate_dict(cert, system.envelope.n_const, system.envelope.rate))
     print(f"wrote {cert_path}")

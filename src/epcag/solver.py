@@ -29,6 +29,7 @@ refuse pads whose bound exceeds the requested tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,13 @@ PICARD_MAX_ITERS = 80
 INNER_DEFAULT_TOL = 1e-12
 INNER_MAX_ITERS = 100
 GAUSS_POINTS = 16
+# fewest substeps per interval: five grid points hold the 5-point
+# residual stencil, and the 4-point quadrature stencils fit inside it
+MIN_SUBSTEPS = 4
+
+
+def _too_few_substeps(substeps: int) -> str:
+    return f"need at least {MIN_SUBSTEPS} substeps per interval, got {substeps}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,27 +90,40 @@ def contraction_margin(sys: EpcagSystem) -> float:
     return env.rate - env.n_const * (sys.f.lip_x + sys.f.lip_y)
 
 
+def _tail_bound(sys: EpcagSystem, pad: int) -> float:
+    """Bound on what starting from zero `pad` intervals early leaves in
+    the window: 2 N M_phi exp(-(lambda - N(L1+L2)) pad omega).
+
+    Both solvers return the solution of the initial-value problem that
+    starts from zero at the truncated grid start. Its distance to the
+    bounded solution decays at the contraction margin, not at lambda.
+    """
+    margin = contraction_margin(sys)
+    return 2.0 * solution_bound(sys) * sys.envelope.n_const * math.exp(
+        -margin * pad * sys.schedule.omega
+    )
+
+
 def default_pad(sys: EpcagSystem, tol: float) -> int:
-    """Intervals of lead-in needed to push the start transient below tol."""
+    """Fewest intervals of lead-in whose tail bound is at most tol."""
     margin = contraction_margin(sys)
     if margin <= 0.0:
         raise AssumptionFailureError("(A4) fails; no contraction margin for the pad")
-    m_phi = solution_bound(sys)
-    n = sys.envelope.n_const
-    return max(1, math.ceil(math.log(2.0 * m_phi * n / tol) / (margin * sys.schedule.omega)))
+    return max(1, math.ceil(math.log(_tail_bound(sys, 0) / tol) / (margin * sys.schedule.omega)))
 
 
 # ---------------------------------------------------------------------------
 # stepping context: exponential powers and quadrature weights per
 # (matrix, omega, substeps)
 
-_CTX_CACHE: dict = {}
+# contexts kept for the most recent (matrix, omega, substeps) keys
+CONTEXT_CACHE_SIZE = 8
 
 
 class _Context:
     def __init__(self, a: np.ndarray, omega: float, substeps: int):
-        if substeps < 4:
-            raise OutOfRangeError(f"need substeps >= 4, got {substeps}")
+        if substeps < MIN_SUBSTEPS:
+            raise OutOfRangeError(_too_few_substeps(substeps))
         self.h = omega / substeps
         self.m_sub = substeps
         dim = a.shape[0]
@@ -143,13 +164,14 @@ class _Context:
         self.w_right = weights([-2.0 * h, -h, 0.0, h])
 
 
+@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def _cached_context(a_bytes: bytes, dim: int, omega: float, substeps: int) -> _Context:
+    return _Context(np.frombuffer(a_bytes).reshape(dim, dim), omega, substeps)
+
+
 def _context(sys: EpcagSystem, substeps: int) -> _Context:
-    key = (sys.a.tobytes(), sys.a.shape[0], sys.schedule.omega, substeps)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = _Context(sys.a, sys.schedule.omega, substeps)
-        _CTX_CACHE[key] = ctx
-    return ctx
+    a = np.ascontiguousarray(sys.a, dtype=float)
+    return _cached_context(a.tobytes(), a.shape[0], sys.schedule.omega, substeps)
 
 
 def _zeta_stencil(zeta_fraction: float, m_sub: int) -> tuple[int, np.ndarray]:
@@ -172,30 +194,50 @@ def _convolve(ctx: _Context, hv: np.ndarray) -> np.ndarray:
     hv has shape (n_int, m_sub+1, dim) with interval-local endpoint
     values (the integrand jumps at nodes). Returns I on the same grid;
     node values are shared between intervals, so I is continuous.
+
+    Every interval starts from zero with the same tables, so the local
+    integrals of all intervals are formed at once, one (n_int, m_sub)
+    array per state component, with each dim x dim table applied as
+    dim^2 elementwise products. The carries I(theta_k) then follow from
+    the n_int-step recurrence carry_{k+1} = E_omega carry_k + local_k(end).
     """
     n_int, _, dim = hv.shape
     m = ctx.m_sub
     wi, wl, wr = ctx.w_interior, ctx.w_left, ctx.w_right
+    comps = [hv[:, :, b] for b in range(dim)]
+
+    # q_j = int over substep j of exp(A(t_{j+1}-s)) hv(s) ds, 4-point stencils
+    q = []
+    for a in range(dim):
+        qa = np.zeros((n_int, m))
+        for r in range(4):
+            for b, hb in enumerate(comps):
+                qa[:, 1 : m - 1] += wi[r, a, b] * hb[:, r : r + m - 2]
+                qa[:, 0] += wl[r, a, b] * hb[:, r]
+                qa[:, m - 1] += wr[r, a, b] * hb[:, m - 3 + r]
+        q.append(qa)
+
+    # local_j = E^{j+1} sum_{i<=j} E^{-(i+1)} q_i, the integral from the
+    # interval start with zero initial value, goes straight into out;
+    # dropping q and csum early keeps a sweep's temporaries few
+    neg = ctx.e_negpows[1 : m + 1]
+    pos = ctx.e_pows[1 : m + 1]
+    csum = [np.cumsum(sum(neg[:, a, b] * q[b] for b in range(dim)), axis=1) for a in range(dim)]
+    del q
     out = np.empty_like(hv)
+    for a in range(dim):
+        out[:, 1:, a] = sum(pos[:, a, b] * csum[b] for b in range(dim))
+    del csum
+
+    # node values, then their propagation into every interval
+    e_omega = ctx.e_pows[m]
+    ends = out[:, m, :]
     carry = np.zeros(dim)
     for k in range(n_int):
-        seg = hv[k]
-        q = np.empty((m, dim))
-        mid = (
-            np.einsum("ab,ib->ia", wi[0], seg[0 : m - 2])
-            + np.einsum("ab,ib->ia", wi[1], seg[1 : m - 1])
-            + np.einsum("ab,ib->ia", wi[2], seg[2:m])
-            + np.einsum("ab,ib->ia", wi[3], seg[3 : m + 1])
-        )
-        q[1 : m - 1] = mid
-        q[0] = wl[0] @ seg[0] + wl[1] @ seg[1] + wl[2] @ seg[2] + wl[3] @ seg[3]
-        q[m - 1] = wr[0] @ seg[m - 3] + wr[1] @ seg[m - 2] + wr[2] @ seg[m - 1] + wr[3] @ seg[m]
-
-        c = np.einsum("iab,ib->ia", ctx.e_negpows[1 : m + 1], q)
-        pref = np.einsum("iab,ib->ia", ctx.e_pows[1 : m + 1], np.cumsum(c, axis=0))
         out[k, 0] = carry
-        out[k, 1:] = np.einsum("iab,b->ia", ctx.e_pows[1 : m + 1], carry) + pref
-        carry = out[k, m]
+        carry = e_omega @ carry + ends[k]
+    for a in range(dim):
+        out[:, 1:, a] += sum(pos[:, a, b] * out[:, :1, b] for b in range(dim))
     return out
 
 
@@ -359,25 +401,17 @@ def solve_bounded(
         raise AssumptionFailureError(
             f"(A4) fails: N(L1+L2) = {report.a4_lhs:.6g} >= lambda = {sys.envelope.rate:.6g}"
         )
+    if method not in ("picard", "burn_in"):
+        raise OutOfRangeError(f"method must be picard or burn_in, got {method!r}")
     if pad is None:
         pad = default_pad(sys, tol)
-    m_phi = solution_bound(sys)
-    n = sys.envelope.n_const
-    lam = sys.envelope.rate
-    omega = sys.schedule.omega
-
-    if method == "picard":
-        bound = m_phi * math.exp(-lam * pad * omega)
-        kind = "truncation"
-    elif method == "burn_in":
-        bound = 2.0 * m_phi * n * math.exp(-contraction_margin(sys) * pad * omega)
-        kind = "transient"
-    else:
-        raise OutOfRangeError(f"method must be picard or burn_in, got {method!r}")
+    bound = _tail_bound(sys, pad)
     if bound > tol:
+        kind = "truncation" if method == "picard" else "transient"
         raise PadTooSmallError(
             f"pad {pad} leaves a {kind} bound {bound:.3g} above tol {tol:.3g}"
         )
+    omega = sys.schedule.omega
 
     if method == "picard":
         samples, frozen, deltas = _solve_picard(sys, k_lo, k_hi, pad, substeps)
@@ -425,10 +459,12 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     """
     omega = sys.schedule.omega
     m_sub = round(omega / traj.step)
-    if m_sub < 5 or abs(m_sub * traj.step - omega) > 1e-9 * omega:
+    if abs(m_sub * traj.step - omega) > 1e-9 * omega:
         raise GridMismatchError(
             f"trajectory step {traj.step!r} does not subdivide the interval length {omega!r}"
         )
+    if m_sub < MIN_SUBSTEPS:
+        raise GridMismatchError(_too_few_substeps(m_sub))
     n = len(traj.samples)
     if (n - 1) % m_sub != 0:
         raise GridMismatchError("sample count does not fill whole intervals")

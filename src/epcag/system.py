@@ -25,7 +25,7 @@ import numpy as np
 from .driver import DriverOrbit
 from .errors import AssumptionFailureError, ContractViolatedError, DimensionMismatchError
 from .linear import DecayEnvelope, estimate_decay_envelope, validate_envelope
-from .nonlinearity import NonlinearityContract
+from .nonlinearity import NonlinearityContract, eval_many
 from .schedule import Schedule
 
 # deterministic seed for contract spot checks; keeps artifact runs reproducible
@@ -33,6 +33,11 @@ SPOT_CHECK_SEED = 20260814
 
 # relative slack allowed on sampled bound/Lipschitz quotients
 SPOT_CHECK_SLACK = 1e-6
+
+# sampled points at which a contract's eval must reproduce its
+# eval_batch rows, and the relative agreement required
+SPOT_CHECK_SCALAR_ROWS = 8
+EVAL_BATCH_RTOL = 1e-12
 
 # margin applied to the orbit-window fallback for the map supremum
 CUSTOM_MAP_SUP_MARGIN = 1.1
@@ -156,6 +161,7 @@ def assemble_system(
 def _spot_check_contract(sys: EpcagSystem, count: int) -> None:
     rng = np.random.default_rng(SPOT_CHECK_SEED)
     dim = sys.dim
+    f = sys.f
     radius = 2.0 * _m_phi(sys)
     slack = 1.0 + SPOT_CHECK_SLACK
 
@@ -167,31 +173,68 @@ def _spot_check_contract(sys: EpcagSystem, count: int) -> None:
 
     ts = rng.uniform(-60.0, 60.0, count)
     xs, ys = _ball(count), _ball(count)
+    # Lipschitz quotients: per sample a random direction plus each
+    # coordinate axis, so directional structure cannot hide behind
+    # averaging; per sample the stream gives the random direction, then
+    # one step length per direction
+    dirs = np.empty((count, dim + 1, dim))
+    dirs[:, 1:] = np.eye(dim)
+    lengths = np.empty((count, dim + 1))
     for i in range(count):
-        t = float(ts[i])
-        val = np.asarray(sys.f.eval(t, xs[i], ys[i]), dtype=float)
-        norm = float(np.linalg.norm(val))
-        if norm > sys.f.bound_mf * slack:
+        dirs[i, 0] = rng.standard_normal(dim)
+        lengths[i] = rng.random(dim + 1)
+    steps = dirs / np.linalg.norm(dirs, axis=2, keepdims=True) * (1e-3 + lengths * 0.5)[:, :, None]
+
+    val = np.asarray(eval_many(f, ts, xs, ys), dtype=float)
+    if f.eval_batch is not None:
+        _check_batch_matches_eval(f, ts, xs, ys, val)
+
+    rep = dim + 1
+    t_rep = np.repeat(ts, rep)
+    x_rep, y_rep = np.repeat(xs, rep, axis=0), np.repeat(ys, rep, axis=0)
+    flat_steps = steps.reshape(-1, dim)
+    step_len = np.linalg.norm(steps, axis=2)
+
+    def quotients(x_at, y_at):
+        moved = eval_many(f, t_rep, x_at, y_at).reshape(count, rep, dim)
+        return np.linalg.norm(moved - val[:, None, :], axis=2) / step_len
+
+    qx = quotients(x_rep + flat_steps, y_rep)
+    qy = quotients(x_rep, y_rep + flat_steps)
+    norms = np.linalg.norm(val, axis=1)
+
+    # report the first violation in per-sample order: the bound, then for
+    # each direction the x quotient and the y quotient
+    lip = np.stack([qx > f.lip_x * slack + 1e-15, qy > f.lip_y * slack + 1e-15], axis=2)
+    bad = np.column_stack([norms > f.bound_mf * slack, lip.reshape(count, -1)])
+    if not bad.any():
+        return
+    i, col = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    if col == 0:
+        raise ContractViolatedError(
+            f"bound_mf: sampled ||f|| = {norms[i]:.6g} exceeds declared "
+            f"{f.bound_mf:.6g} at t = {ts[i]:.6g}"
+        )
+    j, in_y = divmod(col - 1, 2)
+    if in_y:
+        raise ContractViolatedError(
+            f"lip_y: sampled quotient {qy[i, j]:.6g} exceeds declared {f.lip_y:.6g}"
+        )
+    raise ContractViolatedError(
+        f"lip_x: sampled quotient {qx[i, j]:.6g} exceeds declared {f.lip_x:.6g}"
+    )
+
+
+def _check_batch_matches_eval(f: NonlinearityContract, ts, xs, ys, batch: np.ndarray) -> None:
+    """The solvers evaluate f through eval_batch (Picard) and through
+    eval (burn-in); both must be the same function."""
+    for i in np.linspace(0, len(ts) - 1, min(SPOT_CHECK_SCALAR_ROWS, len(ts))).astype(int):
+        scalar = np.asarray(f.eval(float(ts[i]), xs[i], ys[i]), dtype=float)
+        gap = float(np.linalg.norm(scalar - batch[i]))
+        if gap > EVAL_BATCH_RTOL * max(float(np.linalg.norm(scalar)), float(np.linalg.norm(batch[i]))):
             raise ContractViolatedError(
-                f"bound_mf: sampled ||f|| = {norm:.6g} exceeds declared "
-                f"{sys.f.bound_mf:.6g} at t = {t:.6g}"
+                f"eval_batch: row at t = {ts[i]:.6g} differs from eval by {gap:.3g}"
             )
-        # Lipschitz quotients: random direction plus each coordinate axis,
-        # so directional structure cannot hide behind averaging
-        for direction in (rng.standard_normal(dim), *np.eye(dim)):
-            step = direction / np.linalg.norm(direction) * (1e-3 + rng.random() * 0.5)
-            vx = np.asarray(sys.f.eval(t, xs[i] + step, ys[i]), dtype=float)
-            qx = float(np.linalg.norm(vx - val) / np.linalg.norm(step))
-            if qx > sys.f.lip_x * slack + 1e-15:
-                raise ContractViolatedError(
-                    f"lip_x: sampled quotient {qx:.6g} exceeds declared {sys.f.lip_x:.6g}"
-                )
-            vy = np.asarray(sys.f.eval(t, xs[i], ys[i] + step), dtype=float)
-            qy = float(np.linalg.norm(vy - val) / np.linalg.norm(step))
-            if qy > sys.f.lip_y * slack + 1e-15:
-                raise ContractViolatedError(
-                    f"lip_y: sampled quotient {qy:.6g} exceeds declared {sys.f.lip_y:.6g}"
-                )
 
 
 def _m_phi(sys: EpcagSystem) -> float:

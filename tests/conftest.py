@@ -7,6 +7,8 @@ the same objects. Nothing here mutates them; all carriers are frozen.
 
 import pytest
 
+import epcag.analysis
+import epcag.io
 from epcag import (
     certify_connection,
     heteroclinic_scenario,
@@ -39,3 +41,17 @@ def het_cert(het):
 def homo_traj(homo):
     # scenario systems carry their own subject orbit as the driver
     return solve_bounded(homo.system, (-20, 20))
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    """Drivers of every solve_bounded call the analysis and I/O layers make."""
+    drivers = []
+
+    def counting(sys, *args, **kwargs):
+        drivers.append(sys.driver)
+        return solve_bounded(sys, *args, **kwargs)
+
+    for module in (epcag.analysis, epcag.io):
+        monkeypatch.setattr(module, "solve_bounded", counting)
+    return drivers

@@ -136,6 +136,12 @@ class TestHomoclinicCertificate:
 
 
 class TestHeteroclinicCertificate:
+    def test_trajectories_travel_with_certificate(self, het, het_cert):
+        beta, alpha_f, alpha_b = het_cert.trajectories
+        assert beta.meta["k_window"] == (-30, 30)
+        assert difference_profile(beta, alpha_f)[-1][1] == het_cert.forward.end_gap
+        assert difference_profile(beta, alpha_b)[0][1] == het_cert.backward.end_gap
+
     def test_verdict(self, het_cert):
         assert het_cert.verdict is True
         assert het_cert.kind == "heteroclinic"
@@ -157,6 +163,11 @@ class TestCertifyGuards:
         assert cert.distinctness == 0.0
         assert cert.forward.fitted_rate == 0.0
         assert cert.forward.fit_quality == 0.0
+
+    def test_subject_as_its_own_target_is_solved_once(self, homo, solve_counter):
+        cert = certify_connection(homo.system, (homo.beta,), homo.beta, "homoclinic")
+        assert len(solve_counter) == 1
+        assert cert.trajectories[0] is cert.trajectories[1]
 
     def test_premise_failure(self, homo, het):
         # a mu=3.9 subject can never meet mu=4 fixed targets at the ends
@@ -211,3 +222,13 @@ class TestTransferBattery:
             assert entry.forward.end_gap <= 1e-4
             assert entry.backward.end_gap <= 1e-4
             assert entry.distinctness > 1e-3
+
+    def test_one_round_solves_each_driver_once(self, solve_counter):
+        # six distinct orbit objects in the catalog, one in the control entry
+        template, catalog = transfer_catalog()
+        assert verify_hyperbolic_transfer(template, catalog).passed is True
+        fixed = catalog[0][0]
+        control = verify_hyperbolic_transfer(template, [(fixed, fixed, fixed)])
+        assert control.passed is False
+        assert control.entries[0].distinctness == 0.0
+        assert len(solve_counter) == 7

@@ -174,6 +174,16 @@ class TestExports:
         assert float(row[2]) == homo_traj.samples[2, 1]
         assert lines[-1].split(",")[3] == "20"
 
+    def test_trajectory_csv_bytes_match_per_element_formatting(self, tmp_path, homo_traj):
+        path = tmp_path / "traj.csv"
+        export_trajectory_csv(homo_traj, path)
+        fmt = "%.17g"
+        lines = ["t,z_1,z_2,interval_k"]
+        for r in range(len(homo_traj.samples)):
+            vals = ",".join(fmt % x for x in homo_traj.samples[r])
+            lines.append(f"{fmt % homo_traj.times[r]},{vals},{-20 + r // 200}")
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_single_sample_trajectory(self, tmp_path):
         traj = SampledTrajectory(
             t0=0.0, t1=0.0, step=0.0075, samples=np.array([[1.0, 2.0]]),
@@ -330,6 +340,13 @@ class TestCli:
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["kind"] == "heteroclinic"
         assert cert["verdict"] is True
+
+    @pytest.mark.parametrize("mode, solves", [("homoclinic", 2), ("heteroclinic", 3)])
+    def test_example4_solves_each_driver_once(self, mode, solves, tmp_path, capsys, solve_counter):
+        assert main(["example4", "--mode", mode, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(solve_counter) == solves
+        assert len({id(d) for d in solve_counter}) == solves
 
     def test_config_commands_need_config(self, capsys):
         assert main(["solve"]) == 1

@@ -7,6 +7,7 @@ and a constant driver pins the bounded solution at the equilibrium
 two methods and through the residual defect.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from epcag import (
     step_interval,
     zero_contract,
 )
+from epcag import solver
 from epcag.errors import (
     GridMismatchError,
     InnerDivergenceError,
@@ -54,6 +56,79 @@ def linear_system(zeta_fraction=1.0 / 3.0):
         envelope=reference_envelope(),
         spot_samples=0,
     )
+
+
+def cubic_convolution(a, coeffs, ts):
+    """Exact int_0^t exp(A(t-s)) p(s) ds for p(s) = sum_k coeffs[k] s^k,
+    read off the exponential of the generator that carries p and its
+    derivatives along with the state."""
+    dim = a.shape[0]
+    blocks = len(coeffs) + 1
+    gen = np.zeros((blocks * dim, blocks * dim))
+    gen[:dim, :dim] = a
+    for i in range(blocks - 1):
+        gen[i * dim : (i + 1) * dim, (i + 1) * dim : (i + 2) * dim] = np.eye(dim)
+    y0 = np.concatenate([np.zeros(dim)] + [math.factorial(k) * c for k, c in enumerate(coeffs)])
+    return np.array([(mat_exp(gen, t) @ y0)[:dim] for t in ts])
+
+
+def convolve_per_interval(ctx, hv):
+    """The interval-by-interval form of the convolution: each interval
+    starts from the previous one's end value."""
+    n_int, _, dim = hv.shape
+    m = ctx.m_sub
+    wi, wl, wr = ctx.w_interior, ctx.w_left, ctx.w_right
+    out = np.empty_like(hv)
+    carry = np.zeros(dim)
+    for k in range(n_int):
+        seg = hv[k]
+        q = np.empty((m, dim))
+        q[1 : m - 1] = sum(seg[r : r + m - 2] @ wi[r].T for r in range(4))
+        q[0] = sum(wl[r] @ seg[r] for r in range(4))
+        q[m - 1] = sum(wr[r] @ seg[m - 3 + r] for r in range(4))
+        c = np.einsum("iab,ib->ia", ctx.e_negpows[1:], q)
+        pref = np.einsum("iab,ib->ia", ctx.e_pows[1:], np.cumsum(c, axis=0))
+        out[k, 0] = carry
+        out[k, 1:] = np.einsum("iab,b->ia", ctx.e_pows[1:], carry) + pref
+        carry = out[k, m]
+    return out
+
+
+class TestConvolve:
+    N_INT = 50
+    OMEGA = 1.5
+
+    def grid(self, m):
+        h = self.OMEGA / m
+        return self.OMEGA * np.arange(self.N_INT)[:, None] + h * np.arange(m + 1)[None, :]
+
+    @pytest.mark.parametrize("m", [4, 60, 200])
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_polynomial_integrands_are_exact(self, m, degree):
+        # the 4-point rule integrates cubics exactly, so only rounding is left
+        a = reference_matrix()
+        ctx = solver._Context(a, self.OMEGA, m)
+        span = self.N_INT * self.OMEGA
+        base = [np.array([0.8, -0.3]), np.array([-1.1, 0.4]), np.array([0.5, 0.9]), np.array([0.7, -0.6])]
+        coeffs = [c / span**k for k, c in enumerate(base[: degree + 1])]
+        ts = self.grid(m)
+        hv = sum(np.multiply.outer(ts**k, c) for k, c in enumerate(coeffs))
+        got = solver._convolve(ctx, hv)
+        # every interval's nodes, and every grid point of the first, a middle and the last interval
+        checks = [(k, 0) for k in range(self.N_INT)] + [
+            (k, j) for k in (0, self.N_INT // 2, self.N_INT - 1) for j in range(1, m + 1)
+        ]
+        want = cubic_convolution(a, coeffs, [ts[k, j] for k, j in checks])
+        err = np.abs(np.array([got[k, j] for k, j in checks]) - want).max()
+        assert err <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [4, 60, 200])
+    def test_matches_interval_by_interval_form(self, m):
+        # random integrands jump at every node, as Picard's do
+        ctx = solver._Context(reference_matrix(), self.OMEGA, m)
+        hv = np.random.default_rng(m).standard_normal((self.N_INT, m + 1, 2))
+        want = convolve_per_interval(ctx, hv)
+        assert np.abs(solver._convolve(ctx, hv) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestStepInterval:
@@ -158,6 +233,39 @@ class TestSolveBounded:
         with pytest.raises(PadTooSmallError):
             solve_bounded(homo.system, (-2, 2), pad=1)
 
+    def test_tail_bound_decays_at_the_contraction_margin(self, homo):
+        # f = 0.6 tanh(x/5): L1 = 0.12 leaves a margin of 0.102 against
+        # lambda = 0.5, so the start transient fades five times slower
+        # than e^{-lambda t}. A lambda-rate bound claimed 2.5e-9 for pad 30
+        # while the pad-30 solution is 2e-8 off, above tol = 1e-8.
+        def tanh_eval(t, x, y):
+            return 0.6 * np.tanh(np.asarray(x) / 5.0)
+
+        def tanh_batch(ts, xs, ys):
+            return 0.6 * np.tanh(xs / 5.0)
+
+        sys = replace(homo.system, f=custom_contract(tanh_eval, 0.8486, 0.12, 0.0, eval_batch=tanh_batch))
+        window, m = (-2, 2), 50
+        long, _, _ = solver._solve_picard(sys, *window, 200, m)
+        errors = {}
+        for pad in (20, 30, 45):
+            short, _, _ = solver._solve_picard(sys, *window, pad, m)
+            errors[pad] = np.abs(short - long).max()
+            assert errors[pad] <= solver._tail_bound(sys, pad), pad
+        assert solution_bound(sys) * math.exp(-0.5 * 30 * 1.5) < 1e-8 < errors[30]
+        with pytest.raises(PadTooSmallError):
+            solve_bounded(sys, window, m, pad=30)
+        traj = solve_bounded(sys, window, m)
+        assert traj.meta["tail_bound"] <= 1e-8
+        assert np.abs(traj.samples - long).max() <= 1e-8
+
+    def test_context_cache_is_bounded(self, homo):
+        for m in range(4, 8 + solver.CONTEXT_CACHE_SIZE):
+            solver._context(homo.system, m)
+        info = solver._cached_context.cache_info()
+        assert info.maxsize == solver.CONTEXT_CACHE_SIZE
+        assert info.currsize <= solver.CONTEXT_CACHE_SIZE
+
     def test_window_validation(self, homo):
         with pytest.raises(OutOfRangeError):
             solve_bounded(homo.system, (2, -2))
@@ -187,6 +295,23 @@ class TestResidualDefect:
         clipped = replace(homo_traj, samples=homo_traj.samples[:-3])
         with pytest.raises(GridMismatchError):
             residual_defect(homo.system, clipped)
+
+    def test_fewest_substeps(self, homo):
+        # four substeps leave one interior point per interval for the stencil
+        traj = solve_bounded(homo.system, (-2, 2), substeps=4)
+        defect = residual_defect(homo.system, traj)
+        assert math.isfinite(defect)
+        assert defect > residual_defect(homo.system, solve_bounded(homo.system, (-2, 2), substeps=40))
+
+    def test_too_few_substeps_same_wording(self, homo):
+        with pytest.raises(OutOfRangeError) as solving:
+            solve_bounded(homo.system, (-2, 2), substeps=3)
+        coarse = SampledTrajectory(
+            t0=-3.0, t1=3.0, step=0.5, samples=np.zeros((13, 2)), frozen_args=(), meta={}
+        )
+        with pytest.raises(GridMismatchError) as measuring:
+            residual_defect(homo.system, coarse)
+        assert str(solving.value) == str(measuring.value)
 
     def test_missing_frozen_argument(self, homo, homo_traj):
         frozen = tuple((k, w) for k, w in homo_traj.frozen_args if k != 0)

@@ -108,6 +108,76 @@ class TestAssembly:
                 envelope=reference_envelope(),
             )
 
+    # the first violation in per-sample order, with its message; contracts
+    # with and without eval_batch must report the same one
+    @pytest.mark.parametrize(
+        "declared, message",
+        [
+            ({"lip_x": 0.001}, "lip_x: sampled quotient 0.00982494 exceeds declared 0.001"),
+            ({"lip_y": 0.001}, "lip_y: sampled quotient 0.00871657 exceeds declared 0.001"),
+            ({"bound_mf": 0.5}, "bound_mf: sampled ||f|| = 1.00515 exceeds declared 0.5 at t = 32.1991"),
+        ],
+    )
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_first_violation_with_and_without_batch(self, declared, message, batched):
+        honest = example_contract()
+        constants = {"bound_mf": honest.bound_mf, "lip_x": honest.lip_x, "lip_y": honest.lip_y}
+        lying = custom_contract(
+            honest.eval, **{**constants, **declared},
+            eval_batch=honest.eval_batch if batched else None,
+        )
+        with pytest.raises(ContractViolatedError) as caught:
+            assemble_system(
+                reference_matrix(), reference_schedule(), lying, fixed_driver(),
+                envelope=reference_envelope(),
+            )
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_first_violation_in_sample_order(self, batched):
+        # x-gain understated only for t < -50, y-gain only for t > 50; the
+        # third sample is the first with t > 50, the twentieth the first with
+        # t < -50, so the lip_y violation comes first in per-sample order
+        honest = example_contract()
+
+        def regional(t, x, y):
+            v = honest.eval(t, x, y)
+            if t < -50.0:
+                v[0] += 0.05 * math.sin(x[0])
+            if t > 50.0:
+                v[1] += 0.05 * math.sin(y[0])
+            return v
+
+        def regional_batch(ts, xs, ys):
+            v = honest.eval_batch(ts, xs, ys)
+            v[:, 0] += np.where(ts < -50.0, 0.05 * np.sin(xs[:, 0]), 0.0)
+            v[:, 1] += np.where(ts > 50.0, 0.05 * np.sin(ys[:, 0]), 0.0)
+            return v
+
+        lying = custom_contract(regional, 1.2, honest.lip_x, honest.lip_y,
+                                eval_batch=regional_batch if batched else None)
+        with pytest.raises(ContractViolatedError) as caught:
+            assemble_system(
+                reference_matrix(), reference_schedule(), lying, fixed_driver(),
+                envelope=reference_envelope(),
+            )
+        assert str(caught.value) == "lip_y: sampled quotient 0.0412428 exceeds declared 0.01"
+
+    def test_batch_disagreeing_with_eval_is_caught(self):
+        # burn-in evaluates f through eval, Picard through eval_batch
+        honest = example_contract()
+
+        def skewed(ts, xs, ys):
+            return honest.eval_batch(ts, xs, ys) * (1.0 + 1e-9)
+
+        two_faced = custom_contract(honest.eval, honest.bound_mf, honest.lip_x, honest.lip_y,
+                                    eval_batch=skewed)
+        with pytest.raises(ContractViolatedError, match="eval_batch"):
+            assemble_system(
+                reference_matrix(), reference_schedule(), two_faced, fixed_driver(),
+                envelope=reference_envelope(),
+            )
+
     def test_understated_bound_is_caught(self):
         honest = example_contract()
         lying = custom_contract(honest.eval, 0.5, honest.lip_x, honest.lip_y)

@@ -102,10 +102,8 @@ from .reference import (
 from .schedule import Located, Schedule, locate, make_schedule
 from .solver import (
     SampledTrajectory,
-    contraction_margin,
     default_pad,
     residual_defect,
-    solution_bound,
     solve_bounded,
     step_interval,
 )
@@ -115,8 +113,10 @@ from .system import (
     ProofConstants,
     assemble_system,
     check_assumptions,
+    contraction_margin,
     map_supremum,
     proof_constants,
+    solution_bound,
 )
 
 __version__ = "0.1.0"

@@ -15,8 +15,9 @@ backward in time, while staying distinct") is certified numerically:
   * distinctness: the smallest sup-gap against any target must clear
     10 * tol, the quantitative form of "beta differs from alpha".
 
-The verdict is end gaps <= tol in both directions plus distinctness;
-rates and qualities are reported as evidence alongside.
+The verdict is end gaps <= tol in both directions, the forward profile
+within the stable-gap envelope, and distinctness; rates and qualities
+are reported as evidence alongside.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ import numpy as np
 
 from .driver import DriverOrbit
 from .errors import (
-    AssumptionFailureError,
     DegenerateTailError,
     DimensionMismatchError,
     GridMismatchError,
     OutOfRangeError,
     PremiseFailureError,
 )
-from .solver import SampledTrajectory, contraction_margin, solve_bounded
-from .system import EpcagSystem, ProofConstants, proof_constants
+from .solver import SampledTrajectory, solve_bounded
+from .system import EpcagSystem, ProofConstants, _require_a4, proof_constants
 
 GAP_FLOOR = 1e-14
 MIN_FIT_POINTS = 10
@@ -49,14 +49,15 @@ ENVELOPE_SLACK = 0.1
 class DecayCertificate:
     """One-directional decay evidence for a gap profile.
 
-    gap_samples run toward the certified direction (last sample = the
-    window end the gap is supposed to vanish at). bound_check records
-    the stable-gap envelope test; it is vacuously true for backward
-    certificates, where no such envelope applies.
+    gap_samples is an (n, 2) array of (t, gap) rows running toward the
+    certified direction (last row = the window end the gap is supposed
+    to vanish at). bound_check records the stable-gap envelope test; it
+    is vacuously true for backward certificates, where no such envelope
+    applies.
     """
 
     direction: str
-    gap_samples: tuple
+    gap_samples: np.ndarray
     fitted_rate: float
     fit_quality: float
     end_gap: float
@@ -92,8 +93,9 @@ class TransferReport:
     notes: tuple
 
 
-def difference_profile(traj_a: SampledTrajectory, traj_b: SampledTrajectory) -> list:
-    """Pointwise Euclidean gaps between two trajectories on one grid."""
+def difference_profile(traj_a: SampledTrajectory, traj_b: SampledTrajectory) -> np.ndarray:
+    """Pointwise Euclidean gaps between two trajectories on one grid, as
+    an (n, 2) array of (t, gap) rows."""
     if (
         len(traj_a.samples) != len(traj_b.samples)
         or abs(traj_a.t0 - traj_b.t0) > 1e-12
@@ -101,8 +103,7 @@ def difference_profile(traj_a: SampledTrajectory, traj_b: SampledTrajectory) -> 
     ):
         raise GridMismatchError("trajectories live on different grids")
     gaps = np.linalg.norm(traj_a.samples - traj_b.samples, axis=1)
-    ts = traj_a.times
-    return list(zip(ts.tolist(), gaps.tolist()))
+    return np.column_stack([traj_a.times, gaps])
 
 
 def fit_decay_rate(profile, tail_fraction: float = TAIL_FRACTION) -> tuple[float, float]:
@@ -114,7 +115,7 @@ def fit_decay_rate(profile, tail_fraction: float = TAIL_FRACTION) -> tuple[float
     positive when the gap shrinks toward the profile's end. Returns
     (rate, coefficient of determination).
     """
-    arr = np.asarray(list(profile), dtype=float)
+    arr = np.asarray(profile, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
         raise OutOfRangeError("profile must be a nonempty sequence of (t, gap) pairs")
     if not 0.0 < tail_fraction <= 1.0:
@@ -158,10 +159,9 @@ def _degenerate_fit(profile):
 
 
 def _forward_certificate(
-    profile, seq_gaps: np.ndarray, pc: ProofConstants, sys: EpcagSystem, tol: float, window: int
+    profile: np.ndarray, seq_gaps: np.ndarray, pc: ProofConstants, sys: EpcagSystem, tol: float, window: int
 ) -> DecayCertificate:
-    gaps = np.array([g for _, g in profile])
-    ts = np.array([t for t, _ in profile])
+    ts, gaps = profile[:, 0], profile[:, 1]
     end_gap = float(gaps[-1])
     rate, quality = _degenerate_fit(profile)
 
@@ -181,7 +181,7 @@ def _forward_certificate(
     bound_check = bool(np.all(gaps[sel] <= envelope))
     return DecayCertificate(
         direction="forward",
-        gap_samples=tuple(profile),
+        gap_samples=profile,
         fitted_rate=rate,
         fit_quality=quality,
         end_gap=end_gap,
@@ -189,24 +189,17 @@ def _forward_certificate(
     )
 
 
-def _backward_certificate(profile) -> DecayCertificate:
-    rev = list(profile)[::-1]
+def _backward_certificate(profile: np.ndarray) -> DecayCertificate:
+    rev = profile[::-1]
     rate, quality = _degenerate_fit(rev)
     return DecayCertificate(
         direction="backward",
-        gap_samples=tuple(rev),
+        gap_samples=rev,
         fitted_rate=rate,
         fit_quality=quality,
-        end_gap=float(rev[-1][1]),
+        end_gap=float(rev[-1, 1]),
         bound_check=True,
     )
-
-
-def _check_driver(sys: EpcagSystem, orbit: DriverOrbit, label: str) -> None:
-    if orbit.dim != sys.dim:
-        raise DimensionMismatchError(
-            f"{label} driver dimension {orbit.dim} does not match the system ({sys.dim})"
-        )
 
 
 def _solve_once(sys: EpcagSystem, window: int, substeps: int, solve_tol: float, method: str):
@@ -225,16 +218,41 @@ def _solve_once(sys: EpcagSystem, window: int, substeps: int, solve_tol: float, 
     return solved
 
 
-def _entry(sys: EpcagSystem, pc: ProofConstants, seq_f, prof_f, prof_b, tol: float, window: int):
-    """Both directions' evidence, distinctness and verdict from the
-    forward and backward gap profiles."""
+def _connect(sys: EpcagSystem, forward, backward, tol: float, window: int, solved, where: str = ""):
+    """Evidence that the (subject, target) pair `forward` meets as
+    t -> +inf and the pair `backward` as t -> -inf, with the verdict.
+
+    Returns (TransferEntry, proof constants of the forward subject).
+    `where` prefixes every error message.
+    """
+    for direction, pair in (("forward", forward), ("backward", backward)):
+        for role, orbit in zip(("subject", "target"), pair):
+            if orbit.dim != sys.dim:
+                raise DimensionMismatchError(
+                    f"{where}{direction} {role} driver dimension {orbit.dim} "
+                    f"does not match the system ({sys.dim})"
+                )
+    seq_f = _sequence_gaps(*forward, window)
+    seq_b = _sequence_gaps(*backward, window)
+    for direction, gap, k in (("forward", seq_f[-1], window), ("backward", seq_b[0], -window)):
+        if gap > tol:
+            raise PremiseFailureError(
+                f"{where}{direction} sequence gap {gap:.3g} at k={k} exceeds tol {tol:g}"
+            )
+    pc = proof_constants(replace(sys, driver=forward[0]))
+
+    prof_f = difference_profile(*(solved(orbit) for orbit in forward))
+    prof_b = difference_profile(*(solved(orbit) for orbit in backward))
     fwd = _forward_certificate(prof_f, seq_f, pc, sys, tol, window)
     bwd = _backward_certificate(prof_b)
-    distinctness = float(min(max(g for _, g in prof_f), max(g for _, g in prof_b)))
+    distinctness = float(min(prof_f[:, 1].max(), prof_b[:, 1].max()))
     passed = bool(
-        fwd.end_gap <= tol and bwd.end_gap <= tol and distinctness > DISTINCTNESS_FACTOR * tol
+        fwd.end_gap <= tol
+        and bwd.end_gap <= tol
+        and fwd.bound_check
+        and distinctness > DISTINCTNESS_FACTOR * tol
     )
-    return TransferEntry(forward=fwd, backward=bwd, distinctness=distinctness, passed=passed)
+    return TransferEntry(forward=fwd, backward=bwd, distinctness=distinctness, passed=passed), pc
 
 
 def certify_connection(
@@ -260,10 +278,6 @@ def certify_connection(
     not meet at the window ends, and AssumptionFailureError when the
     contraction conditions behind the certified bounds fail.
     """
-    return _certify(sys, alphas, beta, kind, tol, window, _solve_once(sys, window, substeps, solve_tol, method))
-
-
-def _certify(sys: EpcagSystem, alphas, beta: DriverOrbit, kind: str, tol: float, window: int, solved):
     if kind not in ("homoclinic", "heteroclinic"):
         raise OutOfRangeError(f"kind must be homoclinic or heteroclinic, got {kind!r}")
     if isinstance(alphas, DriverOrbit):
@@ -273,28 +287,9 @@ def _certify(sys: EpcagSystem, alphas, beta: DriverOrbit, kind: str, tol: float,
     want = 1 if kind == "homoclinic" else 2
     if len(alphas) != want:
         raise OutOfRangeError(f"{kind} certification needs {want} target orbit(s), got {len(alphas)}")
-    alpha_f = alphas[0]
-    alpha_b = alphas[-1]
-    for label, orbit in (("target", alpha_f), ("target", alpha_b), ("subject", beta)):
-        _check_driver(sys, orbit, label)
 
-    pc = proof_constants(replace(sys, driver=beta))
-
-    seq_f = _sequence_gaps(beta, alpha_f, window)
-    seq_b = _sequence_gaps(beta, alpha_b, window)
-    if seq_f[-1] > tol:
-        raise PremiseFailureError(
-            f"forward sequence gap {seq_f[-1]:.3g} at k={window} exceeds tol {tol:g}"
-        )
-    if seq_b[0] > tol:
-        raise PremiseFailureError(
-            f"backward sequence gap {seq_b[0]:.3g} at k={-window} exceeds tol {tol:g}"
-        )
-
-    trajectories = tuple(solved(orbit) for orbit in (beta, *alphas))
-    prof_f = difference_profile(trajectories[0], trajectories[1])
-    prof_b = prof_f if alpha_b is alpha_f else difference_profile(trajectories[0], trajectories[-1])
-    entry = _entry(sys, pc, seq_f, prof_f, prof_b, tol, window)
+    solved = _solve_once(sys, window, substeps, solve_tol, method)
+    entry, pc = _connect(sys, (beta, alphas[0]), (beta, alphas[-1]), tol, window, solved)
     return ConnectionCertificate(
         kind=kind,
         forward=entry.forward,
@@ -302,23 +297,14 @@ def _certify(sys: EpcagSystem, alphas, beta: DriverOrbit, kind: str, tol: float,
         distinctness=entry.distinctness,
         verdict=entry.passed,
         constants=pc,
-        trajectories=trajectories,
+        trajectories=tuple(solved(orbit) for orbit in (beta, *alphas)),
     )
 
 
 def unstable_gap_bound(sys: EpcagSystem, seq_gap: float) -> float:
     """Sup trajectory gap implied by a driver gap <= seq_gap on a left
     half-axis: N seq_gap / (lambda - N (L1 + L2))."""
-    margin = contraction_margin(sys)
-    if margin <= 0.0:
-        raise AssumptionFailureError("(A4) fails; the unstable-side gap bound needs it")
-    return sys.envelope.n_const * seq_gap / margin
-
-
-def _same_orbit(a: DriverOrbit, b: DriverOrbit) -> bool:
-    if a is b:
-        return True
-    return a.k_min == b.k_min and a.k_max == b.k_max and np.array_equal(a.values, b.values)
+    return sys.envelope.n_const * seq_gap / _require_a4(sys.envelope, sys.f)
 
 
 def verify_hyperbolic_transfer(
@@ -334,9 +320,9 @@ def verify_hyperbolic_transfer(
     """Check that every catalog entry (alpha, beta_stable, beta_unstable)
     has function-level stable and unstable companions.
 
-    When the two companions are the same orbit this is a homoclinic
-    certification; otherwise the stable companion is checked forward
-    and the unstable one backward, each with its own distinctness.
+    The stable companion is checked forward and the unstable one
+    backward, each against alpha; when both are one orbit this is a
+    homoclinic certification. Premise failures name the entry index.
     An empty catalog passes vacuously, with a note saying so.
     """
     catalog = list(catalog)
@@ -347,32 +333,7 @@ def verify_hyperbolic_transfer(
     entries = []
     notes: list[str] = []
     for idx, (alpha, beta_s, beta_u) in enumerate(catalog):
-        if _same_orbit(beta_s, beta_u):
-            cert = _certify(sys, alpha, beta_s, "homoclinic", tol, window, solved)
-            entry = TransferEntry(
-                forward=cert.forward,
-                backward=cert.backward,
-                distinctness=cert.distinctness,
-                passed=cert.verdict,
-            )
-        else:
-            for label, orbit in (("target", alpha), ("stable", beta_s), ("unstable", beta_u)):
-                _check_driver(sys, orbit, label)
-            seq_s = _sequence_gaps(beta_s, alpha, window)
-            seq_u = _sequence_gaps(beta_u, alpha, window)
-            if seq_s[-1] > tol:
-                raise PremiseFailureError(
-                    f"entry {idx}: stable companion sequence gap {seq_s[-1]:.3g} at k={window}"
-                )
-            if seq_u[0] > tol:
-                raise PremiseFailureError(
-                    f"entry {idx}: unstable companion sequence gap {seq_u[0]:.3g} at k={-window}"
-                )
-            pc = proof_constants(replace(sys, driver=beta_s))
-            traj_a = solved(alpha)
-            prof_s = difference_profile(solved(beta_s), traj_a)
-            prof_u = difference_profile(solved(beta_u), traj_a)
-            entry = _entry(sys, pc, seq_s, prof_s, prof_u, tol, window)
+        entry, _ = _connect(sys, (beta_s, alpha), (beta_u, alpha), tol, window, solved, f"entry {idx}: ")
         if not entry.passed:
             notes.append(f"entry {idx} failed (distinctness {entry.distinctness:.3g})")
         entries.append(entry)

@@ -34,20 +34,20 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import ConnectionCertificate, certify_connection
 from .driver import DriverOrbit, ScalarMap, build_orbit, pair_orbits
-from .errors import EpcagError, IoError, ParseError, ValidationError
+from .errors import AssumptionFailureError, EpcagError, IoError, ParseError, ValidationError
 from .linear import DecayEnvelope
 from .nonlinearity import example_contract, zero_contract
 from .reference import heteroclinic_scenario, homoclinic_scenario
 from .schedule import make_schedule
-from .solver import SampledTrajectory, solve_bounded
-from .system import assemble_system, check_assumptions, proof_constants
+from .solver import MIN_SUBSTEPS, SampledTrajectory, _lead_in_pad, solve_bounded
+from .system import _logistic_sup, assemble_system, check_assumptions, proof_constants
 
 COMMANDS = ("check", "constants", "orbit", "solve", "certify", "example4")
 MODES = ("homoclinic", "heteroclinic")
@@ -233,8 +233,8 @@ def _parse_numeric(obj) -> NumericSpec:
     obj = _require_dict(obj, "numeric")
     _check_keys(obj, {"substeps", "tol", "window", "method", "cert_tol"}, "numeric")
     substeps = _integer(obj, "substeps", "numeric.substeps", default=200)
-    if substeps < 4:
-        raise ValidationError("numeric.substeps", "must be at least 4")
+    if substeps < MIN_SUBSTEPS:
+        raise ValidationError("numeric.substeps", f"must be at least {MIN_SUBSTEPS}")
     tol = _real(obj, "tol", "numeric.tol", default=1e-8)
     if tol <= 0:
         raise ValidationError("numeric.tol", "must be positive")
@@ -340,17 +340,12 @@ def _auto_range(spec: RunSpec, sys_parts) -> tuple[int, int]:
     the system constants, with two intervals of headroom."""
     envelope, contract = sys_parts
     window = spec.numeric.window
-    mu = spec.driver.mu
-    m_f_orbit = math.hypot(mu / 4.0, mu / 4.0)
-    m_phi = envelope.n_const * (contract.bound_mf + m_f_orbit) / envelope.rate
-    margin = envelope.rate - envelope.n_const * (contract.lip_x + contract.lip_y)
-    if margin <= 0:
-        pad = 1
-    else:
-        pad = math.ceil(
-            math.log(2.0 * m_phi * envelope.n_const / spec.numeric.tol)
-            / (margin * spec.system.omega)
-        )
+    # the scalar orbit is paired into both components
+    map_sup = _logistic_sup((spec.driver.mu, spec.driver.mu))
+    try:
+        pad = _lead_in_pad(envelope, contract, map_sup, spec.system.omega, spec.numeric.tol)
+    except AssumptionFailureError:
+        pad = 1  # no contraction margin: still build the system so that check can report it
     return -(window + pad + 2), window + 2
 
 
@@ -417,7 +412,7 @@ def _atomic_write(path: Path, text: str) -> None:
         raise IoError(f"cannot write {path}: {e}") from None
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_json(obj, path: Path) -> None:
     _atomic_write(path, json.dumps(obj, indent=2) + "\n")
 
 
@@ -538,9 +533,8 @@ def _run_certification(system, beta, alphas, kind, numeric: NumericSpec, out: Pa
         _emit(out / "alpha2.csv", export_orbit_csv, alphas[1])
         _emit(out / "traj_alpha1.csv", export_trajectory_csv, traj_alphas[0])
         _emit(out / "traj_alpha2.csv", export_trajectory_csv, traj_alphas[1])
-    cert_path = out / "certificate.json"
-    _write_json(cert_path, certificate_dict(cert, system.envelope.n_const, system.envelope.rate))
-    print(f"wrote {cert_path}")
+    _emit(out / "certificate.json", _write_json,
+          certificate_dict(cert, system.envelope.n_const, system.envelope.rate))
     print(f"verdict: {'pass' if cert.verdict else 'fail'} "
           f"(forward end gap {cert.forward.end_gap:.3g}, backward {cert.backward.end_gap:.3g}, "
           f"distinctness {cert.distinctness:.3g})")
@@ -589,23 +583,13 @@ def _run(spec: RunSpec) -> int:
             "f_bound": report.f_bound, "lip_x": report.lip_x, "lip_y": report.lip_y,
             "passed": report.passed, "notes": list(report.notes),
         }
-        path = out / "check_report.json"
-        _write_json(path, payload)
-        print(f"wrote {path}")
+        _emit(out / "check_report.json", _write_json, payload)
         print(f"a4_lhs={report.a4_lhs:.6g} a5_lhs={report.a5_lhs:.6g} "
               f"passed={'yes' if report.passed else 'no'}")
         return 0 if report.passed else 2
 
     if spec.command == "constants":
-        pc = proof_constants(system)
-        payload = {
-            "map_sup": pc.map_sup, "m_phi": pc.m_phi, "r1": pc.r1, "r2": pc.r2,
-            "sigma_max": pc.sigma_max, "h_bound": pc.h_bound,
-            "kappa_pi": pc.kappa_pi, "eta_max": pc.eta_max,
-        }
-        path = out / "constants.json"
-        _write_json(path, payload)
-        print(f"wrote {path}")
+        _emit(out / "constants.json", _write_json, asdict(proof_constants(system)))
         return 0
 
     if spec.command == "solve":

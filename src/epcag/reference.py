@@ -36,7 +36,8 @@ from .driver import (
 from .linear import DecayEnvelope
 from .nonlinearity import NonlinearityContract, example_contract
 from .schedule import Schedule, make_schedule
-from .system import EpcagSystem, assemble_system
+from .solver import _lead_in_pad
+from .system import EpcagSystem, _logistic_sup, assemble_system
 
 REFERENCE_MATRIX = ((2.0, -2.0), (5.0, -3.0))
 REFERENCE_N = (7.0 + math.sqrt(34.0)) / math.sqrt(15.0)
@@ -70,10 +71,8 @@ def reference_contract() -> NonlinearityContract:
 def coverage_pad(tol: float = 1e-8) -> int:
     """Driver coverage needed left of the solve window, sized from the
     worst-case (mu = 4) solution bound so one figure fits every scenario."""
-    m_f = example_contract().bound_mf
-    m_big = REFERENCE_N * (m_f + math.sqrt(2.0)) / REFERENCE_RATE
-    margin = REFERENCE_RATE - REFERENCE_N * 0.04
-    return max(1, math.ceil(math.log(2.0 * m_big * REFERENCE_N / tol) / (margin * REFERENCE_OMEGA))) + 2
+    map_sup = _logistic_sup((HETEROCLINIC_MU, HETEROCLINIC_MU))
+    return _lead_in_pad(reference_envelope(), reference_contract(), map_sup, REFERENCE_OMEGA, tol) + 2
 
 
 def _k_range(window: int, tol: float) -> tuple[int, int]:

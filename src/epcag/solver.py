@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AssumptionFailureError,
     GridMismatchError,
     InnerDivergenceError,
     OutOfRangeError,
@@ -45,7 +44,14 @@ from .errors import (
 from .linear import mat_exp
 from .nonlinearity import eval_many
 from .schedule import locate
-from .system import EpcagSystem, check_assumptions, map_supremum
+from .system import (
+    EpcagSystem,
+    _require_a4,
+    _solution_bound,
+    contraction_margin,
+    map_supremum,
+    solution_bound,
+)
 
 PICARD_STOP = 1e-10
 PICARD_MAX_ITERS = 80
@@ -78,18 +84,6 @@ class SampledTrajectory:
         return self.t0 + self.step * np.arange(len(self.samples))
 
 
-def solution_bound(sys: EpcagSystem) -> float:
-    """Lemma-level sup bound for any bounded solution: N (M_f + M_F) / lambda."""
-    env = sys.envelope
-    return env.n_const * (sys.f.bound_mf + map_supremum(sys.driver)) / env.rate
-
-
-def contraction_margin(sys: EpcagSystem) -> float:
-    """lambda - N (L1 + L2), the decay rate of solution differences."""
-    env = sys.envelope
-    return env.rate - env.n_const * (sys.f.lip_x + sys.f.lip_y)
-
-
 def _tail_bound(sys: EpcagSystem, pad: int) -> float:
     """Bound on what starting from zero `pad` intervals early leaves in
     the window: 2 N M_phi exp(-(lambda - N(L1+L2)) pad omega).
@@ -104,12 +98,18 @@ def _tail_bound(sys: EpcagSystem, pad: int) -> float:
     )
 
 
+def _lead_in_pad(envelope, f, map_sup: float, omega: float, tol: float) -> int:
+    """Fewest intervals of lead-in whose tail bound is at most tol, from
+    the parts of a system; driver coverage is sized with it before the
+    system exists. Requires (A4)."""
+    margin = _require_a4(envelope, f)
+    m_phi = _solution_bound(envelope, f, map_sup)
+    return max(1, math.ceil(math.log(2.0 * m_phi * envelope.n_const / tol) / (margin * omega)))
+
+
 def default_pad(sys: EpcagSystem, tol: float) -> int:
     """Fewest intervals of lead-in whose tail bound is at most tol."""
-    margin = contraction_margin(sys)
-    if margin <= 0.0:
-        raise AssumptionFailureError("(A4) fails; no contraction margin for the pad")
-    return max(1, math.ceil(math.log(_tail_bound(sys, 0) / tol) / (margin * sys.schedule.omega)))
+    return _lead_in_pad(sys.envelope, sys.f, map_supremum(sys.driver), sys.schedule.omega, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +396,7 @@ def solve_bounded(
     k_lo, k_hi = t_window
     if not (isinstance(k_lo, int) and isinstance(k_hi, int) and k_lo < k_hi):
         raise OutOfRangeError(f"t_window must be an increasing pair of node indices, got {t_window!r}")
-    report = check_assumptions(sys)
-    if not report.a4_pass:
-        raise AssumptionFailureError(
-            f"(A4) fails: N(L1+L2) = {report.a4_lhs:.6g} >= lambda = {sys.envelope.rate:.6g}"
-        )
+    _require_a4(sys.envelope, sys.f)
     if method not in ("picard", "burn_in"):
         raise OutOfRangeError(f"method must be picard or burn_in, got {method!r}")
     if pad is None:

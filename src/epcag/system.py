@@ -102,13 +102,49 @@ def map_supremum(driver: DriverOrbit) -> float:
     with a 10% margin.
     """
     if driver.mus is not None:
-        per_comp = np.array([mu / 4.0 for mu in driver.mus])
-        return float(np.linalg.norm(per_comp))
+        return _logistic_sup(driver.mus)
     sup = float(np.max(np.linalg.norm(driver.values, axis=1)))
     for lim in (driver.left_limit, driver.right_limit):
         if lim is not None:
             sup = max(sup, float(np.linalg.norm(lim)))
     return CUSTOM_MAP_SUP_MARGIN * sup
+
+
+def _logistic_sup(mus) -> float:
+    """sup of a logistic step map, one mu per component: the norm of the maxima mu/4."""
+    return float(np.linalg.norm([mu / 4.0 for mu in mus]))
+
+
+def _solution_bound(envelope: DecayEnvelope, f: NonlinearityContract, map_sup: float) -> float:
+    """N (M_f + M_F) / lambda from the parts of a system, which exist
+    before the driver orbit that completes it."""
+    return envelope.n_const * (f.bound_mf + map_sup) / envelope.rate
+
+
+def _a4(envelope: DecayEnvelope, f: NonlinearityContract) -> tuple[float, float]:
+    """(N (L1 + L2), lambda - N (L1 + L2)): the left side of (A4) and the contraction margin."""
+    lhs = envelope.n_const * (f.lip_x + f.lip_y)
+    return lhs, envelope.rate - lhs
+
+
+def _require_a4(envelope: DecayEnvelope, f: NonlinearityContract) -> float:
+    """The contraction margin; AssumptionFailureError when (A4) fails."""
+    lhs, margin = _a4(envelope, f)
+    if not lhs < envelope.rate:
+        raise AssumptionFailureError(
+            f"(A4) fails: N(L1+L2) = {lhs:.6g} >= lambda = {envelope.rate:.6g}"
+        )
+    return margin
+
+
+def solution_bound(sys: EpcagSystem) -> float:
+    """Lemma-level sup bound for any bounded solution: N (M_f + M_F) / lambda."""
+    return _solution_bound(sys.envelope, sys.f, map_supremum(sys.driver))
+
+
+def contraction_margin(sys: EpcagSystem) -> float:
+    """lambda - N (L1 + L2), the decay rate of solution differences."""
+    return _a4(sys.envelope, sys.f)[1]
 
 
 def assemble_system(
@@ -162,7 +198,7 @@ def _spot_check_contract(sys: EpcagSystem, count: int) -> None:
     rng = np.random.default_rng(SPOT_CHECK_SEED)
     dim = sys.dim
     f = sys.f
-    radius = 2.0 * _m_phi(sys)
+    radius = 2.0 * solution_bound(sys)
     slack = 1.0 + SPOT_CHECK_SLACK
 
     def _ball(n):
@@ -237,11 +273,6 @@ def _check_batch_matches_eval(f: NonlinearityContract, ts, xs, ys, batch: np.nda
             )
 
 
-def _m_phi(sys: EpcagSystem) -> float:
-    env = sys.envelope
-    return env.n_const * (sys.f.bound_mf + map_supremum(sys.driver)) / env.rate
-
-
 def check_assumptions(sys: EpcagSystem) -> AssumptionReport:
     """Evaluate (A1)-(A5) and report margins.
 
@@ -255,10 +286,12 @@ def check_assumptions(sys: EpcagSystem) -> AssumptionReport:
     w = sys.schedule.omega
     notes = []
 
-    a4_lhs = n * (l1 + l2)
-    a4_pass = a4_lhs < lam
-    if not a4_pass:
-        notes.append(f"(A4) fails: N(L1+L2) = {a4_lhs:.6g} >= lambda = {lam:.6g}")
+    a4_lhs, a4_margin = _a4(env, sys.f)
+    try:
+        _require_a4(env, sys.f)
+    except AssumptionFailureError as e:
+        notes.append(str(e))
+    a4_pass = not notes
 
     ehalf = math.exp(lam * w / 2.0)
     efull = math.exp(lam * w)
@@ -276,7 +309,7 @@ def check_assumptions(sys: EpcagSystem) -> AssumptionReport:
         lip_x=l1,
         lip_y=l2,
         a4_lhs=a4_lhs,
-        a4_margin=lam - a4_lhs,
+        a4_margin=a4_margin,
         a4_pass=a4_pass,
         a5_lhs=a5_lhs,
         a5_margin=1.0 - a5_lhs,
@@ -290,16 +323,13 @@ def proof_constants(sys: EpcagSystem) -> ProofConstants:
     """Compute the quantitative constants of the existence and transfer
     estimates. Requires (A4); r1/r2/sigma_max additionally require (A5).
     """
-    report = check_assumptions(sys)
-    if not report.a4_pass:
-        raise AssumptionFailureError(
-            f"(A4) fails: N(L1+L2) = {report.a4_lhs:.6g} >= lambda = {sys.envelope.rate:.6g}"
-        )
     env = sys.envelope
+    margin = _require_a4(env, sys.f)
+    report = check_assumptions(sys)
     n, lam = env.n_const, env.rate
     l1, l2 = sys.f.lip_x, sys.f.lip_y
     map_sup = map_supremum(sys.driver)
-    m_phi = n * (sys.f.bound_mf + map_sup) / lam
+    m_phi = _solution_bound(env, sys.f, map_sup)
 
     if not report.a5_pass:
         raise AssumptionFailureError(
@@ -318,6 +348,6 @@ def proof_constants(sys: EpcagSystem) -> ProofConstants:
         r2=r2,
         sigma_max=1.0 / (r1 + r2),
         h_bound=2.0 * n * (m_phi + (sys.f.bound_mf + map_sup) / lam),
-        kappa_pi=n * (l1 + l2) / lam,
-        eta_max=(lam - n * (l1 + l2)) / n,
+        kappa_pi=report.a4_lhs / lam,
+        eta_max=margin / n,
     )

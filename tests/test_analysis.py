@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import epcag.analysis
 from epcag import (
     certify_connection,
     contraction_margin,
@@ -34,21 +35,21 @@ def synthetic_profile(fn, t0=0.0, t1=30.0, n=601):
 class TestDifferenceProfile:
     def test_identical_trajectories(self, homo_traj):
         prof = difference_profile(homo_traj, homo_traj)
-        assert len(prof) == len(homo_traj.samples)
-        assert all(g == 0.0 for _, g in prof)
-        assert prof[0][0] == homo_traj.t0
+        assert prof.shape == (len(homo_traj.samples), 2)
+        assert np.all(prof[:, 1] == 0.0)
+        assert prof[0, 0] == homo_traj.t0
 
     def test_constant_offset(self, homo_traj):
         shifted = replace(homo_traj, samples=homo_traj.samples + np.array([0.3, 0.4]))
         prof = difference_profile(homo_traj, shifted)
-        gaps = np.array([g for _, g in prof])
+        gaps = prof[:, 1]
         assert gaps == pytest.approx(np.full(len(prof), 0.5), abs=1e-12)
 
     def test_symmetry(self, homo_traj):
         shifted = replace(homo_traj, samples=homo_traj.samples * 1.1)
         ab = difference_profile(homo_traj, shifted)
         ba = difference_profile(shifted, homo_traj)
-        assert ab == ba
+        np.testing.assert_array_equal(ab, ba)
 
     def test_grid_mismatch(self, homo_traj):
         clipped = replace(homo_traj, samples=homo_traj.samples[:-1])
@@ -184,6 +185,25 @@ class TestCertifyGuards:
         with pytest.raises(OutOfRangeError):
             certify_connection(homo.system, homo.alphas, homo.beta, "periodic")
 
+    def test_gap_above_the_stable_envelope_fails_the_verdict(self, homo, monkeypatch):
+        # lift the subject by 0.05 per component on t in [38, 42]; the
+        # envelope r1 e^{-lambda (t - t_ref)/2} is 0.045 at t = 38 and
+        # 0.028 at t = 40, while the end gaps and distinctness still pass
+        def lifted(sys, *args, **kwargs):
+            traj = solve_bounded(sys, *args, **kwargs)
+            if sys.driver is not homo.beta:
+                return traj
+            bump = ((traj.times >= 38.0) & (traj.times <= 42.0))[:, None] * 0.05
+            return replace(traj, samples=traj.samples + bump)
+
+        monkeypatch.setattr(epcag.analysis, "solve_bounded", lifted)
+        cert = certify_connection(homo.system, homo.alphas, homo.beta, "homoclinic")
+        assert cert.forward.end_gap <= 1e-4
+        assert cert.backward.end_gap <= 1e-4
+        assert cert.distinctness > 10.0 * 1e-4
+        assert cert.forward.bound_check is False
+        assert cert.verdict is False
+
 
 class TestUnstableGapBound:
     def test_formula(self, homo):
@@ -222,6 +242,26 @@ class TestTransferBattery:
             assert entry.forward.end_gap <= 1e-4
             assert entry.backward.end_gap <= 1e-4
             assert entry.distinctness > 1e-3
+
+    def test_premise_failure_names_the_entry(self, homo, het):
+        # the mu = 3.9 companions never meet the mu = 4 fixed point 3/4
+        template, catalog = transfer_catalog()
+        bad_row = (het.alphas[0], homo.beta, homo.beta)
+        with pytest.raises(PremiseFailureError, match=r"^entry 1: forward sequence gap .* at k=30"):
+            verify_hyperbolic_transfer(template, [catalog[0], bad_row])
+
+    def test_equal_companions_need_not_be_one_object(self):
+        template, catalog = transfer_catalog()
+        alpha, beta, _ = catalog[0]
+        twin = replace(beta, values=beta.values.copy())
+        shared, split = verify_hyperbolic_transfer(
+            template, [(alpha, beta, beta), (alpha, beta, twin)]
+        ).entries
+        for attr in ("forward", "backward"):
+            a, b = getattr(shared, attr), getattr(split, attr)
+            assert (b.end_gap, b.fitted_rate, b.fit_quality) == (a.end_gap, a.fitted_rate, a.fit_quality)
+        assert split.distinctness == shared.distinctness
+        assert split.passed is shared.passed is True
 
     def test_one_round_solves_each_driver_once(self, solve_counter):
         # six distinct orbit objects in the catalog, one in the control entry

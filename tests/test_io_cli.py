@@ -6,24 +6,33 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from epcag import (
     REFERENCE_N,
+    DecayEnvelope,
     RunSpec,
     SampledTrajectory,
+    assemble_system,
     build_orbit,
     certificate_dict,
+    custom_contract,
+    default_pad,
     export_frozen_csv,
     export_orbit_csv,
     export_trajectory_csv,
     logistic_map,
     main,
+    make_schedule,
     pair_orbits,
     parse_config,
+    reference_matrix,
     run,
     serialize_config,
 )
 from epcag.errors import IoError, ParseError, ValidationError
+from epcag.io import DriverSpec, NumericSpec, SystemSpec, _auto_range
 
 
 def reference_config(command, **over):
@@ -267,6 +276,25 @@ class TestRun:
         assert report["a5_pass"] is False
         capsys.readouterr()
 
+    def test_check_command_without_contraction_margin(self, tmp_path, capsys):
+        # lambda = 0.05 fails (A4); the driver window falls back to a pad
+        # of 1, so the report is still written and flags the failure
+        cfg = reference_config("check", out_dir=str(tmp_path))
+        cfg["system"]["envelope"]["rate"] = 0.05
+        assert run(parse(cfg)) == 2
+        report = json.loads((tmp_path / "check_report.json").read_text())
+        assert report["a4_pass"] is False
+        assert report["notes"][0] == "(A4) fails: N(L1+L2) = 0.132518 >= lambda = 0.05"
+        capsys.readouterr()
+
+    def test_solve_without_contraction_margin(self, tmp_path, capsys):
+        cfg = reference_config("solve", out_dir=str(tmp_path))
+        cfg["system"]["envelope"]["rate"] = 0.05
+        assert run(parse(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: (A4) fails: N(L1+L2) = 0.132518 >= lambda = 0.05\n"
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_constants_command(self, tmp_path, capsys):
         cfg = reference_config("constants", out_dir=str(tmp_path))
         assert run(parse(cfg)) == 0
@@ -315,6 +343,46 @@ class TestRun:
         assert run(parse(cfg)) == 0
         assert (tmp_path / "from_env" / "orbit.csv").exists()
         capsys.readouterr()
+
+
+class TestAutoRange:
+    """The driver window sized before assembly covers the lead-in pad the
+    solver asks for on the assembled system."""
+
+    @seed(20261018)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_const=st.floats(REFERENCE_N, 3.0 * REFERENCE_N),
+        rate=st.floats(0.05, 0.5),
+        a4_share=st.floats(0.01, 0.99),
+        x_share=st.floats(0.0, 1.0),
+        bound_mf=st.floats(1e-3, 5.0),
+        omega=st.floats(0.25, 3.0),
+        mu=st.floats(3.0, 4.0, exclude_min=True),
+        tol=st.floats(1e-12, 1e-4),
+        window=st.integers(1, 40),
+    )
+    def test_window_covers_the_solver_pad(self, n_const, rate, a4_share, x_share, bound_mf,
+                                          omega, mu, tol, window):
+        # envelopes no tighter than the reference one validate against its
+        # matrix; the Lipschitz constants use a share of the (A4) room
+        envelope = DecayEnvelope(n_const=n_const, rate=rate, validated_horizon=60.0, sample_count=0)
+        lip = a4_share * rate / n_const
+        contract = custom_contract(lambda t, x, y: np.zeros(2), bound_mf, x_share * lip, (1.0 - x_share) * lip)
+        star = (mu - 1.0) / mu
+        spec = RunSpec(
+            command="solve",
+            system=SystemSpec(matrix=((2.0, -2.0), (5.0, -3.0)), omega=omega, origin=0.0,
+                              zeta_fraction=1.0 / 3.0),
+            driver=DriverSpec(mu=mu, kind="fixed", seed=star),
+            numeric=NumericSpec(tol=tol, window=window),
+        )
+        k_min, k_max = _auto_range(spec, (envelope, contract))
+        orbit = build_orbit(logistic_map(mu), "fixed", star, k_min=k_min, k_max=k_max)
+        sys = assemble_system(reference_matrix(), make_schedule(omega, 0.0, 1.0 / 3.0), contract,
+                              pair_orbits(orbit, orbit), envelope=envelope)
+        assert k_min <= -(window + default_pad(sys, tol))
+        assert k_max >= window
 
 
 class TestCli:

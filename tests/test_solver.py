@@ -229,6 +229,12 @@ class TestSolveBounded:
     def test_default_pad_reference_value(self, homo):
         assert default_pad(homo.system, 1e-8) == 42
 
+    def test_reference_driver_windows(self, homo, het):
+        # coverage_pad sizes every reference orbit from the mu = 4 bound:
+        # pad 42 at tol 1e-8, plus headroom, left of the 30-node window
+        for orbit in (homo.beta, *homo.alphas, het.beta, *het.alphas):
+            assert (orbit.k_min, orbit.k_max) == (-76, 32)
+
     def test_pad_too_small(self, homo):
         with pytest.raises(PadTooSmallError):
             solve_bounded(homo.system, (-2, 2), pad=1)

@@ -14,6 +14,7 @@ from epcag import (
     build_orbit,
     check_assumptions,
     custom_contract,
+    default_pad,
     eval_many,
     example_contract,
     logistic_map,
@@ -23,6 +24,8 @@ from epcag import (
     reference_envelope,
     reference_matrix,
     reference_schedule,
+    solve_bounded,
+    unstable_gap_bound,
     zero_contract,
 )
 from epcag.errors import (
@@ -280,3 +283,24 @@ class TestProofConstants:
         bad = replace(homo.system, envelope=replace(homo.system.envelope, rate=0.01))
         with pytest.raises(AssumptionFailureError):
             proof_constants(bad)
+
+
+# the reference system with lambda = 0.05: N (L1 + L2) = 0.132518 leaves no margin
+A4_FAILS = r"^\(A4\) fails: N\(L1\+L2\) = 0\.132518 >= lambda = 0\.05$"
+
+
+class TestA4Guard:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            proof_constants,
+            lambda sys: solve_bounded(sys, (-2, 2)),
+            lambda sys: default_pad(sys, 1e-8),
+            lambda sys: unstable_gap_bound(sys, 1e-3),
+        ],
+        ids=["proof_constants", "solve_bounded", "default_pad", "unstable_gap_bound"],
+    )
+    def test_one_message(self, homo, call):
+        bad = replace(homo.system, envelope=replace(homo.system.envelope, rate=0.05))
+        with pytest.raises(AssumptionFailureError, match=A4_FAILS):
+            call(bad)

@@ -46,7 +46,7 @@ from .linear import DecayEnvelope
 from .nonlinearity import example_contract, zero_contract
 from .reference import heteroclinic_scenario, homoclinic_scenario
 from .schedule import make_schedule
-from .solver import MIN_SUBSTEPS, SampledTrajectory, _lead_in_pad, solve_bounded
+from .solver import MIN_SUBSTEPS, SampledTrajectory, _coverage_range, _lead_in_pad, solve_bounded
 from .system import _logistic_sup, assemble_system, check_assumptions, proof_constants
 
 COMMANDS = ("check", "constants", "orbit", "solve", "certify", "example4")
@@ -336,8 +336,8 @@ def _driver_dict(d: DriverSpec) -> dict:
 
 
 def _auto_range(spec: RunSpec, sys_parts) -> tuple[int, int]:
-    """Coverage window: the solve window plus the lead-in pad implied by
-    the system constants, with two intervals of headroom."""
+    """Coverage window for the solve window and the lead-in pad implied
+    by the system constants."""
     envelope, contract = sys_parts
     window = spec.numeric.window
     # the scalar orbit is paired into both components
@@ -346,7 +346,7 @@ def _auto_range(spec: RunSpec, sys_parts) -> tuple[int, int]:
         pad = _lead_in_pad(envelope, contract, map_sup, spec.system.omega, spec.numeric.tol)
     except AssumptionFailureError:
         pad = 1  # no contraction margin: still build the system so that check can report it
-    return -(window + pad + 2), window + 2
+    return _coverage_range(window, pad)
 
 
 def _build_scalar_orbit(dspec: DriverSpec, k_min: int, k_max: int) -> DriverOrbit:

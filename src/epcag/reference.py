@@ -36,7 +36,7 @@ from .driver import (
 from .linear import DecayEnvelope
 from .nonlinearity import NonlinearityContract, example_contract
 from .schedule import Schedule, make_schedule
-from .solver import _lead_in_pad
+from .solver import _coverage_range, _lead_in_pad
 from .system import EpcagSystem, _logistic_sup, assemble_system
 
 REFERENCE_MATRIX = ((2.0, -2.0), (5.0, -3.0))
@@ -75,11 +75,6 @@ def coverage_pad(tol: float = 1e-8) -> int:
     return _lead_in_pad(reference_envelope(), reference_contract(), map_sup, REFERENCE_OMEGA, tol) + 2
 
 
-def _k_range(window: int, tol: float) -> tuple[int, int]:
-    pad = coverage_pad(tol)
-    return -(window + pad + 2), window + 2
-
-
 def _paired(orbit: DriverOrbit) -> DriverOrbit:
     return pair_orbits(orbit, orbit)
 
@@ -87,7 +82,7 @@ def _paired(orbit: DriverOrbit) -> DriverOrbit:
 def homoclinic_driver(window: int = 30, tol: float = 1e-8) -> tuple[DriverOrbit, DriverOrbit]:
     """(beta, alpha): the paired mu=3.9 homoclinic orbit and the paired
     positive fixed point it is homoclinic to."""
-    k_min, k_max = _k_range(window, tol)
+    k_min, k_max = _coverage_range(window, coverage_pad(tol))
     m = ScalarMap("logistic", HOMOCLINIC_MU)
     star = (HOMOCLINIC_MU - 1.0) / HOMOCLINIC_MU
     beta = build_orbit(m, "homoclinic", 1.0 / HOMOCLINIC_MU, backward_branch=UPPER_BRANCH,
@@ -99,7 +94,7 @@ def homoclinic_driver(window: int = 30, tol: float = 1e-8) -> tuple[DriverOrbit,
 def heteroclinic_driver(window: int = 30, tol: float = 1e-8):
     """(beta, alpha_fwd, alpha_bwd): the paired mu=4 orbit through 1/4
     and the fixed points 3/4 (forward target) and 0 (backward target)."""
-    k_min, k_max = _k_range(window, tol)
+    k_min, k_max = _coverage_range(window, coverage_pad(tol))
     m = ScalarMap("logistic", HETEROCLINIC_MU)
     beta = build_orbit(m, "heteroclinic", 0.25, backward_branch=LOWER_BRANCH,
                        k_min=k_min, k_max=k_max)
@@ -146,7 +141,7 @@ def transfer_catalog(window: int = 30, tol: float = 1e-8):
     mu=4 orbit runs the opposite way (3/4 down to 0, seed 1), so the
     two heteroclinic orbits exchange roles between the rows.
     """
-    k_min, k_max = _k_range(window, tol)
+    k_min, k_max = _coverage_range(window, coverage_pad(tol))
     m4 = ScalarMap("logistic", HETEROCLINIC_MU)
     beta_h, alpha_h = homoclinic_driver(window, tol)
     het, alpha_34, alpha_0 = heteroclinic_driver(window, tol)

@@ -107,6 +107,12 @@ def _lead_in_pad(envelope, f, map_sup: float, omega: float, tol: float) -> int:
     return max(1, math.ceil(math.log(2.0 * m_phi * envelope.n_const / tol) / (margin * omega)))
 
 
+def _coverage_range(window: int, pad: int) -> tuple[int, int]:
+    """(k_min, k_max) of driver coverage for a solve on [-window, window]
+    with `pad` intervals of lead-in, plus two intervals of headroom."""
+    return -(window + pad + 2), window + 2
+
+
 def default_pad(sys: EpcagSystem, tol: float) -> int:
     """Fewest intervals of lead-in whose tail bound is at most tol."""
     return _lead_in_pad(sys.envelope, sys.f, map_supremum(sys.driver), sys.schedule.omega, tol)
@@ -129,12 +135,18 @@ class _Context:
         dim = a.shape[0]
         h = self.h
 
-        self.e_h = mat_exp(a, h)
+        # one stacked call: exp(A h), exp(-A h) and exp(A(h - tau)) at the
+        # Gauss-Legendre nodes tau of the weights below
+        gq, gw = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+        taus = (gq + 1.0) * (h / 2.0)
+        wqs = gw * (h / 2.0)
+        exps = mat_exp(a, np.concatenate(([h, -h], h - taus)))
+        self.e_h, e_minus, e_taus = exps[0], exps[1], exps[2:]
+
         pows = np.empty((substeps + 1, dim, dim))
         negs = np.empty((substeps + 1, dim, dim))
         pows[0] = np.eye(dim)
         negs[0] = np.eye(dim)
-        e_minus = mat_exp(a, -h)
         for j in range(substeps):
             pows[j + 1] = self.e_h @ pows[j]
             negs[j + 1] = e_minus @ negs[j]
@@ -142,12 +154,7 @@ class _Context:
         self.e_negpows = negs
 
         # interpolatory weights W_r = int_0^h exp(A(h-tau)) l_r(tau) dtau for
-        # the cubic through the stencil nodes, Gauss-Legendre evaluated
-        gq, gw = np.polynomial.legendre.leggauss(GAUSS_POINTS)
-        taus = (gq + 1.0) * (h / 2.0)
-        wqs = gw * (h / 2.0)
-        e_taus = np.stack([mat_exp(a, h - tau) for tau in taus])
-
+        # the cubic through the stencil nodes
         def weights(offsets):
             offs = np.asarray(offsets, dtype=float)
             ws = np.zeros((4, dim, dim))

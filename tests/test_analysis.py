@@ -96,6 +96,18 @@ class TestFitDecayRate:
             fit_decay_rate([])
 
 
+def test_rounding_noise_barely_moves_reference_rates(homo_cert, het_cert):
+    # +-3e-15 is rounding-level noise on the reference gaps; a gap floor
+    # of 1e-14 let it move the heteroclinic backward rate by 5e-4
+    rng = np.random.default_rng(11)
+    for cert in (homo_cert, het_cert):
+        for dc in (cert.forward, cert.backward):
+            noisy = dc.gap_samples.copy()
+            noisy[:, 1] = np.abs(noisy[:, 1] + rng.uniform(-3e-15, 3e-15, len(noisy)))
+            rate, _ = fit_decay_rate(noisy)
+            assert rate == pytest.approx(dc.fitted_rate, rel=1e-6)
+
+
 class TestHomoclinicCertificate:
     def test_verdict(self, homo_cert):
         assert homo_cert.verdict is True

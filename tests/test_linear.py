@@ -1,17 +1,22 @@
 """Matrix exponential and decay envelope tests.
 
-Closed-form oracles: diagonal matrices, and the damped-rotation
-factorization P e^{Bt} P^{-1} of the bundled planar matrix, where B is
-the real normal form -1/2 +- i sqrt(15)/2.
+Closed-form oracles: diagonal matrices, a 2x2 Jordan block, and the
+damped-rotation factorization P e^{Bt} P^{-1} of the bundled planar
+matrix, where B is the real normal form -1/2 +- i sqrt(15)/2.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epcag
 from epcag import (
     REFERENCE_N,
     DecayEnvelope,
@@ -31,6 +36,7 @@ from epcag.errors import (
     NotHurwitzError,
     OverflowRiskError,
 )
+from epcag.linear import _THETA
 
 ROT_HALF = math.sqrt(15.0) / 2.0
 P = np.array([[0.0, 4.0], [-math.sqrt(15.0), 5.0]])
@@ -41,6 +47,47 @@ def damped_rotation(t):
     """e^{Bt} for B = [[-1/2, -s], [s, -1/2]], s = sqrt(15)/2."""
     c, s = math.cos(ROT_HALF * t), math.sin(ROT_HALF * t)
     return math.exp(-0.5 * t) * np.array([[c, -s], [s, c]])
+
+
+ROTATION = np.array([[-0.5, -ROT_HALF], [ROT_HALF, -0.5]])
+JORDAN_LAMBDA = -0.7
+JORDAN = np.array([[JORDAN_LAMBDA, 1.0], [0.0, JORDAN_LAMBDA]])
+
+
+def every_branch(a):
+    """Times at which ||A t||_1 lies in each Pade degree's band (3, 5, 7,
+    9, 13 unscaled) and well past theta_13 (13 with squarings), both signs."""
+    norm = np.abs(a).sum(axis=0).max()
+    edges = [_THETA[d] for d in (3, 5, 7, 9, 13)]
+    ts = [0.5 * edges[0] / norm]
+    ts += [0.5 * (lo + hi) / norm for lo, hi in zip(edges, edges[1:])]
+    ts += [3.0 * edges[-1] / norm, 40.0 * edges[-1] / norm]
+    return np.array(ts + [-t for t in ts])
+
+
+def recursion_norms(a, horizon, count):
+    """Reference scan by the semigroup recursion M_{j+1} = exp(A h) M_j,
+    re-anchored at exp(A t_j) every 512 steps."""
+    ts = np.linspace(0.0, horizon, count)
+    step = mat_exp(a, ts[1] - ts[0])
+    mats = np.empty((count, *a.shape))
+    for j in range(count):
+        if j % 512 == 0:
+            cur = mat_exp(a, ts[j])
+        mats[j] = cur
+        cur = step @ cur
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def random_hurwitz(rng, count):
+    """Seeded 2x2 matrices with entries in [-3, 3] and abscissa <= -0.05."""
+    out = []
+    while len(out) < count:
+        a = rng.uniform(-3.0, 3.0, (2, 2))
+        sigma = float(np.max(np.linalg.eigvals(a).real))
+        if sigma <= -0.05:
+            out.append((a, sigma))
+    return out
 
 
 class TestMatExp:
@@ -77,6 +124,65 @@ class TestMatExp:
             mat_exp([[-800.0]], -1.0)
         # fast decay is not an overflow risk, it just underflows to zero
         assert mat_exp([[-800.0]], 1.0)[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "a, closed_form",
+        [
+            (np.diag([-1.0, -2.0]), lambda t: np.diag([math.exp(-t), math.exp(-2.0 * t)])),
+            (ROTATION, damped_rotation),
+            (JORDAN, lambda t: math.exp(JORDAN_LAMBDA * t) * np.array([[1.0, t], [0.0, 1.0]])),
+        ],
+        ids=["diagonal", "damped-rotation", "jordan"],
+    )
+    def test_closed_forms_on_every_pade_branch(self, a, closed_form):
+        # exp(x) has relative condition number |x|, so the error bound grows with ||A t||
+        norm = np.abs(a).sum(axis=0).max()
+        ts = every_branch(a)
+        for t, got in zip(ts, mat_exp(a, ts)):
+            want = closed_form(t)
+            tol = 2e-15 * max(1.0, norm * abs(t))
+            assert np.abs(got - want).max() <= tol * np.abs(want).max(), t
+
+    def test_stack_equals_its_elements_bit_for_bit(self):
+        a = reference_matrix()
+        ts = np.concatenate([every_branch(a), np.linspace(-3.0, 25.0, 57)])
+        stack = mat_exp(a, ts)
+        assert stack.shape == (len(ts), 2, 2)
+        for t, got in zip(ts, stack):
+            assert np.array_equal(got, mat_exp(a, t)), t
+        assert mat_exp(a, ts[:0]).shape == (0, 2, 2)
+
+    def test_stack_guards_every_element(self):
+        with pytest.raises(OverflowRiskError, match=r"at t = 800"):
+            mat_exp([[1.0]], [0.5, 800.0, 1.0])
+        with pytest.raises(OverflowRiskError):
+            mat_exp([[-1.0]], [0.5, -800.0])
+        with pytest.raises(NonFiniteError, match="non-finite time nan"):
+            mat_exp(reference_matrix(), [0.1, math.nan, 0.2])
+        with pytest.raises(NonFiniteError):
+            mat_exp([[-10.0]], [1.0, 1e308])  # A t itself overflows
+        with pytest.raises(DimensionMismatchError):
+            mat_exp(reference_matrix(), np.zeros((2, 2)))
+
+    def test_agrees_with_scipy(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        a = reference_matrix()
+        ts = np.linspace(-1.0, 25.0, 261)
+        for t, got in zip(ts, mat_exp(a, ts)):
+            want = expm(a * t)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(epcag.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, epcag, epcag.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     @given(
         s=st.floats(-5.0, 5.0),
@@ -148,6 +254,26 @@ class TestEnvelope:
     def test_sampled_sup_stays_below_reference_constant(self):
         ts, norms = sample_norm_curve(reference_matrix(), 60.0, 6001)
         assert float(np.max(norms * np.exp(0.5 * ts))) <= REFERENCE_N
+
+    @pytest.mark.parametrize("count", [2, 513, 1000, 6001])
+    def test_batched_scan_matches_the_recursion_on_the_reference(self, count):
+        a = reference_matrix()
+        ts, norms = sample_norm_curve(a, 60.0, count)
+        assert len(ts) == len(norms) == count
+        assert norms[0] == 1.0
+        old = recursion_norms(a, 60.0, count)
+        assert np.all(np.abs(norms - old) <= 1e-12 * old)
+
+    def test_batched_scan_matches_the_recursion_on_random_matrices(self):
+        # the recursion's rounding is absolute, on the scale of the curve's
+        # peak, so late samples of a non-normal draw that decayed by 1e-5
+        # differ by more than 1e-12 of themselves (the batched scan being
+        # the closer one to a 40-digit reference); compare at the peak
+        for a, sigma in random_hurwitz(np.random.default_rng(5), 20):
+            for count in (2, 513, 1000):
+                _, norms = sample_norm_curve(a, 12.0 / -sigma, count)
+                old = recursion_norms(a, 12.0 / -sigma, count)
+                assert np.abs(norms - old).max() <= 1e-12 * old.max()
 
     def test_not_hurwitz_rejected(self):
         with pytest.raises(NotHurwitzError):

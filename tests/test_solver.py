@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 
 from epcag import (
+    DriverOrbit,
     SampledTrajectory,
     assemble_system,
     build_orbit,
+    check_assumptions,
     contraction_margin,
     custom_contract,
     default_pad,
+    estimate_decay_envelope,
     logistic_map,
     make_schedule,
     mat_exp,
@@ -56,6 +59,82 @@ def linear_system(zeta_fraction=1.0 / 3.0):
         envelope=reference_envelope(),
         spot_samples=0,
     )
+
+
+def held_driver(values, k_min):
+    """A driver that holds its first and last values outside its window."""
+    values = np.asarray(values, dtype=float)
+    return DriverOrbit(k_min, k_min + len(values) - 1, values, values[0], values[-1], 0.0)
+
+
+def non_normal_hurwitz(rng, dim):
+    """Random Hurwitz matrix: distinct negative eigenvalues, a random
+    strictly upper triangle, rotated by a random orthogonal matrix."""
+    core = np.diag(-rng.uniform(0.4, 1.5, dim)) + np.triu(rng.uniform(-2.0, 2.0, (dim, dim)), 1)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q @ core @ q.T
+
+
+def coupled_contract(dim):
+    """Smooth forcing with both state and frozen-argument coupling in any dimension."""
+
+    def coupled(t, x, y):
+        return 0.2 * np.sin(x) + 0.1 * np.cos(y[::-1]) + 0.5 * math.cos(t)
+
+    return custom_contract(coupled, 0.8 * math.sqrt(dim), 0.2, 0.1)
+
+
+def textbook_rk4(f, a, alpha, t, z, w, h, steps):
+    """Classical RK4 stage by stage: the states before and after each step."""
+    states = [z]
+    for _ in range(steps):
+        k1 = a @ z + f(t, z, w) + alpha
+        y2 = z + (h / 2.0) * k1
+        k2 = a @ y2 + f(t + h / 2.0, y2, w) + alpha
+        y3 = z + (h / 2.0) * k2
+        k3 = a @ y3 + f(t + h / 2.0, y3, w) + alpha
+        y4 = z + h * k3
+        k4 = a @ y4 + f(t + h, y4, w) + alpha
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        states.append(z)
+    return states
+
+
+def textbook_step_interval(sys, k, z0, substeps, tol=solver.INNER_DEFAULT_TOL):
+    """step_interval's scheme written out: passes to zeta_k (whole steps,
+    then one partial step) until w settles, then the rest of the interval
+    from the last pass's last grid point before zeta_k."""
+    omega = sys.schedule.omega
+    theta, zeta = sys.schedule.node(k), sys.schedule.zeta(k)
+    h = omega / substeps
+    j_full = min(int(math.floor((zeta - theta) / h + 1e-9)), substeps)
+    part = (zeta - theta) - j_full * h
+    part = part if part >= 1e-13 * omega else 0.0
+    rhs = (sys.f.eval, sys.a, sys.driver.value(k))
+    w, inner = z0, 0
+    while True:
+        inner += 1
+        head = textbook_rk4(*rhs, theta, z0, w, h, j_full)
+        z = textbook_rk4(*rhs, theta + j_full * h, head[-1], w, part, 1)[-1] if part else head[-1]
+        moved = np.linalg.norm(z - w)
+        w = z
+        if moved <= tol:
+            break
+    tail = textbook_rk4(*rhs, theta + j_full * h, head[-1], w, h, substeps - j_full)
+    return np.array(head[:-1] + tail), w, inner
+
+
+def recording(contract):
+    """The contract with every eval call's state and argument recorded,
+    each beside a snapshot taken when it was passed."""
+    seen = []
+
+    def eval(t, x, y):
+        seen.append((x, x.copy(), y, y.copy()))
+        return contract.eval(t, x, y)
+
+    return replace(contract, eval=eval), seen
 
 
 def cubic_convolution(a, coeffs, ts):
@@ -131,6 +210,44 @@ class TestConvolve:
         assert np.abs(solver._convolve(ctx, hv) - want).max() <= 1e-14 * np.abs(want).max()
 
 
+class TestRk4Tables:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("h", [0.0075, 0.0041])
+    def test_march_matches_textbook_steps(self, dim, h):
+        rng = np.random.default_rng(dim)
+        a = non_normal_hurwitz(rng, dim)
+        f = coupled_contract(dim).eval
+        z0, w, alpha = rng.standard_normal((3, dim))
+        want = np.array(textbook_rk4(f, a, alpha, 0.3, z0, w, h, 150))
+        got = np.empty_like(want)
+        got[0] = z0
+        end = solver._rk4_march(f, solver._rk4_tables(a, h), 0.3, z0.copy(), w, alpha, h, 150, out=got)
+        assert np.array_equal(end, got[-1])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("zeta_fraction", [0.0, 0.37, 1.0])
+    def test_step_interval_matches_textbook_scheme(self, dim, zeta_fraction):
+        # 0.37 of the interval leaves a partial step to zeta; 0 and 1 do not
+        rng = np.random.default_rng(10 * dim + round(100 * zeta_fraction))
+        a = non_normal_hurwitz(rng, dim)
+        sys = assemble_system(
+            a,
+            make_schedule(1.2, 0.0, zeta_fraction),
+            coupled_contract(dim),
+            held_driver(rng.uniform(0.0, 1.0, (3, dim)), -1),
+            envelope=estimate_decay_envelope(a),
+            spot_samples=0,
+        )
+        z0 = rng.standard_normal(dim)
+        samples, w, inner = step_interval(sys, 1, z0, substeps=150)
+        want, want_w, want_inner = textbook_step_interval(sys, 1, z0, 150)
+        assert inner == want_inner
+        scale = np.abs(want).max()
+        assert np.abs(samples - want).max() <= 1e-13 * scale
+        assert np.abs(w - want_w).max() <= 1e-13 * scale
+
+
 class TestStepInterval:
     def test_left_node_argument_needs_one_pass(self):
         # zeta at the left node: w is z0 itself, no iteration to do
@@ -161,6 +278,33 @@ class TestStepInterval:
         # argument must agree with linear interpolation to O(h^2)
         lerp = samples[66] + (0.5 / 0.0075 - 66.0) * (samples[67] - samples[66])
         assert np.abs(w - lerp).max() <= 1e-3
+
+    @pytest.mark.parametrize(
+        "zeta_fraction, j_full, partial", [(0.0, 0, 0), (0.25, 50, 0), (1.0 / 3.0, 66, 1), (1.0, 200, 0)]
+    )
+    def test_eval_count_and_fresh_arguments(self, homo, zeta_fraction, j_full, partial):
+        # inner passes march to zeta (j_full whole steps and any partial
+        # step); the final march only covers the steps after j_full
+        f, seen = recording(homo.system.f)
+        sys = replace(homo.system, f=f, schedule=make_schedule(1.5, 0.0, zeta_fraction))
+        samples, w, inner = step_interval(sys, 0, np.array([0.3, -0.2]), substeps=200)
+        assert len(seen) == 4 * (inner * (j_full + partial) + 200 - j_full)
+        # no state or argument eval saw was changed afterwards or lives in the samples
+        assert all(np.array_equal(x, xc) and np.array_equal(y, yc) for x, xc, y, yc in seen)
+        assert not any(np.shares_memory(x, samples) for x, *_ in seen)
+
+    def test_non_finite_samples_after_zeta(self):
+        # f turns NaN on (4, 4.5), inside the last interval [3, 4.5] of a
+        # (-3, 3) window but after its zeta = 3.5, so every inner pass is
+        # finite; the samples past zeta are not
+        def late_nan(t, x, y):
+            return np.full(2, np.nan) if 4.0 < t < 4.5 else np.zeros(2)
+
+        sys = replace(linear_system(), f=custom_contract(late_nan, 1.0, 0.0, 0.0))
+        with pytest.raises(InnerDivergenceError, match="interval 2: non-finite samples"):
+            solve_bounded(sys, (-3, 3), substeps=20, method="burn_in")
+        with pytest.raises(InnerDivergenceError):
+            solve_bounded(sys, (-3, 3), substeps=20, method="picard")
 
     def test_inner_divergence_guard(self):
         # a frozen-argument gain this large defeats the fixed point loop
@@ -196,6 +340,13 @@ class TestSolveBounded:
         assert wp.keys() == wb.keys()
         worst_w = max(float(np.abs(wp[k] - wb[k]).max()) for k in wp)
         assert worst_w <= 1e-6
+
+    def test_reference_burn_in_inner_iterations(self, homo, het):
+        totals = {
+            name: sum(solve_bounded(sc.system, (-20, 20), method="burn_in").meta["inner_iterations"])
+            for name, sc in (("homoclinic", homo), ("heteroclinic", het))
+        }
+        assert totals == {"homoclinic": 371, "heteroclinic": 302}
 
     def test_picard_contraction_diagnostics(self, homo_traj):
         meta = homo_traj.meta
@@ -281,6 +432,62 @@ class TestSolveBounded:
     def test_unknown_method(self, homo):
         with pytest.raises(OutOfRangeError):
             solve_bounded(homo.system, (-2, 2), method="rk45")
+
+
+def random_system(seed):
+    """A seeded random planar system meeting (A4) and (A5) with margin:
+    a rotated Hurwitz matrix (complex pair or non-normal real pair), a
+    forcing whose exact Lipschitz constants take a drawn share of the
+    (A5) budget, and a random held driver."""
+    rng = np.random.default_rng(seed)
+    sigma, skew = -rng.uniform(0.6, 1.2), math.exp(rng.uniform(0.0, 0.6))
+    if seed % 2:
+        rot = rng.uniform(0.4, 2.0)
+        core = np.array([[sigma, rot * skew], [-rot / skew, sigma]])
+    else:
+        core = np.array([[sigma, 2.0 * (skew - 1.0)], [0.0, sigma - rng.uniform(0.2, 1.2)]])
+    angle = rng.uniform(0.0, np.pi)
+    c, s = np.cos(angle), np.sin(angle)
+    q = np.array([[c, -s], [s, c]])
+    a = q @ core @ q.T
+    env = estimate_decay_envelope(a)
+    omega = rng.uniform(0.8, 1.2)
+    lam, n = env.rate, env.n_const
+    ehalf = math.exp(lam * omega / 2.0)
+    growth = ehalf * (ehalf**2 - 1.0) / (1.0 - 1.0 / ehalf)
+    budget, share = rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.8)
+    lx = share * budget * lam / (2.0 * n)
+    ly = (1.0 - share) * budget * lam / (n * growth)
+    p, nu, c1, c2 = rng.uniform(0.0, 6.0), rng.uniform(0.2, 1.5), *rng.uniform(0.1, 1.0, 2)
+
+    def forcing(t, x, y):
+        return np.array([lx * np.cos(x[0] + p) + ly * np.sin(y[1]) + c1 * np.sin(nu * t),
+                         lx * np.sin(x[1]) + ly * np.cos(y[0]) + c2 * np.cos(nu * t)])
+
+    def forcing_batch(ts, xs, ys):
+        return np.column_stack([lx * np.cos(xs[:, 0] + p) + ly * np.sin(ys[:, 1]) + c1 * np.sin(nu * ts),
+                                lx * np.sin(xs[:, 1]) + ly * np.cos(ys[:, 0]) + c2 * np.cos(nu * ts)])
+
+    f = custom_contract(forcing, 1.01 * math.hypot(lx + ly + c1, lx + ly + c2), lx, ly, eval_batch=forcing_batch)
+    zeta_fraction = (0.0, 1.0, rng.uniform(0.0, 1.0))[seed % 3]
+    driver = held_driver(rng.uniform(0.0, 1.0, (9, 2)), -4)
+    sys = assemble_system(a, make_schedule(omega, 0.0, zeta_fraction), f, driver, envelope=env, spot_samples=200)
+    report = check_assumptions(sys)
+    assert report.a4_pass and report.a5_pass and report.a5_margin > 0.3
+    return sys
+
+
+class TestRandomSystems:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_methods_agree_bounded_and_consistent(self, seed):
+        sys = random_system(seed)
+        pic = solve_bounded(sys, (-2, 2), substeps=60)
+        burn = solve_bounded(sys, (-2, 2), substeps=60, method="burn_in")
+        quarter = len(pic.samples) // 4
+        assert np.abs(pic.samples[quarter:-quarter] - burn.samples[quarter:-quarter]).max() <= 1e-6
+        for traj in (pic, burn):
+            assert residual_defect(sys, traj) <= 1e-6
+            assert traj.meta["sup_norm"] <= solution_bound(sys)
 
 
 class TestResidualDefect:

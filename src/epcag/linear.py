@@ -107,9 +107,11 @@ def _expm(x: np.ndarray) -> np.ndarray:
     big = degrees == 13
     squarings[big] = np.maximum(0, np.ceil(np.log2(norms[big] / _THETA[13]))).astype(int)
     out = np.empty_like(x)
-    for d in np.unique(degrees):
+    # not np.unique: its first call imports numpy.ma (about 1 MB per process)
+    for d in _PADE:
         sel = degrees == d
-        out[sel] = _pade(np.ldexp(x[sel], -squarings[sel, None, None]), int(d))
+        if sel.any():
+            out[sel] = _pade(np.ldexp(x[sel], -squarings[sel, None, None]), d)
     for k in range(int(squarings.max(initial=0))):
         sel = squarings > k
         out[sel] = out[sel] @ out[sel]
@@ -213,8 +215,9 @@ def sample_norm_curve(a, horizon: float, count: int) -> tuple[np.ndarray, np.nda
     exp(A (j mod B) h) exp(A t_{B floor(j / B)}): one stacked mat_exp
     call gives the anchors, one the B in-block powers, and one
     broadcast matmul every sample, so rounding never accumulates along
-    the scan. Batched SVDs then give the norms; a 60001-point scan of a
-    2x2 matrix takes well under 0.1 s.
+    the scan. For a 2x2 matrix the norms come from the closed form in
+    `_spectral_norms`, which needs no SVD; larger orders take a batched
+    SVD.
     """
     m = _as_square(a)
     if count < 2:
@@ -225,8 +228,21 @@ def sample_norm_curve(a, horizon: float, count: int) -> tuple[np.ndarray, np.nda
     inblock = mat_exp(m, h * np.arange(min(count, ANCHOR_EVERY)))
     anchors = mat_exp(m, ts[::ANCHOR_EVERY])
     mats = (inblock @ anchors[:, None]).reshape(-1, dim, dim)[:count]
-    sv = np.linalg.svd(mats, compute_uv=False)
-    return ts, sv[:, 0]
+    return ts, _spectral_norms(mats)
+
+
+def _spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of an (n, m, m) stack.
+
+    For m = 2, [[a, b], [c, d]] has sigma_1 = (hypot(a + d, c - b) +
+    hypot(a - d, b + c)) / 2 (Blinn 1996, "Consider the lowly 2x2
+    matrix"): no cancellation, unlike sqrt((F^2 + sqrt(F^4 - 4 det^2))/2),
+    which loses half the digits near sigma_1 = sigma_2.
+    """
+    if mats.shape[-1] != 2:
+        return np.linalg.svd(mats, compute_uv=False)[:, 0]
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
 
 
 def estimate_decay_envelope(

@@ -279,7 +279,8 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
         fv = eval_many(sys.f, ts_flat, psi.reshape(-1, dim), ys).reshape(n_int, m + 1, dim)
         hv = fv + alpha[:, None, :]
         new = _convolve(ctx, hv)
-        delta = float(np.max(np.linalg.norm(new - psi, axis=2)))
+        d = new - psi
+        delta = math.sqrt(float(np.max(np.einsum("ijk,ijk->ij", d, d))))
         psi = new
         deltas.append(delta)
         if not math.isfinite(delta):

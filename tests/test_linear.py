@@ -36,7 +36,7 @@ from epcag.errors import (
     NotHurwitzError,
     OverflowRiskError,
 )
-from epcag.linear import _THETA
+from epcag.linear import _THETA, _spectral_norms
 
 ROT_HALF = math.sqrt(15.0) / 2.0
 P = np.array([[0.0, 4.0], [-math.sqrt(15.0), 5.0]])
@@ -77,6 +77,16 @@ def recursion_norms(a, horizon, count):
         mats[j] = cur
         cur = step @ cur
     return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def fresh_interpreter(code):
+    """stdout of `code` run by a fresh interpreter that imports this epcag."""
+    src = str(Path(epcag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
 
 
 def random_hurwitz(rng, count):
@@ -173,16 +183,22 @@ class TestMatExp:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
 
     def test_import_loads_no_scipy(self):
-        src = str(Path(epcag.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = (
             "import sys, epcag, epcag.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert fresh_interpreter(code) == "[]"
+
+    def test_mat_exp_and_a_solve_load_no_numpy_ma(self):
+        # np.unique imports numpy.ma: 10-17 ms and about 1 MB in each
+        # fresh process that runs a matrix exponential
+        code = (
+            "import sys, epcag; "
+            f"epcag.mat_exp(epcag.reference_matrix(), {every_branch(reference_matrix()).tolist()!r}); "
+            "epcag.solve_bounded(epcag.homoclinic_scenario().system, (-5, 5)); "
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
         )
-        assert out.stdout.strip() == "[]"
+        assert fresh_interpreter(code) == "[]"
 
     @given(
         s=st.floats(-5.0, 5.0),
@@ -293,3 +309,81 @@ class TestEnvelope:
         env = reference_envelope()
         ts = np.array([0.0, 1.0, 2.0])
         assert env.bound(ts) == pytest.approx(env.n_const * np.exp(-0.5 * ts))
+
+
+def svd_norms(mats):
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def gram_norms(mats):
+    """sqrt((F^2 + sqrt(F^4 - 4 det^2)) / 2), which cancels near sigma_1 = sigma_2."""
+    f2 = (mats**2).sum(axis=(1, 2))
+    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    return np.sqrt((f2 + np.sqrt(np.maximum(f2**2 - 4.0 * det**2, 0.0))) / 2.0)
+
+
+def near_normal_rotations(rng, count):
+    """Scaled rotations plus a relative 1e-12..1e-6 perturbation."""
+    th = rng.uniform(0.0, 2.0 * math.pi, count)
+    c, s = np.cos(th), np.sin(th)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+    eps = 10.0 ** rng.uniform(-12.0, -6.0, count)
+    scale = np.exp(-rng.uniform(0.0, 20.0, count))
+    return scale[:, None, None] * (rot + eps[:, None, None] * rng.standard_normal((count, 2, 2)))
+
+
+class TestSpectralNorms:
+    TOL = 4e-15
+
+    def assert_matches_svd(self, mats):
+        want = svd_norms(mats)
+        got = _spectral_norms(mats)
+        assert np.all(np.abs(got - want) <= self.TOL * want)
+
+    def test_multiples_of_the_identity(self):
+        # sigma_1 = sigma_2: the second hypot is exactly zero
+        mats = np.array([k * np.eye(2) for k in (-1.0, 1.0, -3.7, 2.5e-3, -1e7)])
+        self.assert_matches_svd(mats)
+        assert _spectral_norms(-np.eye(2)[None])[0] == 1.0
+
+    def test_near_normal_rotations(self):
+        mats = near_normal_rotations(np.random.default_rng(3), 200)
+        self.assert_matches_svd(mats)
+        # the Gram/determinant form loses half the digits here, so this
+        # test also catches a swap to it
+        want = svd_norms(mats)
+        assert np.abs(gram_norms(mats) - want).max() > 1e3 * self.TOL * want.max()
+
+    def test_defective_rank_one_and_zero(self):
+        mats = np.array([JORDAN, [[1.0, 2.0], [-3.0, -6.0]], [[0.0, 5.0], [0.0, 0.0]]])
+        self.assert_matches_svd(mats)
+        assert _spectral_norms(np.zeros((1, 2, 2)))[0] == 0.0
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_scales(self, scale):
+        rng = np.random.default_rng(4)
+        mats = np.concatenate([rng.standard_normal((100, 2, 2)), near_normal_rotations(rng, 100)])
+        self.assert_matches_svd(scale * mats)
+
+    def test_only_larger_orders_take_the_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        sample_norm_curve(reference_matrix(), 12.0, 1000)
+        assert calls == []
+        a3 = np.array([[-1.0, 4.0, 0.0], [0.0, -1.0, 4.0], [0.0, 0.0, -2.0]])
+        ts, norms = sample_norm_curve(a3, 12.0, 1000)
+        assert calls == [(1000, 3, 3)]
+        want = [svd(mat_exp(a3, t), compute_uv=False)[0] for t in ts[::111]]
+        assert np.allclose(norms[::111], want, rtol=1e-12, atol=0.0)
+
+    def test_estimates_equal_the_svd_built_ones(self, monkeypatch):
+        draws = [a for a, _ in random_hurwitz(np.random.default_rng(6), 50)]
+        got = [estimate_decay_envelope(a) for a in draws]
+        monkeypatch.setattr(epcag.linear, "_spectral_norms", svd_norms)
+        assert got == [estimate_decay_envelope(a) for a in draws]

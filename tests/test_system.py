@@ -61,6 +61,31 @@ class TestContracts:
         looped = np.array([c.eval(float(t), x, y) for t, x, y in zip(ts, xs, ys)])
         assert np.abs(batched - looped).max() <= 1e-14
 
+    def test_batch_sigmoid_equals_the_clipped_form(self):
+        # the three-exp form eval_batch used before taking one exp of -|t|
+        def clipped(ts, xs, ys):
+            sig = np.where(
+                ts >= 0.0,
+                1.0 / (1.0 + np.exp(-np.clip(ts, 0.0, None))),
+                np.exp(np.clip(ts, None, 0.0)) / (1.0 + np.exp(np.clip(ts, None, 0.0))),
+            )
+            return np.column_stack([
+                0.03 * np.cos(xs[:, 0]) - 0.01 * np.sin(ys[:, 1]) + sig,
+                0.02 * np.sin(xs[:, 1]) + 0.01 * np.cos(ys[:, 0]),
+            ])
+
+        rng = np.random.default_rng(11)
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 36.0, -36.0,
+                745.0, -745.0, 800.0, -800.0, np.nan]
+        ts = np.concatenate([edge, rng.uniform(-50.0, 50.0, 10_000)])
+        xs = rng.normal(size=(len(ts), 2))
+        ys = rng.normal(size=(len(ts), 2))
+        batch = example_contract().eval_batch
+        np.testing.assert_array_equal(batch(ts, xs, ys), clipped(ts, xs, ys))
+        # x1 = pi/2, y2 = 0 leave f1 = sig + 1.8e-18, so every digit of sig shows
+        xs[:, 0], ys[:, 1] = math.pi / 2.0, 0.0
+        np.testing.assert_array_equal(batch(ts, xs, ys), clipped(ts, xs, ys))
+
     def test_zero_contract(self):
         c = zero_contract(2)
         assert np.all(c.eval(1.0, np.ones(2), np.ones(2)) == 0.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -313,6 +314,13 @@ class TestRun:
         frozen_lines = (tmp_path / "frozen_args.csv").read_text().splitlines()
         assert len(frozen_lines) == 7
         assert "sup norm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("substeps, stage", [(64, r" \(\d+ coarse at 16 substeps\)"), (20, "")])
+    def test_solve_reports_the_coarse_stage(self, tmp_path, capsys, substeps, stage):
+        cfg = reference_config("solve", out_dir=str(tmp_path),
+                               numeric={"window": 3, "substeps": substeps})
+        assert run(parse(cfg)) == 0
+        assert re.search(rf", \d+ iterations{stage}, tail bound", capsys.readouterr().out)
 
     def test_certify_control_fails_distinctness(self, tmp_path, capsys):
         cfg = reference_config(

@@ -173,6 +173,13 @@ def convolve_per_interval(ctx, hv):
     return out
 
 
+def test_gauss_legendre_rule_matches_numpy():
+    nodes, weights = solver._gauss_legendre()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(solver.GAUSS_POINTS)
+    assert np.abs(nodes - want_nodes).max() <= 1e-14
+    assert np.abs(weights - want_weights).max() <= 1e-14
+
+
 class TestConvolve:
     N_INT = 50
     OMEGA = 1.5
@@ -477,6 +484,97 @@ def random_system(seed):
     return sys
 
 
+def zero_start(sys, window, substeps, tol=1e-8):
+    """Picard samples and sweep deltas of solve_bounded's grid, swept from
+    zero through the solver's sweep helper with no coarse stage."""
+    (k_lo, k_hi), pad = window, default_pad(sys, tol)
+    k0 = k_lo - pad
+    alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
+    psi, deltas = solver._picard_sweeps(sys, k0, alpha, np.zeros((k_hi - k0, substeps + 1, sys.dim)))
+    return np.concatenate([psi[pad:, :substeps].reshape(-1, sys.dim), psi[-1, substeps][None]]), deltas
+
+
+def counting_rows(contract):
+    """The contract with the row count of every eval_batch call recorded."""
+    rows = []
+
+    def eval_batch(ts, xs, ys):
+        rows.append(len(ts))
+        return contract.eval_batch(ts, xs, ys)
+
+    return replace(contract, eval_batch=eval_batch), rows
+
+
+@pytest.fixture(scope="module", params=["homo", "het", 0, 1, 2, 3])
+def nested(request):
+    """(system, window, substeps, solve) for each reference scenario on
+    (-30, 30) and each TestRandomSystems draw; all take the coarse start."""
+    if isinstance(request.param, str):
+        sys, window, m = request.getfixturevalue(request.param).system, (-20, 20), 200
+    else:
+        sys, window, m = random_system(request.param), (-2, 2), 60
+    return sys, window, m, solve_bounded(sys, window, m)
+
+
+class TestNestedStart:
+    def test_same_fixed_point_as_a_zero_start(self, nested):
+        sys, window, m, traj = nested
+        want, deltas = zero_start(sys, window, m)
+        assert traj.meta["coarse_substeps"] == m // 4
+        assert np.abs(traj.samples - want).max() <= 2e-11
+        assert traj.meta["iterate_deltas"][-1] <= 1e-10
+        assert deltas[-1] <= 1e-10
+
+    def test_coarse_sweeps_contract(self, nested):
+        # criterion 04's law, on every ratio of the coarse stage
+        coarse = nested[3].meta["coarse_deltas"]
+        assert len(coarse) >= 2
+        for prev, cur in zip(coarse, coarse[1:]):
+            assert cur / prev <= 0.30
+
+    @pytest.mark.parametrize("substeps", [4, 20, 31])
+    def test_fewer_than_32_substeps_start_from_zero(self, homo, substeps):
+        traj = solve_bounded(homo.system, (-2, 2), substeps)
+        want, deltas = zero_start(homo.system, (-2, 2), substeps)
+        assert traj.meta["coarse_deltas"] == ()
+        assert traj.meta["coarse_substeps"] == 0
+        assert np.array_equal(traj.samples, want)
+        assert traj.meta["iterate_deltas"] == tuple(deltas)
+
+    @pytest.mark.parametrize("substeps, coarse", [(50, 12), (201, 50)])
+    def test_substeps_not_divisible_by_four(self, homo, substeps, coarse):
+        traj = solve_bounded(homo.system, (-2, 2), substeps)
+        assert traj.meta["coarse_substeps"] == coarse
+        assert residual_defect(homo.system, traj) <= 1e-6
+        assert np.abs(traj.samples - zero_start(homo.system, (-2, 2), substeps)[0]).max() <= 2e-11
+
+    def test_refine_reproduces_interval_cubics(self):
+        # a different cubic on every interval, so the values jump at every node
+        coeffs = np.random.default_rng(5).standard_normal((6, 4, 2))
+
+        def cubics(m_sub):
+            s = np.arange(m_sub + 1) / m_sub
+            return np.einsum("ikd,jk->ijd", coeffs, s[:, None] ** np.arange(4))
+
+        for coarse, fine in ((12, 50), (8, 32), (50, 201)):
+            assert np.abs(solver._refine(cubics(coarse), fine) - cubics(fine)).max() <= 1e-13
+
+    def test_refine_does_not_leak_across_a_jump(self):
+        levels = np.array([0.0, 1.0, 0.0, -2.0])
+        got = solver._refine(np.broadcast_to(levels[:, None, None], (4, 13, 2)), 50)
+        assert not got[0].any() and not got[2].any()
+        assert np.abs(got - levels[:, None, None]).max() <= 1e-14
+
+    def test_fewer_contract_evaluations(self, homo):
+        f, rows = counting_rows(homo.system.f)
+        sys = replace(homo.system, f=f)
+        solve_bounded(sys, (-20, 20))
+        nested_rows = sum(rows)
+        rows.clear()
+        zero_start(sys, (-20, 20), 200)
+        assert nested_rows <= 0.70 * sum(rows)
+
+
 class TestRandomSystems:
     @pytest.mark.parametrize("seed", range(4))
     def test_methods_agree_bounded_and_consistent(self, seed):
@@ -490,9 +588,41 @@ class TestRandomSystems:
             assert traj.meta["sup_norm"] <= solution_bound(sys)
 
 
+def per_interval_defect(sys, traj):
+    """residual_defect interval by interval, one contract call each."""
+    m_sub = round(sys.schedule.omega / traj.step)
+    frozen = dict(traj.frozen_args)
+    k_first = solver.locate(sys.schedule, traj.t0 + traj.step / 2.0).k
+    h, worst = traj.step, 0.0
+    for i in range((len(traj.samples) - 1) // m_sub):
+        k = k_first + i
+        seg = traj.samples[i * m_sub : (i + 1) * m_sub + 1]
+        ts = traj.t0 + h * (i * m_sub + np.arange(m_sub + 1))
+        j = np.arange(2, m_sub - 1)
+        dz = (seg[j - 2] - 8.0 * seg[j - 1] + 8.0 * seg[j + 1] - seg[j + 2]) / (12.0 * h)
+        ws = np.broadcast_to(frozen[k], seg[j].shape)
+        rhs = seg[j] @ sys.a.T + solver.eval_many(sys.f, ts[j], seg[j], ws) + sys.driver.value(k)
+        worst = max(worst, float(np.max(np.linalg.norm(dz - rhs, axis=1))))
+    return worst
+
+
 class TestResidualDefect:
     def test_reference_defect(self, homo, homo_traj):
         assert residual_defect(homo.system, homo_traj) <= 1e-6
+
+    def test_one_pass_equals_the_per_interval_form(self, homo, het, homo_traj):
+        cases = [(homo.system, homo_traj), (het.system, solve_bounded(het.system, (-20, 20)))]
+        for seed in range(20):
+            sys = random_system(seed)
+            cases.append((sys, solve_bounded(sys, (-2, 2), substeps=(20, 60)[seed % 2])))
+        for sys, traj in cases:
+            want = per_interval_defect(sys, traj)
+            assert abs(residual_defect(sys, traj) - want) <= 1e-15 * want
+
+    def test_one_contract_call(self, homo, homo_traj):
+        f, rows = counting_rows(homo.system.f)
+        residual_defect(replace(homo.system, f=f), homo_traj)
+        assert rows == [40 * 197]
 
     def test_corrupted_sample_detected(self, homo, homo_traj):
         samples = homo_traj.samples.copy()

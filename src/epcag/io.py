@@ -596,8 +596,13 @@ def _run(spec: RunSpec) -> int:
         traj = solve_bounded(system, (-n.window, n.window), n.substeps, n.tol, n.method)
         _emit(out / "trajectory.csv", export_trajectory_csv, traj)
         _emit(out / "frozen_args.csv", export_frozen_csv, traj)
-        coarse = traj.meta.get("coarse_deltas")
-        stage = f" ({len(coarse)} coarse at {traj.meta['coarse_substeps']} substeps)" if coarse else ""
+        coarse, passes = traj.meta.get("coarse_deltas"), traj.meta.get("inner_iterations")
+        if coarse:
+            stage = f" ({len(coarse)} coarse at {traj.meta['coarse_substeps']} substeps)"
+        elif passes:
+            stage = f" at most, {sum(passes)} inner passes over {len(passes)} intervals"
+        else:
+            stage = ""
         print(f"sup norm {traj.meta['sup_norm']:.6g}, "
               f"{traj.meta['iterations']} iterations{stage}, tail bound {traj.meta['tail_bound']:.3g}")
         return 0

@@ -25,10 +25,15 @@ burn_in
     Marches interval solvers forward from zero initial data `pad`
     intervals early and discards the transient. Each interval is solved
     with classical fixed-step RK4 around an inner fixed point for the
-    frozen argument w_k = z(zeta_k). Samples up to the last grid point
-    before zeta_k come from the last inner pass, which the march to the
-    interval end continues with the settled w_k. Each RK4 step applies
-    linear tables precomputed per step size (_rk4_tables).
+    frozen argument w_k = z(zeta_k). The inner loop takes quasi-Newton
+    steps from a secant (good Broyden) estimate of dz(zeta_k)/dw_k,
+    which changes slowly from interval to interval and so is carried
+    from each interval to the next; where the estimate's norm reaches 1,
+    outside the contraction regime of (A4), the step is the plain
+    fixed-point one. Samples up to the last grid point before zeta_k
+    come from the last inner pass, which the march to the interval end
+    continues with the settled w_k. Each RK4 step applies linear tables
+    precomputed per step size (_rk4_tables).
 
 Both report their truncation/transient bound in the trajectory meta and
 refuse pads whose bound exceeds the requested tolerance.
@@ -48,11 +53,12 @@ from .errors import (
     OutOfRangeError,
     PadTooSmallError,
 )
-from .linear import mat_exp
+from .linear import _spectral_norms, mat_exp
 from .nonlinearity import eval_many
 from .schedule import locate
 from .system import (
     EpcagSystem,
+    _a4,
     _require_a4,
     _solution_bound,
     contraction_margin,
@@ -61,9 +67,12 @@ from .system import (
 )
 
 PICARD_STOP = 1e-10
+# fewest sweeps Picard may take; _picard_cap raises it near the (A4) limit
 PICARD_MAX_ITERS = 80
 INNER_DEFAULT_TOL = 1e-12
 INNER_MAX_ITERS = 100
+# a move of w below this share of |w| is rounding and updates no secant
+SECANT_FLOOR = 1e3 * np.finfo(float).eps
 GAUSS_POINTS = 16
 # fewest substeps per interval: five grid points hold the 5-point
 # residual stencil, and the 4-point quadrature stencils fit inside it
@@ -279,11 +288,23 @@ def _convolve(ctx: _Context, hv: np.ndarray) -> np.ndarray:
     return out
 
 
+def _picard_cap(sys: EpcagSystem) -> int:
+    """Most Picard sweeps to run: twice the sweeps in which the contraction
+    factor kappa_pi = N (L1 + L2) / lambda shrinks a delta by PICARD_STOP,
+    and never fewer than PICARD_MAX_ITERS. Near the (A4) limit kappa_pi
+    nears 1 and the cap grows without bound."""
+    lhs, _ = _a4(sys.envelope, sys.f)
+    kappa = lhs / sys.envelope.rate
+    if not 0.0 < kappa < 1.0:
+        return PICARD_MAX_ITERS
+    return max(PICARD_MAX_ITERS, math.ceil(2.0 * math.log(PICARD_STOP) / math.log(kappa)))
+
+
 def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray):
     """Picard sweeps on the grid of psi (n_int, m+1, dim), whose intervals
     start at node k0 and carry driver values alpha (n_int, dim), until
-    successive iterates differ by <= PICARD_STOP. Returns the last
-    iterate and the sweep deltas."""
+    successive iterates differ by <= PICARD_STOP, for at most
+    _picard_cap sweeps. Returns the last iterate and the sweep deltas."""
     n_int, m1, dim = psi.shape
     m = m1 - 1
     ctx = _context(sys, m)
@@ -292,7 +313,8 @@ def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray
     j0, lw = _cubic_stencils(sys.schedule.zeta_fraction * m, m)
 
     deltas: list[float] = []
-    for _ in range(PICARD_MAX_ITERS):
+    cap = _picard_cap(sys)
+    for _ in range(cap):
         w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
         ys = np.repeat(w, m1, axis=0)
         fv = eval_many(sys.f, ts_flat, psi.reshape(-1, dim), ys).reshape(n_int, m1, dim)
@@ -307,7 +329,7 @@ def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray
         if delta <= PICARD_STOP:
             return psi, deltas
     raise InnerDivergenceError(
-        f"picard iteration did not reach {PICARD_STOP:g} in {PICARD_MAX_ITERS} sweeps "
+        f"picard iteration did not reach {PICARD_STOP:g} in {cap} sweeps "
         f"at {m} substeps"
     )
 
@@ -385,15 +407,29 @@ def step_interval(
 ):
     """Solve one interval [theta_k, theta_{k+1}] from z(theta_k) = z0.
 
-    The frozen argument w_k = z(zeta_k) is found by a fixed-point loop:
-    integrate to zeta_k with w held, read off z(zeta_k), repeat until
-    successive w differ by <= tol. Each pass writes the grid points up
-    to the last one before zeta_k, so those samples come from the last
-    pass; the rest of the interval is marched from there with the
-    converged w. Returns (samples on the substep grid, w_k, inner
-    iteration count).
+    The frozen argument w_k = z(zeta_k) is the fixed point of G(w), the
+    state at zeta_k reached with w held. Each pass integrates to zeta_k
+    and takes the residual r = G(w) - w. The loop stops once |r| <= tol
+    and sets w = G(w). Otherwise w takes the quasi-Newton step
+    w + (I - J)^{-1} r, with J a secant (good Broyden) estimate of dG/dw
+    that starts at zero, takes a rank-1 update after every pass and is
+    dropped when the residual grows; a move of w at the rounding level
+    of w updates nothing. Where ||J||_2 >= 1, outside the contraction
+    regime in which (A4) puts the exact derivative, the step is the
+    plain w <- G(w). Each pass writes the grid points up to the last
+    one before zeta_k, so those samples come from the last pass; the
+    rest of the interval is marched from there with the converged w.
+    Returns (samples on the substep grid, w_k, inner iteration count).
     """
     z0 = np.asarray(z0, dtype=float)
+    samples, w, inner, _ = _step_interval(sys, k, z0, substeps, tol, max_inner, np.zeros((len(z0),) * 2))
+    return samples, w, inner
+
+
+def _step_interval(sys, k, z0, substeps, tol, max_inner, jac):
+    """step_interval from a secant estimate jac of dG/dw, carried over
+    from the previous interval by burn-in; also returns the estimate
+    the passes left."""
     theta = sys.schedule.node(k)
     zeta = sys.schedule.zeta(k)
     alpha = sys.driver.value(k)
@@ -409,40 +445,57 @@ def step_interval(
 
     samples = np.empty((substeps + 1, len(z0)))
     samples[0] = z0
+    eye = np.eye(len(z0))
     w = z0.copy()
     inner = 0
+    last = None
     while True:
         inner += 1
         z_full = _rk4_march(feval, tables, theta, z0.copy(), w, alpha, h, j_full, out=samples)
         z = _rk4_march(feval, part_tables, theta + j_full * h, z_full, w, alpha, part, 1) if part else z_full
         if not np.all(np.isfinite(z)):
             raise InnerDivergenceError(f"interval {k}: non-finite state in inner loop")
-        diff = float(np.linalg.norm(z - w))
-        w = z
+        r = z - w
+        diff = float(np.linalg.norm(r))
         if diff <= tol:
+            w = z
             break
         if inner >= max_inner:
             raise InnerDivergenceError(
                 f"interval {k}: frozen argument not fixed after {max_inner} iterations "
                 f"(last move {diff:.3g})"
             )
+        if last is not None:
+            w_last, z_last, diff_last = last
+            if diff > diff_last:
+                jac = np.zeros_like(jac)
+            dw = w - w_last
+            dw2 = float(dw @ dw)
+            if dw2 > SECANT_FLOOR**2 * float(w @ w):
+                jac = jac + np.outer(z - z_last - jac @ dw, dw / dw2)
+        last = w, z, diff
+        if _spectral_norms(jac[None])[0] < 1.0:
+            w = w + np.linalg.solve(eye - jac, r)
+        else:
+            w = z
 
     _rk4_march(feval, tables, theta + j_full * h, z_full, w, alpha, h, substeps - j_full,
                out=samples[j_full:])
     if not np.all(np.isfinite(samples)):
         raise InnerDivergenceError(f"interval {k}: non-finite samples")
-    return samples, w, inner
+    return samples, w, inner, jac
 
 
 def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
     dim = sys.dim
     k0 = k_lo - pad
     z = np.zeros(dim)
+    jac = np.zeros((dim, dim))
     pieces = []
     frozen = []
     inner_counts = []
     for k in range(k0, k_hi):
-        samples, w, inner = step_interval(sys, k, z, substeps)
+        samples, w, inner, jac = _step_interval(sys, k, z, substeps, INNER_DEFAULT_TOL, INNER_MAX_ITERS, jac)
         z = samples[-1]
         inner_counts.append(inner)
         if k >= k_lo:

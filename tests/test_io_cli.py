@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import epcag
 from epcag import (
     REFERENCE_N,
     DecayEnvelope,
@@ -322,6 +327,14 @@ class TestRun:
         assert run(parse(cfg)) == 0
         assert re.search(rf", \d+ iterations{stage}, tail bound", capsys.readouterr().out)
 
+    def test_burn_in_solve_reports_inner_passes(self, tmp_path, capsys):
+        cfg = reference_config("solve", out_dir=str(tmp_path),
+                               numeric={"window": 3, "substeps": 64, "method": "burn_in"})
+        assert run(parse(cfg)) == 0
+        out = capsys.readouterr().out
+        passes = re.search(r", (\d+) iterations at most, (\d+) inner passes over 48 intervals, tail", out)
+        assert passes and int(passes[1]) < int(passes[2])
+
     def test_certify_control_fails_distinctness(self, tmp_path, capsys):
         cfg = reference_config(
             "certify", out_dir=str(tmp_path),
@@ -423,6 +436,17 @@ class TestCli:
         capsys.readouterr()
         assert len(solve_counter) == solves
         assert len({id(d) for d in solve_counter}) == solves
+
+    def test_python_m_epcag(self, tmp_path):
+        # a fresh interpreter runs the package as a module, without the
+        # RuntimeWarning that running epcag.cli as a module gives
+        src = str(Path(epcag.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "epcag", "example4", "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert (tmp_path / "certificate.json").exists()
 
     def test_config_commands_need_config(self, capsys):
         assert main(["solve"]) == 1

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from epcag import (
+    DecayEnvelope,
     DriverOrbit,
     SampledTrajectory,
     assemble_system,
@@ -101,28 +102,55 @@ def textbook_rk4(f, a, alpha, t, z, w, h, steps):
     return states
 
 
-def textbook_step_interval(sys, k, z0, substeps, tol=solver.INNER_DEFAULT_TOL):
+def textbook_step_interval(sys, k, z0, substeps, tol=solver.INNER_DEFAULT_TOL, quasi_newton=True, jac=None):
     """step_interval's scheme written out: passes to zeta_k (whole steps,
-    then one partial step) until w settles, then the rest of the interval
-    from the last pass's last grid point before zeta_k."""
-    omega = sys.schedule.omega
+    then one partial step) give g = G(w) until |g - w| <= tol, then the
+    rest of the interval from the last pass's last grid point before
+    zeta_k. Between passes w moves to w + (I - J)^{-1} (g - w) while
+    ||J||_2 < 1, else to g. J starts at jac (default zero), is dropped
+    when |g - w| grows, and takes the good Broyden update from each pair
+    of passes whose w differ by more than rounding. quasi_newton=False
+    keeps J = 0: plain fixed-point passes."""
+    omega, dim = sys.schedule.omega, len(z0)
     theta, zeta = sys.schedule.node(k), sys.schedule.zeta(k)
     h = omega / substeps
     j_full = min(int(math.floor((zeta - theta) / h + 1e-9)), substeps)
     part = (zeta - theta) - j_full * h
     part = part if part >= 1e-13 * omega else 0.0
     rhs = (sys.f.eval, sys.a, sys.driver.value(k))
-    w, inner = z0, 0
+    w, inner, passes = z0, 0, []
+    jac = np.zeros((dim, dim)) if jac is None else jac
     while True:
         inner += 1
         head = textbook_rk4(*rhs, theta, z0, w, h, j_full)
-        z = textbook_rk4(*rhs, theta + j_full * h, head[-1], w, part, 1)[-1] if part else head[-1]
-        moved = np.linalg.norm(z - w)
-        w = z
-        if moved <= tol:
+        g = textbook_rk4(*rhs, theta + j_full * h, head[-1], w, part, 1)[-1] if part else head[-1]
+        if np.linalg.norm(g - w) <= tol:
+            w = g
             break
+        if quasi_newton and passes:
+            w_prev, g_prev = passes[-1]
+            if np.linalg.norm(g - w) > np.linalg.norm(g_prev - w_prev):
+                jac = np.zeros((dim, dim))
+            dw = w - w_prev
+            if np.linalg.norm(dw) > 1e3 * np.finfo(float).eps * np.linalg.norm(w):
+                jac = jac + np.outer(g - g_prev - jac @ dw, dw) / (dw @ dw)
+        passes.append((w, g))
+        w = w + np.linalg.solve(np.eye(dim) - jac, g - w) if np.linalg.norm(jac, 2) < 1.0 else g
     tail = textbook_rk4(*rhs, theta + j_full * h, head[-1], w, h, substeps - j_full)
     return np.array(head[:-1] + tail), w, inner
+
+
+def plain_burn_in(sys, window, substeps, tol=1e-8):
+    """burn_in's samples with every frozen argument found by plain
+    fixed-point passes, interval after interval from zero."""
+    k_lo, k_hi = window
+    z, pieces = np.zeros(sys.dim), []
+    for k in range(k_lo - default_pad(sys, tol), k_hi):
+        samples, _, _ = textbook_step_interval(sys, k, z, substeps, quasi_newton=False)
+        z = samples[-1]
+        if k >= k_lo:
+            pieces.append(samples[:-1])
+    return np.concatenate(pieces + [z[None]])
 
 
 def recording(contract):
@@ -256,6 +284,18 @@ class TestRk4Tables:
 
 
 class TestStepInterval:
+    def test_a_misleading_carried_estimate_is_dropped(self, homo):
+        # dG/dw has norm 0.003 on this interval: a carried J = 0.95 I
+        # makes the first step twenty times too long, the residual grows
+        # and J restarts from zero, which saves two passes here
+        z0, jac = np.array([0.3, -0.2]), 0.95 * np.eye(2)
+        args = (homo.system, 0, z0, 200, solver.INNER_DEFAULT_TOL)
+        samples, w, inner, _ = solver._step_interval(*args, solver.INNER_MAX_ITERS, jac)
+        want, want_w, want_inner = textbook_step_interval(*args, jac=jac)
+        assert inner == want_inner == 7
+        assert np.abs(samples - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(w - step_interval(homo.system, 0, z0)[1]).max() <= 1e-13
+
     def test_left_node_argument_needs_one_pass(self):
         # zeta at the left node: w is z0 itself, no iteration to do
         sys = linear_system(zeta_fraction=0.0)
@@ -353,7 +393,7 @@ class TestSolveBounded:
             name: sum(solve_bounded(sc.system, (-20, 20), method="burn_in").meta["inner_iterations"])
             for name, sc in (("homoclinic", homo), ("heteroclinic", het))
         }
-        assert totals == {"homoclinic": 371, "heteroclinic": 302}
+        assert totals == {"homoclinic": 245, "heteroclinic": 216}
 
     def test_picard_contraction_diagnostics(self, homo_traj):
         meta = homo_traj.meta
@@ -586,6 +626,63 @@ class TestRandomSystems:
         for traj in (pic, burn):
             assert residual_defect(sys, traj) <= 1e-6
             assert traj.meta["sup_norm"] <= solution_bound(sys)
+
+
+def a4_limit_system(lip_y, zeta_fraction):
+    """A = -I with the exact envelope N = 1, lambda = 1, omega = 3 and
+    f = lip_y clip(y, -20, 20): (A4) holds with margin 1 - lip_y while
+    (A5) fails. Picard contracts by kappa_pi = lip_y per sweep, and each
+    frozen argument by about lip_y (1 - e^{-3 zeta_fraction}) per plain
+    fixed-point pass."""
+
+    def clipped(t, x, y):
+        return lip_y * np.clip(y, -20.0, 20.0)
+
+    def clipped_batch(ts, xs, ys):
+        return lip_y * np.clip(ys, -20.0, 20.0)
+
+    f = custom_contract(clipped, lip_y * 20.0 * math.sqrt(2.0), 0.0, lip_y, eval_batch=clipped_batch)
+    return assemble_system(
+        -np.eye(2),
+        make_schedule(3.0, 0.0, zeta_fraction),
+        f,
+        constant_driver(k=90),
+        envelope=DecayEnvelope(1.0, 1.0, 60.0, 0),
+        spot_samples=0,
+    )
+
+
+class TestQuasiNewtonBurnIn:
+    @pytest.mark.parametrize("case", ["homo", "het", 0, 1, 2, 3])
+    def test_same_solution_as_plain_fixed_point(self, request, case):
+        if isinstance(case, str):
+            sys, window, m = request.getfixturevalue(case).system, (-10, 10), 200
+        else:
+            sys, window, m = random_system(case), (-2, 2), 60
+        traj = solve_bounded(sys, window, m, method="burn_in")
+        assert np.abs(traj.samples - plain_burn_in(sys, window, m)).max() <= 1e-11
+
+    @pytest.mark.parametrize("lip_y, zeta_fraction", [(0.7, 1.0), (0.9, 0.5), (0.9, 1.0)])
+    def test_near_the_a4_limit(self, lip_y, zeta_fraction):
+        # plain passes contract by 0.6-0.86 here: 566 and 2931 passes in
+        # all, and INNER_MAX_ITERS ran out at L2 = 0.9, zeta_fraction = 1
+        sys = a4_limit_system(lip_y, zeta_fraction)
+        burn = solve_bounded(sys, (-3, 3), 40, method="burn_in")
+        assert max(burn.meta["inner_iterations"]) <= 6
+        pic = solve_bounded(sys, (-3, 3), 40)
+        assert np.abs(pic.samples - burn.samples).max() <= 1e-8
+
+    def test_picard_sweep_cap_follows_kappa(self, homo, monkeypatch):
+        # kappa_pi = 0.9 takes 221 sweeps at the coarse stage, past the
+        # old fixed cap of 80; the reference's 0.265 keeps that floor
+        sys = a4_limit_system(0.9, 1.0)
+        assert solver._picard_cap(homo.system) == solver.PICARD_MAX_ITERS == 80
+        assert solver._picard_cap(sys) == math.ceil(2.0 * math.log(1e-10) / math.log(0.9))
+        traj = solve_bounded(sys, (-3, 3), 40)
+        assert solver.PICARD_MAX_ITERS < len(traj.meta["coarse_deltas"]) < solver._picard_cap(sys)
+        monkeypatch.setattr(solver, "_picard_cap", lambda sys: 80)
+        with pytest.raises(InnerDivergenceError, match=r"did not reach 1e-10 in 80 sweeps at 10 substeps"):
+            solve_bounded(sys, (-3, 3), 40)
 
 
 def per_interval_defect(sys, traj):

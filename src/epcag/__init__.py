@@ -93,7 +93,6 @@ from .reference import (
     ReferenceScenario,
     heteroclinic_scenario,
     homoclinic_scenario,
-    reference_contract,
     reference_envelope,
     reference_matrix,
     reference_schedule,

@@ -5,19 +5,19 @@
 
 example4 runs with no config at all; every other command takes its
 system/driver description from a JSON config file. Flags override the
-corresponding config values. Output lands in --out, else $EPCAG_OUT_DIR,
-else the working directory.
+corresponding config values and are checked like them. Output lands in
+--out, else $EPCAG_OUT_DIR, else the working directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import EpcagError, ValidationError
-from .io import COMMANDS, MODES, RunSpec, parse_config, run
+from .io import COMMANDS, MODES, parse_config, parse_numeric, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,31 +38,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.config is None and args.command != "example4":
+        print(f"error: the {args.command} command needs --config", file=sys.stderr)
+        return 1
     try:
-        if args.config is not None:
-            try:
-                text = Path(args.config).read_text()
-            except OSError as e:
-                print(f"error: cannot read config: {e}", file=sys.stderr)
-                return 1
-            spec = parse_config(text)
-            if spec.command != args.command:
-                raise ValidationError(
-                    "command", f"config says {spec.command!r} but the command line says {args.command!r}"
-                )
-        else:
-            if args.command != "example4":
-                print(f"error: the {args.command} command needs --config", file=sys.stderr)
-                return 1
-            spec = RunSpec(command="example4", mode="homoclinic")
-
-        numeric = spec.numeric
-        if args.substeps is not None:
-            numeric = replace(numeric, substeps=args.substeps)
-        if args.tol is not None:
-            numeric = replace(numeric, tol=args.tol)
-        if args.window is not None:
-            numeric = replace(numeric, window=args.window)
+        text = Path(args.config).read_text() if args.config is not None else '{"command": "example4"}'
+    except OSError as e:
+        print(f"error: cannot read config: {e}", file=sys.stderr)
+        return 1
+    try:
+        spec = parse_config(text)
+        if spec.command != args.command:
+            raise ValidationError(
+                "command", f"config says {spec.command!r} but the command line says {args.command!r}"
+            )
+        flags = {"substeps": args.substeps, "tol": args.tol, "window": args.window}
+        numeric = parse_numeric(asdict(spec.numeric) | {k: v for k, v in flags.items() if v is not None})
         spec = replace(spec, numeric=numeric)
         if args.mode is not None:
             spec = replace(spec, mode=args.mode)

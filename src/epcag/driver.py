@@ -237,30 +237,29 @@ def build_orbit(
             "heteroclinic orbit limits coincide; this is a homoclinic orbit"
         )
 
-    # backward sweep, widened until the edge gap target is met
+    # backward sweep, extended 20 intervals at a time until the edge gap
+    # target is met
+    lo_r, hi_r = _branch_range(backward_branch)
+    bwd = []
+    cur = seed
     lo = k_min
     while True:
-        bwd = []
-        cur = seed
-        ok = True
-        for _ in range(-lo):
+        while len(bwd) < -lo:
             try:
                 cur = logistic_inverse(mu, cur, backward_branch)
             except OutOfDomainError as exc:
                 raise BranchEscapeError(
                     f"backward iterate left the branch domain: {exc}"
                 ) from exc
-            lo_r, hi_r = _branch_range(backward_branch)
             if not (lo_r - 1e-12 <= cur <= hi_r + 1e-12):
                 raise BranchEscapeError(
                     f"backward iterate {cur!r} left branch range [{lo_r}, {hi_r}]"
                 )
             bwd.append(cur)
-        edge_val = bwd[-1] if bwd else seed
-        if abs(edge_val - back_fp) <= edge_gap:
+        gap = abs(cur - back_fp)
+        if gap <= edge_gap:
             break
         if lo <= WIDEN_K_MIN:
-            gap = abs(edge_val - back_fp)
             raise NoConvergenceError(
                 f"backward gap {gap:.3g} still above edge_gap {edge_gap:.3g} "
                 f"at the widening floor k = {WIDEN_K_MIN}"

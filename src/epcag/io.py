@@ -34,7 +34,7 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from .analysis import ConnectionCertificate, certify_connection
 from .driver import DriverOrbit, ScalarMap, build_orbit, pair_orbits
 from .errors import AssumptionFailureError, EpcagError, IoError, ParseError, ValidationError
-from .linear import DecayEnvelope
+from .linear import DecayEnvelope, estimate_decay_envelope
 from .nonlinearity import example_contract, zero_contract
 from .reference import heteroclinic_scenario, homoclinic_scenario
 from .schedule import make_schedule
@@ -68,18 +68,18 @@ class EnvelopeSpec:
 class SystemSpec:
     matrix: tuple
     omega: float
-    origin: float
-    zeta_fraction: float
+    origin: float = 0.0
+    zeta_fraction: float = 0.0
     f_catalog: str = "example4"
     envelope: EnvelopeSpec | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DriverSpec:
     map: str = "logistic"
-    mu: float = 3.9
-    kind: str = "homoclinic"
-    seed: float = 0.0
+    mu: float
+    kind: str
+    seed: float
     branch: str | None = None
     k_min: int | None = None
     k_max: int | None = None
@@ -107,6 +107,45 @@ class RunSpec:
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# Each block is a table of (JSON key, spec attribute, kind, check, message)
+# rows: kind is float, int or a tuple of allowed values, and a value that
+# fails the optional check is rejected with the message. Defaults come from
+# the spec dataclass; a field without one is required.
+
+
+def _positive(v):
+    return v > 0
+
+
+_RUN = (("command", "command", COMMANDS), ("mode", "mode", MODES))
+_SCHEDULE = (
+    ("omega", "omega", float, _positive, "must be positive"),
+    ("origin", "origin", float),
+    ("zeta_fraction", "zeta_fraction", float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+)
+_F = (("catalog", "f_catalog", F_CATALOGS),)
+_ENVELOPE = (
+    ("n_const", "n_const", float, lambda v: v >= 1.0, "must be >= 1"),
+    ("rate", "rate", float, _positive, "must be positive"),
+    ("horizon", "horizon", float, _positive, "must be positive"),
+)
+_DRIVER = (
+    ("map", "map", ("logistic",)),
+    ("mu", "mu", float, lambda v: 0.0 < v <= 4.0, "must lie in (0, 4]"),
+    ("kind", "kind", ORBIT_KINDS),
+    ("seed", "seed", float),
+    ("branch", "branch", BRANCHES),
+    ("k_min", "k_min", int),
+    ("k_max", "k_max", int),
+)
+_NUMERIC = (
+    ("substeps", "substeps", int, lambda v: v >= MIN_SUBSTEPS, f"must be at least {MIN_SUBSTEPS}"),
+    ("tol", "tol", float, _positive, "must be positive"),
+    ("window", "window", int, lambda v: v >= 1, "must be at least 1"),
+    ("method", "method", METHODS),
+    ("cert_tol", "cert_tol", float, _positive, "must be positive"),
+)
 
 
 def _require_dict(obj, fieldname):
@@ -122,37 +161,43 @@ def _check_keys(obj: dict, allowed, fieldname: str) -> None:
             raise ValidationError(prefix, "unknown field")
 
 
-def _real(obj, key, fieldname, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ValidationError(fieldname, "missing required field")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ValidationError(fieldname, "must be a finite number")
-    return float(v)
+def _is_real(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
 
 
-def _integer(obj, key, fieldname, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ValidationError(fieldname, "missing required field")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValidationError(fieldname, "must be an integer")
-    return v
+def _parse_fields(obj, table, spec_cls, prefix: str, allowed=None) -> dict:
+    """The checked values of one block, by spec attribute. allowed widens
+    the accepted keys beyond the table's (the top level holds blocks)."""
+    obj = _require_dict(obj, prefix)
+    _check_keys(obj, allowed or [row[0] for row in table], prefix)
+    defaults = {f.name: f.default for f in fields(spec_cls)}
+    out = {}
+    for key, attr, kind, *check in table:
+        name = f"{prefix}.{key}" if prefix else key
+        if key not in obj:
+            if defaults[attr] is MISSING:
+                raise ValidationError(name, "missing required field")
+            out[attr] = defaults[attr]
+            continue
+        v = obj[key]
+        if isinstance(kind, tuple):
+            if v not in kind:
+                raise ValidationError(name, f"must be one of {', '.join(kind)}")
+        elif kind is float:
+            if not _is_real(v):
+                raise ValidationError(name, "must be a finite number")
+            v = float(v)
+        elif isinstance(v, bool) or not isinstance(v, int):
+            raise ValidationError(name, "must be an integer")
+        if check and not check[0](v):
+            raise ValidationError(name, check[1])
+        out[attr] = v
+    return out
 
 
-def _choice(obj, key, fieldname, options, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ValidationError(fieldname, "missing required field")
-        return default
-    v = obj[key]
-    if v not in options:
-        raise ValidationError(fieldname, f"must be one of {', '.join(options)}")
-    return v
+def _fields_dict(spec, table) -> dict:
+    """Inverse of _parse_fields: the block's keys in table order, None left out."""
+    return {key: v for key, attr, *_ in table if (v := getattr(spec, attr)) is not None}
 
 
 def _parse_matrix(obj) -> tuple:
@@ -164,9 +209,8 @@ def _parse_matrix(obj) -> tuple:
     for row in rows:
         if not isinstance(row, list) or len(row) != m:
             raise ValidationError("system.matrix", "must be square")
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-                raise ValidationError("system.matrix", "entries must be finite numbers")
+        if not all(_is_real(x) for x in row):
+            raise ValidationError("system.matrix", "entries must be finite numbers")
         out.append(tuple(float(x) for x in row))
     return tuple(out)
 
@@ -175,78 +219,28 @@ def _parse_system(obj) -> SystemSpec:
     obj = _require_dict(obj, "system")
     _check_keys(obj, {"matrix", "schedule", "f", "envelope"}, "system")
     matrix = _parse_matrix(obj)
-    sched = _require_dict(obj.get("schedule", {}), "schedule")
-    _check_keys(sched, {"omega", "origin", "zeta_fraction"}, "schedule")
-    omega = _real(sched, "omega", "schedule.omega", required=True)
-    if omega <= 0:
-        raise ValidationError("schedule.omega", "must be positive")
-    origin = _real(sched, "origin", "schedule.origin", default=0.0)
-    zf = _real(sched, "zeta_fraction", "schedule.zeta_fraction", default=0.0)
-    if not 0.0 <= zf <= 1.0:
-        raise ValidationError("schedule.zeta_fraction", "must lie in [0, 1]")
-    fblock = _require_dict(obj.get("f", {}), "f")
-    _check_keys(fblock, {"catalog"}, "f")
-    catalog = _choice(fblock, "catalog", "f.catalog", F_CATALOGS, default="example4")
-    env = None
-    if "envelope" in obj and obj["envelope"] is not None:
-        eb = _require_dict(obj["envelope"], "envelope")
-        _check_keys(eb, {"n_const", "rate", "horizon"}, "envelope")
-        n_const = _real(eb, "n_const", "envelope.n_const", required=True)
-        rate = _real(eb, "rate", "envelope.rate", required=True)
-        horizon = _real(eb, "horizon", "envelope.horizon", default=60.0)
-        if n_const < 1.0:
-            raise ValidationError("envelope.n_const", "must be >= 1")
-        if rate <= 0.0:
-            raise ValidationError("envelope.rate", "must be positive")
-        if horizon <= 0.0:
-            raise ValidationError("envelope.horizon", "must be positive")
-        env = EnvelopeSpec(n_const=n_const, rate=rate, horizon=horizon)
-    return SystemSpec(
-        matrix=matrix, omega=omega, origin=origin, zeta_fraction=zf,
-        f_catalog=catalog, envelope=env,
-    )
+    values = _parse_fields(obj.get("schedule", {}), _SCHEDULE, SystemSpec, "schedule")
+    values |= _parse_fields(obj.get("f", {}), _F, SystemSpec, "f")
+    if obj.get("envelope") is not None:
+        envelope = _parse_fields(obj["envelope"], _ENVELOPE, EnvelopeSpec, "envelope")
+        values["envelope"] = EnvelopeSpec(**envelope)
+    return SystemSpec(matrix=matrix, **values)
 
 
 def _parse_driver(obj, fieldname="driver") -> DriverSpec:
-    obj = _require_dict(obj, fieldname)
-    _check_keys(obj, {"map", "mu", "kind", "seed", "branch", "k_min", "k_max"}, fieldname)
-    map_name = _choice(obj, "map", f"{fieldname}.map", ("logistic",), default="logistic")
-    mu = _real(obj, "mu", f"{fieldname}.mu", required=True)
-    if not 0.0 < mu <= 4.0:
-        raise ValidationError(f"{fieldname}.mu", "must lie in (0, 4]")
-    kind = _choice(obj, "kind", f"{fieldname}.kind", ORBIT_KINDS, required=True)
-    seed = _real(obj, "seed", f"{fieldname}.seed", required=True)
-    branch = _choice(obj, "branch", f"{fieldname}.branch", BRANCHES, default=None)
-    if kind != "fixed" and branch is None:
-        raise ValidationError(f"{fieldname}.branch", f"required for {kind} orbits")
-    k_min = _integer(obj, "k_min", f"{fieldname}.k_min")
-    k_max = _integer(obj, "k_max", f"{fieldname}.k_max")
-    if (k_min is None) != (k_max is None):
+    d = DriverSpec(**_parse_fields(obj, _DRIVER, DriverSpec, fieldname))
+    if d.kind != "fixed" and d.branch is None:
+        raise ValidationError(f"{fieldname}.branch", f"required for {d.kind} orbits")
+    if (d.k_min is None) != (d.k_max is None):
         raise ValidationError(f"{fieldname}.k_min", "k_min and k_max must be given together")
-    if k_min is not None and k_min >= k_max:
+    if d.k_min is not None and d.k_min >= d.k_max:
         raise ValidationError(f"{fieldname}.k_min", "must be below k_max")
-    return DriverSpec(map=map_name, mu=mu, kind=kind, seed=seed, branch=branch,
-                      k_min=k_min, k_max=k_max)
+    return d
 
 
-def _parse_numeric(obj) -> NumericSpec:
-    obj = _require_dict(obj, "numeric")
-    _check_keys(obj, {"substeps", "tol", "window", "method", "cert_tol"}, "numeric")
-    substeps = _integer(obj, "substeps", "numeric.substeps", default=200)
-    if substeps < MIN_SUBSTEPS:
-        raise ValidationError("numeric.substeps", f"must be at least {MIN_SUBSTEPS}")
-    tol = _real(obj, "tol", "numeric.tol", default=1e-8)
-    if tol <= 0:
-        raise ValidationError("numeric.tol", "must be positive")
-    window = _integer(obj, "window", "numeric.window", default=30)
-    if window < 1:
-        raise ValidationError("numeric.window", "must be at least 1")
-    method = _choice(obj, "method", "numeric.method", METHODS, default="picard")
-    cert_tol = _real(obj, "cert_tol", "numeric.cert_tol", default=1e-4)
-    if cert_tol <= 0:
-        raise ValidationError("numeric.cert_tol", "must be positive")
-    return NumericSpec(substeps=substeps, tol=tol, window=window, method=method,
-                       cert_tol=cert_tol)
+def parse_numeric(obj) -> NumericSpec:
+    """Checked numeric block; the command line's overrides go through here too."""
+    return NumericSpec(**_parse_fields(obj, _NUMERIC, NumericSpec, "numeric"))
 
 
 def parse_config(text: str) -> RunSpec:
@@ -257,9 +251,8 @@ def parse_config(text: str) -> RunSpec:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
-    _check_keys(obj, {"command", "mode", "system", "driver", "targets", "numeric", "out_dir"}, "")
-    command = _choice(obj, "command", "command", COMMANDS, required=True)
-    mode = _choice(obj, "mode", "mode", MODES, default=None)
+    head = _parse_fields(obj, _RUN, RunSpec, "", allowed=[f.name for f in fields(RunSpec)])
+    command, mode = head["command"], head["mode"]
     if command == "example4" and mode is None:
         mode = "homoclinic"
 
@@ -271,7 +264,7 @@ def parse_config(text: str) -> RunSpec:
         if not isinstance(raw, list):
             raise ValidationError("targets", "must be an array of driver blocks")
         targets = tuple(_parse_driver(t, f"targets[{i}]") for i, t in enumerate(raw))
-    numeric = _parse_numeric(obj.get("numeric", {}))
+    numeric = parse_numeric(obj.get("numeric", {}))
     out_dir = obj.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ValidationError("out_dir", "must be a string path")
@@ -292,43 +285,24 @@ def parse_config(text: str) -> RunSpec:
 
 def serialize_config(spec: RunSpec) -> str:
     """Inverse of parse_config: parse_config(serialize_config(s)) == s."""
-    obj: dict = {"command": spec.command}
-    if spec.mode is not None:
-        obj["mode"] = spec.mode
+    obj = _fields_dict(spec, _RUN)
     if spec.system is not None:
         s = spec.system
-        block = {
+        obj["system"] = {
             "matrix": [list(row) for row in s.matrix],
-            "schedule": {"omega": s.omega, "origin": s.origin, "zeta_fraction": s.zeta_fraction},
-            "f": {"catalog": s.f_catalog},
+            "schedule": _fields_dict(s, _SCHEDULE),
+            "f": _fields_dict(s, _F),
         }
         if s.envelope is not None:
-            block["envelope"] = {
-                "n_const": s.envelope.n_const,
-                "rate": s.envelope.rate,
-                "horizon": s.envelope.horizon,
-            }
-        obj["system"] = block
+            obj["system"]["envelope"] = _fields_dict(s.envelope, _ENVELOPE)
     if spec.driver is not None:
-        obj["driver"] = _driver_dict(spec.driver)
+        obj["driver"] = _fields_dict(spec.driver, _DRIVER)
     if spec.targets:
-        obj["targets"] = [_driver_dict(t) for t in spec.targets]
-    n = spec.numeric
-    obj["numeric"] = {"substeps": n.substeps, "tol": n.tol, "window": n.window,
-                      "method": n.method, "cert_tol": n.cert_tol}
+        obj["targets"] = [_fields_dict(t, _DRIVER) for t in spec.targets]
+    obj["numeric"] = _fields_dict(spec.numeric, _NUMERIC)
     if spec.out_dir is not None:
         obj["out_dir"] = spec.out_dir
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _driver_dict(d: DriverSpec) -> dict:
-    out = {"map": d.map, "mu": d.mu, "kind": d.kind, "seed": d.seed}
-    if d.branch is not None:
-        out["branch"] = d.branch
-    if d.k_min is not None:
-        out["k_min"] = d.k_min
-        out["k_max"] = d.k_max
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +344,12 @@ def _build_system_and_driver(spec: RunSpec):
         )
     schedule = make_schedule(s.omega, s.origin, s.zeta_fraction)
     contract = example_contract() if s.f_catalog == "example4" else zero_contract(2)
-    envelope = None
     if s.envelope is not None:
         envelope = DecayEnvelope(
             n_const=s.envelope.n_const, rate=s.envelope.rate,
             validated_horizon=s.envelope.horizon, sample_count=0,
         )
     else:
-        from .linear import estimate_decay_envelope
-
         envelope = estimate_decay_envelope(a)
 
     def paired(dspec: DriverSpec) -> DriverOrbit:
@@ -416,21 +387,27 @@ def _write_json(obj, path: Path) -> None:
     _atomic_write(path, json.dumps(obj, indent=2) + "\n")
 
 
+def _write_csv(path, header: str, row: str, table: np.ndarray) -> None:
+    """The header line, then `row % values` for each table row. One % per
+    row on Python floats; a block of rows at a time becomes one string, so
+    few small objects are alive at once."""
+    row += "\n"
+    parts = [header + "\n"]
+    for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+        parts.append("".join([row % tuple(vals) for vals in table[lo : lo + _CSV_BLOCK_ROWS].tolist()]))
+    _atomic_write(Path(path), "".join(parts))
+
+
 def export_orbit_csv(orbit: DriverOrbit, path) -> None:
     """k, alpha_1, ..., alpha_m rows over the orbit's stored window."""
-    path = Path(path)
     header = "k," + ",".join(f"alpha_{i + 1}" for i in range(orbit.dim))
-    lines = [header]
-    for i, k in enumerate(range(orbit.k_min, orbit.k_max + 1)):
-        vals = ",".join(_FMT % x for x in orbit.values[i])
-        lines.append(f"{k},{vals}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    ks = np.arange(orbit.k_min, orbit.k_max + 1)
+    _write_csv(path, header, "%d," + ",".join([_FMT] * orbit.dim), np.column_stack([ks, orbit.values]))
 
 
 def export_trajectory_csv(traj: SampledTrajectory, path) -> None:
     """t, z_1, ..., z_m, interval_k rows; the last row's node belongs to
     the right interval, matching the half-open convention."""
-    path = Path(path)
     try:
         k_lo, _ = traj.meta["k_window"]
         substeps = round(traj.meta["omega"] / traj.step)
@@ -438,20 +415,13 @@ def export_trajectory_csv(traj: SampledTrajectory, path) -> None:
         raise IoError("trajectory lacks schedule metadata (k_window/omega)") from None
     n, dim = traj.samples.shape
     header = "t," + ",".join(f"z_{i + 1}" for i in range(dim)) + ",interval_k"
-    row = ",".join([_FMT] * (dim + 1)) + ",%d\n"
-    table = np.column_stack([traj.times, traj.samples])
-    parts = [header + "\n"]
-    # one % per row on Python floats; a block of rows at a time becomes
-    # one string, so few small objects are alive at once
-    for lo in range(0, n, _CSV_BLOCK_ROWS):
-        block = table[lo : lo + _CSV_BLOCK_ROWS].tolist()
-        parts.append("".join([row % (*vals, k_lo + (lo + r) // substeps) for r, vals in enumerate(block)]))
-    _atomic_write(path, "".join(parts))
+    row = ",".join([_FMT] * (dim + 1)) + ",%d"
+    ks = k_lo + np.arange(n) // substeps
+    _write_csv(path, header, row, np.column_stack([traj.times, traj.samples, ks]))
 
 
 def export_frozen_csv(traj: SampledTrajectory, path) -> None:
     """k, zeta_k, w_1, ..., w_m rows for the stored frozen arguments."""
-    path = Path(path)
     try:
         omega = traj.meta["omega"]
         origin = traj.meta["origin"]
@@ -462,12 +432,8 @@ def export_frozen_csv(traj: SampledTrajectory, path) -> None:
         raise IoError("trajectory carries no frozen arguments")
     dim = len(traj.frozen_args[0][1])
     header = "k,zeta_k," + ",".join(f"w_{i + 1}" for i in range(dim))
-    lines = [header]
-    for k, w in traj.frozen_args:
-        zeta = origin + k * omega + zf * omega
-        vals = ",".join(_FMT % x for x in w)
-        lines.append(f"{k},{_FMT % zeta},{vals}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    table = np.array([(k, origin + k * omega + zf * omega, *w) for k, w in traj.frozen_args])
+    _write_csv(path, header, "%d," + ",".join([_FMT] * (dim + 1)), table)
 
 
 def certificate_dict(cert: ConnectionCertificate, envelope_n: float, envelope_rate: float) -> dict:
@@ -577,13 +543,7 @@ def _run(spec: RunSpec) -> int:
 
     if spec.command == "check":
         report = check_assumptions(system)
-        payload = {
-            "a4_lhs": report.a4_lhs, "a4_margin": report.a4_margin, "a4_pass": report.a4_pass,
-            "a5_lhs": report.a5_lhs, "a5_margin": report.a5_margin, "a5_pass": report.a5_pass,
-            "f_bound": report.f_bound, "lip_x": report.lip_x, "lip_y": report.lip_y,
-            "passed": report.passed, "notes": list(report.notes),
-        }
-        _emit(out / "check_report.json", _write_json, payload)
+        _emit(out / "check_report.json", _write_json, asdict(report))
         print(f"a4_lhs={report.a4_lhs:.6g} a5_lhs={report.a5_lhs:.6g} "
               f"passed={'yes' if report.passed else 'no'}")
         return 0 if report.passed else 2

@@ -34,7 +34,7 @@ from .driver import (
     pair_orbits,
 )
 from .linear import DecayEnvelope
-from .nonlinearity import NonlinearityContract, example_contract
+from .nonlinearity import example_contract
 from .schedule import Schedule, make_schedule
 from .solver import _coverage_range, _lead_in_pad
 from .system import EpcagSystem, _logistic_sup, assemble_system
@@ -64,19 +64,11 @@ def reference_schedule() -> Schedule:
     return make_schedule(REFERENCE_OMEGA, 0.0, REFERENCE_ZETA_FRACTION)
 
 
-def reference_contract() -> NonlinearityContract:
-    return example_contract()
-
-
 def coverage_pad(tol: float = 1e-8) -> int:
     """Driver coverage needed left of the solve window, sized from the
     worst-case (mu = 4) solution bound so one figure fits every scenario."""
     map_sup = _logistic_sup((HETEROCLINIC_MU, HETEROCLINIC_MU))
-    return _lead_in_pad(reference_envelope(), reference_contract(), map_sup, REFERENCE_OMEGA, tol) + 2
-
-
-def _paired(orbit: DriverOrbit) -> DriverOrbit:
-    return pair_orbits(orbit, orbit)
+    return _lead_in_pad(reference_envelope(), example_contract(), map_sup, REFERENCE_OMEGA, tol) + 2
 
 
 def homoclinic_driver(window: int = 30, tol: float = 1e-8) -> tuple[DriverOrbit, DriverOrbit]:
@@ -88,7 +80,7 @@ def homoclinic_driver(window: int = 30, tol: float = 1e-8) -> tuple[DriverOrbit,
     beta = build_orbit(m, "homoclinic", 1.0 / HOMOCLINIC_MU, backward_branch=UPPER_BRANCH,
                        k_min=k_min, k_max=k_max)
     alpha = build_orbit(m, "fixed", star, k_min=k_min, k_max=k_max)
-    return _paired(beta), _paired(alpha)
+    return pair_orbits(beta, beta), pair_orbits(alpha, alpha)
 
 
 def heteroclinic_driver(window: int = 30, tol: float = 1e-8):
@@ -100,7 +92,7 @@ def heteroclinic_driver(window: int = 30, tol: float = 1e-8):
                        k_min=k_min, k_max=k_max)
     alpha_f = build_orbit(m, "fixed", 0.75, k_min=k_min, k_max=k_max)
     alpha_b = build_orbit(m, "fixed", 0.0, k_min=k_min, k_max=k_max)
-    return _paired(beta), _paired(alpha_f), _paired(alpha_b)
+    return pair_orbits(beta, beta), pair_orbits(alpha_f, alpha_f), pair_orbits(alpha_b, alpha_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +108,7 @@ def _assemble(driver: DriverOrbit) -> EpcagSystem:
     return assemble_system(
         reference_matrix(),
         reference_schedule(),
-        reference_contract(),
+        example_contract(),
         driver,
         envelope=reference_envelope(),
     )
@@ -145,10 +137,9 @@ def transfer_catalog(window: int = 30, tol: float = 1e-8):
     m4 = ScalarMap("logistic", HETEROCLINIC_MU)
     beta_h, alpha_h = homoclinic_driver(window, tol)
     het, alpha_34, alpha_0 = heteroclinic_driver(window, tol)
-    downhill = _paired(
-        build_orbit(m4, "heteroclinic", 1.0, backward_branch=UPPER_BRANCH,
-                    k_min=k_min, k_max=k_max)
-    )
+    downhill = build_orbit(m4, "heteroclinic", 1.0, backward_branch=UPPER_BRANCH,
+                           k_min=k_min, k_max=k_max)
+    downhill = pair_orbits(downhill, downhill)
     catalog = [
         (alpha_h, beta_h, beta_h),
         (alpha_34, het, downhill),

@@ -58,15 +58,15 @@ class EpcagSystem:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    f_bound: float
-    lip_x: float
-    lip_y: float
     a4_lhs: float
     a4_margin: float
     a4_pass: bool
     a5_lhs: float
     a5_margin: float
     a5_pass: bool
+    f_bound: float
+    lip_x: float
+    lip_y: float
     passed: bool
     notes: tuple[str, ...]
 

@@ -129,6 +129,19 @@ class TestBuildOrbit:
         assert orb.k_min < -10
         assert abs(orb.value(orb.k_min)[0] - 0.0) <= 1e-8
 
+    @pytest.mark.parametrize("mu, seed, branch", [(4.0, 0.25, "lower_G"), (3.9, 1.0 / 3.9, "upper_H")])
+    def test_widened_window_is_the_first_step_that_meets_edge_gap(self, mu, seed, branch):
+        # k_min = -10 and -20 leave a gap above 1e-8; -30 is the first
+        # widening that meets it, and the stored tail is the plain
+        # inverse-branch iteration from the seed
+        orb = build_orbit(logistic_map(mu), "heteroclinic" if mu == 4.0 else "homoclinic", seed,
+                          backward_branch=branch, k_min=-10, k_max=10)
+        assert orb.k_min == -30
+        back = [seed]
+        for _ in range(30):
+            back.append(logistic_inverse(mu, back[-1], branch))
+        assert orb.values[:31, 0].tolist() == back[::-1]
+
     def test_orbit_consistency(self):
         orb = build_orbit(logistic_map(3.9), "homoclinic", 1.0 / 3.9, backward_branch="upper_H",
                           k_min=-30, k_max=30)

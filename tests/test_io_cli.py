@@ -159,6 +159,114 @@ class TestParse:
         assert parse_config(serialize_config(spec)) == spec
 
 
+DROP = object()  # mutation value that deletes the key
+
+
+def certify_config():
+    """A config that sets every field of every block."""
+    return reference_config(
+        "certify",
+        driver={"map": "logistic", "mu": 4.0, "kind": "heteroclinic", "seed": 0.25,
+                "branch": "lower_G"},
+        targets=[{"map": "logistic", "mu": 4.0, "kind": "fixed", "seed": 0.75,
+                  "k_min": -50, "k_max": 40}],
+        numeric={"substeps": 100, "tol": 1e-7, "window": 10, "method": "burn_in",
+                 "cert_tol": 1e-3},
+        out_dir="artifacts",
+    )
+
+
+# (path, value, field, message): setting path to value in certify_config()
+# gives one of every validation message the parser has
+MALFORMED = [
+    (("bogus",), 1, "bogus", "unknown field"),
+    (("command",), DROP, "command", "missing required field"),
+    (("command",), "integrate", "command",
+     "must be one of check, constants, orbit, solve, certify, example4"),
+    (("mode",), "sideways", "mode", "must be one of homoclinic, heteroclinic"),
+    (("system",), [], "system", "must be an object"),
+    (("system", "dampening"), 0.1, "system.dampening", "unknown field"),
+    (("system", "matrix"), [], "system.matrix", "must be a nonempty array of rows"),
+    (("system", "matrix"), [[2.0, -2.0]], "system.matrix", "must be square"),
+    (("system", "matrix"), [[2.0, "x"], [5.0, -3.0]], "system.matrix",
+     "entries must be finite numbers"),
+    (("system", "schedule"), None, "schedule", "must be an object"),
+    (("system", "schedule", "period"), 1, "schedule.period", "unknown field"),
+    (("system", "schedule", "omega"), DROP, "schedule.omega", "missing required field"),
+    (("system", "schedule", "omega"), True, "schedule.omega", "must be a finite number"),
+    (("system", "schedule", "omega"), 0, "schedule.omega", "must be positive"),
+    (("system", "schedule", "origin"), "0", "schedule.origin", "must be a finite number"),
+    (("system", "schedule", "zeta_fraction"), 1.5, "schedule.zeta_fraction", "must lie in [0, 1]"),
+    (("system", "f"), "example4", "f", "must be an object"),
+    (("system", "f", "scale"), 2, "f.scale", "unknown field"),
+    (("system", "f", "catalog"), "cubic", "f.catalog", "must be one of example4, zero"),
+    (("system", "envelope"), [], "envelope", "must be an object"),
+    (("system", "envelope", "slack"), 0, "envelope.slack", "unknown field"),
+    (("system", "envelope", "n_const"), DROP, "envelope.n_const", "missing required field"),
+    (("system", "envelope", "rate"), DROP, "envelope.rate", "missing required field"),
+    (("system", "envelope", "n_const"), 0.5, "envelope.n_const", "must be >= 1"),
+    (("system", "envelope", "rate"), 0.0, "envelope.rate", "must be positive"),
+    (("system", "envelope", "horizon"), -1.0, "envelope.horizon", "must be positive"),
+    (("system", "envelope", "horizon"), "long", "envelope.horizon", "must be a finite number"),
+    (("driver",), [], "driver", "must be an object"),
+    (("driver", "period"), 2, "driver.period", "unknown field"),
+    (("driver", "map"), "tent", "driver.map", "must be one of logistic"),
+    (("driver", "mu"), DROP, "driver.mu", "missing required field"),
+    (("driver", "mu"), 4.5, "driver.mu", "must lie in (0, 4]"),
+    (("driver", "kind"), DROP, "driver.kind", "missing required field"),
+    (("driver", "kind"), "periodic", "driver.kind",
+     "must be one of fixed, homoclinic, heteroclinic"),
+    (("driver", "seed"), DROP, "driver.seed", "missing required field"),
+    (("driver", "branch"), "middle", "driver.branch", "must be one of lower_G, upper_H"),
+    (("driver", "branch"), DROP, "driver.branch", "required for heteroclinic orbits"),
+    (("driver", "k_min"), 1.5, "driver.k_min", "must be an integer"),
+    (("driver", "k_max"), "40", "driver.k_max", "must be an integer"),
+    (("driver", "k_min"), -5, "driver.k_min", "k_min and k_max must be given together"),
+    (("targets",), {}, "targets", "must be an array of driver blocks"),
+    (("targets",), [], "targets", "certify needs one or two target orbits"),
+    (("targets", 0), 3, "targets[0]", "must be an object"),
+    (("targets", 0, "seed"), None, "targets[0].seed", "must be a finite number"),
+    (("targets", 0, "k_min"), 50, "targets[0].k_min", "must be below k_max"),
+    (("numeric",), [], "numeric", "must be an object"),
+    (("numeric", "precision"), 1, "numeric.precision", "unknown field"),
+    (("numeric", "substeps"), 2, "numeric.substeps", "must be at least 4"),
+    (("numeric", "substeps"), 100.0, "numeric.substeps", "must be an integer"),
+    (("numeric", "tol"), 0, "numeric.tol", "must be positive"),
+    (("numeric", "window"), 0, "numeric.window", "must be at least 1"),
+    (("numeric", "method"), "rk4", "numeric.method", "must be one of picard, burn_in"),
+    (("numeric", "cert_tol"), -1e-3, "numeric.cert_tol", "must be positive"),
+    (("out_dir",), 7, "out_dir", "must be a string path"),
+    (("command",), "check", "targets", "not used by the check command"),
+    (("system",), DROP, "system", "required for the certify command"),
+    (("driver",), DROP, "driver", "required for the certify command"),
+]
+
+
+@pytest.mark.parametrize("path, value, field, message", MALFORMED,
+                         ids=[f"{f}: {m}" for _, _, f, m in MALFORMED])
+def test_validation_field_and_message(path, value, field, message):
+    cfg = certify_config()
+    *parents, last = path
+    block = cfg
+    for key in parents:
+        block = block[key]
+    if value is DROP:
+        del block[last]
+    else:
+        block[last] = value
+    with pytest.raises(ValidationError) as exc:
+        parse(cfg)
+    assert type(exc.value) is ValidationError
+    assert exc.value.field == field
+    assert str(exc.value) == f"{field}: {message}"
+
+
+def test_top_level_must_be_an_object():
+    with pytest.raises(ParseError) as exc:
+        parse_config("[]")
+    assert str(exc.value) == "top level must be an object"
+
+
 def small_orbit():
     orb = build_orbit(logistic_map(4.0), "fixed", 0.75, k_min=-2, k_max=2)
     return pair_orbits(orb, orb)
@@ -461,6 +569,20 @@ class TestCli:
         cfg_path.write_text(json.dumps(reference_config("check")))
         assert main(["constants", "--config", str(cfg_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field, message", [
+        ("--tol", "0", "tol", "must be positive"),
+        ("--tol", "-1", "tol", "must be positive"),
+        ("--tol", "nan", "tol", "must be a finite number"),
+        ("--substeps", "2", "substeps", "must be at least 4"),
+        ("--window", "0", "window", "must be at least 1"),
+    ])
+    def test_flags_are_checked_like_config_fields(self, tmp_path, capsys, flag, value, field, message):
+        assert main(["example4", flag, value, "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: numeric.{field}: {message}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
 
     def test_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

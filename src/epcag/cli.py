@@ -5,8 +5,9 @@
 
 example4 runs with no config at all; every other command takes its
 system/driver description from a JSON config file. Flags override the
-corresponding config values and are checked like them. Output lands in
---out, else $EPCAG_OUT_DIR, else the working directory.
+corresponding config values and are checked like them; --mode, like the
+config's mode, belongs to example4 alone. Output lands in --out, else
+$EPCAG_OUT_DIR, else the working directory.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import EpcagError, ValidationError
-from .io import COMMANDS, MODES, parse_config, parse_numeric, run
+from .io import COMMANDS, MODES, check_mode, parse_config, parse_numeric, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,6 +57,7 @@ def main(argv=None) -> int:
         numeric = parse_numeric(asdict(spec.numeric) | {k: v for k, v in flags.items() if v is not None})
         spec = replace(spec, numeric=numeric)
         if args.mode is not None:
+            check_mode(spec.command, args.mode)
             spec = replace(spec, mode=args.mode)
         if args.out is not None:
             spec = replace(spec, out_dir=args.out)

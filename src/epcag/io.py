@@ -243,6 +243,12 @@ def parse_numeric(obj) -> NumericSpec:
     return NumericSpec(**_parse_fields(obj, _NUMERIC, NumericSpec, "numeric"))
 
 
+def check_mode(command: str, mode: str | None) -> None:
+    """Reject a mode for any command but example4; --mode goes through here too."""
+    if mode is not None and command != "example4":
+        raise ValidationError("mode", "only the example4 command takes a mode")
+
+
 def parse_config(text: str) -> RunSpec:
     """Parse and validate a JSON config into a RunSpec with defaults."""
     try:
@@ -279,6 +285,7 @@ def parse_config(text: str) -> RunSpec:
             raise ValidationError("targets", "certify needs one or two target orbits")
     elif targets:
         raise ValidationError("targets", f"not used by the {command} command")
+    check_mode(command, mode)
     return RunSpec(command=command, mode=mode, system=system, driver=driver,
                    targets=targets, numeric=numeric, out_dir=out_dir)
 
@@ -564,7 +571,8 @@ def _run(spec: RunSpec) -> int:
         else:
             stage = ""
         print(f"sup norm {traj.meta['sup_norm']:.6g}, "
-              f"{traj.meta['iterations']} iterations{stage}, tail bound {traj.meta['tail_bound']:.3g}")
+              f"{traj.meta['iterations']} iterations{stage}, tail bound {traj.meta['tail_bound']:.3g}, "
+              f"{traj.meta['f_evals']} f evaluations")
         return 0
 
     # certify

@@ -52,10 +52,13 @@ def _sigmoid(t: float) -> float:
 
 
 def _example_eval(t: float, x, y) -> np.ndarray:
+    # Python floats: indexing an array per component costs more than the formula
+    x1, x2 = x.tolist()
+    y1, y2 = y.tolist()
     return np.array(
         [
-            0.03 * math.cos(x[0]) - 0.01 * math.sin(y[1]) + _sigmoid(t),
-            0.02 * math.sin(x[1]) + 0.01 * math.cos(y[0]),
+            0.03 * math.cos(x1) - 0.01 * math.sin(y2) + _sigmoid(t),
+            0.02 * math.sin(x2) + 0.01 * math.cos(y1),
         ]
     )
 

@@ -30,10 +30,14 @@ burn_in
     which changes slowly from interval to interval and so is carried
     from each interval to the next; where the estimate's norm reaches 1,
     outside the contraction regime of (A4), the step is the plain
-    fixed-point one. Samples up to the last grid point before zeta_k
-    come from the last inner pass, which the march to the interval end
-    continues with the settled w_k. Each RK4 step applies linear tables
-    precomputed per step size (_rk4_tables).
+    fixed-point one. Where zeta_k > theta_k, the loop starts from two
+    plain fixed-point passes of a coarse RK4 march to zeta_k, with steps
+    of up to COARSE_START_RATIO fine steps (nested iteration); the fixed
+    point and the stop rule are those of a start from z(theta_k).
+    Samples up to the last grid point before zeta_k come from the last
+    inner pass, which the march to the interval end continues with the
+    settled w_k. Each RK4 step applies linear tables precomputed per
+    step size (_rk4_tables), once per solve (_interval_geometry).
 
 Both report their truncation/transient bound in the trajectory meta and
 refuse pads whose bound exceeds the requested tolerance.
@@ -44,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +76,8 @@ PICARD_STOP = 1e-10
 PICARD_MAX_ITERS = 80
 INNER_DEFAULT_TOL = 1e-12
 INNER_MAX_ITERS = 100
+# burn-in's coarse start takes RK4 steps of at most this many fine steps
+COARSE_START_RATIO = 16
 # a move of w below this share of |w| is rounding and updates no secant
 SECANT_FLOOR = 1e3 * np.finfo(float).eps
 GAUSS_POINTS = 16
@@ -353,8 +360,11 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
     w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
     frozen = tuple((k0 + i, w[i].copy()) for i in range(pad, n_int))
     samples = np.concatenate([psi[pad:, :m, :].reshape(-1, dim), psi[-1, m][None]])
+    # one contract row per grid point per sweep, at either level
+    f_evals = n_int * (len(deltas) * (m + 1) + len(coarse_deltas) * (m_coarse + 1))
     sweeps = {"iterations": len(deltas), "iterate_deltas": tuple(deltas),
-              "coarse_deltas": tuple(coarse_deltas), "coarse_substeps": m_coarse}
+              "coarse_deltas": tuple(coarse_deltas), "coarse_substeps": m_coarse,
+              "f_evals": f_evals}
     return samples, frozen, sweeps
 
 
@@ -379,8 +389,10 @@ def _rk4_tables(a: np.ndarray, h: float) -> np.ndarray:
 def _rk4_march(feval, tables, t: float, z: np.ndarray, w, alpha, h: float, steps: int, out=None):
     """`steps` RK4 steps of size h from z at t with w held; out[j] gets the
     state after j steps. feval sees only fresh arrays, never a slot of x.
-    np.dot, not @: on operands this small it dispatches about twice as fast."""
-    slots = np.empty((6, len(z)))
+    np.dot, not @: on operands this small it dispatches about twice as fast.
+    The stage slots start at zero: a table's zero weight on a slot not yet
+    written would turn a NaN left in reused memory into a NaN stage."""
+    slots = np.zeros((6, len(z)))
     slots[0], slots[1] = z, alpha
     x = slots.reshape(-1)
     t2, t3, t4, tz = tables
@@ -397,6 +409,42 @@ def _rk4_march(feval, tables, t: float, z: np.ndarray, w, alpha, h: float, steps
     return z
 
 
+class _Geometry(NamedTuple):
+    """The parts of an interval solve that a burn-in solve holds fixed:
+    m substeps of size h, j_full whole steps and a partial step `part`
+    (0 if none) from theta_k to zeta_k, n_coarse steps of size coarse_h
+    over the same span for the coarse start (0 if zeta_k = theta_k),
+    and the RK4 tables of each step size."""
+
+    m: int
+    h: float
+    j_full: int
+    part: float
+    n_coarse: int
+    coarse_h: float
+    tables: np.ndarray
+    part_tables: np.ndarray | None
+    coarse_tables: np.ndarray | None
+
+
+def _interval_geometry(sys: EpcagSystem, substeps: int) -> _Geometry:
+    omega = sys.schedule.omega
+    tau = sys.schedule.zeta_fraction * omega
+    h = omega / substeps
+    j_full = min(int(math.floor(tau / h + 1e-9)), substeps)
+    part = tau - j_full * h
+    if part < 1e-13 * omega:
+        part = 0.0
+    n_coarse = math.ceil(tau / (COARSE_START_RATIO * h))
+    coarse_h = tau / n_coarse if n_coarse else 0.0
+    return _Geometry(
+        substeps, h, j_full, part, n_coarse, coarse_h,
+        _rk4_tables(sys.a, h),
+        _rk4_tables(sys.a, part) if part else None,
+        _rk4_tables(sys.a, coarse_h) if n_coarse else None,
+    )
+
+
 def step_interval(
     sys: EpcagSystem,
     k: int,
@@ -408,51 +456,55 @@ def step_interval(
     """Solve one interval [theta_k, theta_{k+1}] from z(theta_k) = z0.
 
     The frozen argument w_k = z(zeta_k) is the fixed point of G(w), the
-    state at zeta_k reached with w held. Each pass integrates to zeta_k
-    and takes the residual r = G(w) - w. The loop stops once |r| <= tol
-    and sets w = G(w). Otherwise w takes the quasi-Newton step
-    w + (I - J)^{-1} r, with J a secant (good Broyden) estimate of dG/dw
-    that starts at zero, takes a rank-1 update after every pass and is
-    dropped when the residual grows; a move of w at the rounding level
-    of w updates nothing. Where ||J||_2 >= 1, outside the contraction
-    regime in which (A4) puts the exact derivative, the step is the
-    plain w <- G(w). Each pass writes the grid points up to the last
-    one before zeta_k, so those samples come from the last pass; the
-    rest of the interval is marched from there with the converged w.
-    Returns (samples on the substep grid, w_k, inner iteration count).
+    state at zeta_k reached with w held. Where zeta_k > theta_k, w
+    starts from two plain passes w <- G_c(w) from w = z0, with G_c the
+    march to zeta_k in ceil((zeta_k - theta_k) / (16 h)) equal RK4
+    steps, or at z0 if they end non-finite. Each pass integrates to
+    zeta_k and takes the residual r = G(w) - w. The loop stops once
+    |r| <= tol and sets w = G(w). Otherwise w takes the quasi-Newton
+    step w + (I - J)^{-1} r, with J a secant (good Broyden) estimate of
+    dG/dw that starts at zero, takes a rank-1 update after every pass
+    and is dropped when the residual grows; a move of w at the rounding
+    level of w updates nothing. Where ||J||_2 >= 1, outside the
+    contraction regime in which (A4) puts the exact derivative, the
+    step is the plain w <- G(w). Each pass writes the grid points up to
+    the last one before zeta_k, so those samples come from the last
+    pass; the rest of the interval is marched from there with the
+    converged w. Returns (samples on the substep grid, w_k, inner
+    iteration count).
     """
     z0 = np.asarray(z0, dtype=float)
-    samples, w, inner, _ = _step_interval(sys, k, z0, substeps, tol, max_inner, np.zeros((len(z0),) * 2))
+    geo = _interval_geometry(sys, substeps)
+    samples, w, inner, _ = _step_interval(sys, k, z0, geo, tol, max_inner, np.zeros((len(z0),) * 2))
     return samples, w, inner
 
 
-def _step_interval(sys, k, z0, substeps, tol, max_inner, jac):
-    """step_interval from a secant estimate jac of dG/dw, carried over
-    from the previous interval by burn-in; also returns the estimate
-    the passes left."""
+def _step_interval(sys, k, z0, geo: _Geometry, tol, max_inner, jac):
+    """step_interval on a solve's geometry, from a secant estimate jac of
+    dG/dw, carried over from the previous interval by burn-in; also
+    returns the estimate the passes left."""
     theta = sys.schedule.node(k)
-    zeta = sys.schedule.zeta(k)
     alpha = sys.driver.value(k)
-    h = sys.schedule.omega / substeps
-    j_full = int(math.floor((zeta - theta) / h + 1e-9))
-    j_full = min(j_full, substeps)
-    part = (zeta - theta) - j_full * h
-    if part < 1e-13 * sys.schedule.omega:
-        part = 0.0
+    h, j_full, part = geo.h, geo.j_full, geo.part
     feval = sys.f.eval
-    tables = _rk4_tables(sys.a, h)
-    part_tables = _rk4_tables(sys.a, part) if part > 0.0 else None
 
-    samples = np.empty((substeps + 1, len(z0)))
+    samples = np.empty((geo.m + 1, len(z0)))
     samples[0] = z0
     eye = np.eye(len(z0))
     w = z0.copy()
+    if geo.n_coarse:
+        start = w
+        for _ in range(2):
+            start = _rk4_march(feval, geo.coarse_tables, theta, z0.copy(), start, alpha,
+                               geo.coarse_h, geo.n_coarse)
+        if np.all(np.isfinite(start)):
+            w = start
     inner = 0
     last = None
     while True:
         inner += 1
-        z_full = _rk4_march(feval, tables, theta, z0.copy(), w, alpha, h, j_full, out=samples)
-        z = _rk4_march(feval, part_tables, theta + j_full * h, z_full, w, alpha, part, 1) if part else z_full
+        z_full = _rk4_march(feval, geo.tables, theta, z0.copy(), w, alpha, h, j_full, out=samples)
+        z = _rk4_march(feval, geo.part_tables, theta + j_full * h, z_full, w, alpha, part, 1) if part else z_full
         if not np.all(np.isfinite(z)):
             raise InnerDivergenceError(f"interval {k}: non-finite state in inner loop")
         r = z - w
@@ -479,7 +531,7 @@ def _step_interval(sys, k, z0, substeps, tol, max_inner, jac):
         else:
             w = z
 
-    _rk4_march(feval, tables, theta + j_full * h, z_full, w, alpha, h, substeps - j_full,
+    _rk4_march(feval, geo.tables, theta + j_full * h, z_full, w, alpha, h, geo.m - j_full,
                out=samples[j_full:])
     if not np.all(np.isfinite(samples)):
         raise InnerDivergenceError(f"interval {k}: non-finite samples")
@@ -488,21 +540,27 @@ def _step_interval(sys, k, z0, substeps, tol, max_inner, jac):
 
 def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
     dim = sys.dim
-    k0 = k_lo - pad
+    geo = _interval_geometry(sys, substeps)
     z = np.zeros(dim)
     jac = np.zeros((dim, dim))
     pieces = []
     frozen = []
     inner_counts = []
-    for k in range(k0, k_hi):
-        samples, w, inner, jac = _step_interval(sys, k, z, substeps, INNER_DEFAULT_TOL, INNER_MAX_ITERS, jac)
+    for k in range(k_lo - pad, k_hi):
+        samples, w, inner, jac = _step_interval(sys, k, z, geo, INNER_DEFAULT_TOL, INNER_MAX_ITERS, jac)
         z = samples[-1]
         inner_counts.append(inner)
         if k >= k_lo:
             pieces.append(samples[:-1])
             frozen.append((k, w))
     pieces.append(z[None])
-    return np.concatenate(pieces), tuple(frozen), inner_counts
+    # four contract calls per RK4 step: the passes to zeta, and per
+    # interval the march past zeta and the two coarse-start passes
+    steps = (sum(inner_counts) * (geo.j_full + (geo.part > 0))
+             + len(inner_counts) * (substeps - geo.j_full + 2 * geo.n_coarse))
+    passes = {"iterations": max(inner_counts), "inner_iterations": tuple(inner_counts),
+              "f_evals": 4 * steps}
+    return np.concatenate(pieces), tuple(frozen), passes
 
 
 def solve_bounded(
@@ -536,25 +594,9 @@ def solve_bounded(
         )
     omega = sys.schedule.omega
 
-    if method == "picard":
-        samples, frozen, sweeps = _solve_picard(sys, k_lo, k_hi, pad, substeps)
-        meta = {
-            "method": method,
-            **sweeps,
-            "pad": pad,
-            "tail_bound": bound,
-        }
-        inner_counts = None
-    else:
-        samples, frozen, inner_counts = _solve_burn_in(sys, k_lo, k_hi, pad, substeps)
-        meta = {
-            "method": method,
-            "iterations": int(np.max(inner_counts)),
-            "inner_iterations": tuple(inner_counts),
-            "pad": pad,
-            "tail_bound": bound,
-        }
-
+    solve = _solve_picard if method == "picard" else _solve_burn_in
+    samples, frozen, counts = solve(sys, k_lo, k_hi, pad, substeps)
+    meta = {"method": method, **counts, "pad": pad, "tail_bound": bound}
     meta["sup_norm"] = float(np.max(np.linalg.norm(samples, axis=1)))
     meta["k_window"] = (k_lo, k_hi)
     meta["omega"] = omega

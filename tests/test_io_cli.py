@@ -261,6 +261,16 @@ def test_validation_field_and_message(path, value, field, message):
     assert str(exc.value) == f"{field}: {message}"
 
 
+@pytest.mark.parametrize("command", ["check", "constants", "orbit", "solve", "certify"])
+def test_mode_only_for_example4(command):
+    cfg = certify_config() if command == "certify" else reference_config(command)
+    cfg["mode"] = "heteroclinic"
+    with pytest.raises(ValidationError) as exc:
+        parse(cfg)
+    assert exc.value.field == "mode"
+    assert str(exc.value) == "mode: only the example4 command takes a mode"
+
+
 def test_top_level_must_be_an_object():
     with pytest.raises(ParseError) as exc:
         parse_config("[]")
@@ -443,6 +453,17 @@ class TestRun:
         passes = re.search(r", (\d+) iterations at most, (\d+) inner passes over 48 intervals, tail", out)
         assert passes and int(passes[1]) < int(passes[2])
 
+    def test_solve_reports_contract_evaluations(self, tmp_path, capsys):
+        # 64 substeps of 1.5 put zeta = 0.5 after 21 whole steps and a
+        # partial one, the coarse start takes 2 steps and the march past
+        # zeta 43, so 4 (22 P + 48 (43 + 2 * 2)) rows for P inner passes
+        cfg = reference_config("solve", out_dir=str(tmp_path),
+                               numeric={"window": 3, "substeps": 64, "method": "burn_in"})
+        assert run(parse(cfg)) == 0
+        line = re.search(r"(\d+) inner passes over 48 intervals, tail bound \S+, (\d+) f evaluations\n$",
+                         capsys.readouterr().out)
+        assert line and int(line[2]) == 4 * (22 * int(line[1]) + 48 * (43 + 2 * 2))
+
     def test_certify_control_fails_distinctness(self, tmp_path, capsys):
         cfg = reference_config(
             "certify", out_dir=str(tmp_path),
@@ -583,6 +604,16 @@ class TestCli:
         assert captured.err == f"error: numeric.{field}: {message}\n"
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    def test_mode_flag_only_for_example4(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(reference_config("check")))
+        out = tmp_path / "artifacts"
+        assert main(["check", "--config", str(cfg_path), "--mode", "homoclinic", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: mode: only the example4 command takes a mode\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

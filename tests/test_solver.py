@@ -102,7 +102,8 @@ def textbook_rk4(f, a, alpha, t, z, w, h, steps):
     return states
 
 
-def textbook_step_interval(sys, k, z0, substeps, tol=solver.INNER_DEFAULT_TOL, quasi_newton=True, jac=None):
+def textbook_step_interval(sys, k, z0, substeps, tol=solver.INNER_DEFAULT_TOL, quasi_newton=True, jac=None,
+                           coarse_start=True):
     """step_interval's scheme written out: passes to zeta_k (whole steps,
     then one partial step) give g = G(w) until |g - w| <= tol, then the
     rest of the interval from the last pass's last grid point before
@@ -110,7 +111,10 @@ def textbook_step_interval(sys, k, z0, substeps, tol=solver.INNER_DEFAULT_TOL, q
     ||J||_2 < 1, else to g. J starts at jac (default zero), is dropped
     when |g - w| grows, and takes the good Broyden update from each pair
     of passes whose w differ by more than rounding. quasi_newton=False
-    keeps J = 0: plain fixed-point passes."""
+    keeps J = 0: plain fixed-point passes. With coarse_start, when
+    zeta_k > theta_k, w starts from two plain passes of the march to
+    zeta_k in ceil((zeta_k - theta_k) / 16 h) equal steps, from w = z0,
+    unless they end non-finite; otherwise w starts at z0."""
     omega, dim = sys.schedule.omega, len(z0)
     theta, zeta = sys.schedule.node(k), sys.schedule.zeta(k)
     h = omega / substeps
@@ -119,6 +123,11 @@ def textbook_step_interval(sys, k, z0, substeps, tol=solver.INNER_DEFAULT_TOL, q
     part = part if part >= 1e-13 * omega else 0.0
     rhs = (sys.f.eval, sys.a, sys.driver.value(k))
     w, inner, passes = z0, 0, []
+    n_c = math.ceil((zeta - theta) / (16 * h))
+    if coarse_start and n_c:
+        for _ in range(2):
+            w = textbook_rk4(*rhs, theta, z0, w, (zeta - theta) / n_c, n_c)[-1]
+        w = w if np.all(np.isfinite(w)) else z0
     jac = np.zeros((dim, dim)) if jac is None else jac
     while True:
         inner += 1
@@ -146,7 +155,7 @@ def plain_burn_in(sys, window, substeps, tol=1e-8):
     k_lo, k_hi = window
     z, pieces = np.zeros(sys.dim), []
     for k in range(k_lo - default_pad(sys, tol), k_hi):
-        samples, _, _ = textbook_step_interval(sys, k, z, substeps, quasi_newton=False)
+        samples, _, _ = textbook_step_interval(sys, k, z, substeps, quasi_newton=False, coarse_start=False)
         z = samples[-1]
         if k >= k_lo:
             pieces.append(samples[:-1])
@@ -287,12 +296,13 @@ class TestStepInterval:
     def test_a_misleading_carried_estimate_is_dropped(self, homo):
         # dG/dw has norm 0.003 on this interval: a carried J = 0.95 I
         # makes the first step twenty times too long, the residual grows
-        # and J restarts from zero, which saves two passes here
+        # and J restarts from zero, which saves one pass here
         z0, jac = np.array([0.3, -0.2]), 0.95 * np.eye(2)
-        args = (homo.system, 0, z0, 200, solver.INNER_DEFAULT_TOL)
-        samples, w, inner, _ = solver._step_interval(*args, solver.INNER_MAX_ITERS, jac)
-        want, want_w, want_inner = textbook_step_interval(*args, jac=jac)
-        assert inner == want_inner == 7
+        geo = solver._interval_geometry(homo.system, 200)
+        samples, w, inner, _ = solver._step_interval(
+            homo.system, 0, z0, geo, solver.INNER_DEFAULT_TOL, solver.INNER_MAX_ITERS, jac)
+        want, want_w, want_inner = textbook_step_interval(homo.system, 0, z0, 200, jac=jac)
+        assert inner == want_inner == 4
         assert np.abs(samples - want).max() <= 1e-13 * np.abs(want).max()
         assert np.abs(w - step_interval(homo.system, 0, z0)[1]).max() <= 1e-13
 
@@ -331,14 +341,42 @@ class TestStepInterval:
     )
     def test_eval_count_and_fresh_arguments(self, homo, zeta_fraction, j_full, partial):
         # inner passes march to zeta (j_full whole steps and any partial
-        # step); the final march only covers the steps after j_full
+        # step); the final march only covers the steps after j_full, and
+        # the coarse start makes two passes of n_c steps
+        n_c = {0.0: 0, 0.25: 4, 1.0 / 3.0: 5, 1.0: 13}[zeta_fraction]
         f, seen = recording(homo.system.f)
         sys = replace(homo.system, f=f, schedule=make_schedule(1.5, 0.0, zeta_fraction))
         samples, w, inner = step_interval(sys, 0, np.array([0.3, -0.2]), substeps=200)
-        assert len(seen) == 4 * (inner * (j_full + partial) + 200 - j_full)
+        assert len(seen) == 4 * (inner * (j_full + partial) + 200 - j_full) + 8 * n_c
         # no state or argument eval saw was changed afterwards or lives in the samples
         assert all(np.array_equal(x, xc) and np.array_equal(y, yc) for x, xc, y, yc in seen)
         assert not any(np.shares_memory(x, samples) for x, *_ in seen)
+
+    def test_a_non_finite_coarse_start_is_dropped(self, homo):
+        # the coarse march to zeta_0 = 0.5 takes five steps of 0.1, whose
+        # first midpoint t = 0.05 no fine step (0.0075) visits; f is NaN
+        # only there, so the start ends non-finite and w starts at z0
+        visits = []
+
+        def spiked(t, x, y):
+            if abs(t - 0.05) < 1e-9:
+                visits.append(t)
+                return np.full(2, np.nan)
+            return homo.system.f.eval(t, x, y)
+
+        sys = replace(homo.system, f=replace(homo.system.f, eval=spiked))
+        z0, jac = np.array([0.3, -0.2]), np.zeros((2, 2))
+        geo = solver._interval_geometry(sys, 200)
+        assert (geo.n_coarse, geo.coarse_h) == (5, 0.1)
+        tol, cap = solver.INNER_DEFAULT_TOL, solver.INNER_MAX_ITERS
+        samples, w, inner, _ = solver._step_interval(sys, 0, z0, geo, tol, cap, jac)
+        assert len(visits) == 4
+        want, want_w, want_inner, _ = solver._step_interval(sys, 0, z0, geo._replace(n_coarse=0), tol, cap, jac)
+        assert inner == want_inner
+        assert np.array_equal(samples, want) and np.array_equal(w, want_w)
+        plain = textbook_step_interval(sys, 0, z0, 200, coarse_start=False)
+        assert plain[2] == inner
+        assert np.abs(plain[0] - samples).max() <= 1e-13 * np.abs(samples).max()
 
     def test_non_finite_samples_after_zeta(self):
         # f turns NaN on (4, 4.5), inside the last interval [3, 4.5] of a
@@ -393,7 +431,19 @@ class TestSolveBounded:
             name: sum(solve_bounded(sc.system, (-20, 20), method="burn_in").meta["inner_iterations"])
             for name, sc in (("homoclinic", homo), ("heteroclinic", het))
         }
-        assert totals == {"homoclinic": 245, "heteroclinic": 216}
+        assert totals == {"homoclinic": 184, "heteroclinic": 153}
+
+    @pytest.mark.parametrize("method, batch, zeta_fraction", [
+        ("picard", True, 1.0 / 3.0), ("picard", False, 1.0 / 3.0),
+        ("burn_in", True, 1.0 / 3.0), ("burn_in", True, 0.0), ("burn_in", True, 1.0),
+    ])
+    def test_f_evals_counts_every_contract_row(self, homo, method, batch, zeta_fraction):
+        # 64 substeps: picard sweeps at 16 substeps first; a third of the
+        # interval leaves burn-in a partial step to zeta, 0 no coarse start
+        f, rows = counting_rows(homo.system.f, batch)
+        sys = replace(homo.system, f=f, schedule=make_schedule(1.5, 0.0, zeta_fraction))
+        traj = solve_bounded(sys, (-3, 3), 64, method=method)
+        assert traj.meta["f_evals"] == sum(rows)
 
     def test_picard_contraction_diagnostics(self, homo_traj):
         meta = homo_traj.meta
@@ -534,15 +584,20 @@ def zero_start(sys, window, substeps, tol=1e-8):
     return np.concatenate([psi[pad:, :substeps].reshape(-1, sys.dim), psi[-1, substeps][None]]), deltas
 
 
-def counting_rows(contract):
-    """The contract with the row count of every eval_batch call recorded."""
+def counting_rows(contract, batch=True):
+    """The contract with the row count of every call recorded: len(ts)
+    for eval_batch, 1 for eval. batch=False drops eval_batch."""
     rows = []
+
+    def eval(t, x, y):
+        rows.append(1)
+        return contract.eval(t, x, y)
 
     def eval_batch(ts, xs, ys):
         rows.append(len(ts))
         return contract.eval_batch(ts, xs, ys)
 
-    return replace(contract, eval_batch=eval_batch), rows
+    return replace(contract, eval=eval, eval_batch=eval_batch if batch else None), rows
 
 
 @pytest.fixture(scope="module", params=["homo", "het", 0, 1, 2, 3])

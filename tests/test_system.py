@@ -86,6 +86,22 @@ class TestContracts:
         xs[:, 0], ys[:, 1] = math.pi / 2.0, 0.0
         np.testing.assert_array_equal(batch(ts, xs, ys), clipped(ts, xs, ys))
 
+    def test_scalar_eval_equals_the_formula(self):
+        # the formula with each component indexed off the arrays, bit for bit
+        def formula(t, x, y):
+            sig = 1.0 / (1.0 + math.exp(-t)) if t >= 0.0 else math.exp(t) / (1.0 + math.exp(t))
+            return np.array([0.03 * math.cos(x[0]) - 0.01 * math.sin(y[1]) + sig,
+                             0.02 * math.sin(x[1]) + 0.01 * math.cos(y[0])])
+
+        rng = np.random.default_rng(13)
+        ts = np.concatenate([rng.uniform(-40.0, 0.0, 300), rng.uniform(0.0, 40.0, 300),
+                             rng.uniform(40.0, 800.0, 200), -rng.uniform(40.0, 800.0, 200)])
+        xs = rng.normal(scale=3.0, size=(len(ts), 2))
+        ys = rng.normal(scale=3.0, size=(len(ts), 2))
+        eval = example_contract().eval
+        for t, x, y in zip(ts.tolist(), xs, ys):
+            np.testing.assert_array_equal(eval(t, x, y), formula(t, x, y))
+
     def test_zero_contract(self):
         c = zero_contract(2)
         assert np.all(c.eval(1.0, np.ones(2), np.ones(2)) == 0.0)

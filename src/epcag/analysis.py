@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .driver import DriverOrbit
+from .driver import DriverOrbit, _sequence_gaps
 from .errors import (
     DegenerateTailError,
     DimensionMismatchError,
@@ -148,11 +148,6 @@ def fit_decay_rate(profile, tail_fraction: float = TAIL_FRACTION) -> tuple[float
     return float(-slope), float(quality)
 
 
-def _sequence_gaps(beta: DriverOrbit, alpha: DriverOrbit, window: int) -> np.ndarray:
-    ks = range(-window, window + 1)
-    return np.array([np.linalg.norm(beta.value(k) - alpha.value(k)) for k in ks])
-
-
 def _degenerate_fit(profile):
     try:
         return fit_decay_rate(profile, TAIL_FRACTION)
@@ -236,8 +231,9 @@ def _connect(sys: EpcagSystem, forward, backward, tol: float, window: int, solve
                     f"{where}{direction} {role} driver dimension {orbit.dim} "
                     f"does not match the system ({sys.dim})"
                 )
-    seq_f = _sequence_gaps(*forward, window)
-    seq_b = _sequence_gaps(*backward, window)
+    ks = range(-window, window + 1)
+    seq_f = _sequence_gaps(*forward, ks)
+    seq_b = _sequence_gaps(*backward, ks)
     for direction, gap, k in (("forward", seq_f[-1], window), ("backward", seq_b[0], -window)):
         if gap > tol:
             raise PremiseFailureError(

@@ -322,22 +322,23 @@ def pair_orbits(first: DriverOrbit, second: DriverOrbit) -> DriverOrbit:
     )
 
 
-def sequence_gap_profile(orbit: DriverOrbit, target, direction: str):
-    """Gaps ||alpha_k - target_k|| ordered toward the requested infinity.
+def _sequence_gaps(orbit: DriverOrbit, target, ks) -> np.ndarray:
+    """||alpha_k - target_k|| for k in ks. target may be a point (array of
+    the orbit dimension) or another DriverOrbit on any window (extended by
+    its limits where needed)."""
+    point = None if isinstance(target, DriverOrbit) else np.asarray(target, dtype=float)
+    return np.array([np.linalg.norm(orbit.value(k) - (target.value(k) if point is None else point))
+                     for k in ks])
 
-    target may be a point (array of the orbit dimension) or another
-    DriverOrbit on any window (extended by its limits where needed).
-    Returns a list of (k, gap), k ascending for "forward" and descending
-    for "backward".
+
+def sequence_gap_profile(orbit: DriverOrbit, target, direction: str):
+    """Gaps ||alpha_k - target_k|| (see _sequence_gaps) over the orbit's
+    window, ordered toward the requested infinity: a list of (k, gap), k
+    ascending for "forward" and descending for "backward".
     """
     if direction not in ("forward", "backward"):
         raise OutOfRangeError(f"direction must be forward or backward, got {direction!r}")
     ks = range(orbit.k_min, orbit.k_max + 1)
     if direction == "backward":
-        ks = reversed(ks)
-    out = []
-    for k in ks:
-        tgt = target.value(k) if isinstance(target, DriverOrbit) else np.asarray(target, dtype=float)
-        gap = float(np.linalg.norm(orbit.value(k) - tgt))
-        out.append((k, gap))
-    return out
+        ks = ks[::-1]
+    return list(zip(ks, _sequence_gaps(orbit, target, ks).tolist()))

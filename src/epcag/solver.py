@@ -38,9 +38,17 @@ burn_in
     inner pass, which the march to the interval end continues with the
     settled w_k. Each RK4 step applies linear tables precomputed per
     step size (_rk4_tables), once per solve (_interval_geometry).
+    Outside RK4's stability region (about (-2.785, 0) on the negative
+    real axis) the march grows a finite but wrong answer, so a solve
+    whose RK4 amplification matrix R(hA) has spectral radius >= 1 is
+    refused with OutOfRangeError naming the fewest stable substeps, and
+    the coarse start is skipped where its own longer step is unstable.
 
 Both report their truncation/transient bound in the trajectory meta and
-refuse pads whose bound exceeds the requested tolerance.
+refuse pads whose bound exceeds the requested tolerance. Every solve
+checks its samples against the a-priori bound M_phi plus that bound,
+which the bounded solution meets, and raises InnerDivergenceError above
+it: a contract that breaks its declared bound, or a march gone wrong.
 """
 
 from __future__ import annotations
@@ -389,21 +397,27 @@ def _rk4_tables(a: np.ndarray, h: float) -> np.ndarray:
 def _rk4_march(feval, tables, t: float, z: np.ndarray, w, alpha, h: float, steps: int, out=None):
     """`steps` RK4 steps of size h from z at t with w held; out[j] gets the
     state after j steps. feval sees only fresh arrays, never a slot of x.
-    np.dot, not @: on operands this small it dispatches about twice as fast.
+    A step is at Python's dispatch floor: each table's bound .dot (about
+    twice as fast as @ on operands this small), slot rows bound once and
+    filled by row[...] = v, and the stage times from one midpoint sum and
+    one running t += h, the same float operations as t + h/2 and t + h.
     The stage slots start at zero: a table's zero weight on a slot not yet
     written would turn a NaN left in reused memory into a NaN stage."""
     slots = np.zeros((6, len(z)))
     slots[0], slots[1] = z, alpha
     x = slots.reshape(-1)
-    t2, t3, t4, tz = tables
+    s_z, _, s_f1, s_f2, s_f3, s_f4 = slots
+    d2, d3, d4, dz = (tab.dot for tab in tables)
+    half = h / 2.0
     for j in range(steps):
-        slots[2] = feval(t, z, w)
-        slots[3] = feval(t + h / 2.0, np.dot(t2, x), w)
-        slots[4] = feval(t + h / 2.0, np.dot(t3, x), w)
-        slots[5] = feval(t + h, np.dot(t4, x), w)
-        z = np.dot(tz, x)
-        slots[0] = z
+        s_f1[...] = feval(t, z, w)
+        mid = t + half
+        s_f2[...] = feval(mid, d2(x), w)
+        s_f3[...] = feval(mid, d3(x), w)
         t += h
+        s_f4[...] = feval(t, d4(x), w)
+        z = dz(x)
+        s_z[...] = z
         if out is not None:
             out[j + 1] = z
     return z
@@ -427,16 +441,57 @@ class _Geometry(NamedTuple):
     coarse_tables: np.ndarray | None
 
 
+# the stable-substep search in an unstable solve's message stops here
+STABLE_SEARCH_CAP = 1 << 20
+
+
+def _rk4_radius(eigs: np.ndarray, hs) -> np.ndarray:
+    """Spectral radius of the RK4 amplification matrix R(hA) at each step
+    size in hs, from the eigenvalues of A: R is the degree-4 Taylor
+    polynomial of exp, so the eigenvalues of R(hA) are R(h lambda_i)."""
+    x = np.multiply.outer(np.atleast_1d(hs), eigs)
+    return np.abs(1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0)))).max(axis=1)
+
+
+def _stable_substeps(eigs: np.ndarray, omega: float, substeps: int) -> int | None:
+    """Fewest substeps above `substeps` at which RK4 is stable, searched
+    in blocks of doubling length up to STABLE_SEARCH_CAP; None if none."""
+    lo = substeps + 1
+    while lo <= STABLE_SEARCH_CAP:
+        ms = np.arange(lo, min(2 * lo, STABLE_SEARCH_CAP + 1))
+        stable = np.flatnonzero(_rk4_radius(eigs, omega / ms) < 1.0)
+        if len(stable):
+            return int(ms[stable[0]])
+        lo = 2 * lo
+    return None
+
+
 def _interval_geometry(sys: EpcagSystem, substeps: int) -> _Geometry:
+    """The solve's geometry. Refuses substeps whose RK4 step is not stable
+    (spectral radius of R(hA) at least 1), where burn-in would grow a
+    finite but wrong answer; drops the coarse start where its own longer
+    step is not stable."""
     omega = sys.schedule.omega
     tau = sys.schedule.zeta_fraction * omega
     h = omega / substeps
+    eigs = np.linalg.eigvals(sys.a)
+    rho = float(_rk4_radius(eigs, h)[0])
+    if not rho < 1.0:
+        stable = _stable_substeps(eigs, omega, substeps)
+        fix = (f"{stable} substeps are the fewest that are stable" if stable
+               else f"no count up to {STABLE_SEARCH_CAP} is stable")
+        raise OutOfRangeError(
+            f"RK4 at {substeps} substeps per interval is unstable for this matrix "
+            f"(spectral radius of R(hA) {rho:.6g} >= 1); {fix}"
+        )
     j_full = min(int(math.floor(tau / h + 1e-9)), substeps)
     part = tau - j_full * h
     if part < 1e-13 * omega:
         part = 0.0
     n_coarse = math.ceil(tau / (COARSE_START_RATIO * h))
     coarse_h = tau / n_coarse if n_coarse else 0.0
+    if n_coarse and not _rk4_radius(eigs, coarse_h)[0] < 1.0:
+        n_coarse, coarse_h = 0, 0.0
     return _Geometry(
         substeps, h, j_full, part, n_coarse, coarse_h,
         _rk4_tables(sys.a, h),
@@ -472,6 +527,12 @@ def step_interval(
     pass; the rest of the interval is marched from there with the
     converged w. Returns (samples on the substep grid, w_k, inner
     iteration count).
+
+    Raises OutOfRangeError when the RK4 step h = omega / substeps is not
+    stable for A (the spectral radius of R(hA) is 1 or more), naming the
+    fewest substeps that are; the coarse start is skipped where its own
+    step is not stable. The a-priori bound check on the samples belongs
+    to solve_bounded.
     """
     z0 = np.asarray(z0, dtype=float)
     geo = _interval_geometry(sys, substeps)
@@ -576,7 +637,9 @@ def solve_bounded(
     Requires (A4). `pad` lead-in intervals (defaulted from the
     contraction margin so the associated bound sits below tol) are
     solved and discarded; an explicit pad whose transient/truncation
-    bound exceeds tol raises PadTooSmallError.
+    bound exceeds tol raises PadTooSmallError. Samples whose norm
+    exceeds M_phi plus that bound raise InnerDivergenceError; burn-in
+    also refuses substeps at which RK4 is unstable (step_interval).
     """
     k_lo, k_hi = t_window
     if not (isinstance(k_lo, int) and isinstance(k_hi, int) and k_lo < k_hi):
@@ -598,6 +661,12 @@ def solve_bounded(
     samples, frozen, counts = solve(sys, k_lo, k_hi, pad, substeps)
     meta = {"method": method, **counts, "pad": pad, "tail_bound": bound}
     meta["sup_norm"] = float(np.max(np.linalg.norm(samples, axis=1)))
+    limit = solution_bound(sys) + bound
+    if not meta["sup_norm"] <= limit:
+        raise InnerDivergenceError(
+            f"{method} samples reach norm {meta['sup_norm']:.6g}, above the a-priori "
+            f"bound M_phi + tail bound {limit:.6g}"
+        )
     meta["k_window"] = (k_lo, k_hi)
     meta["omega"] = omega
     meta["origin"] = sys.schedule.origin

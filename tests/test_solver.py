@@ -292,6 +292,72 @@ class TestRk4Tables:
         assert np.abs(w - want_w).max() <= 1e-13 * scale
 
 
+def legacy_rk4_march(feval, tables, t, z, w, alpha, h, steps, out=None):
+    """_rk4_march as it stood before its per-step dispatch was trimmed:
+    module-level np.dot, slot writes by index and t + h / 2.0 per stage."""
+    slots = np.zeros((6, len(z)))
+    slots[0], slots[1] = z, alpha
+    x = slots.reshape(-1)
+    t2, t3, t4, tz = tables
+    for j in range(steps):
+        slots[2] = feval(t, z, w)
+        slots[3] = feval(t + h / 2.0, np.dot(t2, x), w)
+        slots[4] = feval(t + h / 2.0, np.dot(t3, x), w)
+        slots[5] = feval(t + h, np.dot(t4, x), w)
+        z = np.dot(tz, x)
+        slots[0] = z
+        t += h
+        if out is not None:
+            out[j + 1] = z
+    return z
+
+
+class TestRk4Kernel:
+    """The march kernel gives the legacy kernel's output bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("with_out", [True, False])
+    def test_march_is_bit_identical_to_the_legacy_kernel(self, dim, with_out):
+        rng = np.random.default_rng(100 + dim)
+        a = non_normal_hurwitz(rng, dim)
+        f = coupled_contract(dim).eval
+        z0, w, alpha = rng.standard_normal((3, dim))
+        h, steps = 0.0075, 150
+        tables = solver._rk4_tables(a, h)
+        outs = [np.full((steps + 1, dim), np.nan) if with_out else None for _ in range(2)]
+        ends = [march(f, tables, 0.3, z0.copy(), w, alpha, h, steps, out=out)
+                for march, out in zip((solver._rk4_march, legacy_rk4_march), outs)]
+        np.testing.assert_array_equal(ends[0], ends[1])
+        if with_out:
+            np.testing.assert_array_equal(outs[0][1:], outs[1][1:])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_partial_step_is_bit_identical(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        a = non_normal_hurwitz(rng, dim)
+        f = coupled_contract(dim).eval
+        z0, w, alpha = rng.standard_normal((3, dim))
+        part = 0.0031
+        tables = solver._rk4_tables(a, part)
+        got = solver._rk4_march(f, tables, 1.7, z0.copy(), w, alpha, part, 1)
+        np.testing.assert_array_equal(got, legacy_rk4_march(f, tables, 1.7, z0.copy(), w, alpha, part, 1))
+
+    def test_burn_in_solves_are_bit_identical(self, homo, het, monkeypatch):
+        def solves():
+            return [solve_bounded(sc.system, (-3, 3), method="burn_in") for sc in (homo, het)]
+
+        new = solves()
+        monkeypatch.setattr(solver, "_rk4_march", legacy_rk4_march)
+        old = solves()
+        for got, want in zip(new, old):
+            np.testing.assert_array_equal(got.samples, want.samples)
+            assert [k for k, _ in got.frozen_args] == [k for k, _ in want.frozen_args]
+            for (_, wg), (_, ww) in zip(got.frozen_args, want.frozen_args):
+                np.testing.assert_array_equal(wg, ww)
+            assert got.meta["inner_iterations"] == want.meta["inner_iterations"]
+            assert got.meta["f_evals"] == want.meta["f_evals"]
+
+
 class TestStepInterval:
     def test_a_misleading_carried_estimate_is_dropped(self, homo):
         # dG/dw has norm 0.003 on this interval: a carried J = 0.95 I
@@ -404,6 +470,65 @@ class TestStepInterval:
         )
         with pytest.raises(InnerDivergenceError):
             step_interval(sys, 0, np.array([1.0, 1.0]), max_inner=20)
+
+
+def stiff_system():
+    """A = -50 I with its exact envelope, omega 3 and zeta half-way: at 40
+    substeps h lambda = -3.75 lies outside RK4's stability interval
+    (about (-2.785, 0)); the bounded solution is the constant 0.015."""
+    return assemble_system(
+        -50.0 * np.eye(2),
+        make_schedule(3.0, 0.0, 0.5),
+        zero_contract(2),
+        constant_driver(),
+        envelope=DecayEnvelope(n_const=1.0, rate=50.0, validated_horizon=0.2, sample_count=0),
+        spot_samples=0,
+    )
+
+
+class TestStabilityGuards:
+    def test_unstable_rk4_step_is_refused(self):
+        # R(-3.75) = 3.73; from 54 substeps h lambda = -2.78 and R = 0.989
+        sys = stiff_system()
+        fewest = "54 substeps are the fewest that are stable"
+        with pytest.raises(OutOfRangeError, match=fewest):
+            solve_bounded(sys, (-3, 3), 40, method="burn_in")
+        with pytest.raises(OutOfRangeError, match=fewest):
+            step_interval(sys, 0, np.zeros(2), substeps=53)
+        traj = solve_bounded(sys, (-3, 3), 54, method="burn_in")
+        assert traj.meta["sup_norm"] <= solution_bound(sys) + traj.meta["tail_bound"]
+        # picard needs no stable step and stays exact
+        pic = solve_bounded(sys, (-3, 3), 40)
+        assert np.abs(pic.samples - 0.015).max() <= 1e-12
+
+    def test_unstable_coarse_step_drops_the_coarse_start(self):
+        # at 54 substeps the coarse start would take two steps of 0.75
+        geo = solver._interval_geometry(stiff_system(), 54)
+        assert (geo.n_coarse, geo.coarse_h, geo.coarse_tables) == (0, 0.0, None)
+
+    def test_radius_is_that_of_the_step_table(self, homo):
+        geo = solver._interval_geometry(homo.system, 200)
+        table_rho = np.abs(np.linalg.eigvals(geo.tables[3][:, :2])).max()
+        rho = solver._rk4_radius(np.linalg.eigvals(homo.system.a), geo.h)[0]
+        assert rho == pytest.approx(table_rho, rel=1e-12)
+        assert rho == pytest.approx(0.99626, abs=5e-6)
+
+    @pytest.mark.parametrize("method", ["picard", "burn_in"])
+    def test_samples_above_the_a_priori_bound_are_refused(self, method):
+        # f = 5 everywhere against a declared bound of 0.01: M_phi is
+        # 1.42 while the solution sits at norm 8.1; only the spot check,
+        # switched off here, would have caught the contract
+        liar = custom_contract(lambda t, x, y: np.full(2, 5.0), 0.01, 0.0, 0.0)
+        sys = assemble_system(-np.eye(2), make_schedule(1.5, 0.0, 1.0 / 3.0), liar, constant_driver(),
+                              envelope=DecayEnvelope(n_const=1.0, rate=1.0, validated_horizon=10.0,
+                                                     sample_count=0),
+                              spot_samples=0)
+        with pytest.raises(InnerDivergenceError, match="above the a-priori bound M_phi"):
+            solve_bounded(sys, (-3, 3), 32, method=method)
+
+    def test_reference_passes_with_room(self, homo, homo_traj):
+        assert homo_traj.meta["sup_norm"] == pytest.approx(2.37, abs=0.01)
+        assert solution_bound(homo.system) == pytest.approx(16.24, abs=0.01)
 
 
 class TestSolveBounded:

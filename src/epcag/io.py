@@ -563,9 +563,9 @@ def _run(spec: RunSpec) -> int:
         traj = solve_bounded(system, (-n.window, n.window), n.substeps, n.tol, n.method)
         _emit(out / "trajectory.csv", export_trajectory_csv, traj)
         _emit(out / "frozen_args.csv", export_frozen_csv, traj)
-        coarse, passes = traj.meta.get("coarse_deltas"), traj.meta.get("inner_iterations")
-        if coarse:
-            stage = f" ({len(coarse)} coarse at {traj.meta['coarse_substeps']} substeps)"
+        levels, passes = traj.meta.get("levels"), traj.meta.get("inner_iterations")
+        if levels:
+            stage = f" (after {', '.join(f'{len(d)} at {m_l}' for m_l, _, d in levels)} substeps)"
         elif passes:
             stage = f" at most, {sum(passes)} inner passes over {len(passes)} intervals"
         else:

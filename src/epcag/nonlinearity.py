@@ -38,8 +38,10 @@ def eval_many(contract: NonlinearityContract, ts, xs, ys) -> np.ndarray:
     if contract.eval_batch is not None:
         return contract.eval_batch(ts, xs, ys)
     out = np.empty_like(xs)
-    for i in range(len(ts)):
-        out[i] = contract.eval(float(ts[i]), xs[i], ys[i])
+    # contracts take a Python float time and 1-D row views
+    f = contract.eval
+    for t, x, y, row in zip(ts.tolist(), xs, ys, out):
+        row[...] = f(t, x, y)
     return out
 
 

@@ -15,11 +15,17 @@ picard
     a composite Simpson rule, but needs neither off-grid midpoints nor
     growing backward factors exp(-A tau). Successive iterates contract
     with factor at most kappa_pi; iteration stops when they differ by
-    <= 1e-10 in the sup norm. From 32 substeps up, the sweeps start from
-    a solve on the same intervals at a quarter of the substeps, carried
-    to the requested grid by interval-local cubic interpolation (nested
-    iteration); the fixed point and the stop rule are those of a start
-    from zero, and the early sweeps cost a quarter as much.
+    <= 1e-10 in the sup norm. The sweeps run as nested iteration over the
+    grids m, m/4, m/16, ... of at least MIN_SUBSTEPS substeps each,
+    coarsest first and from zero (full multigrid's cascade, Brandt 1977).
+    A coarse grid of m_l substeps stops once its delta is
+    <= 1e-10 (m/m_l)^4: its 4th-order solution is that much less accurate,
+    so sweeping it further buys nothing. It hands the next grid the
+    convolution of its last sweep's integrand, refined by interval-local
+    cubic interpolation, which is one more sweep for the price of a
+    convolution and no contract call. The requested grid keeps the stop
+    rule and fixed point of a start from zero; the coarse sweeps cost a
+    quarter, a sixteenth, ... as much.
 
 burn_in
     Marches interval solvers forward from zero initial data `pad`
@@ -315,11 +321,13 @@ def _picard_cap(sys: EpcagSystem) -> int:
     return max(PICARD_MAX_ITERS, math.ceil(2.0 * math.log(PICARD_STOP) / math.log(kappa)))
 
 
-def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray):
+def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray,
+                   stop: float = PICARD_STOP):
     """Picard sweeps on the grid of psi (n_int, m+1, dim), whose intervals
     start at node k0 and carry driver values alpha (n_int, dim), until
-    successive iterates differ by <= PICARD_STOP, for at most
-    _picard_cap sweeps. Returns the last iterate and the sweep deltas."""
+    successive iterates differ by <= stop, for at most _picard_cap
+    sweeps. Returns the last iterate, the sweep deltas and the last
+    sweep's integrand hv = f + alpha."""
     n_int, m1, dim = psi.shape
     m = m1 - 1
     ctx = _context(sys, m)
@@ -341,38 +349,44 @@ def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray
         deltas.append(delta)
         if not math.isfinite(delta):
             raise InnerDivergenceError("picard iteration produced non-finite values")
-        if delta <= PICARD_STOP:
-            return psi, deltas
+        if delta <= stop:
+            return psi, deltas, hv
     raise InnerDivergenceError(
-        f"picard iteration did not reach {PICARD_STOP:g} in {cap} sweeps "
+        f"picard iteration did not reach {stop:g} in {cap} sweeps "
         f"at {m} substeps"
     )
 
 
 def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
-    """Picard on [k_lo - pad, k_hi], started from a quarter-resolution
-    solve when that grid has at least 2 MIN_SUBSTEPS substeps."""
+    """Picard on [k_lo - pad, k_hi] by the cascade the module docstring
+    describes, over grids of m, m/4, m/16, ... substeps (floored, each at
+    least MIN_SUBSTEPS), coarsest first."""
     m, dim = substeps, sys.dim
     k0 = k_lo - pad
     n_int = k_hi - k0
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
-    m_coarse = m // 4 if m // 4 >= 2 * MIN_SUBSTEPS else 0
-    if m_coarse:
-        coarse, coarse_deltas = _picard_sweeps(sys, k0, alpha, np.zeros((n_int, m_coarse + 1, dim)))
-        start = _refine(coarse, m)
-    else:
-        coarse_deltas, start = [], np.zeros((n_int, m + 1, dim))
-    psi, deltas = _picard_sweeps(sys, k0, alpha, start)
+    grids = [m]
+    while grids[-1] // 4 >= MIN_SUBSTEPS:
+        grids.append(grids[-1] // 4)
+    grids.reverse()
+    levels = []
+    psi = np.zeros((n_int, grids[0] + 1, dim))
+    for m_l, m_next in zip(grids, grids[1:]):
+        stop = PICARD_STOP * (m / m_l) ** 4
+        _, deltas, hv = _picard_sweeps(sys, k0, alpha, psi, stop)
+        levels.append((m_l, stop, tuple(deltas)))
+        # the next grid starts one sweep on, at the cost of a convolution
+        psi = _convolve(_context(sys, m_next), _refine(hv, m_next))
+    psi, deltas, _ = _picard_sweeps(sys, k0, alpha, psi)
 
     j0, lw = _cubic_stencils(sys.schedule.zeta_fraction * m, m)
     w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
     frozen = tuple((k0 + i, w[i].copy()) for i in range(pad, n_int))
     samples = np.concatenate([psi[pad:, :m, :].reshape(-1, dim), psi[-1, m][None]])
-    # one contract row per grid point per sweep, at either level
-    f_evals = n_int * (len(deltas) * (m + 1) + len(coarse_deltas) * (m_coarse + 1))
+    # one contract row per grid point per sweep, on every level
+    rows = sum(len(d) * (m_l + 1) for m_l, _, d in levels) + len(deltas) * (m + 1)
     sweeps = {"iterations": len(deltas), "iterate_deltas": tuple(deltas),
-              "coarse_deltas": tuple(coarse_deltas), "coarse_substeps": m_coarse,
-              "f_evals": f_evals}
+              "levels": tuple(levels), "f_evals": n_int * rows}
     return samples, frozen, sweeps
 
 

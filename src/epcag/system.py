@@ -17,6 +17,7 @@ with w the interval length. (A5) implies (A4).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ SPOT_CHECK_SEED = 20260814
 
 # relative slack allowed on sampled bound/Lipschitz quotients
 SPOT_CHECK_SLACK = 1e-6
+
+# (count, dim) pairs whose spot-check draws are kept
+SPOT_DESIGN_CACHE_SIZE = 8
 
 # sampled points at which a contract's eval must reproduce its
 # eval_batch rows, and the relative agreement required
@@ -194,21 +198,21 @@ def assemble_system(
     return sys
 
 
-def _spot_check_contract(sys: EpcagSystem, count: int) -> None:
+@functools.lru_cache(maxsize=SPOT_DESIGN_CACHE_SIZE)
+def _spot_design(count: int, dim: int) -> tuple[np.ndarray, ...]:
+    """The spot check's seeded draws, read-only: times ts, the unit
+    directions and radial factors of the x and y balls, and the steps of
+    the Lipschitz quotients. Only the ball radius differs between
+    assemblies, so the stream is drawn once per (count, dim)."""
     rng = np.random.default_rng(SPOT_CHECK_SEED)
-    dim = sys.dim
-    f = sys.f
-    radius = 2.0 * solution_bound(sys)
-    slack = 1.0 + SPOT_CHECK_SLACK
 
     def _ball(n):
         v = rng.standard_normal((n, dim))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        r = radius * rng.random(n) ** (1.0 / dim)
-        return v * r[:, None]
+        return v, rng.random(n) ** (1.0 / dim)
 
     ts = rng.uniform(-60.0, 60.0, count)
-    xs, ys = _ball(count), _ball(count)
+    x_ball, y_ball = _ball(count), _ball(count)
     # Lipschitz quotients: per sample a random direction plus each
     # coordinate axis, so directional structure cannot hide behind
     # averaging; per sample the stream gives the random direction, then
@@ -220,6 +224,22 @@ def _spot_check_contract(sys: EpcagSystem, count: int) -> None:
         dirs[i, 0] = rng.standard_normal(dim)
         lengths[i] = rng.random(dim + 1)
     steps = dirs / np.linalg.norm(dirs, axis=2, keepdims=True) * (1e-3 + lengths * 0.5)[:, :, None]
+    design = (ts, *x_ball, *y_ball, steps)
+    for arr in design:
+        arr.flags.writeable = False
+    return design
+
+
+def _spot_check_contract(sys: EpcagSystem, count: int) -> None:
+    dim = sys.dim
+    f = sys.f
+    radius = 2.0 * solution_bound(sys)
+    slack = 1.0 + SPOT_CHECK_SLACK
+    ts, x_dirs, x_radii, y_dirs, y_radii, steps = _spot_design(count, dim)
+    # contracts get writable arrays of their own
+    ts = ts.copy()
+    xs = x_dirs * (radius * x_radii)[:, None]
+    ys = y_dirs * (radius * y_radii)[:, None]
 
     val = np.asarray(eval_many(f, ts, xs, ys), dtype=float)
     if f.eval_batch is not None:

@@ -438,7 +438,9 @@ class TestRun:
         assert len(frozen_lines) == 7
         assert "sup norm" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("substeps, stage", [(64, r" \(\d+ coarse at 16 substeps\)"), (20, "")])
+    @pytest.mark.parametrize("substeps, stage", [
+        (64, r" \(after \d+ at 4, \d+ at 16 substeps\)"), (20, r" \(after \d+ at 5 substeps\)"), (15, ""),
+    ])
     def test_solve_reports_the_coarse_stage(self, tmp_path, capsys, substeps, stage):
         cfg = reference_config("solve", out_dir=str(tmp_path),
                                numeric={"window": 3, "substeps": substeps})

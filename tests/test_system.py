@@ -28,6 +28,7 @@ from epcag import (
     unstable_gap_bound,
     zero_contract,
 )
+from epcag import system
 from epcag.errors import (
     AssumptionFailureError,
     ContractViolatedError,
@@ -101,6 +102,32 @@ class TestContracts:
         eval = example_contract().eval
         for t, x, y in zip(ts.tolist(), xs, ys):
             np.testing.assert_array_equal(eval(t, x, y), formula(t, x, y))
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_eval_many_walks_rows_like_the_index_loop(self, strided):
+        # the per-index loop eval_many ran before walking rows with zip:
+        # the contract sees the same float times and 1-D row views
+        calls = []
+
+        def recording(t, x, y):
+            calls.append((type(t), t, type(x), x.shape, x.tolist(), type(y), y.shape, y.tolist()))
+            return example_contract().eval(t, x, y)
+
+        rng = np.random.default_rng(19)
+        ts, xs, ys = rng.uniform(-30, 30, 60), rng.normal(size=(60, 4)), rng.normal(size=(60, 4))
+        if strided:
+            ts, xs, ys = ts[::3], xs[::3, 1::2], ys[::3, ::2]
+        else:
+            ts, xs, ys = ts[:20], np.ascontiguousarray(xs[:20, :2]), np.ascontiguousarray(ys[:20, :2])
+        assert xs.flags.c_contiguous is not strided
+        got = eval_many(custom_contract(recording, 1.1, 0.03, 0.01), ts, xs, ys)
+        seen = calls[:]
+        calls.clear()
+        want = np.empty_like(xs)
+        for i in range(len(ts)):
+            want[i] = recording(float(ts[i]), xs[i], ys[i])
+        assert seen == calls
+        np.testing.assert_array_equal(got, want)
 
     def test_zero_contract(self):
         c = zero_contract(2)
@@ -176,6 +203,38 @@ class TestAssembly:
                 envelope=reference_envelope(),
             )
         assert str(caught.value) == message
+
+    def test_spot_design_is_shared_between_assemblies(self):
+        # systems of different radius 2 M_phi draw from one cached design;
+        # assembling them in either order passes contracts the same
+        # writable arrays, and the design itself stays read-only
+        def recorded(sys_parts):
+            seen = []
+            honest = example_contract()
+
+            def batch(ts, xs, ys):
+                assert ts.flags.writeable and xs.flags.writeable and ys.flags.writeable
+                seen.append((ts.copy(), xs.copy(), ys.copy()))
+                return honest.eval_batch(ts, xs, ys)
+
+            f = custom_contract(honest.eval, *sys_parts, eval_batch=batch)
+            assemble_system(reference_matrix(), reference_schedule(), f, fixed_driver(),
+                            envelope=reference_envelope())
+            return seen
+
+        small, large = (1.07229, 0.03, 0.01), (2.5, 0.03, 0.01)
+        system._spot_design.cache_clear()
+        first = recorded(small), recorded(large)
+        system._spot_design.cache_clear()
+        second = recorded(large), recorded(small)
+        assert system._spot_design.cache_info().misses == 1
+        for a, b in zip(first, second[::-1]):
+            assert len(a) == len(b) == 3
+            for call_a, call_b in zip(a, b):
+                for arr_a, arr_b in zip(call_a, call_b):
+                    np.testing.assert_array_equal(arr_a, arr_b)
+        assert not np.array_equal(first[0][0][1], first[1][0][1])
+        assert not any(arr.flags.writeable for arr in system._spot_design(1000, 2))
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_first_violation_in_sample_order(self, batched):

@@ -22,6 +22,7 @@ from .errors import (
     HorizonTooShortError,
     NonFiniteError,
     NotHurwitzError,
+    OutOfRangeError,
     OverflowRiskError,
 )
 
@@ -245,6 +246,30 @@ def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
 
 
+def _scaled_norms(ts: np.ndarray, norms: np.ndarray, rate: float) -> np.ndarray:
+    """||exp(A t)|| exp(rate t) at the samples of a norm scan.
+
+    The product is formed directly, and in log space where exp(rate t)
+    overflows. A norm below the smallest normal double has lost relative
+    digits to underflow (0 or a subnormal, whose ratio can read well off
+    the true one), so a scan that reaches one is refused, naming the
+    horizon that keeps every sample normal.
+    """
+    low = np.flatnonzero(norms < np.finfo(float).tiny)
+    if len(low):
+        i = int(low[0])
+        raise OutOfRangeError(
+            f"||exp(A t)|| = {norms[i]:.3g} at t = {ts[i]:.6g} is below the smallest normal "
+            f"double; scan to a horizon of at most {ts[i - 1]:.6g} instead of {ts[-1]:.6g}"
+        )
+    with np.errstate(over="ignore"):
+        growth = np.exp(rate * ts)
+    out = norms * growth
+    big = np.isinf(growth)
+    out[big] = np.exp(np.log(norms[big]) + rate * ts[big])
+    return out
+
+
 def estimate_decay_envelope(
     a,
     rate_margin: float = 0.02,
@@ -269,6 +294,9 @@ def estimate_decay_envelope(
         Scan length; must be >= 10 / |abscissa|. Default 12 / |abscissa|.
     samples : int
         Grid size of the scan.
+
+    Raises OutOfRangeError when a sampled norm falls below the smallest
+    normal double, naming the horizon that avoids it.
     """
     m = _as_square(a)
     if not (0.0 <= rate_margin < 1.0):
@@ -284,7 +312,7 @@ def estimate_decay_envelope(
         )
     rate = (1.0 - rate_margin) * abs(sigma)
     ts, norms = sample_norm_curve(m, horizon, samples)
-    sup = float(np.max(norms * np.exp(rate * ts)))
+    sup = float(np.max(_scaled_norms(ts, norms, rate)))
     n_const = max(1.0, math.ceil(sup * 100.0) / 100.0)
     return DecayEnvelope(
         n_const=n_const, rate=rate, validated_horizon=float(horizon), sample_count=samples
@@ -302,7 +330,9 @@ def validate_envelope(
     Samples [0, validated_horizon] at `grid_step` and reports the largest
     ratio ||exp(A t)|| exp(rate t) / n_const. Passes iff that ratio is
     <= 1 + slack. Use slack ~1e-2 for estimated envelopes (their constant
-    was rounded from a coarser grid) and ~1e-9 for analytic ones.
+    was rounded from a coarser grid) and ~1e-9 for analytic ones. Raises
+    OutOfRangeError when a sampled norm falls below the smallest normal
+    double, naming the horizon that avoids it.
     """
     m = _as_square(a)
     if grid_step <= 0.0 or not math.isfinite(grid_step):
@@ -318,7 +348,7 @@ def validate_envelope(
             )
     count = int(math.floor(envelope.validated_horizon / grid_step)) + 1
     ts, norms = sample_norm_curve(m, envelope.validated_horizon, count)
-    ratios = norms * np.exp(envelope.rate * ts) / envelope.n_const
+    ratios = _scaled_norms(ts, norms, envelope.rate) / envelope.n_const
     idx = int(np.argmax(ratios))
     max_ratio = float(ratios[idx])
     return EnvelopeValidation(

@@ -8,19 +8,28 @@ picard
         (Pi psi)(t) = int_{t_lo}^{t} exp(A(t-s)) [f(s, psi(s), psi(gamma(s))) + g(s, alpha)] ds
 
     on a uniform grid, truncated `pad` intervals before the requested
-    window. The convolution is advanced substep by substep with
-    exponentially weighted interpolatory 4-point quadrature (weights
-    precomputed once per matrix/step pair by Gauss-Legendre), which is
-    grid-restricted, respects the interval kinks, and is 4th order like
-    a composite Simpson rule, but needs neither off-grid midpoints nor
-    growing backward factors exp(-A tau). Successive iterates contract
-    with factor at most kappa_pi; iteration stops when they differ by
-    <= 1e-10 in the sup norm. The sweeps run as nested iteration over the
-    grids m, m/4, m/16, ... of at least MIN_SUBSTEPS substeps each,
-    coarsest first and from zero (full multigrid's cascade, Brandt 1977).
-    A coarse grid of m_l substeps stops once its delta is
-    <= 1e-10 (m/m_l)^4: its 4th-order solution is that much less accurate,
-    so sweeping it further buys nothing. It hands the next grid the
+    window. The convolution obeys I_{j+1} = exp(A h) I_j + q_j substep
+    by substep, with q_j from exponentially weighted interpolatory
+    4-point quadrature (weights precomputed once per matrix/step pair by
+    Gauss-Legendre), which is grid-restricted, respects the interval
+    kinks, and is 4th order like a composite Simpson rule, but needs no
+    off-grid midpoints. The recurrence is evaluated as a blocked scan
+    (Blelloch 1990) from forward powers exp(A j h) only, never the
+    growing backward factors exp(-A tau): one matrix product of every
+    block of up to CONVOLVE_BLOCK substeps with a block kernel, edge
+    stencils, carries between blocks, a doubling scan over
+    exp(A omega)^(2^s) for the node values, and one product adding
+    exp(A j h) times them, each product in row chunks that BLAS runs on
+    one thread. Successive iterates contract with factor at
+    most kappa_pi; iteration stops when they differ by at most
+    1e-10 min(1, (1 - kappa_pi) / kappa_pi) in the sup norm, which
+    bounds the iteration error kappa_pi / (1 - kappa_pi) delta by 1e-10.
+    The sweeps run as nested iteration over the grids m, m/4, m/16, ...
+    of at least MIN_SUBSTEPS substeps each, coarsest first and from zero
+    (full multigrid's cascade, Brandt 1977). A coarse grid of m_l
+    substeps stops at that stop times (m/m_l)^4: its 4th-order solution
+    is that much less accurate, so sweeping it further buys nothing. It
+    hands the next grid the
     convolution of its last sweep's integrand, refined by interval-local
     cubic interpolation, which is one more sweep for the price of a
     convolution and no contract call. The requested grid keeps the stop
@@ -161,6 +170,11 @@ def default_pad(sys: EpcagSystem, tol: float) -> int:
 
 # contexts kept for the most recent (matrix, omega, substeps) keys
 CONTEXT_CACHE_SIZE = 8
+# most substeps per block of _convolve's block kernel
+CONVOLVE_BLOCK = 16
+# largest m n k of one matrix product in _convolve: OpenBLAS runs larger
+# products on all its threads (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD)
+SERIAL_MATMUL_MNK = 1 << 18
 
 
 @functools.cache
@@ -175,36 +189,31 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Context:
+    """Forward powers e_pows[j] = exp(A j h), j = 0..m, the three 4-point
+    stencil weight sets, and the block tables _convolve applies them with."""
+
     def __init__(self, a: np.ndarray, omega: float, substeps: int):
         if substeps < MIN_SUBSTEPS:
             raise OutOfRangeError(_too_few_substeps(substeps))
-        self.h = omega / substeps
-        self.m_sub = substeps
+        h = omega / substeps
+        self.m_sub = m = substeps
         dim = a.shape[0]
-        h = self.h
 
-        # one stacked call: exp(A h), exp(-A h) and exp(A(h - tau)) at the
+        # one stacked call: exp(A h) and exp(A(h - tau)) at the
         # Gauss-Legendre nodes tau of the weights below
         gq, gw = _gauss_legendre()
         taus = (gq + 1.0) * (h / 2.0)
         wqs = gw * (h / 2.0)
-        exps = mat_exp(a, np.concatenate(([h, -h], h - taus)))
-        self.e_h, e_minus, e_taus = exps[0], exps[1], exps[2:]
-
-        pows = np.empty((substeps + 1, dim, dim))
-        negs = np.empty((substeps + 1, dim, dim))
+        exps = mat_exp(a, np.concatenate(([h], h - taus)))
+        self.e_h, e_taus = exps[0], exps[1:]
+        self.e_pows = pows = np.empty((m + 1, dim, dim))
         pows[0] = np.eye(dim)
-        negs[0] = np.eye(dim)
-        for j in range(substeps):
+        for j in range(m):
             pows[j + 1] = self.e_h @ pows[j]
-            negs[j + 1] = e_minus @ negs[j]
-        self.e_pows = pows
-        self.e_negpows = negs
 
         # interpolatory weights W_r = int_0^h exp(A(h-tau)) l_r(tau) dtau for
         # the cubic through the stencil nodes
-        def weights(offsets):
-            offs = np.asarray(offsets, dtype=float)
+        def weights(offs):
             ws = np.zeros((4, dim, dim))
             for r in range(4):
                 ell = np.ones_like(taus)
@@ -214,9 +223,31 @@ class _Context:
                 ws[r] = np.einsum("q,qab->ab", wqs * ell, e_taus)
             return ws
 
-        self.w_interior = weights([-h, 0.0, h, 2.0 * h])
+        self.w_interior = wi = weights([-h, 0.0, h, 2.0 * h])
         self.w_left = weights([0.0, h, 2.0 * h, 3.0 * h])
         self.w_right = weights([-2.0 * h, -h, 0.0, h])
+
+        # substeps 1..m-1 in nb blocks of b; block i reads grid points
+        # i b .. i b + b + 2 (clipped to m), and the kernel maps each of
+        # them to I_1..I_b of the recurrence run from zero over the block
+        self.n_blocks = nb = -(-(m - 1) // CONVOLVE_BLOCK)
+        self.block = b = -(-(m - 1) // nb)
+        self.windows = b * np.arange(nb)[:, None] + np.arange(b + 3)
+        kernel = np.zeros((b + 1, b + 3, dim, dim))
+        for t in range(b):
+            kernel[t + 1] = self.e_h @ kernel[t]
+            kernel[t + 1, t : t + 4] += wi
+        self.kernel = kernel[1:].transpose(1, 3, 0, 2).reshape((b + 3) * dim, b * dim)
+        # carries[i, j] = E^{(j - i) b} takes [I_1, block ends] to block starts
+        lag = np.arange(nb) - np.arange(nb)[:, None]
+        carries = np.where(lag[..., None, None] >= 0, pows[b * np.maximum(lag, 0)], 0.0)
+        self.carries = carries.transpose(0, 3, 1, 2).reshape(nb * dim, nb * dim)
+        # v @ e_rows[:, j dim : (j + 1) dim] = E^j v
+        self.e_rows = np.ascontiguousarray(pows.transpose(2, 0, 1)).reshape(dim, -1)
+        # substep 0 takes the left stencil; substep m-1 the right one, less
+        # the interior one the kernel gave it (reading point m for m + 1)
+        fix = self.w_right - np.stack([0 * wi[0], wi[0], wi[1], wi[2] + wi[3]])
+        self.edges = [w.transpose(0, 2, 1).reshape(4 * dim, dim) for w in (self.w_left, fix)]
 
 
 @functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
@@ -250,9 +281,21 @@ def _refine(psi: np.ndarray, m_sub: int) -> np.ndarray:
     m_sub substeps per interval; no stencil reaches across a node."""
     m = psi.shape[1] - 1
     j0, lw = _cubic_stencils(np.arange(m_sub + 1) * m / m_sub, m)
-    out = lw[:, 0, None] * psi[:, j0]
-    for r in range(1, 4):
-        out += lw[:, r, None] * psi[:, j0 + r]
+    interp = np.zeros((m_sub + 1, m + 1))
+    interp[np.arange(m_sub + 1)[:, None], j0[:, None] + np.arange(4)] = lw
+    return interp @ psi
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D a and b, in row chunks whose m n k stays at most
+    SERIAL_MATMUL_MNK, below OpenBLAS's threshold for threading a product.
+    A threaded product leaves its helper thread spinning, and on two CPUs
+    that halved the speed of the small products that followed (burn-in
+    after a Picard solve ran 1.8 times slower)."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    rows = max(1, SERIAL_MATMUL_MNK // b.size)
+    for i in range(0, a.shape[0], rows):
+        np.matmul(a[i : i + rows], b, out=out[i : i + rows])
     return out
 
 
@@ -263,71 +306,69 @@ def _convolve(ctx: _Context, hv: np.ndarray) -> np.ndarray:
     values (the integrand jumps at nodes). Returns I on the same grid;
     node values are shared between intervals, so I is continuous.
 
-    Every interval starts from zero with the same tables, so the local
-    integrals of all intervals are formed at once, one (n_int, m_sub)
-    array per state component, with each dim x dim table applied as
-    dim^2 elementwise products. The carries I(theta_k) then follow from
-    the n_int-step recurrence carry_{k+1} = E_omega carry_k + local_k(end).
+    Solves I_{j+1} = E I_j + q_j, with E = exp(A h) and q_j the stencil
+    integral over substep j, by forward powers of E only: one product of
+    every block window with the block kernel, the edge stencils, the
+    carries between blocks, the node values by a doubling scan over
+    E_omega^(2^s) (Blelloch 1990), and one product adding E^j times them.
     """
-    n_int, _, dim = hv.shape
-    m = ctx.m_sub
-    wi, wl, wr = ctx.w_interior, ctx.w_left, ctx.w_right
-    comps = [hv[:, :, b] for b in range(dim)]
-
-    # q_j = int over substep j of exp(A(t_{j+1}-s)) hv(s) ds, 4-point stencils
-    q = []
-    for a in range(dim):
-        qa = np.zeros((n_int, m))
-        for r in range(4):
-            for b, hb in enumerate(comps):
-                qa[:, 1 : m - 1] += wi[r, a, b] * hb[:, r : r + m - 2]
-                qa[:, 0] += wl[r, a, b] * hb[:, r]
-                qa[:, m - 1] += wr[r, a, b] * hb[:, m - 3 + r]
-        q.append(qa)
-
-    # local_j = E^{j+1} sum_{i<=j} E^{-(i+1)} q_i, the integral from the
-    # interval start with zero initial value, goes straight into out;
-    # dropping q and csum early keeps a sweep's temporaries few
-    neg = ctx.e_negpows[1 : m + 1]
-    pos = ctx.e_pows[1 : m + 1]
-    csum = [np.cumsum(sum(neg[:, a, b] * q[b] for b in range(dim)), axis=1) for a in range(dim)]
-    del q
-    out = np.empty_like(hv)
-    for a in range(dim):
-        out[:, 1:, a] = sum(pos[:, a, b] * csum[b] for b in range(dim))
-    del csum
-
-    # node values, then their propagation into every interval
-    e_omega = ctx.e_pows[m]
-    ends = out[:, m, :]
-    carry = np.zeros(dim)
-    for k in range(n_int):
-        out[k, 0] = carry
-        carry = e_omega @ carry + ends[k]
-    for a in range(dim):
-        out[:, 1:, a] += sum(pos[:, a, b] * out[:, :1, b] for b in range(dim))
+    n_int, m1, dim = hv.shape
+    m, b, nb = ctx.m_sub, ctx.block, ctx.n_blocks
+    flat = _serial_matmul(np.take(hv, ctx.windows, axis=1, mode="clip").reshape(n_int * nb, -1), ctx.kernel)
+    flat = flat.reshape(n_int, nb * b, dim)  # grid points 2, 3, ...
+    first = hv[:, :4].reshape(n_int, -1) @ ctx.edges[0]  # I_1
+    flat[:, m - 2] += hv[:, m - 3 :].reshape(n_int, -1) @ ctx.edges[1]
+    starts = np.concatenate([first[:, None], flat[:, b - 1 : (nb - 1) * b : b]], axis=1).reshape(n_int, -1)
+    carry = _serial_matmul(starts, ctx.carries).reshape(-1, dim)
+    flat += _serial_matmul(carry, ctx.e_rows[:, dim : (b + 1) * dim]).reshape(flat.shape)
+    # node values: inclusive prefix of the interval ends, doubled in log2 steps
+    ends = flat[:, m - 2].copy()
+    power, d = ctx.e_pows[m].T, 1
+    while d < n_int:
+        ends[d:] += ends[:-d] @ power
+        power, d = power @ power, 2 * d
+    nodes = np.concatenate([np.zeros((1, dim)), ends[:-1]])
+    out = _serial_matmul(nodes, ctx.e_rows).reshape(n_int, m1, dim)
+    out[:, 1] += first
+    out[:, 2:] += flat[:, : m - 1]
     return out
+
+
+def _kappa_pi(sys: EpcagSystem) -> float:
+    """Contraction factor of the solution operator, N (L1 + L2) / lambda."""
+    return _a4(sys.envelope, sys.f)[0] / sys.envelope.rate
+
+
+def _picard_stop(sys: EpcagSystem) -> float:
+    """Stop for the requested grid: PICARD_STOP times min(1, (1 - kappa_pi)
+    / kappa_pi). Successive iterates delta apart leave an iteration error
+    of at most kappa_pi / (1 - kappa_pi) delta (the contraction mapping
+    theorem's a-posteriori bound), so at most PICARD_STOP at this stop
+    whatever kappa_pi is; kappa_pi <= 1/2 keeps PICARD_STOP itself."""
+    kappa = _kappa_pi(sys)
+    return PICARD_STOP * (1.0 - kappa) / kappa if kappa > 0.5 else PICARD_STOP
 
 
 def _picard_cap(sys: EpcagSystem) -> int:
     """Most Picard sweeps to run: twice the sweeps in which the contraction
-    factor kappa_pi = N (L1 + L2) / lambda shrinks a delta by PICARD_STOP,
-    and never fewer than PICARD_MAX_ITERS. Near the (A4) limit kappa_pi
-    nears 1 and the cap grows without bound."""
-    lhs, _ = _a4(sys.envelope, sys.f)
-    kappa = lhs / sys.envelope.rate
+    factor kappa_pi shrinks a delta to _picard_stop, and never fewer than
+    PICARD_MAX_ITERS. Near the (A4) limit kappa_pi nears 1 and the cap
+    grows without bound."""
+    kappa = _kappa_pi(sys)
     if not 0.0 < kappa < 1.0:
         return PICARD_MAX_ITERS
-    return max(PICARD_MAX_ITERS, math.ceil(2.0 * math.log(PICARD_STOP) / math.log(kappa)))
+    return max(PICARD_MAX_ITERS, math.ceil(2.0 * math.log(_picard_stop(sys)) / math.log(kappa)))
 
 
 def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray,
-                   stop: float = PICARD_STOP):
+                   stop: float | None = None):
     """Picard sweeps on the grid of psi (n_int, m+1, dim), whose intervals
     start at node k0 and carry driver values alpha (n_int, dim), until
-    successive iterates differ by <= stop, for at most _picard_cap
-    sweeps. Returns the last iterate, the sweep deltas and the last
-    sweep's integrand hv = f + alpha."""
+    successive iterates differ by <= stop (default _picard_stop), for at
+    most _picard_cap sweeps. Returns the last iterate, the sweep deltas
+    and the last sweep's integrand hv = f + alpha."""
+    if stop is None:
+        stop = _picard_stop(sys)
     n_int, m1, dim = psi.shape
     m = m1 - 1
     ctx = _context(sys, m)
@@ -337,14 +378,17 @@ def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray
 
     deltas: list[float] = []
     cap = _picard_cap(sys)
+    # one integrand and one difference array serve every sweep; fresh
+    # ones each sweep would fault in new pages every time
+    hv, d = np.empty_like(psi), np.empty_like(psi)
     for _ in range(cap):
         w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
         ys = np.repeat(w, m1, axis=0)
-        fv = eval_many(sys.f, ts_flat, psi.reshape(-1, dim), ys).reshape(n_int, m1, dim)
-        hv = fv + alpha[:, None, :]
+        fv = eval_many(sys.f, ts_flat, psi.reshape(-1, dim), ys)
+        np.add(fv.reshape(n_int, m1, dim), alpha[:, None, :], out=hv)
         new = _convolve(ctx, hv)
-        d = new - psi
-        delta = math.sqrt(float(np.max(np.einsum("ijk,ijk->ij", d, d))))
+        np.subtract(new, psi, out=d)
+        delta = math.sqrt(float(sum(d[..., k] ** 2 for k in range(dim)).max()))
         psi = new
         deltas.append(delta)
         if not math.isfinite(delta):
@@ -371,8 +415,9 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
     grids.reverse()
     levels = []
     psi = np.zeros((n_int, grids[0] + 1, dim))
+    base = _picard_stop(sys)
     for m_l, m_next in zip(grids, grids[1:]):
-        stop = PICARD_STOP * (m / m_l) ** 4
+        stop = base * (m / m_l) ** 4
         _, deltas, hv = _picard_sweeps(sys, k0, alpha, psi, stop)
         levels.append((m_l, stop, tuple(deltas)))
         # the next grid starts one sweep on, at the cost of a convolution

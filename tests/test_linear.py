@@ -34,6 +34,7 @@ from epcag.errors import (
     HorizonTooShortError,
     NonFiniteError,
     NotHurwitzError,
+    OutOfRangeError,
     OverflowRiskError,
 )
 from epcag.linear import _THETA, _spectral_norms
@@ -300,6 +301,34 @@ class TestEnvelope:
     def test_horizon_floor(self):
         with pytest.raises(HorizonTooShortError):
             estimate_decay_envelope(-np.eye(2), horizon=5.0)
+
+    def test_underflowing_scan_is_refused(self):
+        # ||exp(-20 t)|| falls below the smallest normal double at t = 35.43
+        # of the 4001-point scan to 60 that assembly runs, and 1517 samples
+        # are 0: their ratio to the exact envelope read nan, the subnormal
+        # ones a wrong finite value; the scan to 35.415 keeps every sample
+        a = -20.0 * np.eye(2)
+        env = DecayEnvelope(n_const=1.0, rate=20.0, validated_horizon=60.0, sample_count=0)
+        msg = r"at t = 35\.43 is below the smallest normal double; scan to a horizon of at most 35\.415 instead of 60"
+        with pytest.raises(OutOfRangeError, match=msg):
+            validate_envelope(a, env, 60.0 / 4000.0, 1e-9)
+        with pytest.raises(OutOfRangeError, match=msg):
+            estimate_decay_envelope(a, rate_margin=0.0, horizon=60.0)
+        orbit = epcag.build_orbit(epcag.logistic_map(4.0), "fixed", 0.75, k_min=-60, k_max=60)
+        with pytest.raises(OutOfRangeError, match=msg):
+            epcag.assemble_system(a, epcag.make_schedule(3.0, 0.0, 0.5), epcag.zero_contract(2),
+                                  epcag.pair_orbits(orbit, orbit), envelope=env)
+        shorter = DecayEnvelope(n_const=1.0, rate=20.0, validated_horizon=35.415, sample_count=0)
+        report = validate_envelope(a, shorter, 35.415 / 4000.0, 1e-9)
+        assert report.passed and report.max_ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_overflowing_growth_factor_takes_log_space(self):
+        # exp(1.01 t) overflows past t = 702.8 while exp(-t) is still a
+        # normal double: the ratio exp(0.01 t) stays finite (it read inf)
+        env = DecayEnvelope(n_const=1.0, rate=1.01, validated_horizon=705.0, sample_count=0)
+        report = validate_envelope(-np.eye(2), env, 705.0 / 4000.0)
+        assert not report.passed and report.t_at_max == 705.0
+        assert report.max_ratio == pytest.approx(math.exp(0.01 * 705.0), rel=1e-10)
 
     def test_envelope_field_guards(self):
         with pytest.raises(ValueError):

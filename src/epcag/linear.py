@@ -46,73 +46,41 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
-# diagonal Pade approximants r_m = q_m(A)^-1 p_m(A) for scaling and
-# squaring: coefficients b_0..b_m of p_m (q_m flips the odd signs), and
-# theta_m, the largest ||A||_1 at which r_m meets double precision
-# (Higham 2005, "The scaling and squaring method for the matrix
-# exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), Table 2.3)
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-
-
-def _pade(a: np.ndarray, degree: int) -> np.ndarray:
-    """r_degree(A) for each matrix of a stack."""
-    b = _PADE[degree]
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    if degree < 13:
-        pows = [eye, a2]
-        for _ in range(degree // 2 - 1):
-            pows.append(pows[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(pows))
-        v = sum(b[2 * k] * p for k, p in enumerate(pows))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    return np.linalg.solve(v - u, v + u)
+# the degree-13 diagonal Pade approximant r_13 = q_13(A)^-1 p_13(A) for
+# scaling and squaring: coefficients b_0..b_13 of p_13 (q_13 flips the odd
+# signs), divided by b_0 so that r_13(0) is I exactly, and theta_13, the
+# largest ||A||_1 at which r_13 meets double precision (Higham 2005, "The
+# scaling and squaring method for the matrix exponential revisited", SIAM
+# J. Matrix Anal. Appl. 26(4), Table 2.3)
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+]) / 64764752532480000.0
+_THETA13 = 5.371920351148152
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
     """exp of each matrix of an (n, m, m) stack by scaling and squaring.
 
-    Each matrix gets the lowest Pade degree whose theta covers its exact
-    1-norm; beyond theta_13 it is scaled by 2^-s into range, given
-    degree 13 and squared s times. Each matrix takes the same
-    operations as it would alone, so a stack equals its per-element
-    calls bit for bit.
+    Each matrix is scaled by 2^-s into ||.||_1 <= theta_13 (s = 0 when it
+    is already inside), given r_13 and squared s times. Each matrix takes
+    the same operations as it would alone, so a stack equals its
+    per-element calls bit for bit.
     """
     norms = np.abs(x).sum(axis=-2).max(axis=-1)
-    degrees = np.full(len(x), 13)
-    for d in (9, 7, 5, 3):
-        degrees[norms <= _THETA[d]] = d
-    squarings = np.zeros(len(x), dtype=int)
-    big = degrees == 13
-    squarings[big] = np.maximum(0, np.ceil(np.log2(norms[big] / _THETA[13]))).astype(int)
-    out = np.empty_like(x)
-    # not np.unique: its first call imports numpy.ma (about 1 MB per process)
-    for d in _PADE:
-        sel = degrees == d
-        if sel.any():
-            out[sel] = _pade(np.ldexp(x[sel], -squarings[sel, None, None]), d)
+    squarings = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).astype(int)
+    a = np.ldexp(x, -squarings[:, None, None])
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    eye = np.eye(x.shape[-1])
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    out = np.linalg.solve(v - u, v + u)
     for k in range(int(squarings.max(initial=0))):
         sel = squarings > k
         out[sel] = out[sel] @ out[sel]
@@ -131,9 +99,10 @@ def mat_exp(a, t=1.0) -> np.ndarray:
 
     Notes
     -----
-    Scaling and squaring with diagonal Pade approximants of degree 3, 5,
-    7, 9 or 13 (Higham 2005), on numpy's broadcasting matmul and solve;
-    each element of a stack equals its own scalar call bit for bit.
+    Scaling and squaring with the degree-13 diagonal Pade approximant
+    (Higham 2005), on numpy's broadcasting matmul and solve; each element
+    of a stack equals its own scalar call bit for bit, and exp(A 0) is I
+    exactly.
     Inputs whose logarithmic norm mu(A t) exceeds 700 are rejected
     outright: ||e^{At}|| <= e^{mu(At)} would overflow. The logarithmic
     norm, not ||A t||, is the right guard; a stiff Hurwitz matrix like

@@ -10,18 +10,18 @@ picard
     on a uniform grid, truncated `pad` intervals before the requested
     window. The convolution obeys I_{j+1} = exp(A h) I_j + q_j substep
     by substep, with q_j from exponentially weighted interpolatory
-    4-point quadrature (weights precomputed once per matrix/step pair by
-    Gauss-Legendre), which is grid-restricted, respects the interval
-    kinks, and is 4th order like a composite Simpson rule, but needs no
-    off-grid midpoints. The recurrence is evaluated as a blocked scan
-    (Blelloch 1990) from forward powers exp(A j h) only, never the
-    growing backward factors exp(-A tau): one matrix product of every
-    block of up to CONVOLVE_BLOCK substeps with a block kernel, edge
-    stencils, carries between blocks, a doubling scan over
-    exp(A omega)^(2^s) for the node values, and one product adding
-    exp(A j h) times them, each product in row chunks that BLAS runs on
-    one thread. Successive iterates contract with factor at
-    most kappa_pi; iteration stops when they differ by at most
+    4-point quadrature (weights precomputed once per matrix/step pair in
+    closed form, from the phi-functions of A h), which is
+    grid-restricted, respects the interval kinks, and is 4th order like
+    a composite Simpson rule, but needs no off-grid midpoints. The
+    recurrence is evaluated as a blocked scan (Blelloch 1990) from
+    forward powers exp(A j h) only, never the growing backward factors
+    exp(-A tau): one matrix product of every block of up to
+    CONVOLVE_BLOCK substeps with a block kernel, edge stencils, carries
+    between blocks, a doubling scan over exp(A omega)^(2^s) for the node
+    values, and one product adding exp(A j h) times them, each product
+    in row chunks that BLAS runs on one thread. Successive iterates
+    contract with factor at most kappa_pi; iteration stops when they differ by at most
     1e-10 min(1, (1 - kappa_pi) / kappa_pi) in the sup norm, which
     bounds the iteration error kappa_pi / (1 - kappa_pi) delta by 1e-10.
     The sweeps run as nested iteration over the grids m, m/4, m/16, ...
@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,7 +104,6 @@ INNER_MAX_ITERS = 100
 COARSE_START_RATIO = 16
 # a move of w below this share of |w| is rounding and updates no secant
 SECANT_FLOOR = 1e3 * np.finfo(float).eps
-GAUSS_POINTS = 16
 # fewest substeps per interval: five grid points hold the 5-point
 # residual stencil, and the 4-point quadrature stencils fit inside it
 MIN_SUBSTEPS = 4
@@ -177,17 +177,6 @@ CONVOLVE_BLOCK = 16
 SERIAL_MATMUL_MNK = 1 << 18
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """GAUSS_POINTS-point Gauss-Legendre nodes and weights on [-1, 1] by
-    Golub-Welsch: the eigenvalues of the Legendre Jacobi matrix, and
-    twice the squared first components of its eigenvectors."""
-    k = np.arange(1.0, GAUSS_POINTS)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return nodes, 2.0 * vecs[0] ** 2
-
-
 class _Context:
     """Forward powers e_pows[j] = exp(A j h), j = 0..m, the three 4-point
     stencil weight sets, and the block tables _convolve applies them with."""
@@ -199,33 +188,28 @@ class _Context:
         self.m_sub = m = substeps
         dim = a.shape[0]
 
-        # one stacked call: exp(A h) and exp(A(h - tau)) at the
-        # Gauss-Legendre nodes tau of the weights below
-        gq, gw = _gauss_legendre()
-        taus = (gq + 1.0) * (h / 2.0)
-        wqs = gw * (h / 2.0)
-        exps = mat_exp(a, np.concatenate(([h], h - taus)))
-        self.e_h, e_taus = exps[0], exps[1:]
+        # the exponential of [[hA, I, 0, 0, 0], [0, 0, I, 0, 0], ..., [0, 0,
+        # 0, 0, 0]] has the top block row [exp(hA), phi_1, .., phi_4](hA)
+        # (Saad 1992); moments[k] = int_0^h exp(A(h-tau)) (tau/h)^k dtau
+        # = h k! phi_{k+1}(hA)
+        aug = np.eye(5 * dim, k=dim)
+        aug[:dim, :dim] = h * a
+        top = mat_exp(aug)[:dim].reshape(dim, 5, dim).transpose(1, 0, 2)
+        self.e_h = top[0]
+        moments = h * np.array([1.0, 1.0, 2.0, 6.0])[:, None, None] * top[1:]
         self.e_pows = pows = np.empty((m + 1, dim, dim))
         pows[0] = np.eye(dim)
         for j in range(m):
             pows[j + 1] = self.e_h @ pows[j]
 
         # interpolatory weights W_r = int_0^h exp(A(h-tau)) l_r(tau) dtau for
-        # the cubic through the stencil nodes
-        def weights(offs):
-            ws = np.zeros((4, dim, dim))
-            for r in range(4):
-                ell = np.ones_like(taus)
-                for s_idx in range(4):
-                    if s_idx != r:
-                        ell *= (taus - offs[s_idx]) / (offs[r] - offs[s_idx])
-                ws[r] = np.einsum("q,qab->ab", wqs * ell, e_taus)
-            return ws
-
-        self.w_interior = wi = weights([-h, 0.0, h, 2.0 * h])
-        self.w_left = weights([0.0, h, 2.0 * h, 3.0 * h])
-        self.w_right = weights([-2.0 * h, -h, 0.0, h])
+        # the cubic through the stencil nodes (offsets in substeps): with V
+        # the Vandermonde matrix of the offsets, l_r(tau) = sum_k
+        # (V^-1)_{kr} (tau/h)^k, so W_r = sum_k (V^-1)_{kr} moments[k]
+        offsets = np.array([[-1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [-2.0, -1.0, 0.0, 1.0]])
+        inv = np.linalg.inv(offsets[..., None] ** np.arange(4))
+        wi, wl, wr = np.einsum("skr,kab->srab", inv, moments)
+        self.w_interior, self.w_left, self.w_right = wi, wl, wr
 
         # substeps 1..m-1 in nb blocks of b; block i reads grid points
         # i b .. i b + b + 2 (clipped to m), and the kernel maps each of
@@ -246,8 +230,8 @@ class _Context:
         self.e_rows = np.ascontiguousarray(pows.transpose(2, 0, 1)).reshape(dim, -1)
         # substep 0 takes the left stencil; substep m-1 the right one, less
         # the interior one the kernel gave it (reading point m for m + 1)
-        fix = self.w_right - np.stack([0 * wi[0], wi[0], wi[1], wi[2] + wi[3]])
-        self.edges = [w.transpose(0, 2, 1).reshape(4 * dim, dim) for w in (self.w_left, fix)]
+        fix = wr - np.stack([0 * wi[0], wi[0], wi[1], wi[2] + wi[3]])
+        self.edges = [w.transpose(0, 2, 1).reshape(4 * dim, dim) for w in (wl, fix)]
 
 
 @functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
@@ -691,7 +675,8 @@ def solve_bounded(
     method: str = "picard",
     pad: int | None = None,
 ) -> SampledTrajectory:
-    """Sample the unique bounded solution on node window [k_lo, k_hi].
+    """Sample the unique bounded solution on node window [k_lo, k_hi],
+    a pair of integral values (int, numpy integers).
 
     Requires (A4). `pad` lead-in intervals (defaulted from the
     contraction margin so the associated bound sits below tol) are
@@ -700,8 +685,11 @@ def solve_bounded(
     exceeds M_phi plus that bound raise InnerDivergenceError; burn-in
     also refuses substeps at which RK4 is unstable (step_interval).
     """
-    k_lo, k_hi = t_window
-    if not (isinstance(k_lo, int) and isinstance(k_hi, int) and k_lo < k_hi):
+    try:
+        k_lo, k_hi = map(operator.index, t_window)
+    except TypeError:
+        k_lo = k_hi = 0
+    if not k_lo < k_hi:
         raise OutOfRangeError(f"t_window must be an increasing pair of node indices, got {t_window!r}")
     _require_a4(sys.envelope, sys.f)
     if method not in ("picard", "burn_in"):

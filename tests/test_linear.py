@@ -37,7 +37,7 @@ from epcag.errors import (
     OutOfRangeError,
     OverflowRiskError,
 )
-from epcag.linear import _THETA, _spectral_norms
+from epcag.linear import _spectral_norms
 
 ROT_HALF = math.sqrt(15.0) / 2.0
 P = np.array([[0.0, 4.0], [-math.sqrt(15.0), 5.0]])
@@ -55,11 +55,19 @@ JORDAN_LAMBDA = -0.7
 JORDAN = np.array([[JORDAN_LAMBDA, 1.0], [0.0, JORDAN_LAMBDA]])
 
 
+# theta_3, theta_5, theta_7, theta_9 and theta_13 of Higham 2005, Table
+# 2.3: the 1-norms at which the Pade approximants of those degrees meet
+# double precision
+PADE_BAND_EDGES = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                   2.097847961257068e0, 5.371920351148152e0)
+
+
 def every_branch(a):
-    """Times at which ||A t||_1 lies in each Pade degree's band (3, 5, 7,
-    9, 13 unscaled) and well past theta_13 (13 with squarings), both signs."""
+    """Times at which ||A t||_1 is tiny, lies in each band between the
+    PADE_BAND_EDGES (unscaled), and lies well past theta_13 (with
+    squarings), both signs."""
     norm = np.abs(a).sum(axis=0).max()
-    edges = [_THETA[d] for d in (3, 5, 7, 9, 13)]
+    edges = PADE_BAND_EDGES
     ts = [0.5 * edges[0] / norm]
     ts += [0.5 * (lo + hi) / norm for lo, hi in zip(edges, edges[1:])]
     ts += [3.0 * edges[-1] / norm, 40.0 * edges[-1] / norm]

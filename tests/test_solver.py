@@ -213,13 +213,6 @@ def sequential_convolution(ctx, hv):
     return out
 
 
-def test_gauss_legendre_rule_matches_numpy():
-    nodes, weights = solver._gauss_legendre()
-    want_nodes, want_weights = np.polynomial.legendre.leggauss(solver.GAUSS_POINTS)
-    assert np.abs(nodes - want_nodes).max() <= 1e-14
-    assert np.abs(weights - want_weights).max() <= 1e-14
-
-
 class TestConvolve:
     N_INT = 50
     OMEGA = 1.5
@@ -231,22 +224,23 @@ class TestConvolve:
     @pytest.mark.parametrize("m", [4, 60, 200])
     @pytest.mark.parametrize("degree", [0, 3])
     def test_polynomial_integrands_are_exact(self, m, degree):
-        # the 4-point rule integrates cubics exactly, so only rounding is left
-        a = reference_matrix()
-        ctx = solver._Context(a, self.OMEGA, m)
+        # the 4-point rule integrates cubics exactly, so only rounding is
+        # left, however large h lambda is (up to 1125, at -3000 I and m = 4)
         span = self.N_INT * self.OMEGA
         base = [np.array([0.8, -0.3]), np.array([-1.1, 0.4]), np.array([0.5, 0.9]), np.array([0.7, -0.6])]
         coeffs = [c / span**k for k, c in enumerate(base[: degree + 1])]
         ts = self.grid(m)
         hv = sum(np.multiply.outer(ts**k, c) for k, c in enumerate(coeffs))
-        got = solver._convolve(ctx, hv)
         # every interval's nodes, and every grid point of the first, a middle and the last interval
         checks = [(k, 0) for k in range(self.N_INT)] + [
             (k, j) for k in (0, self.N_INT // 2, self.N_INT - 1) for j in range(1, m + 1)
         ]
-        want = cubic_convolution(a, coeffs, [ts[k, j] for k, j in checks])
-        err = np.abs(np.array([got[k, j] for k, j in checks]) - want).max()
-        assert err <= 1e-13 * np.abs(want).max()
+        for name, a in (("reference", reference_matrix()), ("-300 I", -300.0 * np.eye(2)),
+                        ("-3000 I", -3000.0 * np.eye(2))):
+            got = solver._convolve(solver._Context(a, self.OMEGA, m), hv)
+            want = cubic_convolution(a, coeffs, [ts[k, j] for k, j in checks])
+            err = np.abs(np.array([got[k, j] for k, j in checks]) - want).max()
+            assert err <= 1e-13 * np.abs(want).max(), name
 
     def test_context_takes_forward_exponentials_only(self, monkeypatch):
         # exp(-A t) grows like exp(lambda t) and overflows for a strongly
@@ -523,11 +517,14 @@ class TestStabilityGuards:
 
     def test_picard_solves_a_strongly_decaying_matrix(self):
         # at rate 300 exp(-A omega) = e^900 overflows; the convolution
-        # takes forward powers only and meets no overflow
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            traj = solve_bounded(stiff_system(300.0), (-3, 3), 200)
-        assert np.abs(traj.samples - 0.75 / 300.0).max() <= 1e-15
+        # takes forward powers only and meets no overflow. At rate 3000
+        # h lambda = 45, and the closed-form weights keep the samples exact
+        for rate in (300.0, 3000.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                traj = solve_bounded(stiff_system(rate), (-3, 3), 200)
+            want = 0.75 / rate
+            assert np.abs(traj.samples - want).max() <= 2e-15 * want, rate
 
     def test_unstable_coarse_step_drops_the_coarse_start(self):
         # at 54 substeps the coarse start would take two steps of 0.75
@@ -678,6 +675,10 @@ class TestSolveBounded:
             solve_bounded(homo.system, (2, -2))
         with pytest.raises(OutOfRangeError):
             solve_bounded(homo.system, (-1.5, 2.0))
+        # any integral type is a node index, and the meta keeps Python ints
+        traj = solve_bounded(homo.system, (np.int64(-2), np.int64(2)))
+        assert traj.meta["k_window"] == (-2, 2)
+        assert all(type(k) is int for k in traj.meta["k_window"])
 
     def test_unknown_method(self, homo):
         with pytest.raises(OutOfRangeError):

@@ -324,7 +324,8 @@ def _auto_range(spec: RunSpec, sys_parts) -> tuple[int, int]:
     # the scalar orbit is paired into both components
     map_sup = _logistic_sup((spec.driver.mu, spec.driver.mu))
     try:
-        pad = _lead_in_pad(envelope, contract, map_sup, spec.system.omega, spec.numeric.tol)
+        pad = _lead_in_pad(envelope, contract, map_sup, spec.system.omega, spec.system.zeta_fraction,
+                           spec.numeric.tol)
     except AssumptionFailureError:
         pad = 1  # no contraction margin: still build the system so that check can report it
     return _coverage_range(window, pad)

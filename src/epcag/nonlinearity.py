@@ -45,23 +45,11 @@ def eval_many(contract: NonlinearityContract, ts, xs, ys) -> np.ndarray:
     return out
 
 
-# module-level bindings: the scalar form runs once per RK4 stage, and a
-# module global is one lookup where math.exp is two
-_exp, _cos, _sin = math.exp, math.cos, math.sin
-_array = np.array
-
-
 def _example_eval(t: float, x, y) -> np.ndarray:
-    # Python floats: indexing an array per component costs more than the formula
-    x1, x2 = x.tolist()
-    y1, y2 = y.tolist()
     # e^t / (1 + e^t), stable on both half lines
-    if t >= 0.0:
-        sig = 1.0 / (1.0 + _exp(-t))
-    else:
-        e = _exp(t)
-        sig = e / (1.0 + e)
-    return _array([0.03 * _cos(x1) - 0.01 * _sin(y2) + sig, 0.02 * _sin(x2) + 0.01 * _cos(y1)])
+    sig = 1.0 / (1.0 + math.exp(-t)) if t >= 0.0 else math.exp(t) / (1.0 + math.exp(t))
+    return np.array([0.03 * math.cos(x[0]) - 0.01 * math.sin(y[1]) + sig,
+                     0.02 * math.sin(x[1]) + 0.01 * math.cos(y[0])])
 
 
 def _example_eval_batch(ts, xs, ys) -> np.ndarray:

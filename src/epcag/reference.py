@@ -68,7 +68,8 @@ def coverage_pad(tol: float = 1e-8) -> int:
     """Driver coverage needed left of the solve window, sized from the
     worst-case (mu = 4) solution bound so one figure fits every scenario."""
     map_sup = _logistic_sup((HETEROCLINIC_MU, HETEROCLINIC_MU))
-    return _lead_in_pad(reference_envelope(), example_contract(), map_sup, REFERENCE_OMEGA, tol) + 2
+    return _lead_in_pad(reference_envelope(), example_contract(), map_sup, REFERENCE_OMEGA,
+                        REFERENCE_ZETA_FRACTION, tol) + 2
 
 
 def homoclinic_driver(window: int = 30, tol: float = 1e-8) -> tuple[DriverOrbit, DriverOrbit]:

@@ -1,6 +1,6 @@
 """Bounded-solution solvers for the assembled system.
 
-Two independent routes to the unique bounded solution:
+Two routes to the unique bounded solution:
 
 picard
     Iterates the integral operator
@@ -37,33 +37,24 @@ picard
     quarter, a sixteenth, ... as much.
 
 burn_in
-    Marches interval solvers forward from zero initial data `pad`
-    intervals early and discards the transient. Each interval is solved
-    with classical fixed-step RK4 around an inner fixed point for the
-    frozen argument w_k = z(zeta_k). The inner loop takes quasi-Newton
-    steps from a secant (good Broyden) estimate of dz(zeta_k)/dw_k,
-    which changes slowly from interval to interval and so is carried
-    from each interval to the next; where the estimate's norm reaches 1,
-    outside the contraction regime of (A4), the step is the plain
-    fixed-point one. Where zeta_k > theta_k, the loop starts from two
-    plain fixed-point passes of a coarse RK4 march to zeta_k, with steps
-    of up to COARSE_START_RATIO fine steps (nested iteration); the fixed
-    point and the stop rule are those of a start from z(theta_k).
-    Samples up to the last grid point before zeta_k come from the last
-    inner pass, which the march to the interval end continues with the
-    settled w_k. Each RK4 step applies linear tables precomputed per
-    step size (_rk4_tables), once per solve (_interval_geometry).
-    Outside RK4's stability region (about (-2.785, 0) on the negative
-    real axis) the march grows a finite but wrong answer, so a solve
-    whose RK4 amplification matrix R(hA) has spectral radius >= 1 is
-    refused with OutOfRangeError naming the fewest stable substeps, and
-    the coarse start is skipped where its own longer step is unstable.
+    Marches from zero initial data `pad` intervals early, one interval
+    at a time, and discards the transient: an exponential integrator in
+    collocation form (Cox & Matthews 2002; Hochbruck & Ostermann 2010).
+    Interval k is solved by Picard's sweeps on that interval alone
+    (step_interval), z_j = exp(A j h) z(theta_k) + I_j with I the
+    convolution above, started from the free response exp(A j h)
+    z(theta_k) and stopped when successive sweeps differ by at most
+    INNER_DEFAULT_TOL. The linear part is exact, so no substep count is
+    unstable. Both methods solve the same discrete equations and differ
+    in the order of their sweeps and in their stops, so comparing them
+    checks the iteration and the truncation, not the quadrature.
 
-Both report their truncation/transient bound in the trajectory meta and
-refuse pads whose bound exceeds the requested tolerance. Every solve
-checks its samples against the a-priori bound M_phi plus that bound,
-which the bounded solution meets, and raises InnerDivergenceError above
-it: a contract that breaks its declared bound, or a march gone wrong.
+Both report their truncation/transient bound (_tail_bound) in the
+trajectory meta and refuse pads whose bound exceeds the requested
+tolerance. Every solve checks its samples against the a-priori bound
+M_phi plus that bound, which the bounded solution meets, and raises
+InnerDivergenceError above it: a contract that breaks its declared
+bound, or an iteration gone wrong.
 """
 
 from __future__ import annotations
@@ -72,7 +63,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +72,7 @@ from .errors import (
     OutOfRangeError,
     PadTooSmallError,
 )
-from .linear import _spectral_norms, mat_exp
+from .linear import mat_exp
 from .nonlinearity import eval_many
 from .schedule import locate
 from .system import (
@@ -90,7 +80,6 @@ from .system import (
     _a4,
     _require_a4,
     _solution_bound,
-    contraction_margin,
     map_supremum,
     solution_bound,
 )
@@ -100,10 +89,6 @@ PICARD_STOP = 1e-10
 PICARD_MAX_ITERS = 80
 INNER_DEFAULT_TOL = 1e-12
 INNER_MAX_ITERS = 100
-# burn-in's coarse start takes RK4 steps of at most this many fine steps
-COARSE_START_RATIO = 16
-# a move of w below this share of |w| is rounding and updates no secant
-SECANT_FLOOR = 1e3 * np.finfo(float).eps
 # fewest substeps per interval: five grid points hold the 5-point
 # residual stencil, and the 4-point quadrature stencils fit inside it
 MIN_SUBSTEPS = 4
@@ -130,27 +115,53 @@ class SampledTrajectory:
         return self.t0 + self.step * np.arange(len(self.samples))
 
 
-def _tail_bound(sys: EpcagSystem, pad: int) -> float:
-    """Bound on what starting from zero `pad` intervals early leaves in
-    the window: 2 N M_phi exp(-(lambda - N(L1+L2)) pad omega).
+# rates mu the tail bound is minimised over, evenly spaced in (0, the
+# largest at which q(mu) < 1 is possible)
+TAIL_RATES = 1024
+
+
+def _tail_rates(envelope, f, m_phi: float, omega: float, zeta_fraction: float):
+    """Rates mu on a grid in (0, lambda) with q(mu) = N (L1 + L2 e^{mu (1-c)
+    omega}) / (lambda - mu) below 1, c the zeta fraction, and the
+    prefactors N M_phi / (1 - q(mu)) of their tail bounds. Requires (A4).
 
     Both solvers return the solution of the initial-value problem that
-    starts from zero at the truncated grid start. Its distance to the
-    bounded solution decays at the contraction margin, not at lambda.
+    starts from zero at the truncated grid start t0. Its difference e to
+    the bounded solution has |e(t0)| <= M_phi, and the frozen argument
+    lags the state by up to (1-c) omega, so in the weighted norm
+    sup |e(t)| e^{mu (t - t0)} variation of constants gives
+    |e(t)| <= N M_phi / (1 - q(mu)) e^{-mu (t - t0)}. q(mu) < 1 needs mu
+    below the contraction margin lambda - N (L1 + L2), and
+    N L2 e^{mu (1-c) omega} below lambda; the grid spans up to both.
     """
-    margin = contraction_margin(sys)
-    return 2.0 * solution_bound(sys) * sys.envelope.n_const * math.exp(
-        -margin * pad * sys.schedule.omega
-    )
+    lam, n = envelope.rate, envelope.n_const
+    top = _require_a4(envelope, f)
+    lag = (1.0 - zeta_fraction) * omega
+    if f.lip_y and lag:
+        top = min(top, math.log(lam / (n * f.lip_y)) / lag)
+    mu = top * np.arange(1, TAIL_RATES) / TAIL_RATES
+    # with L2 = 0 the lag term is 0, and its exponential may overflow
+    lagged = f.lip_y * np.exp(mu * lag) if f.lip_y else 0.0
+    q = n * (f.lip_x + lagged) / (lam - mu)
+    ok = q < 1.0
+    return mu[ok], n * m_phi / (1.0 - q[ok])
 
 
-def _lead_in_pad(envelope, f, map_sup: float, omega: float, tol: float) -> int:
+def _tail_bound(sys: EpcagSystem, pad: int) -> float:
+    """Bound on what starting from zero `pad` intervals early leaves in
+    the window: the least N M_phi / (1 - q(mu)) e^{-mu pad omega} over
+    the rates of _tail_rates."""
+    omega = sys.schedule.omega
+    mu, pre = _tail_rates(sys.envelope, sys.f, solution_bound(sys), omega, sys.schedule.zeta_fraction)
+    return float(np.min(pre * np.exp(-mu * pad * omega)))
+
+
+def _lead_in_pad(envelope, f, map_sup: float, omega: float, zeta_fraction: float, tol: float) -> int:
     """Fewest intervals of lead-in whose tail bound is at most tol, from
     the parts of a system; driver coverage is sized with it before the
     system exists. Requires (A4)."""
-    margin = _require_a4(envelope, f)
-    m_phi = _solution_bound(envelope, f, map_sup)
-    return max(1, math.ceil(math.log(2.0 * m_phi * envelope.n_const / tol) / (margin * omega)))
+    mu, pre = _tail_rates(envelope, f, _solution_bound(envelope, f, map_sup), omega, zeta_fraction)
+    return max(1, math.ceil(float(np.min(np.log(pre / tol) / (mu * omega)))))
 
 
 def _coverage_range(window: int, pad: int) -> tuple[int, int]:
@@ -161,7 +172,8 @@ def _coverage_range(window: int, pad: int) -> tuple[int, int]:
 
 def default_pad(sys: EpcagSystem, tol: float) -> int:
     """Fewest intervals of lead-in whose tail bound is at most tol."""
-    return _lead_in_pad(sys.envelope, sys.f, map_supremum(sys.driver), sys.schedule.omega, tol)
+    sched = sys.schedule
+    return _lead_in_pad(sys.envelope, sys.f, map_supremum(sys.driver), sched.omega, sched.zeta_fraction, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +357,18 @@ def _picard_cap(sys: EpcagSystem) -> int:
 
 
 def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray,
-                   stop: float | None = None):
+                   stop: float | None = None, free: np.ndarray | None = None, cap: int | None = None):
     """Picard sweeps on the grid of psi (n_int, m+1, dim), whose intervals
     start at node k0 and carry driver values alpha (n_int, dim), until
     successive iterates differ by <= stop (default _picard_stop), for at
-    most _picard_cap sweeps. Returns the last iterate, the sweep deltas
-    and the last sweep's integrand hv = f + alpha."""
+    most cap sweeps (default _picard_cap). Each sweep is the convolution
+    of the integrand plus the free response `free` (zero by default).
+    Returns the last iterate, the sweep deltas and the last sweep's
+    integrand hv = f + alpha."""
     if stop is None:
         stop = _picard_stop(sys)
+    if cap is None:
+        cap = _picard_cap(sys)
     n_int, m1, dim = psi.shape
     m = m1 - 1
     ctx = _context(sys, m)
@@ -361,7 +377,6 @@ def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray
     j0, lw = _cubic_stencils(sys.schedule.zeta_fraction * m, m)
 
     deltas: list[float] = []
-    cap = _picard_cap(sys)
     # one integrand and one difference array serve every sweep; fresh
     # ones each sweep would fault in new pages every time
     hv, d = np.empty_like(psi), np.empty_like(psi)
@@ -371,12 +386,14 @@ def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray
         fv = eval_many(sys.f, ts_flat, psi.reshape(-1, dim), ys)
         np.add(fv.reshape(n_int, m1, dim), alpha[:, None, :], out=hv)
         new = _convolve(ctx, hv)
+        if free is not None:
+            new += free
         np.subtract(new, psi, out=d)
         delta = math.sqrt(float(sum(d[..., k] ** 2 for k in range(dim)).max()))
         psi = new
         deltas.append(delta)
         if not math.isfinite(delta):
-            raise InnerDivergenceError("picard iteration produced non-finite values")
+            raise InnerDivergenceError(f"non-finite samples in picard sweep {len(deltas)}")
         if delta <= stop:
             return psi, deltas, hv
     raise InnerDivergenceError(
@@ -419,130 +436,6 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
     return samples, frozen, sweeps
 
 
-def _rk4_tables(a: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of z' = A z + f + alpha as four linear maps
-    of x = [z, alpha, f1, f2, f3, f4], with f_i the contract at stage i:
-    stacked (4, dim, 6 dim) tables giving the stage states y2, y3, y4
-    and the new z. The stage formulas are applied to the block rows that
-    select each slot of x, so A is folded in once per step size."""
-    dim = a.shape[0]
-    z, alpha, *fs = np.eye(6 * dim).reshape(6, dim, 6 * dim)
-    k1 = a @ z + fs[0] + alpha
-    y2 = z + (h / 2.0) * k1
-    k2 = a @ y2 + fs[1] + alpha
-    y3 = z + (h / 2.0) * k2
-    k3 = a @ y3 + fs[2] + alpha
-    y4 = z + h * k3
-    k4 = a @ y4 + fs[3] + alpha
-    return np.stack([y2, y3, y4, z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)])
-
-
-def _rk4_march(feval, tables, t: float, z: np.ndarray, w, alpha, h: float, steps: int, out=None):
-    """`steps` RK4 steps of size h from z at t with w held; out[j] gets the
-    state after j steps. feval sees only fresh arrays, never a slot of x.
-    A step is at Python's dispatch floor: each table's bound .dot (about
-    twice as fast as @ on operands this small), slot rows bound once and
-    filled by row[...] = v, and the stage times from one midpoint sum and
-    one running t += h, the same float operations as t + h/2 and t + h.
-    The stage slots start at zero: a table's zero weight on a slot not yet
-    written would turn a NaN left in reused memory into a NaN stage."""
-    slots = np.zeros((6, len(z)))
-    slots[0], slots[1] = z, alpha
-    x = slots.reshape(-1)
-    s_z, _, s_f1, s_f2, s_f3, s_f4 = slots
-    d2, d3, d4, dz = (tab.dot for tab in tables)
-    half = h / 2.0
-    for j in range(steps):
-        s_f1[...] = feval(t, z, w)
-        mid = t + half
-        s_f2[...] = feval(mid, d2(x), w)
-        s_f3[...] = feval(mid, d3(x), w)
-        t += h
-        s_f4[...] = feval(t, d4(x), w)
-        z = dz(x)
-        s_z[...] = z
-        if out is not None:
-            out[j + 1] = z
-    return z
-
-
-class _Geometry(NamedTuple):
-    """The parts of an interval solve that a burn-in solve holds fixed:
-    m substeps of size h, j_full whole steps and a partial step `part`
-    (0 if none) from theta_k to zeta_k, n_coarse steps of size coarse_h
-    over the same span for the coarse start (0 if zeta_k = theta_k),
-    and the RK4 tables of each step size."""
-
-    m: int
-    h: float
-    j_full: int
-    part: float
-    n_coarse: int
-    coarse_h: float
-    tables: np.ndarray
-    part_tables: np.ndarray | None
-    coarse_tables: np.ndarray | None
-
-
-# the stable-substep search in an unstable solve's message stops here
-STABLE_SEARCH_CAP = 1 << 20
-
-
-def _rk4_radius(eigs: np.ndarray, hs) -> np.ndarray:
-    """Spectral radius of the RK4 amplification matrix R(hA) at each step
-    size in hs, from the eigenvalues of A: R is the degree-4 Taylor
-    polynomial of exp, so the eigenvalues of R(hA) are R(h lambda_i)."""
-    x = np.multiply.outer(np.atleast_1d(hs), eigs)
-    return np.abs(1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0)))).max(axis=1)
-
-
-def _stable_substeps(eigs: np.ndarray, omega: float, substeps: int) -> int | None:
-    """Fewest substeps above `substeps` at which RK4 is stable, searched
-    in blocks of doubling length up to STABLE_SEARCH_CAP; None if none."""
-    lo = substeps + 1
-    while lo <= STABLE_SEARCH_CAP:
-        ms = np.arange(lo, min(2 * lo, STABLE_SEARCH_CAP + 1))
-        stable = np.flatnonzero(_rk4_radius(eigs, omega / ms) < 1.0)
-        if len(stable):
-            return int(ms[stable[0]])
-        lo = 2 * lo
-    return None
-
-
-def _interval_geometry(sys: EpcagSystem, substeps: int) -> _Geometry:
-    """The solve's geometry. Refuses substeps whose RK4 step is not stable
-    (spectral radius of R(hA) at least 1), where burn-in would grow a
-    finite but wrong answer; drops the coarse start where its own longer
-    step is not stable."""
-    omega = sys.schedule.omega
-    tau = sys.schedule.zeta_fraction * omega
-    h = omega / substeps
-    eigs = np.linalg.eigvals(sys.a)
-    rho = float(_rk4_radius(eigs, h)[0])
-    if not rho < 1.0:
-        stable = _stable_substeps(eigs, omega, substeps)
-        fix = (f"{stable} substeps are the fewest that are stable" if stable
-               else f"no count up to {STABLE_SEARCH_CAP} is stable")
-        raise OutOfRangeError(
-            f"RK4 at {substeps} substeps per interval is unstable for this matrix "
-            f"(spectral radius of R(hA) {rho:.6g} >= 1); {fix}"
-        )
-    j_full = min(int(math.floor(tau / h + 1e-9)), substeps)
-    part = tau - j_full * h
-    if part < 1e-13 * omega:
-        part = 0.0
-    n_coarse = math.ceil(tau / (COARSE_START_RATIO * h))
-    coarse_h = tau / n_coarse if n_coarse else 0.0
-    if n_coarse and not _rk4_radius(eigs, coarse_h)[0] < 1.0:
-        n_coarse, coarse_h = 0, 0.0
-    return _Geometry(
-        substeps, h, j_full, part, n_coarse, coarse_h,
-        _rk4_tables(sys.a, h),
-        _rk4_tables(sys.a, part) if part else None,
-        _rk4_tables(sys.a, coarse_h) if n_coarse else None,
-    )
-
-
 def step_interval(
     sys: EpcagSystem,
     k: int,
@@ -553,117 +446,46 @@ def step_interval(
 ):
     """Solve one interval [theta_k, theta_{k+1}] from z(theta_k) = z0.
 
-    The frozen argument w_k = z(zeta_k) is the fixed point of G(w), the
-    state at zeta_k reached with w held. Where zeta_k > theta_k, w
-    starts from two plain passes w <- G_c(w) from w = z0, with G_c the
-    march to zeta_k in ceil((zeta_k - theta_k) / (16 h)) equal RK4
-    steps, or at z0 if they end non-finite. Each pass integrates to
-    zeta_k and takes the residual r = G(w) - w. The loop stops once
-    |r| <= tol and sets w = G(w). Otherwise w takes the quasi-Newton
-    step w + (I - J)^{-1} r, with J a secant (good Broyden) estimate of
-    dG/dw that starts at zero, takes a rank-1 update after every pass
-    and is dropped when the residual grows; a move of w at the rounding
-    level of w updates nothing. Where ||J||_2 >= 1, outside the
-    contraction regime in which (A4) puts the exact derivative, the
-    step is the plain w <- G(w). Each pass writes the grid points up to
-    the last one before zeta_k, so those samples come from the last
-    pass; the rest of the interval is marched from there with the
-    converged w. Returns (samples on the substep grid, w_k, inner
-    iteration count).
-
-    Raises OutOfRangeError when the RK4 step h = omega / substeps is not
-    stable for A (the spectral radius of R(hA) is 1 or more), naming the
-    fewest substeps that are; the coarse start is skipped where its own
-    step is not stable. The a-priori bound check on the samples belongs
-    to solve_bounded.
+    Picard sweeps on this interval alone: each sweep reads the frozen
+    argument w_k = z(zeta_k) off the current iterate by the cubic
+    stencil and sets z_j = exp(A j h) z0 + I_j, with I the convolution
+    of f(t, z, w_k) + alpha_k that Picard uses, from the free response
+    exp(A j h) z0 on. The linear part is exact, so every substep count
+    is stable. Stops when successive sweeps differ by at most tol in the
+    sup norm, after at most max_inner sweeps (InnerDivergenceError
+    otherwise, or on non-finite samples). Returns (samples on the
+    substep grid, w_k read off them, sweep count). The a-priori bound
+    check on the samples belongs to solve_bounded.
     """
     z0 = np.asarray(z0, dtype=float)
-    geo = _interval_geometry(sys, substeps)
-    samples, w, inner, _ = _step_interval(sys, k, z0, geo, tol, max_inner, np.zeros((len(z0),) * 2))
-    return samples, w, inner
-
-
-def _step_interval(sys, k, z0, geo: _Geometry, tol, max_inner, jac):
-    """step_interval on a solve's geometry, from a secant estimate jac of
-    dG/dw, carried over from the previous interval by burn-in; also
-    returns the estimate the passes left."""
-    theta = sys.schedule.node(k)
-    alpha = sys.driver.value(k)
-    h, j_full, part = geo.h, geo.j_full, geo.part
-    feval = sys.f.eval
-
-    samples = np.empty((geo.m + 1, len(z0)))
-    samples[0] = z0
-    eye = np.eye(len(z0))
-    w = z0.copy()
-    if geo.n_coarse:
-        start = w
-        for _ in range(2):
-            start = _rk4_march(feval, geo.coarse_tables, theta, z0.copy(), start, alpha,
-                               geo.coarse_h, geo.n_coarse)
-        if np.all(np.isfinite(start)):
-            w = start
-    inner = 0
-    last = None
-    while True:
-        inner += 1
-        z_full = _rk4_march(feval, geo.tables, theta, z0.copy(), w, alpha, h, j_full, out=samples)
-        z = _rk4_march(feval, geo.part_tables, theta + j_full * h, z_full, w, alpha, part, 1) if part else z_full
-        if not np.all(np.isfinite(z)):
-            raise InnerDivergenceError(f"interval {k}: non-finite state in inner loop")
-        r = z - w
-        diff = float(np.linalg.norm(r))
-        if diff <= tol:
-            w = z
-            break
-        if inner >= max_inner:
-            raise InnerDivergenceError(
-                f"interval {k}: frozen argument not fixed after {max_inner} iterations "
-                f"(last move {diff:.3g})"
-            )
-        if last is not None:
-            w_last, z_last, diff_last = last
-            if diff > diff_last:
-                jac = np.zeros_like(jac)
-            dw = w - w_last
-            dw2 = float(dw @ dw)
-            if dw2 > SECANT_FLOOR**2 * float(w @ w):
-                jac = jac + np.outer(z - z_last - jac @ dw, dw / dw2)
-        last = w, z, diff
-        if _spectral_norms(jac[None])[0] < 1.0:
-            w = w + np.linalg.solve(eye - jac, r)
-        else:
-            w = z
-
-    _rk4_march(feval, geo.tables, theta + j_full * h, z_full, w, alpha, h, geo.m - j_full,
-               out=samples[j_full:])
-    if not np.all(np.isfinite(samples)):
-        raise InnerDivergenceError(f"interval {k}: non-finite samples")
-    return samples, w, inner, jac
+    ctx = _context(sys, substeps)
+    free = (z0 @ ctx.e_rows).reshape(1, substeps + 1, len(z0))
+    alpha = sys.driver.value(k)[None]
+    try:
+        psi, deltas, _ = _picard_sweeps(sys, k, alpha, free, tol, free, max_inner)
+    except InnerDivergenceError as err:
+        raise InnerDivergenceError(f"interval {k}: {err}") from None
+    j0, lw = _cubic_stencils(sys.schedule.zeta_fraction * substeps, substeps)
+    return psi[0], lw @ psi[0, j0 : j0 + 4], len(deltas)
 
 
 def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
-    dim = sys.dim
-    geo = _interval_geometry(sys, substeps)
-    z = np.zeros(dim)
-    jac = np.zeros((dim, dim))
-    pieces = []
-    frozen = []
-    inner_counts = []
+    """step_interval on each interval of [k_lo - pad, k_hi] in turn, from
+    zero; each stops at INNER_DEFAULT_TOL within _picard_cap sweeps."""
+    cap = _picard_cap(sys)
+    z = np.zeros(sys.dim)
+    pieces, frozen, sweeps = [], [], []
     for k in range(k_lo - pad, k_hi):
-        samples, w, inner, jac = _step_interval(sys, k, z, geo, INNER_DEFAULT_TOL, INNER_MAX_ITERS, jac)
+        samples, w, inner = step_interval(sys, k, z, substeps, INNER_DEFAULT_TOL, cap)
         z = samples[-1]
-        inner_counts.append(inner)
+        sweeps.append(inner)
         if k >= k_lo:
             pieces.append(samples[:-1])
             frozen.append((k, w))
     pieces.append(z[None])
-    # four contract calls per RK4 step: the passes to zeta, and per
-    # interval the march past zeta and the two coarse-start passes
-    steps = (sum(inner_counts) * (geo.j_full + (geo.part > 0))
-             + len(inner_counts) * (substeps - geo.j_full + 2 * geo.n_coarse))
-    passes = {"iterations": max(inner_counts), "inner_iterations": tuple(inner_counts),
-              "f_evals": 4 * steps}
+    # one contract row per grid point per sweep
+    passes = {"iterations": max(sweeps), "inner_iterations": tuple(sweeps),
+              "f_evals": sum(sweeps) * (substeps + 1)}
     return np.concatenate(pieces), tuple(frozen), passes
 
 
@@ -682,8 +504,7 @@ def solve_bounded(
     contraction margin so the associated bound sits below tol) are
     solved and discarded; an explicit pad whose transient/truncation
     bound exceeds tol raises PadTooSmallError. Samples whose norm
-    exceeds M_phi plus that bound raise InnerDivergenceError; burn-in
-    also refuses substeps at which RK4 is unstable (step_interval).
+    exceeds M_phi plus that bound raise InnerDivergenceError.
     """
     try:
         k_lo, k_hi = map(operator.index, t_window)

@@ -147,7 +147,8 @@ def solution_bound(sys: EpcagSystem) -> float:
 
 
 def contraction_margin(sys: EpcagSystem) -> float:
-    """lambda - N (L1 + L2), the decay rate of solution differences."""
+    """lambda - N (L1 + L2), the (A4) margin; solution differences decay
+    at rates below it (solver._tail_rates)."""
     return _a4(sys.envelope, sys.f)[1]
 
 
@@ -282,8 +283,10 @@ def _spot_check_contract(sys: EpcagSystem, count: int) -> None:
 
 
 def _check_batch_matches_eval(f: NonlinearityContract, ts, xs, ys, batch: np.ndarray) -> None:
-    """The solvers evaluate f through eval_batch (Picard) and through
-    eval (burn-in); both must be the same function."""
+    """A contract's eval_batch must compute its eval. The solvers and the
+    spot check take eval_batch where a contract has one; eval is the form
+    the contract is declared by and the one eval_many falls back to.
+    Both come from outside the program, so their agreement is checked."""
     for i in np.linspace(0, len(ts) - 1, min(SPOT_CHECK_SCALAR_ROWS, len(ts))).astype(int):
         scalar = np.asarray(f.eval(float(ts[i]), xs[i], ys[i]), dtype=float)
         gap = float(np.linalg.norm(scalar - batch[i]))

@@ -452,19 +452,17 @@ class TestRun:
                                numeric={"window": 3, "substeps": 64, "method": "burn_in"})
         assert run(parse(cfg)) == 0
         out = capsys.readouterr().out
-        passes = re.search(r", (\d+) iterations at most, (\d+) inner passes over 48 intervals, tail", out)
+        passes = re.search(r", (\d+) iterations at most, (\d+) inner passes over 55 intervals, tail", out)
         assert passes and int(passes[1]) < int(passes[2])
 
     def test_solve_reports_contract_evaluations(self, tmp_path, capsys):
-        # 64 substeps of 1.5 put zeta = 0.5 after 21 whole steps and a
-        # partial one, the coarse start takes 2 steps and the march past
-        # zeta 43, so 4 (22 P + 48 (43 + 2 * 2)) rows for P inner passes
+        # each inner pass is one sweep of the interval's 65 grid points
         cfg = reference_config("solve", out_dir=str(tmp_path),
                                numeric={"window": 3, "substeps": 64, "method": "burn_in"})
         assert run(parse(cfg)) == 0
-        line = re.search(r"(\d+) inner passes over 48 intervals, tail bound \S+, (\d+) f evaluations\n$",
+        line = re.search(r"(\d+) inner passes over 55 intervals, tail bound \S+, (\d+) f evaluations\n$",
                          capsys.readouterr().out)
-        assert line and int(line[2]) == 4 * (22 * int(line[1]) + 48 * (43 + 2 * 2))
+        assert line and int(line[2]) == (64 + 1) * int(line[1])
 
     def test_certify_control_fails_distinctness(self, tmp_path, capsys):
         cfg = reference_config(

@@ -86,95 +86,6 @@ def coupled_contract(dim):
     return custom_contract(coupled, 0.8 * math.sqrt(dim), 0.2, 0.1)
 
 
-def textbook_rk4(f, a, alpha, t, z, w, h, steps):
-    """Classical RK4 stage by stage: the states before and after each step."""
-    states = [z]
-    for _ in range(steps):
-        k1 = a @ z + f(t, z, w) + alpha
-        y2 = z + (h / 2.0) * k1
-        k2 = a @ y2 + f(t + h / 2.0, y2, w) + alpha
-        y3 = z + (h / 2.0) * k2
-        k3 = a @ y3 + f(t + h / 2.0, y3, w) + alpha
-        y4 = z + h * k3
-        k4 = a @ y4 + f(t + h, y4, w) + alpha
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        states.append(z)
-    return states
-
-
-def textbook_step_interval(sys, k, z0, substeps, tol=solver.INNER_DEFAULT_TOL, quasi_newton=True, jac=None,
-                           coarse_start=True):
-    """step_interval's scheme written out: passes to zeta_k (whole steps,
-    then one partial step) give g = G(w) until |g - w| <= tol, then the
-    rest of the interval from the last pass's last grid point before
-    zeta_k. Between passes w moves to w + (I - J)^{-1} (g - w) while
-    ||J||_2 < 1, else to g. J starts at jac (default zero), is dropped
-    when |g - w| grows, and takes the good Broyden update from each pair
-    of passes whose w differ by more than rounding. quasi_newton=False
-    keeps J = 0: plain fixed-point passes. With coarse_start, when
-    zeta_k > theta_k, w starts from two plain passes of the march to
-    zeta_k in ceil((zeta_k - theta_k) / 16 h) equal steps, from w = z0,
-    unless they end non-finite; otherwise w starts at z0."""
-    omega, dim = sys.schedule.omega, len(z0)
-    theta, zeta = sys.schedule.node(k), sys.schedule.zeta(k)
-    h = omega / substeps
-    j_full = min(int(math.floor((zeta - theta) / h + 1e-9)), substeps)
-    part = (zeta - theta) - j_full * h
-    part = part if part >= 1e-13 * omega else 0.0
-    rhs = (sys.f.eval, sys.a, sys.driver.value(k))
-    w, inner, passes = z0, 0, []
-    n_c = math.ceil((zeta - theta) / (16 * h))
-    if coarse_start and n_c:
-        for _ in range(2):
-            w = textbook_rk4(*rhs, theta, z0, w, (zeta - theta) / n_c, n_c)[-1]
-        w = w if np.all(np.isfinite(w)) else z0
-    jac = np.zeros((dim, dim)) if jac is None else jac
-    while True:
-        inner += 1
-        head = textbook_rk4(*rhs, theta, z0, w, h, j_full)
-        g = textbook_rk4(*rhs, theta + j_full * h, head[-1], w, part, 1)[-1] if part else head[-1]
-        if np.linalg.norm(g - w) <= tol:
-            w = g
-            break
-        if quasi_newton and passes:
-            w_prev, g_prev = passes[-1]
-            if np.linalg.norm(g - w) > np.linalg.norm(g_prev - w_prev):
-                jac = np.zeros((dim, dim))
-            dw = w - w_prev
-            if np.linalg.norm(dw) > 1e3 * np.finfo(float).eps * np.linalg.norm(w):
-                jac = jac + np.outer(g - g_prev - jac @ dw, dw) / (dw @ dw)
-        passes.append((w, g))
-        w = w + np.linalg.solve(np.eye(dim) - jac, g - w) if np.linalg.norm(jac, 2) < 1.0 else g
-    tail = textbook_rk4(*rhs, theta + j_full * h, head[-1], w, h, substeps - j_full)
-    return np.array(head[:-1] + tail), w, inner
-
-
-def plain_burn_in(sys, window, substeps, tol=1e-8):
-    """burn_in's samples with every frozen argument found by plain
-    fixed-point passes, interval after interval from zero."""
-    k_lo, k_hi = window
-    z, pieces = np.zeros(sys.dim), []
-    for k in range(k_lo - default_pad(sys, tol), k_hi):
-        samples, _, _ = textbook_step_interval(sys, k, z, substeps, quasi_newton=False, coarse_start=False)
-        z = samples[-1]
-        if k >= k_lo:
-            pieces.append(samples[:-1])
-    return np.concatenate(pieces + [z[None]])
-
-
-def recording(contract):
-    """The contract with every eval call's state and argument recorded,
-    each beside a snapshot taken when it was passed."""
-    seen = []
-
-    def eval(t, x, y):
-        seen.append((x, x.copy(), y, y.copy()))
-        return contract.eval(t, x, y)
-
-    return replace(contract, eval=eval), seen
-
-
 def cubic_convolution(a, coeffs, ts):
     """Exact int_0^t exp(A(t-s)) p(s) ds for p(s) = sum_k coeffs[k] s^k,
     read off the exponential of the generator that carries p and its
@@ -267,25 +178,22 @@ class TestConvolve:
             assert np.abs(solver._convolve(ctx, hv) - want).max() <= 1e-14 * np.abs(want).max(), n_int
 
 
-class TestRk4Tables:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
-    @pytest.mark.parametrize("h", [0.0075, 0.0041])
-    def test_march_matches_textbook_steps(self, dim, h):
-        rng = np.random.default_rng(dim)
-        a = non_normal_hurwitz(rng, dim)
-        f = coupled_contract(dim).eval
-        z0, w, alpha = rng.standard_normal((3, dim))
-        want = np.array(textbook_rk4(f, a, alpha, 0.3, z0, w, h, 150))
-        got = np.empty_like(want)
-        got[0] = z0
-        end = solver._rk4_march(f, solver._rk4_tables(a, h), 0.3, z0.copy(), w, alpha, h, 150, out=got)
-        assert np.array_equal(end, got[-1])
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+class TestStepInterval:
+    def test_left_node_argument_is_z0(self):
+        # zeta at the left node: w is z0 itself in every sweep, so with f
+        # = 0 the first sweep is exact and the second confirms it
+        sys = linear_system(zeta_fraction=0.0)
+        z0 = np.array([0.3, -0.2])
+        samples, w, inner = step_interval(sys, 0, z0)
+        assert inner == 2
+        assert np.array_equal(w, z0)
+        assert np.array_equal(samples[0], z0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("zeta_fraction", [0.0, 0.37, 1.0])
-    def test_step_interval_matches_textbook_scheme(self, dim, zeta_fraction):
-        # 0.37 of the interval leaves a partial step to zeta; 0 and 1 do not
+    def test_matches_sequential_sweeps(self, dim, zeta_fraction):
+        # the sweeps written out with the substep-by-substep recurrence and
+        # the contract's scalar eval, from the free response E^j z0
         rng = np.random.default_rng(10 * dim + round(100 * zeta_fraction))
         a = non_normal_hurwitz(rng, dim)
         sys = assemble_system(
@@ -296,102 +204,24 @@ class TestRk4Tables:
             envelope=estimate_decay_envelope(a),
             spot_samples=0,
         )
-        z0 = rng.standard_normal(dim)
-        samples, w, inner = step_interval(sys, 1, z0, substeps=150)
-        want, want_w, want_inner = textbook_step_interval(sys, 1, z0, 150)
-        assert inner == want_inner
-        scale = np.abs(want).max()
-        assert np.abs(samples - want).max() <= 1e-13 * scale
-        assert np.abs(w - want_w).max() <= 1e-13 * scale
+        z0, m = rng.standard_normal(dim), 150
+        samples, w, inner = step_interval(sys, 1, z0, substeps=m)
 
-
-def legacy_rk4_march(feval, tables, t, z, w, alpha, h, steps, out=None):
-    """_rk4_march as it stood before its per-step dispatch was trimmed:
-    module-level np.dot, slot writes by index and t + h / 2.0 per stage."""
-    slots = np.zeros((6, len(z)))
-    slots[0], slots[1] = z, alpha
-    x = slots.reshape(-1)
-    t2, t3, t4, tz = tables
-    for j in range(steps):
-        slots[2] = feval(t, z, w)
-        slots[3] = feval(t + h / 2.0, np.dot(t2, x), w)
-        slots[4] = feval(t + h / 2.0, np.dot(t3, x), w)
-        slots[5] = feval(t + h, np.dot(t4, x), w)
-        z = np.dot(tz, x)
-        slots[0] = z
-        t += h
-        if out is not None:
-            out[j + 1] = z
-    return z
-
-
-class TestRk4Kernel:
-    """The march kernel gives the legacy kernel's output bit for bit."""
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
-    @pytest.mark.parametrize("with_out", [True, False])
-    def test_march_is_bit_identical_to_the_legacy_kernel(self, dim, with_out):
-        rng = np.random.default_rng(100 + dim)
-        a = non_normal_hurwitz(rng, dim)
-        f = coupled_contract(dim).eval
-        z0, w, alpha = rng.standard_normal((3, dim))
-        h, steps = 0.0075, 150
-        tables = solver._rk4_tables(a, h)
-        outs = [np.full((steps + 1, dim), np.nan) if with_out else None for _ in range(2)]
-        ends = [march(f, tables, 0.3, z0.copy(), w, alpha, h, steps, out=out)
-                for march, out in zip((solver._rk4_march, legacy_rk4_march), outs)]
-        np.testing.assert_array_equal(ends[0], ends[1])
-        if with_out:
-            np.testing.assert_array_equal(outs[0][1:], outs[1][1:])
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
-    def test_partial_step_is_bit_identical(self, dim):
-        rng = np.random.default_rng(200 + dim)
-        a = non_normal_hurwitz(rng, dim)
-        f = coupled_contract(dim).eval
-        z0, w, alpha = rng.standard_normal((3, dim))
-        part = 0.0031
-        tables = solver._rk4_tables(a, part)
-        got = solver._rk4_march(f, tables, 1.7, z0.copy(), w, alpha, part, 1)
-        np.testing.assert_array_equal(got, legacy_rk4_march(f, tables, 1.7, z0.copy(), w, alpha, part, 1))
-
-    def test_burn_in_solves_are_bit_identical(self, homo, het, monkeypatch):
-        def solves():
-            return [solve_bounded(sc.system, (-3, 3), method="burn_in") for sc in (homo, het)]
-
-        new = solves()
-        monkeypatch.setattr(solver, "_rk4_march", legacy_rk4_march)
-        old = solves()
-        for got, want in zip(new, old):
-            np.testing.assert_array_equal(got.samples, want.samples)
-            assert [k for k, _ in got.frozen_args] == [k for k, _ in want.frozen_args]
-            for (_, wg), (_, ww) in zip(got.frozen_args, want.frozen_args):
-                np.testing.assert_array_equal(wg, ww)
-            assert got.meta["inner_iterations"] == want.meta["inner_iterations"]
-            assert got.meta["f_evals"] == want.meta["f_evals"]
-
-
-class TestStepInterval:
-    def test_a_misleading_carried_estimate_is_dropped(self, homo):
-        # dG/dw has norm 0.003 on this interval: a carried J = 0.95 I
-        # makes the first step twenty times too long, the residual grows
-        # and J restarts from zero, which saves one pass here
-        z0, jac = np.array([0.3, -0.2]), 0.95 * np.eye(2)
-        geo = solver._interval_geometry(homo.system, 200)
-        samples, w, inner, _ = solver._step_interval(
-            homo.system, 0, z0, geo, solver.INNER_DEFAULT_TOL, solver.INNER_MAX_ITERS, jac)
-        want, want_w, want_inner = textbook_step_interval(homo.system, 0, z0, 200, jac=jac)
-        assert inner == want_inner == 4
-        assert np.abs(samples - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.abs(w - step_interval(homo.system, 0, z0)[1]).max() <= 1e-13
-
-    def test_left_node_argument_needs_one_pass(self):
-        # zeta at the left node: w is z0 itself, no iteration to do
-        sys = linear_system(zeta_fraction=0.0)
-        z0 = np.array([0.3, -0.2])
-        samples, w, inner = step_interval(sys, 0, z0)
-        assert inner == 1
-        assert np.array_equal(w, z0)
+        ctx = solver._Context(a, 1.2, m)
+        ts = sys.schedule.node(1) + 1.2 / m * np.arange(m + 1)
+        free = np.array([p @ z0 for p in ctx.e_pows])
+        j0, lw = solver._cubic_stencils(zeta_fraction * m, m)
+        psi, deltas = free, []
+        while not deltas or deltas[-1] > solver.INNER_DEFAULT_TOL:
+            want_w = lw @ psi[j0 : j0 + 4]
+            hv = np.array([sys.f.eval(t, x, want_w) for t, x in zip(ts, psi)]) + sys.driver.value(1)
+            new = free + sequential_convolution(ctx, hv[None])[0]
+            deltas.append(np.linalg.norm(new - psi, axis=1).max())
+            psi = new
+        scale = np.abs(psi).max()
+        assert inner == len(deltas)
+        assert np.abs(samples - psi).max() <= 1e-13 * scale
+        assert np.abs(w - lw @ psi[j0 : j0 + 4]).max() <= 1e-13 * scale
 
     def test_variation_of_constants(self):
         sys = linear_system()
@@ -415,52 +245,10 @@ class TestStepInterval:
         lerp = samples[66] + (0.5 / 0.0075 - 66.0) * (samples[67] - samples[66])
         assert np.abs(w - lerp).max() <= 1e-3
 
-    @pytest.mark.parametrize(
-        "zeta_fraction, j_full, partial", [(0.0, 0, 0), (0.25, 50, 0), (1.0 / 3.0, 66, 1), (1.0, 200, 0)]
-    )
-    def test_eval_count_and_fresh_arguments(self, homo, zeta_fraction, j_full, partial):
-        # inner passes march to zeta (j_full whole steps and any partial
-        # step); the final march only covers the steps after j_full, and
-        # the coarse start makes two passes of n_c steps
-        n_c = {0.0: 0, 0.25: 4, 1.0 / 3.0: 5, 1.0: 13}[zeta_fraction]
-        f, seen = recording(homo.system.f)
-        sys = replace(homo.system, f=f, schedule=make_schedule(1.5, 0.0, zeta_fraction))
-        samples, w, inner = step_interval(sys, 0, np.array([0.3, -0.2]), substeps=200)
-        assert len(seen) == 4 * (inner * (j_full + partial) + 200 - j_full) + 8 * n_c
-        # no state or argument eval saw was changed afterwards or lives in the samples
-        assert all(np.array_equal(x, xc) and np.array_equal(y, yc) for x, xc, y, yc in seen)
-        assert not any(np.shares_memory(x, samples) for x, *_ in seen)
-
-    def test_a_non_finite_coarse_start_is_dropped(self, homo):
-        # the coarse march to zeta_0 = 0.5 takes five steps of 0.1, whose
-        # first midpoint t = 0.05 no fine step (0.0075) visits; f is NaN
-        # only there, so the start ends non-finite and w starts at z0
-        visits = []
-
-        def spiked(t, x, y):
-            if abs(t - 0.05) < 1e-9:
-                visits.append(t)
-                return np.full(2, np.nan)
-            return homo.system.f.eval(t, x, y)
-
-        sys = replace(homo.system, f=replace(homo.system.f, eval=spiked))
-        z0, jac = np.array([0.3, -0.2]), np.zeros((2, 2))
-        geo = solver._interval_geometry(sys, 200)
-        assert (geo.n_coarse, geo.coarse_h) == (5, 0.1)
-        tol, cap = solver.INNER_DEFAULT_TOL, solver.INNER_MAX_ITERS
-        samples, w, inner, _ = solver._step_interval(sys, 0, z0, geo, tol, cap, jac)
-        assert len(visits) == 4
-        want, want_w, want_inner, _ = solver._step_interval(sys, 0, z0, geo._replace(n_coarse=0), tol, cap, jac)
-        assert inner == want_inner
-        assert np.array_equal(samples, want) and np.array_equal(w, want_w)
-        plain = textbook_step_interval(sys, 0, z0, 200, coarse_start=False)
-        assert plain[2] == inner
-        assert np.abs(plain[0] - samples).max() <= 1e-13 * np.abs(samples).max()
-
     def test_non_finite_samples_after_zeta(self):
         # f turns NaN on (4, 4.5), inside the last interval [3, 4.5] of a
-        # (-3, 3) window but after its zeta = 3.5, so every inner pass is
-        # finite; the samples past zeta are not
+        # (-3, 3) window but after its zeta = 3.5; every sweep covers the
+        # whole interval, so the first one meets it
         def late_nan(t, x, y):
             return np.full(2, np.nan) if 4.0 < t < 4.5 else np.zeros(2)
 
@@ -486,10 +274,8 @@ class TestStepInterval:
 
 
 def stiff_system(rate=50.0):
-    """A = -rate I with its exact envelope, omega 3 and zeta half-way: at
-    rate 50 and 40 substeps h lambda = -3.75 lies outside RK4's stability
-    interval (about (-2.785, 0)); the bounded solution is the constant
-    0.75 / rate (0.015 at rate 50)."""
+    """A = -rate I with its exact envelope, omega 3 and zeta half-way; the
+    bounded solution is the constant 0.75 / rate (0.015 at rate 50)."""
     return assemble_system(
         -rate * np.eye(2),
         make_schedule(3.0, 0.0, 0.5),
@@ -501,19 +287,16 @@ def stiff_system(rate=50.0):
 
 
 class TestStabilityGuards:
-    def test_unstable_rk4_step_is_refused(self):
-        # R(-3.75) = 3.73; from 54 substeps h lambda = -2.78 and R = 0.989
-        sys = stiff_system()
-        fewest = "54 substeps are the fewest that are stable"
-        with pytest.raises(OutOfRangeError, match=fewest):
-            solve_bounded(sys, (-3, 3), 40, method="burn_in")
-        with pytest.raises(OutOfRangeError, match=fewest):
-            step_interval(sys, 0, np.zeros(2), substeps=53)
-        traj = solve_bounded(sys, (-3, 3), 54, method="burn_in")
-        assert traj.meta["sup_norm"] <= solution_bound(sys) + traj.meta["tail_bound"]
-        # picard needs no stable step and stays exact
-        pic = solve_bounded(sys, (-3, 3), 40)
-        assert np.abs(pic.samples - 0.015).max() <= 1e-12
+    @pytest.mark.parametrize("rate, substeps", [(50.0, 54), (50.0, 40), (300.0, 40)])
+    @pytest.mark.parametrize("method", ["picard", "burn_in"])
+    def test_stiff_systems_solve_at_any_substep_count(self, rate, substeps, method):
+        # h lambda = -2.78, -3.75 and -22.5: outside classical RK4's
+        # stability interval (about (-2.785, 0)) at 40 substeps, and at 54
+        # just inside it, where an RK4 march shrinks a transient by only
+        # 0.54 per interval against e^-150 for the exact flow
+        want = 0.75 / rate
+        traj = solve_bounded(stiff_system(rate), (-3, 3), substeps, method=method)
+        assert np.abs(traj.samples - want).max() <= 1e-12 * want
 
     def test_picard_solves_a_strongly_decaying_matrix(self):
         # at rate 300 exp(-A omega) = e^900 overflows; the convolution
@@ -525,18 +308,6 @@ class TestStabilityGuards:
                 traj = solve_bounded(stiff_system(rate), (-3, 3), 200)
             want = 0.75 / rate
             assert np.abs(traj.samples - want).max() <= 2e-15 * want, rate
-
-    def test_unstable_coarse_step_drops_the_coarse_start(self):
-        # at 54 substeps the coarse start would take two steps of 0.75
-        geo = solver._interval_geometry(stiff_system(), 54)
-        assert (geo.n_coarse, geo.coarse_h, geo.coarse_tables) == (0, 0.0, None)
-
-    def test_radius_is_that_of_the_step_table(self, homo):
-        geo = solver._interval_geometry(homo.system, 200)
-        table_rho = np.abs(np.linalg.eigvals(geo.tables[3][:, :2])).max()
-        rho = solver._rk4_radius(np.linalg.eigvals(homo.system.a), geo.h)[0]
-        assert rho == pytest.approx(table_rho, rel=1e-12)
-        assert rho == pytest.approx(0.99626, abs=5e-6)
 
     @pytest.mark.parametrize("method", ["picard", "burn_in"])
     def test_samples_above_the_a_priori_bound_are_refused(self, method):
@@ -581,15 +352,16 @@ class TestSolveBounded:
             name: sum(solve_bounded(sc.system, (-20, 20), method="burn_in").meta["inner_iterations"])
             for name, sc in (("homoclinic", homo), ("heteroclinic", het))
         }
-        assert totals == {"homoclinic": 184, "heteroclinic": 153}
+        # sweeps over 89 intervals (pad 49), at most 8 per interval
+        assert totals == {"homoclinic": 641, "heteroclinic": 574}
 
     @pytest.mark.parametrize("method, batch, zeta_fraction", [
         ("picard", True, 1.0 / 3.0), ("picard", False, 1.0 / 3.0),
         ("burn_in", True, 1.0 / 3.0), ("burn_in", True, 0.0), ("burn_in", True, 1.0),
     ])
     def test_f_evals_counts_every_contract_row(self, homo, method, batch, zeta_fraction):
-        # 64 substeps: picard sweeps at 16 substeps first; a third of the
-        # interval leaves burn-in a partial step to zeta, 0 no coarse start
+        # 64 substeps: picard sweeps at 16 substeps first; burn-in sweeps
+        # each interval at 64, whatever the zeta fraction
         f, rows = counting_rows(homo.system.f, batch)
         sys = replace(homo.system, f=f, schedule=make_schedule(1.5, 0.0, zeta_fraction))
         traj = solve_bounded(sys, (-3, 3), 64, method=method)
@@ -625,13 +397,13 @@ class TestSolveBounded:
         assert homo_traj.meta["k_window"] == (-20, 20)
 
     def test_default_pad_reference_value(self, homo):
-        assert default_pad(homo.system, 1e-8) == 42
+        assert default_pad(homo.system, 1e-8) == 49
 
     def test_reference_driver_windows(self, homo, het):
         # coverage_pad sizes every reference orbit from the mu = 4 bound:
-        # pad 42 at tol 1e-8, plus headroom, left of the 30-node window
+        # pad 49 at tol 1e-8, plus headroom, left of the 30-node window
         for orbit in (homo.beta, *homo.alphas, het.beta, *het.alphas):
-            assert (orbit.k_min, orbit.k_max) == (-76, 32)
+            assert (orbit.k_min, orbit.k_max) == (-83, 32)
 
     def test_pad_too_small(self, homo):
         with pytest.raises(PadTooSmallError):
@@ -662,6 +434,19 @@ class TestSolveBounded:
         traj = solve_bounded(sys, window, m)
         assert traj.meta["tail_bound"] <= 1e-8
         assert np.abs(traj.samples - long).max() <= 1e-8
+
+    @pytest.mark.parametrize("lip_y", [0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("method", ["picard", "burn_in"])
+    def test_default_pad_meets_tol_under_a4_alone(self, method, lip_y):
+        # zeta at the left node: the frozen argument lags the state by up
+        # to omega, and the start transient fades slower than the
+        # contraction margin. Pads sized at the margin (15, 25 and 75) left
+        # errors of 9.5e-5, 5.7e-4 and 4.2e-3 against tol 1e-8
+        sys = a4_limit_system(lip_y, 0.0)
+        traj = solve_bounded(sys, (-3, 3), 40, 1e-8, method)
+        long = solve_bounded(sys, (-3, 3), 40, 1e-8, method, pad=600)
+        assert traj.meta["pad"] == {0.5: 51, 0.7: 102, 0.9: 360}[lip_y]
+        assert np.abs(traj.samples - long.samples).max() <= 1e-8
 
     def test_context_cache_is_bounded(self, homo):
         for m in range(4, 8 + solver.CONTEXT_CACHE_SIZE):
@@ -849,8 +634,9 @@ class TestNestedStart:
 
     def test_reference_f_evals(self, homo, het):
         # per interval 3 (homoclinic) or 2 (heteroclinic) sweeps at 200
-        # substeps after 5 at 12 and 3 at 50; from zero it is 8 at 200
-        want = {"homoclinic": (83_742, 3), "heteroclinic": (63_240, 2)}
+        # substeps after 5 at 12 and 3 at 50, over 109 intervals (pad 49);
+        # from zero it is 8 at 200
+        want = {"homoclinic": (89_489, 3), "heteroclinic": (67_580, 2)}
         for name, sc in (("homoclinic", homo), ("heteroclinic", het)):
             meta = solve_bounded(sc.system, (-30, 30)).meta
             assert [(m_l, len(d)) for m_l, _, d in meta["levels"]] == [(12, 5), (50, 3)]
@@ -891,9 +677,7 @@ class TestRandomSystems:
 def a4_limit_system(lip_y, zeta_fraction):
     """A = -I with the exact envelope N = 1, lambda = 1, omega = 3 and
     f = lip_y clip(y, -20, 20): (A4) holds with margin 1 - lip_y while
-    (A5) fails. Picard contracts by kappa_pi = lip_y per sweep, and each
-    frozen argument by about lip_y (1 - e^{-3 zeta_fraction}) per plain
-    fixed-point pass."""
+    (A5) fails. Picard contracts by kappa_pi = lip_y per sweep."""
 
     def clipped(t, x, y):
         return lip_y * np.clip(y, -20.0, 20.0)
@@ -912,25 +696,44 @@ def a4_limit_system(lip_y, zeta_fraction):
     )
 
 
-class TestQuasiNewtonBurnIn:
+class TestBurnIn:
     @pytest.mark.parametrize("case", ["homo", "het", 0, 1, 2, 3])
-    def test_same_solution_as_plain_fixed_point(self, request, case):
+    def test_same_solution_as_picard(self, request, case):
+        # both solve the same discrete equations from the same start, so
+        # only their stops part them, over the whole window: Picard's
+        # leaves at most 1e-10 of iteration error (3.2e-12 apart measured)
         if isinstance(case, str):
             sys, window, m = request.getfixturevalue(case).system, (-10, 10), 200
         else:
             sys, window, m = random_system(case), (-2, 2), 60
-        traj = solve_bounded(sys, window, m, method="burn_in")
-        assert np.abs(traj.samples - plain_burn_in(sys, window, m)).max() <= 1e-11
+        burn = solve_bounded(sys, window, m, method="burn_in")
+        pic = solve_bounded(sys, window, m)
+        assert np.abs(burn.samples - pic.samples).max() <= 1e-10
+        assert [k for k, _ in burn.frozen_args] == [k for k, _ in pic.frozen_args]
+        assert max(np.abs(wb - wp).max() for (_, wb), (_, wp) in zip(burn.frozen_args, pic.frozen_args)) <= 1e-10
 
     @pytest.mark.parametrize("lip_y, zeta_fraction", [(0.7, 1.0), (0.9, 0.5), (0.9, 1.0)])
     def test_near_the_a4_limit(self, lip_y, zeta_fraction):
-        # plain passes contract by 0.6-0.86 here: 566 and 2931 passes in
-        # all, and INNER_MAX_ITERS ran out at L2 = 0.9, zeta_fraction = 1
+        # an interval's sweeps contract by up to about kappa_pi = lip_y
+        # here: at 0.9 and zeta_fraction 1 they take up to 181 sweeps,
+        # past INNER_MAX_ITERS and within _picard_cap's 479
         sys = a4_limit_system(lip_y, zeta_fraction)
         burn = solve_bounded(sys, (-3, 3), 40, method="burn_in")
-        assert max(burn.meta["inner_iterations"]) <= 6
         pic = solve_bounded(sys, (-3, 3), 40)
         assert np.abs(pic.samples - burn.samples).max() <= 1e-8
+
+    def test_steps_through_the_public_step_interval(self, homo, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return step_interval(*args)
+
+        monkeypatch.setattr(solver, "step_interval", counted)
+        traj = solve_bounded(homo.system, (-3, 3), 64, method="burn_in")
+        pad = traj.meta["pad"]
+        assert calls == list(range(-3 - pad, 3))
+        assert len(traj.meta["inner_iterations"]) == pad + 6
 
     def test_picard_sweep_cap_follows_kappa(self, homo, monkeypatch):
         # kappa_pi = 0.9 stops at (1 - 0.9) / 0.9 of the stop of kappa_pi

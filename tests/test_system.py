@@ -267,7 +267,7 @@ class TestAssembly:
         assert str(caught.value) == "lip_y: sampled quotient 0.0412428 exceeds declared 0.01"
 
     def test_batch_disagreeing_with_eval_is_caught(self):
-        # burn-in evaluates f through eval, Picard through eval_batch
+        # the solvers evaluate f through eval_batch, the contract is declared by eval
         honest = example_contract()
 
         def skewed(ts, xs, ys):

@@ -86,6 +86,22 @@ def coupled_contract(dim):
     return custom_contract(coupled, 0.8 * math.sqrt(dim), 0.2, 0.1)
 
 
+def recording(contract):
+    """The contract with every call's times, states and arguments
+    recorded, the arrays beside snapshots taken when they were passed."""
+    seen = []
+
+    def eval(t, x, y):
+        seen.append((np.atleast_1d(t), x, x.copy(), y, y.copy()))
+        return contract.eval(t, x, y)
+
+    def eval_batch(ts, xs, ys):
+        seen.append((ts, xs, xs.copy(), ys, ys.copy()))
+        return contract.eval_batch(ts, xs, ys)
+
+    return replace(contract, eval=eval, eval_batch=eval_batch if contract.eval_batch else None), seen
+
+
 def cubic_convolution(a, coeffs, ts):
     """Exact int_0^t exp(A(t-s)) p(s) ds for p(s) = sum_k coeffs[k] s^k,
     read off the exponential of the generator that carries p and its
@@ -234,6 +250,31 @@ class TestStepInterval:
             phi = mat_exp(a, t)
             expected = phi @ z0 + np.linalg.solve(a, (phi - np.eye(2)) @ alpha)
             assert np.abs(samples[j] - expected).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "zeta_fraction, j_full, partial", [(0.0, 0, 0), (0.25, 50, 0), (1.0 / 3.0, 66, 1), (1.0, 200, 0)]
+    )
+    def test_eval_count_and_fresh_arguments(self, homo, zeta_fraction, j_full, partial):
+        # every sweep evaluates the contract on all 201 grid points; zeta
+        # lies j_full substeps in, plus a part of one more if partial
+        f, seen = recording(homo.system.f)
+        sys = replace(homo.system, f=f, schedule=make_schedule(1.5, 0.0, zeta_fraction))
+        samples, w, inner = step_interval(sys, 0, np.array([0.3, -0.2]), substeps=200)
+        assert sum(len(ts) for ts, *_ in seen) == inner * 201
+        # no state or argument the contract saw was changed afterwards or lives in the samples
+        assert all(np.array_equal(x, xc) and np.array_equal(y, yc) for _, x, xc, y, yc in seen)
+        assert not any(np.shares_memory(x, samples) or np.shares_memory(y, samples) for _, x, _, y, _ in seen)
+        if partial:
+            # read off between nodes j_full and j_full + 1
+            lo, hi = samples[j_full], samples[j_full + 1]
+            assert np.all((np.minimum(lo, hi) - 1e-3 <= w) & (w <= np.maximum(lo, hi) + 1e-3))
+            assert not any(np.array_equal(w, s) for s in samples)
+        else:
+            assert np.array_equal(w, samples[j_full])
+        # the last sweep froze the argument its predecessor gave, which is
+        # w to within the stop (the cubic stencil's weights sum below 1.2
+        # in absolute value)
+        assert np.abs(seen[-1][3] - w).max() <= 1.2 * solver.INNER_DEFAULT_TOL
 
     def test_reference_interval_inner_iterations(self, homo):
         samples, w, inner = step_interval(homo.system, 0, np.zeros(2), tol=1e-12)
@@ -696,12 +737,18 @@ def a4_limit_system(lip_y, zeta_fraction):
     )
 
 
-class TestBurnIn:
+class TestQuasiNewtonBurnIn:
+    """Burn-in's frozen arguments. The class is named for the quasi-Newton
+    step that burn-in once took on each of them; burn-in now takes plain
+    sweeps, and these cases hold it to the plain fixed point, near the
+    (A4) limit too, and to the public step_interval."""
+
     @pytest.mark.parametrize("case", ["homo", "het", 0, 1, 2, 3])
-    def test_same_solution_as_picard(self, request, case):
-        # both solve the same discrete equations from the same start, so
-        # only their stops part them, over the whole window: Picard's
-        # leaves at most 1e-10 of iteration error (3.2e-12 apart measured)
+    def test_same_solution_as_plain_fixed_point(self, request, case):
+        # Picard's sweeps are the plain fixed-point iteration of the whole
+        # window; burn-in solves the same discrete equations interval by
+        # interval, so only their stops part them: Picard's leaves at most
+        # 1e-10 of iteration error (3.2e-12 apart measured)
         if isinstance(case, str):
             sys, window, m = request.getfixturevalue(case).system, (-10, 10), 200
         else:

@@ -42,12 +42,18 @@ burn_in
     collocation form (Cox & Matthews 2002; Hochbruck & Ostermann 2010).
     Interval k is solved by Picard's sweeps on that interval alone
     (step_interval), z_j = exp(A j h) z(theta_k) + I_j with I the
-    convolution above, started from the free response exp(A j h)
-    z(theta_k) and stopped when successive sweeps differ by at most
-    INNER_DEFAULT_TOL. The linear part is exact, so no substep count is
-    unstable. Both methods solve the same discrete equations and differ
-    in the order of their sweeps and in their stops, so comparing them
-    checks the iteration and the truncation, not the quadrature.
+    convolution above, stopped when successive sweeps differ by at most
+    INNER_DEFAULT_TOL. The first interval starts from its free response
+    exp(A j h) z(theta_k); each later one starts from the solution of
+    the interval before it moved onto its own start state, exp(A j h)
+    z(theta_k) + I_{k-1}, as windowed waveform relaxation starts each
+    window from the last (Lelarasmee, Ruehli & Sangiovanni-Vincentelli
+    1982). Neighbouring intervals see similar forcing, so this start
+    saves sweeps and leaves the fixed point where it was. The linear
+    part is exact, so no substep count is unstable. Both methods solve
+    the same discrete equations and differ in the order of their sweeps
+    and in their stops, so comparing them checks the iteration and the
+    truncation, not the quadrature.
 
 Both report their truncation/transient bound (_tail_bound) in the
 trajectory meta and refuse pads whose bound exceeds the requested
@@ -272,6 +278,16 @@ def _cubic_stencils(pos, m_sub: int) -> tuple[np.ndarray, np.ndarray]:
     return j0, lw
 
 
+@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def _zeta_stencil(zeta_fraction: float, m_sub: int) -> tuple[int, np.ndarray]:
+    """_cubic_stencils at the zeta point, zeta_fraction * m_sub, of an
+    interval of m_sub substeps; its weights are read-only, as every
+    caller shares them."""
+    j0, lw = _cubic_stencils(zeta_fraction * m_sub, m_sub)
+    lw.flags.writeable = False
+    return int(j0), lw
+
+
 def _refine(psi: np.ndarray, m_sub: int) -> np.ndarray:
     """Interval-local cubic interpolation of psi (n_int, m+1, dim) onto
     m_sub substeps per interval; no stencil reaches across a node."""
@@ -374,7 +390,7 @@ def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray
     ctx = _context(sys, m)
     starts = sys.schedule.origin + np.arange(k0, k0 + n_int) * sys.schedule.omega
     ts_flat = (starts[:, None] + (sys.schedule.omega / m) * np.arange(m1)).reshape(-1)
-    j0, lw = _cubic_stencils(sys.schedule.zeta_fraction * m, m)
+    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m)
 
     deltas: list[float] = []
     # one integrand and one difference array serve every sweep; fresh
@@ -425,7 +441,7 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
         psi = _convolve(_context(sys, m_next), _refine(hv, m_next))
     psi, deltas, _ = _picard_sweeps(sys, k0, alpha, psi)
 
-    j0, lw = _cubic_stencils(sys.schedule.zeta_fraction * m, m)
+    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m)
     w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
     frozen = tuple((k0 + i, w[i].copy()) for i in range(pad, n_int))
     samples = np.concatenate([psi[pad:, :m, :].reshape(-1, dim), psi[-1, m][None]])
@@ -443,41 +459,59 @@ def step_interval(
     substeps: int = 200,
     tol: float = INNER_DEFAULT_TOL,
     max_inner: int = INNER_MAX_ITERS,
+    guess=None,
 ):
     """Solve one interval [theta_k, theta_{k+1}] from z(theta_k) = z0.
 
     Picard sweeps on this interval alone: each sweep reads the frozen
     argument w_k = z(zeta_k) off the current iterate by the cubic
     stencil and sets z_j = exp(A j h) z0 + I_j, with I the convolution
-    of f(t, z, w_k) + alpha_k that Picard uses, from the free response
-    exp(A j h) z0 on. The linear part is exact, so every substep count
-    is stable. Stops when successive sweeps differ by at most tol in the
-    sup norm, after at most max_inner sweeps (InnerDivergenceError
-    otherwise, or on non-finite samples). Returns (samples on the
-    substep grid, w_k read off them, sweep count). The a-priori bound
-    check on the samples belongs to solve_bounded.
+    of f(t, z, w_k) + alpha_k that Picard uses. The sweeps start from
+    `guess`, an array of shape (substeps+1, dim) on the substep grid,
+    or from the free response exp(A j h) z0 if it is None; the start
+    moves the sweep count, not the fixed point. The linear part is
+    exact, so every substep count is stable. Stops when successive
+    sweeps differ by at most tol in the sup norm, after at most
+    max_inner sweeps (InnerDivergenceError otherwise, or on non-finite
+    samples). Returns (samples on the substep grid, w_k read off them,
+    sweep count). The a-priori bound check on the samples belongs to
+    solve_bounded.
     """
     z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (sys.dim,):
+        raise OutOfRangeError(f"z0 must have shape ({sys.dim},), got {z0.shape}")
     ctx = _context(sys, substeps)
-    free = (z0 @ ctx.e_rows).reshape(1, substeps + 1, len(z0))
+    free = (z0 @ ctx.e_rows).reshape(1, substeps + 1, sys.dim)
+    if guess is None:
+        psi = free
+    else:
+        psi = np.asarray(guess, dtype=float)
+        if psi.shape != free.shape[1:]:
+            raise OutOfRangeError(f"guess must have shape {free.shape[1:]}, got {psi.shape}")
+        psi = psi[None]
     alpha = sys.driver.value(k)[None]
     try:
-        psi, deltas, _ = _picard_sweeps(sys, k, alpha, free, tol, free, max_inner)
+        psi, deltas, _ = _picard_sweeps(sys, k, alpha, psi, tol, free, max_inner)
     except InnerDivergenceError as err:
         raise InnerDivergenceError(f"interval {k}: {err}") from None
-    j0, lw = _cubic_stencils(sys.schedule.zeta_fraction * substeps, substeps)
+    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, substeps)
     return psi[0], lw @ psi[0, j0 : j0 + 4], len(deltas)
 
 
 def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
     """step_interval on each interval of [k_lo - pad, k_hi] in turn, from
-    zero; each stops at INNER_DEFAULT_TOL within _picard_cap sweeps."""
+    zero; each stops at INNER_DEFAULT_TOL within _picard_cap sweeps.
+    Interval k+1 starts from exp(A j h) z(theta_{k+1}) + I_k, with I_k
+    the convolution of interval k's solution."""
     cap = _picard_cap(sys)
-    z = np.zeros(sys.dim)
+    e_rows = _context(sys, substeps).e_rows
+    z, guess = np.zeros(sys.dim), None
     pieces, frozen, sweeps = [], [], []
     for k in range(k_lo - pad, k_hi):
-        samples, w, inner = step_interval(sys, k, z, substeps, INNER_DEFAULT_TOL, cap)
+        samples, w, inner = step_interval(sys, k, z, substeps, INNER_DEFAULT_TOL, cap, guess)
         z = samples[-1]
+        # samples[0] is this interval's z0, so this adds E^j (z - z0)
+        guess = samples + ((z - samples[0]) @ e_rows).reshape(samples.shape)
         sweeps.append(inner)
         if k >= k_lo:
             pieces.append(samples[:-1])

@@ -286,6 +286,42 @@ class TestStepInterval:
         lerp = samples[66] + (0.5 / 0.0075 - 66.0) * (samples[67] - samples[66])
         assert np.abs(w - lerp).max() <= 1e-3
 
+    def test_zeta_stencil_is_shared_and_read_only(self):
+        j0, lw = solver._zeta_stencil(1.0 / 3.0, 200)
+        want_j0, want_lw = solver._cubic_stencils(1.0 / 3.0 * 200, 200)
+        assert j0 == want_j0 and np.array_equal(lw, want_lw)
+        assert solver._zeta_stencil(1.0 / 3.0, 200)[1] is lw
+        with pytest.raises(ValueError):
+            lw[0] = 0.0
+
+    @pytest.mark.parametrize("z0", [[1.0, 2.0, 3.0], 5.0, [[0.3, -0.2]]])
+    def test_z0_shape_is_checked(self, homo, z0):
+        with pytest.raises(OutOfRangeError, match=r"z0 must have shape \(2,\)"):
+            step_interval(homo.system, 0, z0)
+
+    @pytest.mark.parametrize("shape", [(200, 2), (201, 3), (201,), (1, 201, 2)])
+    def test_guess_shape_is_checked(self, homo, shape):
+        with pytest.raises(OutOfRangeError, match=r"guess must have shape \(201, 2\)"):
+            step_interval(homo.system, 0, np.zeros(2), 200, 1e-12, 100, np.zeros(shape))
+
+    def test_converged_guess_stops_after_one_sweep(self, homo):
+        z0, tol = np.array([0.3, -0.2]), solver.INNER_DEFAULT_TOL
+        samples, w, inner = step_interval(homo.system, 0, z0)
+        again, w_again, one = step_interval(homo.system, 0, z0, 200, tol, solver.INNER_MAX_ITERS, samples)
+        assert inner > 1 and one == 1
+        assert np.abs(again - samples).max() <= tol
+        assert np.abs(w_again - w).max() <= 1.2 * tol
+
+    def test_poor_guess_reaches_the_same_fixed_point(self, homo):
+        # a start 100 times the solution costs sweeps, not accuracy:
+        # both stops leave about kappa_pi / (1 - kappa_pi) 1e-12 of error
+        z0, tol = np.array([0.3, -0.2]), solver.INNER_DEFAULT_TOL
+        samples, w, _ = step_interval(homo.system, 0, z0)
+        far, w_far, inner = step_interval(homo.system, 0, z0, 200, tol, solver.INNER_MAX_ITERS, 100.0 * samples)
+        assert inner > 1
+        assert np.abs(far - samples).max() <= 1e-11
+        assert np.abs(w_far - w).max() <= 1e-11
+
     def test_non_finite_samples_after_zeta(self):
         # f turns NaN on (4, 4.5), inside the last interval [3, 4.5] of a
         # (-3, 3) window but after its zeta = 3.5; every sweep covers the
@@ -393,8 +429,9 @@ class TestSolveBounded:
             name: sum(solve_bounded(sc.system, (-20, 20), method="burn_in").meta["inner_iterations"])
             for name, sc in (("homoclinic", homo), ("heteroclinic", het))
         }
-        # sweeps over 89 intervals (pad 49), at most 8 per interval
-        assert totals == {"homoclinic": 641, "heteroclinic": 574}
+        # sweeps over 89 intervals (pad 49), at most 8 per interval; each
+        # interval after the first starts from the one before it
+        assert totals == {"homoclinic": 415, "heteroclinic": 308}
 
     @pytest.mark.parametrize("method, batch, zeta_fraction", [
         ("picard", True, 1.0 / 3.0), ("picard", False, 1.0 / 3.0),
@@ -762,12 +799,34 @@ class TestQuasiNewtonBurnIn:
     @pytest.mark.parametrize("lip_y, zeta_fraction", [(0.7, 1.0), (0.9, 0.5), (0.9, 1.0)])
     def test_near_the_a4_limit(self, lip_y, zeta_fraction):
         # an interval's sweeps contract by up to about kappa_pi = lip_y
-        # here: at 0.9 and zeta_fraction 1 they take up to 181 sweeps,
-        # past INNER_MAX_ITERS and within _picard_cap's 479
+        # here: at 0.9 and zeta_fraction 1 they take up to 178 sweeps (the
+        # first interval, started from zero), past INNER_MAX_ITERS and
+        # within _picard_cap's 479
         sys = a4_limit_system(lip_y, zeta_fraction)
         burn = solve_bounded(sys, (-3, 3), 40, method="burn_in")
         pic = solve_bounded(sys, (-3, 3), 40)
         assert np.abs(pic.samples - burn.samples).max() <= 1e-8
+
+    @pytest.mark.parametrize("case", ["homo", 0, 1, 2, 3])
+    def test_warm_start_matches_cold_started_intervals(self, request, case):
+        # burn-in starts each interval from the one before it; a chain of
+        # step_interval calls from the free response solves the same
+        # equations to the same stop (at most 1.1e-14 apart measured)
+        if isinstance(case, str):
+            sys, (k_lo, k_hi), m = request.getfixturevalue(case).system, (-10, 10), 200
+        else:
+            sys, (k_lo, k_hi), m = random_system(case), (-2, 2), 60
+        burn = solve_bounded(sys, (k_lo, k_hi), m, method="burn_in")
+        z, pieces, frozen = np.zeros(sys.dim), [], []
+        for k in range(k_lo - burn.meta["pad"], k_hi):
+            samples, w, _ = step_interval(sys, k, z, m, solver.INNER_DEFAULT_TOL, solver._picard_cap(sys))
+            z = samples[-1]
+            if k >= k_lo:
+                pieces.append(samples[:-1])
+                frozen.append(w)
+        cold = np.concatenate(pieces + [z[None]])
+        assert np.abs(burn.samples - cold).max() <= 1e-11
+        assert max(np.abs(wb - wc).max() for (_, wb), wc in zip(burn.frozen_args, frozen)) <= 1e-11
 
     def test_steps_through_the_public_step_interval(self, homo, monkeypatch):
         calls = []

@@ -37,23 +37,26 @@ picard
     quarter, a sixteenth, ... as much.
 
 burn_in
-    Marches from zero initial data `pad` intervals early, one interval
-    at a time, and discards the transient: an exponential integrator in
-    collocation form (Cox & Matthews 2002; Hochbruck & Ostermann 2010).
-    Interval k is solved by Picard's sweeps on that interval alone
-    (step_interval), z_j = exp(A j h) z(theta_k) + I_j with I the
-    convolution above, stopped when successive sweeps differ by at most
-    INNER_DEFAULT_TOL. The first interval starts from its free response
-    exp(A j h) z(theta_k); each later one starts from the solution of
-    the interval before it moved onto its own start state, exp(A j h)
-    z(theta_k) + I_{k-1}, as windowed waveform relaxation starts each
-    window from the last (Lelarasmee, Ruehli & Sangiovanni-Vincentelli
-    1982). Neighbouring intervals see similar forcing, so this start
-    saves sweeps and leaves the fixed point where it was. The linear
-    part is exact, so no substep count is unstable. Both methods solve
-    the same discrete equations and differ in the order of their sweeps
-    and in their stops, so comparing them checks the iteration and the
-    truncation, not the quadrature.
+    Marches from zero initial data `pad` intervals early and discards
+    the transient: an exponential integrator in collocation form (Cox &
+    Matthews 2002; Hochbruck & Ostermann 2010). It sweeps a sliding
+    window of up to BURN_IN_WINDOW unfinished intervals [k, k + n) whose
+    start value z(theta_k) is final, as windowed waveform relaxation
+    does (Lelarasmee, Ruehli & Sangiovanni-Vincentelli 1982). A sweep is
+    Picard's, z(t) = exp(A (t - theta_k)) z(theta_k) + I(t) with I the
+    convolution above from theta_k. After each sweep the leading
+    intervals whose own delta is at most INNER_DEFAULT_TOL are final,
+    z(theta_k) moves to the end of the last of them, and the window is
+    topped up with intervals each started from the one before it moved
+    onto its own start, last + exp(A j h) (last[-1] - last[0]).
+    Neighbouring intervals see similar forcing, so this start saves
+    sweeps and leaves the fixed point where it was; one sweep of eight
+    intervals costs little more than one of one. The first window
+    starts from its free response. step_interval solves one interval
+    the same way. The linear part is exact, so no substep count is
+    unstable. Both methods solve the same discrete equations and differ
+    in the order of their sweeps and in their stops, so comparing them
+    checks the iteration and the truncation, not the quadrature.
 
 Both report their truncation/transient bound (_tail_bound) in the
 trajectory meta and refuse pads whose bound exceeds the requested
@@ -95,6 +98,8 @@ PICARD_STOP = 1e-10
 PICARD_MAX_ITERS = 80
 INNER_DEFAULT_TOL = 1e-12
 INNER_MAX_ITERS = 100
+# most unfinished intervals burn-in sweeps together
+BURN_IN_WINDOW = 8
 # fewest substeps per interval: five grid points hold the 5-point
 # residual stencil, and the 4-point quadrature stencils fit inside it
 MIN_SUBSTEPS = 4
@@ -372,50 +377,96 @@ def _picard_cap(sys: EpcagSystem) -> int:
     return max(PICARD_MAX_ITERS, math.ceil(2.0 * math.log(_picard_stop(sys)) / math.log(kappa)))
 
 
+def _grid_times(sys: EpcagSystem, k0: int, n_int: int, m: int) -> np.ndarray:
+    """Times of the grid points of intervals k0 .. k0 + n_int - 1 at m
+    substeps, shape (n_int, m+1)."""
+    omega = sys.schedule.omega
+    starts = sys.schedule.origin + np.arange(k0, k0 + n_int) * omega
+    return starts[:, None] + (omega / m) * np.arange(m + 1)
+
+
+def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, psi: np.ndarray,
+           free: np.ndarray | None, hv: np.ndarray, d: np.ndarray):
+    """One Picard sweep on the grid of psi (n_int, m+1, dim), whose
+    intervals run at times ts (n_int, m+1) and carry driver values alpha
+    (n_int, dim): the frozen arguments are read off psi, hv is filled
+    with the integrand f + alpha, and the new iterate is its convolution
+    plus the free response `free` (zero if None). d is scratch of psi's
+    shape. Returns the new iterate and each interval's sup-norm delta to
+    psi."""
+    n_int, m1, dim = psi.shape
+    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m1 - 1)
+    w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
+    fv = eval_many(sys.f, ts.reshape(-1), psi.reshape(-1, dim), np.repeat(w, m1, axis=0))
+    np.add(fv.reshape(n_int, m1, dim), alpha[:, None, :], out=hv)
+    new = _convolve(ctx, hv)
+    if free is not None:
+        new += free
+    np.subtract(new, psi, out=d)
+    return new, np.sqrt(sum(d[..., k] ** 2 for k in range(dim)).max(axis=1))
+
+
+def _non_finite(k0: int, deltas: np.ndarray, sweeps) -> InnerDivergenceError:
+    """The error for sweep deltas of intervals k0, k0 + 1, ... not all
+    finite, naming the first interval that went non-finite and its sweep
+    count (sweeps, one per interval or one for all)."""
+    i = int(np.argmin(np.isfinite(deltas)))
+    return InnerDivergenceError(
+        f"interval {k0 + i}: non-finite samples in picard sweep {np.broadcast_to(sweeps, deltas.shape)[i]}"
+    )
+
+
+def _not_reached(k: int, stop: float, cap: int, m: int) -> InnerDivergenceError:
+    return InnerDivergenceError(
+        f"interval {k}: picard iteration did not reach {stop:g} in {cap} sweeps at {m} substeps"
+    )
+
+
 def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray,
                    stop: float | None = None, free: np.ndarray | None = None, cap: int | None = None):
     """Picard sweeps on the grid of psi (n_int, m+1, dim), whose intervals
     start at node k0 and carry driver values alpha (n_int, dim), until
     successive iterates differ by <= stop (default _picard_stop), for at
-    most cap sweeps (default _picard_cap). Each sweep is the convolution
-    of the integrand plus the free response `free` (zero by default).
-    Returns the last iterate, the sweep deltas and the last sweep's
-    integrand hv = f + alpha."""
+    most cap sweeps (default _picard_cap). Each sweep is _sweep with the
+    free response `free` (zero by default), and its delta is the largest
+    of the intervals'. Returns the last iterate, the sweep deltas and the
+    last sweep's integrand hv = f + alpha. An error names the first
+    interval that went non-finite, or the first still above the stop."""
     if stop is None:
         stop = _picard_stop(sys)
     if cap is None:
         cap = _picard_cap(sys)
-    n_int, m1, dim = psi.shape
+    n_int, m1, _ = psi.shape
     m = m1 - 1
     ctx = _context(sys, m)
-    starts = sys.schedule.origin + np.arange(k0, k0 + n_int) * sys.schedule.omega
-    ts_flat = (starts[:, None] + (sys.schedule.omega / m) * np.arange(m1)).reshape(-1)
-    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m)
+    ts = _grid_times(sys, k0, n_int, m)
 
     deltas: list[float] = []
     # one integrand and one difference array serve every sweep; fresh
     # ones each sweep would fault in new pages every time
     hv, d = np.empty_like(psi), np.empty_like(psi)
+    per = np.full(n_int, math.inf)  # before any sweep no interval has converged
     for _ in range(cap):
-        w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
-        ys = np.repeat(w, m1, axis=0)
-        fv = eval_many(sys.f, ts_flat, psi.reshape(-1, dim), ys)
-        np.add(fv.reshape(n_int, m1, dim), alpha[:, None, :], out=hv)
-        new = _convolve(ctx, hv)
-        if free is not None:
-            new += free
-        np.subtract(new, psi, out=d)
-        delta = math.sqrt(float(sum(d[..., k] ** 2 for k in range(dim)).max()))
-        psi = new
-        deltas.append(delta)
-        if not math.isfinite(delta):
-            raise InnerDivergenceError(f"non-finite samples in picard sweep {len(deltas)}")
-        if delta <= stop:
+        psi, per = _sweep(sys, ctx, ts, alpha, psi, free, hv, d)
+        deltas.append(float(per.max()))
+        if not math.isfinite(deltas[-1]):
+            raise _non_finite(k0, per, len(deltas))
+        if deltas[-1] <= stop:
             return psi, deltas, hv
-    raise InnerDivergenceError(
-        f"picard iteration did not reach {stop:g} in {cap} sweeps "
-        f"at {m} substeps"
-    )
+    raise _not_reached(k0 + int(np.argmax(per > stop)), stop, cap, m)
+
+
+def _samples_and_frozen(sys: EpcagSystem, psi: np.ndarray, k0: int, pad: int):
+    """The samples of the grid psi (n_int, m+1, dim), whose intervals
+    start at node k0, from interval k0 + pad on as one array, and the
+    frozen arguments w_k read off them."""
+    n_int, m1, dim = psi.shape
+    m = m1 - 1
+    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m)
+    w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
+    frozen = tuple((k0 + i, w[i].copy()) for i in range(pad, n_int))
+    samples = np.concatenate([psi[pad:, :m, :].reshape(-1, dim), psi[-1, m][None]])
+    return samples, frozen
 
 
 def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
@@ -441,10 +492,7 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
         psi = _convolve(_context(sys, m_next), _refine(hv, m_next))
     psi, deltas, _ = _picard_sweeps(sys, k0, alpha, psi)
 
-    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m)
-    w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
-    frozen = tuple((k0 + i, w[i].copy()) for i in range(pad, n_int))
-    samples = np.concatenate([psi[pad:, :m, :].reshape(-1, dim), psi[-1, m][None]])
+    samples, frozen = _samples_and_frozen(sys, psi, k0, pad)
     # one contract row per grid point per sweep, on every level
     rows = sum(len(d) * (m_l + 1) for m_l, _, d in levels) + len(deltas) * (m + 1)
     sweeps = {"iterations": len(deltas), "iterate_deltas": tuple(deltas),
@@ -490,37 +538,64 @@ def step_interval(
             raise OutOfRangeError(f"guess must have shape {free.shape[1:]}, got {psi.shape}")
         psi = psi[None]
     alpha = sys.driver.value(k)[None]
-    try:
-        psi, deltas, _ = _picard_sweeps(sys, k, alpha, psi, tol, free, max_inner)
-    except InnerDivergenceError as err:
-        raise InnerDivergenceError(f"interval {k}: {err}") from None
+    psi, deltas, _ = _picard_sweeps(sys, k, alpha, psi, tol, free, max_inner)
     j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, substeps)
     return psi[0], lw @ psi[0, j0 : j0 + 4], len(deltas)
 
 
 def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
-    """step_interval on each interval of [k_lo - pad, k_hi] in turn, from
-    zero; each stops at INNER_DEFAULT_TOL within _picard_cap sweeps.
-    Interval k+1 starts from exp(A j h) z(theta_{k+1}) + I_k, with I_k
-    the convolution of interval k's solution."""
+    """Burn-in on [k_lo - pad, k_hi] from zero, by the sliding window of
+    up to BURN_IN_WINDOW intervals the module docstring describes. An
+    interval still unfinished after _picard_cap sweeps in the window
+    raises InnerDivergenceError; inner_iterations counts each interval's
+    sweeps in the window, so f_evals is (substeps + 1) times their sum."""
+    m, dim = substeps, sys.dim
     cap = _picard_cap(sys)
-    e_rows = _context(sys, substeps).e_rows
-    z, guess = np.zeros(sys.dim), None
-    pieces, frozen, sweeps = [], [], []
-    for k in range(k_lo - pad, k_hi):
-        samples, w, inner = step_interval(sys, k, z, substeps, INNER_DEFAULT_TOL, cap, guess)
-        z = samples[-1]
-        # samples[0] is this interval's z0, so this adds E^j (z - z0)
-        guess = samples + ((z - samples[0]) @ e_rows).reshape(samples.shape)
-        sweeps.append(inner)
-        if k >= k_lo:
-            pieces.append(samples[:-1])
-            frozen.append((k, w))
-    pieces.append(z[None])
-    # one contract row per grid point per sweep
-    passes = {"iterations": max(sweeps), "inner_iterations": tuple(sweeps),
-              "f_evals": sum(sweeps) * (substeps + 1)}
-    return np.concatenate(pieces), tuple(frozen), passes
+    ctx = _context(sys, m)
+    k0 = k_lo - pad
+    n_all = k_hi - k0
+    ts = _grid_times(sys, k0, n_all, m)
+    alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
+    size = min(BURN_IN_WINDOW, n_all)
+    # z @ rows[:, (i (m+1) + j) dim : ...] = exp(A (i omega + j h)) z, the
+    # free response on interval i of the window
+    e_omega = np.stack([np.linalg.matrix_power(ctx.e_pows[m], i) for i in range(size)])
+    rows = (ctx.e_pows[None] @ e_omega[:, None]).transpose(3, 0, 1, 2).reshape(dim, -1)
+
+    out = np.empty((n_all, m + 1, dim))
+    sweeps = np.zeros(n_all, dtype=int)
+    z, i0 = np.zeros(dim), 0
+    psi = free = (z @ rows).reshape(size, m + 1, dim)
+    hv, d = np.empty_like(psi), np.empty_like(psi)
+    while i0 < n_all:
+        n = len(psi)
+        new, per = _sweep(sys, ctx, ts[i0 : i0 + n], alpha[i0 : i0 + n], psi, free, hv[:n], d[:n])
+        sweeps[i0 : i0 + n] += 1
+        if not np.isfinite(per).all():
+            raise _non_finite(k0 + i0, per, sweeps[i0 : i0 + n])
+        ok = per <= INNER_DEFAULT_TOL
+        done = n if ok.all() else int(np.argmin(ok))
+        out[i0 : i0 + done] = new[:done]
+        i0 += done
+        if i0 < n_all and sweeps[i0] >= cap:
+            raise _not_reached(k0 + i0, INNER_DEFAULT_TOL, cap, m)
+        if not done:
+            psi = new
+            continue
+        # each interval joining the window starts from the one before it
+        # moved onto its start
+        psi, last = [new[done:]], new[-1]
+        for _ in range(min(size, n_all - i0) - (n - done)):
+            last = last + ((last[-1] - last[0]) @ ctx.e_rows).reshape(last.shape)
+            psi.append(last[None])
+        psi = np.concatenate(psi)
+        z = new[done - 1, m]
+        free = (z @ rows[:, : psi.size]).reshape(psi.shape)
+
+    samples, frozen = _samples_and_frozen(sys, out, k0, pad)
+    passes = {"iterations": int(sweeps.max()), "inner_iterations": tuple(int(s) for s in sweeps),
+              "f_evals": int(sweeps.sum()) * (m + 1)}
+    return samples, frozen, passes
 
 
 def solve_bounded(

@@ -335,6 +335,18 @@ class TestStepInterval:
         with pytest.raises(InnerDivergenceError):
             solve_bounded(sys, (-3, 3), substeps=20, method="picard")
 
+    def test_picard_names_the_first_non_finite_interval(self):
+        # the 5-substep level meets the NaN in interval 2 on its first
+        # sweep; the convolution carries it forward only
+        sys = replace(linear_system(), f=custom_contract(
+            lambda t, x, y: np.full(2, np.nan) if 4.0 < t < 4.5 else np.zeros(2), 1.0, 0.0, 0.0))
+        with pytest.raises(InnerDivergenceError, match="interval 2: non-finite samples in picard sweep 1$"):
+            solve_bounded(sys, (-3, 3), substeps=20, method="picard")
+
+    def test_a_cap_of_no_sweeps_names_the_interval(self, homo):
+        with pytest.raises(InnerDivergenceError, match="interval 4: picard iteration did not reach 1e-12 in 0 sweeps"):
+            step_interval(homo.system, 4, np.zeros(2), max_inner=0)
+
     def test_inner_divergence_guard(self):
         # a frozen-argument gain this large defeats the fixed point loop
         wild = custom_contract(lambda t, x, y: 5.0 * y, 10.0, 0.0, 5.0)
@@ -429,17 +441,19 @@ class TestSolveBounded:
             name: sum(solve_bounded(sc.system, (-20, 20), method="burn_in").meta["inner_iterations"])
             for name, sc in (("homoclinic", homo), ("heteroclinic", het))
         }
-        # sweeps over 89 intervals (pad 49), at most 8 per interval; each
-        # interval after the first starts from the one before it
-        assert totals == {"homoclinic": 415, "heteroclinic": 308}
+        # sweeps over 89 intervals (pad 49), at most 9 per interval: each
+        # counts the sweeps of the sliding window while it was in it, and
+        # each interval enters the window started from the one before it
+        assert totals == {"homoclinic": 466, "heteroclinic": 355}
 
     @pytest.mark.parametrize("method, batch, zeta_fraction", [
         ("picard", True, 1.0 / 3.0), ("picard", False, 1.0 / 3.0),
         ("burn_in", True, 1.0 / 3.0), ("burn_in", True, 0.0), ("burn_in", True, 1.0),
+        ("burn_in", False, 1.0 / 3.0),
     ])
     def test_f_evals_counts_every_contract_row(self, homo, method, batch, zeta_fraction):
         # 64 substeps: picard sweeps at 16 substeps first; burn-in sweeps
-        # each interval at 64, whatever the zeta fraction
+        # its window of intervals at 64, whatever the zeta fraction
         f, rows = counting_rows(homo.system.f, batch)
         sys = replace(homo.system, f=f, schedule=make_schedule(1.5, 0.0, zeta_fraction))
         traj = solve_bounded(sys, (-3, 3), 64, method=method)
@@ -774,6 +788,26 @@ def a4_limit_system(lip_y, zeta_fraction):
     )
 
 
+def interval_chain(sys, k_lo, k_hi, pad, m, warm):
+    """Burn-in written out as step_interval calls on intervals k_lo - pad
+    .. k_hi - 1, each from the end of the one before it, and started from
+    that one moved onto its start state if warm (from its free response
+    otherwise). Returns the samples on [k_lo, k_hi], the frozen arguments
+    and each interval's sweep count."""
+    e_rows = solver._context(sys, m).e_rows
+    z, guess, pieces, frozen, sweeps = np.zeros(sys.dim), None, [], [], []
+    for k in range(k_lo - pad, k_hi):
+        samples, w, inner = step_interval(sys, k, z, m, solver.INNER_DEFAULT_TOL, solver._picard_cap(sys), guess)
+        z = samples[-1]
+        if warm:
+            guess = samples + ((z - samples[0]) @ e_rows).reshape(samples.shape)
+        sweeps.append(inner)
+        if k >= k_lo:
+            pieces.append(samples[:-1])
+            frozen.append(w)
+    return np.concatenate(pieces + [z[None]]), frozen, tuple(sweeps)
+
+
 class TestQuasiNewtonBurnIn:
     """Burn-in's frozen arguments. The class is named for the quasi-Newton
     step that burn-in once took on each of them; burn-in now takes plain
@@ -799,9 +833,9 @@ class TestQuasiNewtonBurnIn:
     @pytest.mark.parametrize("lip_y, zeta_fraction", [(0.7, 1.0), (0.9, 0.5), (0.9, 1.0)])
     def test_near_the_a4_limit(self, lip_y, zeta_fraction):
         # an interval's sweeps contract by up to about kappa_pi = lip_y
-        # here: at 0.9 and zeta_fraction 1 they take up to 178 sweeps (the
-        # first interval, started from zero), past INNER_MAX_ITERS and
-        # within _picard_cap's 479
+        # here: at 0.9 and zeta_fraction 1 an interval spends up to 239
+        # sweeps in burn-in's window (178 for the first, started from
+        # zero), past INNER_MAX_ITERS and within _picard_cap's 479
         sys = a4_limit_system(lip_y, zeta_fraction)
         burn = solve_bounded(sys, (-3, 3), 40, method="burn_in")
         pic = solve_bounded(sys, (-3, 3), 40)
@@ -817,29 +851,40 @@ class TestQuasiNewtonBurnIn:
         else:
             sys, (k_lo, k_hi), m = random_system(case), (-2, 2), 60
         burn = solve_bounded(sys, (k_lo, k_hi), m, method="burn_in")
-        z, pieces, frozen = np.zeros(sys.dim), [], []
-        for k in range(k_lo - burn.meta["pad"], k_hi):
-            samples, w, _ = step_interval(sys, k, z, m, solver.INNER_DEFAULT_TOL, solver._picard_cap(sys))
-            z = samples[-1]
-            if k >= k_lo:
-                pieces.append(samples[:-1])
-                frozen.append(w)
-        cold = np.concatenate(pieces + [z[None]])
+        cold, frozen, _ = interval_chain(sys, k_lo, k_hi, burn.meta["pad"], m, warm=False)
         assert np.abs(burn.samples - cold).max() <= 1e-11
         assert max(np.abs(wb - wc).max() for (_, wb), wc in zip(burn.frozen_args, frozen)) <= 1e-11
 
-    def test_steps_through_the_public_step_interval(self, homo, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args[1])
-            return step_interval(*args)
-
-        monkeypatch.setattr(solver, "step_interval", counted)
+    def test_sliding_window_counts_every_interval(self, homo):
         traj = solve_bounded(homo.system, (-3, 3), 64, method="burn_in")
         pad = traj.meta["pad"]
-        assert calls == list(range(-3 - pad, 3))
+        assert [k for k, _ in traj.frozen_args] == list(range(-3, 3))
         assert len(traj.meta["inner_iterations"]) == pad + 6
+        assert traj.meta["iterations"] == max(traj.meta["inner_iterations"])
+
+    def test_a_window_of_one_is_the_warm_started_chain(self, homo, het, monkeypatch):
+        # a window of one interval sweeps each interval alone, started
+        # from the one before it moved onto its start state: a warm chain
+        # of step_interval calls, to the same sweep counts
+        monkeypatch.setattr(solver, "BURN_IN_WINDOW", 1)
+        totals = {}
+        for name, sc in (("homoclinic", homo), ("heteroclinic", het)):
+            burn = solve_bounded(sc.system, (-20, 20), method="burn_in")
+            chain, frozen, sweeps = interval_chain(sc.system, -20, 20, burn.meta["pad"], 200, warm=True)
+            assert burn.meta["inner_iterations"] == sweeps
+            assert np.abs(burn.samples - chain).max() <= 1e-14
+            assert max(np.abs(wb - wc).max() for (_, wb), wc in zip(burn.frozen_args, frozen)) <= 1e-14
+            totals[name] = sum(sweeps)
+        assert totals == {"homoclinic": 415, "heteroclinic": 308}
+
+    def test_non_converging_interval_is_named(self, monkeypatch):
+        # a cap of 3 sweeps stops the first interval of the window
+        sys = random_system(0)
+        pad = default_pad(sys, 1e-8)
+        monkeypatch.setattr(solver, "_picard_cap", lambda sys: 3)
+        message = rf"interval {-2 - pad}: picard iteration did not reach 1e-12 in 3 sweeps at 60 substeps"
+        with pytest.raises(InnerDivergenceError, match=message):
+            solve_bounded(sys, (-2, 2), 60, method="burn_in")
 
     def test_picard_sweep_cap_follows_kappa(self, homo, monkeypatch):
         # kappa_pi = 0.9 stops at (1 - 0.9) / 0.9 of the stop of kappa_pi

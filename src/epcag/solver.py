@@ -29,12 +29,14 @@ picard
     (full multigrid's cascade, Brandt 1977). A coarse grid of m_l
     substeps stops at that stop times (m/m_l)^4: its 4th-order solution
     is that much less accurate, so sweeping it further buys nothing. It
-    hands the next grid the
-    convolution of its last sweep's integrand, refined by interval-local
-    cubic interpolation, which is one more sweep for the price of a
-    convolution and no contract call. The requested grid keeps the stop
-    rule and fixed point of a start from zero; the coarse sweeps cost a
-    quarter, a sixteenth, ... as much.
+    hands the next grid the convolution of its last sweep's integrand,
+    refined by interval-local quintic interpolation through the six
+    nearest grid points, which is one more sweep for the price of a
+    convolution and no contract call. That interpolation errs like h^6,
+    an order beyond the discretisation's h^4, so the hand-over adds
+    little to the coarse grid's own error, as full multigrid asks. The
+    requested grid keeps the stop rule and fixed point of a start from
+    zero; the coarse sweeps cost a quarter, a sixteenth, ... as much.
 
 burn_in
     Marches from zero initial data `pad` intervals early and discards
@@ -267,17 +269,18 @@ def _context(sys: EpcagSystem, substeps: int) -> _Context:
     return _cached_context(a.tobytes(), a.shape[0], sys.schedule.omega, substeps)
 
 
-def _cubic_stencils(pos, m_sub: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start indices and cubic Lagrange weights reading a function off
-    grid points 0..m_sub of one interval at positions pos (in substeps):
-    the four grid points around each position, kept inside the interval.
-    Picard reads the frozen argument psi(zeta) with it."""
+def _lagrange_stencils(pos, m_sub: int, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start indices and Lagrange weights reading a function off grid
+    points 0..m_sub of one interval at positions pos (in substeps): the
+    `points` grid points nearest each position, kept inside the interval.
+    Picard reads the frozen argument psi(zeta) with four of them, and
+    _refine hands over with six."""
     pos = np.asarray(pos, dtype=float)
-    j0 = np.clip(np.floor(pos) - 1, 0, m_sub - 3).astype(int)
+    j0 = np.clip(np.floor(pos) - (points // 2 - 1), 0, m_sub + 1 - points).astype(int)
     rel = pos - j0
-    lw = np.ones(pos.shape + (4,))
-    for r in range(4):
-        for s in range(4):
+    lw = np.ones(pos.shape + (points,))
+    for r in range(points):
+        for s in range(points):
             if s != r:
                 lw[..., r] *= (rel - s) / (r - s)
     return j0, lw
@@ -285,21 +288,24 @@ def _cubic_stencils(pos, m_sub: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def _zeta_stencil(zeta_fraction: float, m_sub: int) -> tuple[int, np.ndarray]:
-    """_cubic_stencils at the zeta point, zeta_fraction * m_sub, of an
-    interval of m_sub substeps; its weights are read-only, as every
-    caller shares them."""
-    j0, lw = _cubic_stencils(zeta_fraction * m_sub, m_sub)
+    """The cubic (4-point) _lagrange_stencils at the zeta point,
+    zeta_fraction * m_sub, of an interval of m_sub substeps; its weights
+    are read-only, as every caller shares them."""
+    j0, lw = _lagrange_stencils(zeta_fraction * m_sub, m_sub, 4)
     lw.flags.writeable = False
     return int(j0), lw
 
 
 def _refine(psi: np.ndarray, m_sub: int) -> np.ndarray:
-    """Interval-local cubic interpolation of psi (n_int, m+1, dim) onto
-    m_sub substeps per interval; no stencil reaches across a node."""
+    """Interval-local quintic interpolation of psi (n_int, m+1, dim) onto
+    m_sub substeps per interval, through the six grid points nearest each
+    position (all five of a 4-substep grid); no stencil reaches across a
+    node."""
     m = psi.shape[1] - 1
-    j0, lw = _cubic_stencils(np.arange(m_sub + 1) * m / m_sub, m)
+    points = min(6, m + 1)
+    j0, lw = _lagrange_stencils(np.arange(m_sub + 1) * m / m_sub, m, points)
     interp = np.zeros((m_sub + 1, m + 1))
-    interp[np.arange(m_sub + 1)[:, None], j0[:, None] + np.arange(4)] = lw
+    interp[np.arange(m_sub + 1)[:, None], j0[:, None] + np.arange(points)] = lw
     return interp @ psi
 
 

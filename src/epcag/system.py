@@ -186,7 +186,10 @@ def assemble_system(
             f"contract eval returned shape {probe.shape}, expected ({dim},)"
         )
 
-    report = validate_envelope(a, envelope, envelope.validated_horizon / 4000.0, envelope_slack)
+    # 4002 points, of which only the ends lie on estimate_decay_envelope's
+    # 4001-point scan (4000 and 4001 are coprime): an estimated envelope
+    # is checked where its constant was not read off, so the check can fail
+    report = validate_envelope(a, envelope, envelope.validated_horizon / 4001.5, envelope_slack)
     if not report.passed:
         raise AssumptionFailureError(
             f"envelope failed validation: max ratio {report.max_ratio:.6g} "

@@ -242,6 +242,14 @@ class TestSpectralAbscissa:
             spectral_abscissa(-np.eye(9))
 
 
+def fixed_point_system(a, envelope):
+    """A planar system on a, with a zero contract and a constant driver,
+    assembled with the given envelope (estimated if None)."""
+    orbit = epcag.build_orbit(epcag.logistic_map(4.0), "fixed", 0.75, k_min=-60, k_max=60)
+    return epcag.assemble_system(a, epcag.make_schedule(3.0, 0.0, 0.5), epcag.zero_contract(2),
+                                 epcag.pair_orbits(orbit, orbit), envelope=envelope)
+
+
 class TestEnvelope:
     def test_identity_decay_gives_unit_constant(self):
         # ||e^{-It}|| e^{rate t} = e^{-margin t} <= 1 for any rate_margin
@@ -312,9 +320,10 @@ class TestEnvelope:
 
     def test_underflowing_scan_is_refused(self):
         # ||exp(-20 t)|| falls below the smallest normal double at t = 35.43
-        # of the 4001-point scan to 60 that assembly runs, and 1517 samples
-        # are 0: their ratio to the exact envelope read nan, the subnormal
-        # ones a wrong finite value; the scan to 35.415 keeps every sample
+        # of the 4001-point scan to 60 that estimation runs (35.4211 of
+        # assembly's 4002-point one), and 1517 samples are 0: their ratio
+        # to the exact envelope read nan, the subnormal ones a wrong finite
+        # value; the scans to 35.415 (35.4061) keep every sample
         a = -20.0 * np.eye(2)
         env = DecayEnvelope(n_const=1.0, rate=20.0, validated_horizon=60.0, sample_count=0)
         msg = r"at t = 35\.43 is below the smallest normal double; scan to a horizon of at most 35\.415 instead of 60"
@@ -322,13 +331,31 @@ class TestEnvelope:
             validate_envelope(a, env, 60.0 / 4000.0, 1e-9)
         with pytest.raises(OutOfRangeError, match=msg):
             estimate_decay_envelope(a, rate_margin=0.0, horizon=60.0)
-        orbit = epcag.build_orbit(epcag.logistic_map(4.0), "fixed", 0.75, k_min=-60, k_max=60)
+        msg = r"at t = 35\.4211 is below the smallest normal double; scan to a horizon of at most 35\.4061 instead of 60"
         with pytest.raises(OutOfRangeError, match=msg):
-            epcag.assemble_system(a, epcag.make_schedule(3.0, 0.0, 0.5), epcag.zero_contract(2),
-                                  epcag.pair_orbits(orbit, orbit), envelope=env)
-        shorter = DecayEnvelope(n_const=1.0, rate=20.0, validated_horizon=35.415, sample_count=0)
-        report = validate_envelope(a, shorter, 35.415 / 4000.0, 1e-9)
-        assert report.passed and report.max_ratio == pytest.approx(1.0, abs=1e-9)
+            fixed_point_system(a, env)
+        for horizon, step in ((35.415, 35.415 / 4000.0), (35.4061, 35.4061 / 4001.5)):
+            shorter = DecayEnvelope(n_const=1.0, rate=20.0, validated_horizon=horizon, sample_count=0)
+            report = validate_envelope(a, shorter, step, 1e-9)
+            assert report.passed and report.max_ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_assembly_validates_off_the_estimation_grid(self, monkeypatch):
+        # an estimated constant is the sampled supremum of its own scan
+        # rounded up, so a check on that scan's times could never fail;
+        # assembly's grid meets it only at the ends
+        scans = []
+
+        def recording(a, horizon, count):
+            scans.append(np.linspace(0.0, horizon, count))
+            return sample_norm_curve(a, horizon, count)
+
+        monkeypatch.setattr(epcag.linear, "sample_norm_curve", recording)
+        envelope = fixed_point_system(reference_matrix(), None).envelope
+        estimated, validated = scans
+        horizon = envelope.validated_horizon
+        assert len(estimated) == envelope.sample_count == 4001 and len(validated) == 4002
+        # the two grids are at least horizon / (4000 * 4001) apart inside
+        assert np.abs(validated[:, None] - estimated[None, 1:-1]).min() >= 0.5 * horizon / 4001**2
 
     def test_overflowing_growth_factor_takes_log_space(self):
         # exp(1.01 t) overflows past t = 702.8 while exp(-t) is still a

@@ -226,7 +226,7 @@ class TestStepInterval:
         ctx = solver._Context(a, 1.2, m)
         ts = sys.schedule.node(1) + 1.2 / m * np.arange(m + 1)
         free = np.array([p @ z0 for p in ctx.e_pows])
-        j0, lw = solver._cubic_stencils(zeta_fraction * m, m)
+        j0, lw = solver._lagrange_stencils(zeta_fraction * m, m, 4)
         psi, deltas = free, []
         while not deltas or deltas[-1] > solver.INNER_DEFAULT_TOL:
             want_w = lw @ psi[j0 : j0 + 4]
@@ -288,7 +288,7 @@ class TestStepInterval:
 
     def test_zeta_stencil_is_shared_and_read_only(self):
         j0, lw = solver._zeta_stencil(1.0 / 3.0, 200)
-        want_j0, want_lw = solver._cubic_stencils(1.0 / 3.0 * 200, 200)
+        want_j0, want_lw = solver._lagrange_stencils(1.0 / 3.0 * 200, 200, 4)
         assert j0 == want_j0 and np.array_equal(lw, want_lw)
         assert solver._zeta_stencil(1.0 / 3.0, 200)[1] is lw
         with pytest.raises(ValueError):
@@ -689,6 +689,22 @@ class TestNestedStart:
         for coarse, fine in ((12, 50), (8, 32), (50, 201)):
             assert np.abs(solver._refine(cubics(coarse), fine) - cubics(fine)).max() <= 1e-13
 
+    def test_refine_reproduces_interval_quintics(self):
+        # the hand-over interpolates through six grid points, so it is
+        # exact on a different quintic on every interval; a 4-substep grid
+        # has five points, and is exact on quartics
+        rng = np.random.default_rng(6)
+
+        def poly(coeffs, m_sub):
+            s = np.arange(m_sub + 1) / m_sub
+            return np.einsum("ikd,jk->ijd", coeffs, s[:, None] ** np.arange(coeffs.shape[1]))
+
+        coeffs = rng.standard_normal((6, 6, 2))
+        for coarse, fine in ((12, 50), (8, 32), (50, 201)):
+            assert np.abs(solver._refine(poly(coeffs, coarse), fine) - poly(coeffs, fine)).max() <= 1e-13
+        coeffs = rng.standard_normal((6, 5, 2))
+        assert np.abs(solver._refine(poly(coeffs, 4), 16) - poly(coeffs, 16)).max() <= 1e-13
+
     def test_refine_does_not_leak_across_a_jump(self):
         levels = np.array([0.0, 1.0, 0.0, -2.0])
         got = solver._refine(np.broadcast_to(levels[:, None, None], (4, 13, 2)), 50)
@@ -702,19 +718,21 @@ class TestNestedStart:
         nested_rows = sum(rows)
         rows.clear()
         zero_start(sys, (-20, 20), 200)
-        # 0.51 measured: 3 sweeps at 200 substeps after 5 at 12 and 3 at
+        # 0.35 measured: 2 sweeps at 200 substeps after 5 at 12 and 2 at
         # 50, against 8 at 200 from zero
         assert nested_rows <= 0.55 * sum(rows)
 
-    @pytest.mark.parametrize("substeps", [16, 60, 200, 240])
+    @pytest.mark.parametrize("substeps", [16, 60, 120, 200, 240])
     @pytest.mark.parametrize("batch", [True, False])
     def test_cascade_keeps_the_fixed_point(self, substeps, batch):
-        # seeded random systems within 2e-11 of a start from zero; at the
-        # (A4) limit kappa_pi is 0.7-0.9, and the stop leaves each solve
-        # at most 1e-10 of iteration error, so they differ by at most
-        # 2e-10 (7.0e-11 measured at 0.9, 0.5 and 60 substeps; 5.8e-10
-        # under the old absolute stop); their 241 sweeps from zero are
-        # batched only, as scalar calls they would take a minute
+        # seeded random systems within 2e-11 of a start from zero (at 120
+        # substeps over three levels, 7, 30 and 120, each handing over
+        # through six points); at the (A4) limit kappa_pi is 0.7-0.9,
+        # and the stop leaves each solve at most 1e-10 of iteration
+        # error, so they differ by at most 2e-10 (7.0e-11 measured at
+        # 0.9, 0.5 and 60 substeps; 5.8e-10 under the old absolute stop);
+        # their 241 sweeps from zero are batched only, as scalar calls
+        # they would take a minute
         cases = [(random_system(seed), (-2, 2), 2e-11) for seed in range(4)]
         if batch:
             cases += [(a4_limit_system(*lz), (-3, 3), 2e-10) for lz in ((0.7, 1.0), (0.9, 0.5), (0.9, 1.0))]
@@ -725,14 +743,13 @@ class TestNestedStart:
             assert np.abs(traj.samples - zero_start(sys, window, substeps)[0]).max() <= tol
 
     def test_reference_f_evals(self, homo, het):
-        # per interval 3 (homoclinic) or 2 (heteroclinic) sweeps at 200
-        # substeps after 5 at 12 and 3 at 50, over 109 intervals (pad 49);
-        # from zero it is 8 at 200
-        want = {"homoclinic": (89_489, 3), "heteroclinic": (67_580, 2)}
-        for name, sc in (("homoclinic", homo), ("heteroclinic", het)):
+        # per interval 2 sweeps at 200 substeps after 5 at 12 and 2 at
+        # 50, over 109 intervals (pad 49), in both scenarios; from zero it
+        # is 8 at 200
+        for sc in (homo, het):
             meta = solve_bounded(sc.system, (-30, 30)).meta
-            assert [(m_l, len(d)) for m_l, _, d in meta["levels"]] == [(12, 5), (50, 3)]
-            assert (meta["f_evals"], meta["iterations"]) == want[name]
+            assert [(m_l, len(d)) for m_l, _, d in meta["levels"]] == [(12, 5), (50, 2)]
+            assert (meta["f_evals"], meta["iterations"]) == (62_021, 2)
 
     def test_hand_over_does_not_leak_across_nodes(self, homo):
         # a different cubic on every interval jumps at every node: the

@@ -20,7 +20,9 @@ picard
     CONVOLVE_BLOCK substeps with a block kernel, edge stencils, carries
     between blocks, a doubling scan over exp(A omega)^(2^s) for the node
     values, and one product adding exp(A j h) times them, each product
-    in row chunks that BLAS runs on one thread. Successive iterates
+    in row chunks that BLAS runs on one thread. The scan's powers are
+    kept per context, built only as far as the longest scan has reached,
+    as later ones underflow to slow subnormals. Successive iterates
     contract with factor at most kappa_pi; iteration stops when they differ by at most
     1e-10 min(1, (1 - kappa_pi) / kappa_pi) in the sup norm, which
     bounds the iteration error kappa_pi / (1 - kappa_pi) delta by 1e-10.
@@ -45,19 +47,20 @@ burn_in
     window of up to BURN_IN_WINDOW unfinished intervals [k, k + n) whose
     start value z(theta_k) is final, as windowed waveform relaxation
     does (Lelarasmee, Ruehli & Sangiovanni-Vincentelli 1982). A sweep is
-    Picard's, z(t) = exp(A (t - theta_k)) z(theta_k) + I(t) with I the
-    convolution above from theta_k. After each sweep the leading
-    intervals whose own delta is at most INNER_DEFAULT_TOL are final,
-    z(theta_k) moves to the end of the last of them, and the window is
-    topped up with intervals each started from the one before it moved
-    onto its own start, last + exp(A j h) (last[-1] - last[0]).
+    Picard's convolution above from theta_k with z(theta_k) as its first
+    node value, so the node scan carries exp(A (t - theta_k)) z(theta_k)
+    along and no table of free responses is needed. After each sweep the
+    leading intervals whose own delta is at most INNER_DEFAULT_TOL are
+    final, z(theta_k) moves to the end of the last of them, and the
+    window is topped up with intervals each started from the one before
+    it moved onto its own start, last + exp(A j h) (last[-1] - last[0]).
     Neighbouring intervals see similar forcing, so this start saves
     sweeps and leaves the fixed point where it was; one sweep of eight
     intervals costs little more than one of one. The first window
-    starts from its free response. step_interval solves one interval
-    the same way. The linear part is exact, so no substep count is
-    unstable. Both methods solve the same discrete equations and differ
-    in the order of their sweeps and in their stops, so comparing them
+    starts from zero. step_interval solves one interval the same way.
+    The linear part is exact, so no substep count is unstable. Both
+    methods solve the same discrete equations and differ in the order of
+    their sweeps and in their stops, so comparing them
     checks the iteration and the truncation, not the quadrature.
 
 Both report their truncation/transient bound (_tail_bound) in the
@@ -204,7 +207,9 @@ SERIAL_MATMUL_MNK = 1 << 18
 
 class _Context:
     """Forward powers e_pows[j] = exp(A j h), j = 0..m, the three 4-point
-    stencil weight sets, and the block tables _convolve applies them with."""
+    stencil weight sets, the block tables _convolve applies them with, and
+    the node scan's powers scan[s] = (exp(A omega)^(2^s)).T, which
+    _convolve extends as far as its longest scan needs."""
 
     def __init__(self, a: np.ndarray, omega: float, substeps: int):
         if substeps < MIN_SUBSTEPS:
@@ -257,6 +262,7 @@ class _Context:
         # the interior one the kernel gave it (reading point m for m + 1)
         fix = wr - np.stack([0 * wi[0], wi[0], wi[1], wi[2] + wi[3]])
         self.edges = [w.transpose(0, 2, 1).reshape(4 * dim, dim) for w in (wl, fix)]
+        self.scan = (pows[m].T,)
 
 
 @functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
@@ -296,17 +302,24 @@ def _zeta_stencil(zeta_fraction: float, m_sub: int) -> tuple[int, np.ndarray]:
     return int(j0), lw
 
 
+@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def _refine_matrix(m: int, m_sub: int) -> np.ndarray:
+    """The (m_sub+1, m+1) matrix of _refine, read-only, as every caller
+    shares it."""
+    points = min(6, m + 1)
+    j0, lw = _lagrange_stencils(np.arange(m_sub + 1) * m / m_sub, m, points)
+    interp = np.zeros((m_sub + 1, m + 1))
+    interp[np.arange(m_sub + 1)[:, None], j0[:, None] + np.arange(points)] = lw
+    interp.flags.writeable = False
+    return interp
+
+
 def _refine(psi: np.ndarray, m_sub: int) -> np.ndarray:
     """Interval-local quintic interpolation of psi (n_int, m+1, dim) onto
     m_sub substeps per interval, through the six grid points nearest each
     position (all five of a 4-substep grid); no stencil reaches across a
     node."""
-    m = psi.shape[1] - 1
-    points = min(6, m + 1)
-    j0, lw = _lagrange_stencils(np.arange(m_sub + 1) * m / m_sub, m, points)
-    interp = np.zeros((m_sub + 1, m + 1))
-    interp[np.arange(m_sub + 1)[:, None], j0[:, None] + np.arange(points)] = lw
-    return interp @ psi
+    return _refine_matrix(psi.shape[1] - 1, m_sub) @ psi
 
 
 def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -315,15 +328,18 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A threaded product leaves its helper thread spinning, and on two CPUs
     that halved the speed of the small products that followed (burn-in
     after a Picard solve ran 1.8 times slower)."""
-    out = np.empty((a.shape[0], b.shape[1]))
     rows = max(1, SERIAL_MATMUL_MNK // b.size)
+    if a.shape[0] <= rows:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
     for i in range(0, a.shape[0], rows):
         np.matmul(a[i : i + rows], b, out=out[i : i + rows])
     return out
 
 
-def _convolve(ctx: _Context, hv: np.ndarray) -> np.ndarray:
-    """Cumulative convolution I(t) = int_{grid start}^t exp(A(t-s)) hv(s) ds.
+def _convolve(ctx: _Context, hv: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative convolution I(t) = int_{grid start}^t exp(A(t-s)) hv(s) ds,
+    plus exp(A(t - grid start)) start if a start value (dim,) is given.
 
     hv has shape (n_int, m_sub+1, dim) with interval-local endpoint
     values (the integrand jumps at nodes). Returns I on the same grid;
@@ -333,7 +349,8 @@ def _convolve(ctx: _Context, hv: np.ndarray) -> np.ndarray:
     integral over substep j, by forward powers of E only: one product of
     every block window with the block kernel, the edge stencils, the
     carries between blocks, the node values by a doubling scan over
-    E_omega^(2^s) (Blelloch 1990), and one product adding E^j times them.
+    E_omega^(2^s) (Blelloch 1990) from the start value, and one product
+    adding E^j times them.
     """
     n_int, m1, dim = hv.shape
     m, b, nb = ctx.m_sub, ctx.block, ctx.n_blocks
@@ -344,13 +361,20 @@ def _convolve(ctx: _Context, hv: np.ndarray) -> np.ndarray:
     starts = np.concatenate([first[:, None], flat[:, b - 1 : (nb - 1) * b : b]], axis=1).reshape(n_int, -1)
     carry = _serial_matmul(starts, ctx.carries).reshape(-1, dim)
     flat += _serial_matmul(carry, ctx.e_rows[:, dim : (b + 1) * dim]).reshape(flat.shape)
-    # node values: inclusive prefix of the interval ends, doubled in log2 steps
+    # node values: the start value, then the inclusive prefix of the
+    # interval ends from it, doubled in log2 steps
     ends = flat[:, m - 2].copy()
-    power, d = ctx.e_pows[m].T, 1
-    while d < n_int:
-        ends[d:] += ends[:-d] @ power
-        power, d = power @ power, 2 * d
-    nodes = np.concatenate([np.zeros((1, dim)), ends[:-1]])
+    if start is not None:
+        ends[0] += start @ ctx.scan[0]
+    # powers are built on first need: later ones underflow to subnormals,
+    # whose products are slow
+    need, scan = (n_int - 1).bit_length(), ctx.scan
+    while len(scan) < need:
+        scan += (scan[-1] @ scan[-1],)
+    ctx.scan = scan
+    for s, power in enumerate(scan[:need]):
+        ends[1 << s :] += ends[: -(1 << s)] @ power
+    nodes = np.concatenate([np.zeros((1, dim)) if start is None else start[None], ends[:-1]])
     out = _serial_matmul(nodes, ctx.e_rows).reshape(n_int, m1, dim)
     out[:, 1] += first
     out[:, 2:] += flat[:, : m - 1]
@@ -392,12 +416,12 @@ def _grid_times(sys: EpcagSystem, k0: int, n_int: int, m: int) -> np.ndarray:
 
 
 def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, psi: np.ndarray,
-           free: np.ndarray | None, hv: np.ndarray, d: np.ndarray):
+           start: np.ndarray | None, hv: np.ndarray, d: np.ndarray):
     """One Picard sweep on the grid of psi (n_int, m+1, dim), whose
     intervals run at times ts (n_int, m+1) and carry driver values alpha
     (n_int, dim): the frozen arguments are read off psi, hv is filled
     with the integrand f + alpha, and the new iterate is its convolution
-    plus the free response `free` (zero if None). d is scratch of psi's
+    from the start value `start` (zero if None). d is scratch of psi's
     shape. Returns the new iterate and each interval's sup-norm delta to
     psi."""
     n_int, m1, dim = psi.shape
@@ -405,11 +429,9 @@ def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, p
     w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
     fv = eval_many(sys.f, ts.reshape(-1), psi.reshape(-1, dim), np.repeat(w, m1, axis=0))
     np.add(fv.reshape(n_int, m1, dim), alpha[:, None, :], out=hv)
-    new = _convolve(ctx, hv)
-    if free is not None:
-        new += free
+    new = _convolve(ctx, hv, start)
     np.subtract(new, psi, out=d)
-    return new, np.sqrt(sum(d[..., k] ** 2 for k in range(dim)).max(axis=1))
+    return new, np.sqrt(np.einsum("ijk,ijk->ij", d, d).max(axis=1))
 
 
 def _non_finite(k0: int, deltas: np.ndarray, sweeps) -> InnerDivergenceError:
@@ -429,12 +451,12 @@ def _not_reached(k: int, stop: float, cap: int, m: int) -> InnerDivergenceError:
 
 
 def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray,
-                   stop: float | None = None, free: np.ndarray | None = None, cap: int | None = None):
+                   stop: float | None = None, start: np.ndarray | None = None, cap: int | None = None):
     """Picard sweeps on the grid of psi (n_int, m+1, dim), whose intervals
     start at node k0 and carry driver values alpha (n_int, dim), until
     successive iterates differ by <= stop (default _picard_stop), for at
-    most cap sweeps (default _picard_cap). Each sweep is _sweep with the
-    free response `free` (zero by default), and its delta is the largest
+    most cap sweeps (default _picard_cap). Each sweep is _sweep from the
+    start value `start` (zero by default), and its delta is the largest
     of the intervals'. Returns the last iterate, the sweep deltas and the
     last sweep's integrand hv = f + alpha. An error names the first
     interval that went non-finite, or the first still above the stop."""
@@ -453,7 +475,7 @@ def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray
     hv, d = np.empty_like(psi), np.empty_like(psi)
     per = np.full(n_int, math.inf)  # before any sweep no interval has converged
     for _ in range(cap):
-        psi, per = _sweep(sys, ctx, ts, alpha, psi, free, hv, d)
+        psi, per = _sweep(sys, ctx, ts, alpha, psi, start, hv, d)
         deltas.append(float(per.max()))
         if not math.isfinite(deltas[-1]):
             raise _non_finite(k0, per, len(deltas))
@@ -534,17 +556,15 @@ def step_interval(
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.dim,):
         raise OutOfRangeError(f"z0 must have shape ({sys.dim},), got {z0.shape}")
-    ctx = _context(sys, substeps)
-    free = (z0 @ ctx.e_rows).reshape(1, substeps + 1, sys.dim)
+    shape = (substeps + 1, sys.dim)
     if guess is None:
-        psi = free
+        psi = z0 @ _context(sys, substeps).e_rows
     else:
         psi = np.asarray(guess, dtype=float)
-        if psi.shape != free.shape[1:]:
-            raise OutOfRangeError(f"guess must have shape {free.shape[1:]}, got {psi.shape}")
-        psi = psi[None]
+        if psi.shape != shape:
+            raise OutOfRangeError(f"guess must have shape {shape}, got {psi.shape}")
     alpha = sys.driver.value(k)[None]
-    psi, deltas, _ = _picard_sweeps(sys, k, alpha, psi, tol, free, max_inner)
+    psi, deltas, _ = _picard_sweeps(sys, k, alpha, psi.reshape((1,) + shape), tol, z0, max_inner)
     j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, substeps)
     return psi[0], lw @ psi[0, j0 : j0 + 4], len(deltas)
 
@@ -563,19 +583,15 @@ def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: i
     ts = _grid_times(sys, k0, n_all, m)
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
     size = min(BURN_IN_WINDOW, n_all)
-    # z @ rows[:, (i (m+1) + j) dim : ...] = exp(A (i omega + j h)) z, the
-    # free response on interval i of the window
-    e_omega = np.stack([np.linalg.matrix_power(ctx.e_pows[m], i) for i in range(size)])
-    rows = (ctx.e_pows[None] @ e_omega[:, None]).transpose(3, 0, 1, 2).reshape(dim, -1)
 
     out = np.empty((n_all, m + 1, dim))
     sweeps = np.zeros(n_all, dtype=int)
     z, i0 = np.zeros(dim), 0
-    psi = free = (z @ rows).reshape(size, m + 1, dim)
+    psi = np.zeros((size, m + 1, dim))
     hv, d = np.empty_like(psi), np.empty_like(psi)
     while i0 < n_all:
         n = len(psi)
-        new, per = _sweep(sys, ctx, ts[i0 : i0 + n], alpha[i0 : i0 + n], psi, free, hv[:n], d[:n])
+        new, per = _sweep(sys, ctx, ts[i0 : i0 + n], alpha[i0 : i0 + n], psi, z, hv[:n], d[:n])
         sweeps[i0 : i0 + n] += 1
         if not np.isfinite(per).all():
             raise _non_finite(k0 + i0, per, sweeps[i0 : i0 + n])
@@ -596,7 +612,6 @@ def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: i
             psi.append(last[None])
         psi = np.concatenate(psi)
         z = new[done - 1, m]
-        free = (z @ rows[:, : psi.size]).reshape(psi.shape)
 
     samples, frozen = _samples_and_frozen(sys, out, k0, pad)
     passes = {"iterations": int(sweeps.max()), "inner_iterations": tuple(int(s) for s in sweeps),
@@ -685,17 +700,27 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     if (n - 1) % m_sub != 0:
         raise GridMismatchError("sample count does not fill whole intervals")
     n_int = (n - 1) // m_sub
+    if n_int < 1:
+        raise GridMismatchError("trajectory holds no whole interval")
     frozen = dict(traj.frozen_args)
     k_first = locate(sys.schedule, traj.t0 + traj.step / 2.0).k
     ks = range(k_first, k_first + n_int)
     for k in ks:
         if k not in frozen:
             raise GridMismatchError(f"no frozen argument stored for interval {k}")
-    h, s = traj.step, traj.samples
-    # stencil centres of all intervals at once, m_sub - 3 per interval
+    h, c = traj.step, m_sub - 3
+    # every interval's grid points as a strided view, (n_int, dim, m_sub+1);
+    # stencil centres 2 .. m_sub - 2 of each
+    seg = np.lib.stride_tricks.sliding_window_view(traj.samples, m_sub + 1, axis=0)[::m_sub]
+    dz = (seg[..., :c] - 8.0 * seg[..., 1 : c + 1] + 8.0 * seg[..., 3 : c + 3] - seg[..., 4:]) / (12.0 * h)
+    # the contract may write into its arguments, so it gets a copy, even
+    # where the view is contiguous (one interval)
+    x = seg[..., 2 : c + 2].transpose(0, 2, 1).copy().reshape(-1, sys.dim)
     idx = ((m_sub * np.arange(n_int))[:, None] + np.arange(2, m_sub - 1)).reshape(-1)
-    dz = (s[idx - 2] - 8.0 * s[idx - 1] + 8.0 * s[idx + 1] - s[idx + 2]) / (12.0 * h)
-    ws = np.repeat(np.stack([frozen[k] for k in ks]), m_sub - 3, axis=0)
-    alpha = np.repeat(np.stack([sys.driver.value(k) for k in ks]), m_sub - 3, axis=0)
-    rhs = s[idx] @ sys.a.T + eval_many(sys.f, traj.t0 + h * idx, s[idx], ws) + alpha
-    return float(np.max(np.linalg.norm(dz - rhs, axis=1)))
+    ws = np.repeat(np.stack([frozen[k] for k in ks]), c, axis=0)
+    alpha = np.stack([sys.driver.value(k) for k in ks])
+    rhs = x @ sys.a.T
+    rhs += eval_many(sys.f, traj.t0 + h * idx, x, ws)
+    rhs = rhs.reshape(n_int, c, -1) + alpha[:, None]
+    diff = dz.transpose(0, 2, 1) - rhs
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))

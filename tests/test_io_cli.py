@@ -1,5 +1,6 @@
 """Config parsing, artifact formats, command execution, CLI."""
 
+import filecmp
 import json
 import math
 import os
@@ -535,6 +536,15 @@ class TestAutoRange:
         assert k_max >= window
 
 
+def python_m_epcag(*args):
+    """`python -m epcag args` in a fresh interpreter that imports the
+    package from the source tree under test."""
+    src = str(Path(epcag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "epcag", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestCli:
     def test_example4_homoclinic(self, tmp_path, capsys):
         code = main(["example4", "--out", str(tmp_path)])
@@ -569,13 +579,25 @@ class TestCli:
     def test_python_m_epcag(self, tmp_path):
         # a fresh interpreter runs the package as a module, without the
         # RuntimeWarning that running epcag.cli as a module gives
-        src = str(Path(epcag.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-m", "epcag", "example4", "--out", str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = python_m_epcag("example4", "--out", str(tmp_path))
         assert done.returncode == 0, done.stderr
         assert "RuntimeWarning" not in done.stderr
         assert (tmp_path / "certificate.json").exists()
+
+    @pytest.mark.parametrize("mode", ["homoclinic", "heteroclinic"])
+    def test_cold_process_matches_a_warm_run(self, mode, tmp_path, capsys):
+        # the solver keeps tables per context (stepping contexts, stencils,
+        # refine matrices, node-scan powers): a fresh process builds each
+        # anew and must write the bytes a run on warm tables writes
+        for sub in ("first", "warm"):
+            assert main(["example4", "--mode", mode, "--out", str(tmp_path / sub)]) == 0
+        capsys.readouterr()
+        done = python_m_epcag("example4", "--mode", mode, "--out", str(tmp_path / "cold"))
+        assert done.returncode == 0, done.stderr
+        names = sorted(p.name for p in (tmp_path / "warm").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "cold").iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "warm", tmp_path / "cold", names, shallow=False)
+        assert (mismatch, errors) == ([], [])
 
     def test_config_commands_need_config(self, capsys):
         assert main(["solve"]) == 1

@@ -934,10 +934,22 @@ def per_interval_defect(sys, traj):
         ts = traj.t0 + h * (i * m_sub + np.arange(m_sub + 1))
         j = np.arange(2, m_sub - 1)
         dz = (seg[j - 2] - 8.0 * seg[j - 1] + 8.0 * seg[j + 1] - seg[j + 2]) / (12.0 * h)
-        ws = np.broadcast_to(frozen[k], seg[j].shape)
+        ws = np.repeat(frozen[k][None], len(j), axis=0)
         rhs = seg[j] @ sys.a.T + solver.eval_many(sys.f, ts[j], seg[j], ws) + sys.driver.value(k)
         worst = max(worst, float(np.max(np.linalg.norm(dz - rhs, axis=1))))
     return worst
+
+
+def overwriting(contract):
+    """The contract, writing NaN over its state and argument arrays once
+    it has read them."""
+
+    def eval_batch(ts, xs, ys):
+        out = contract.eval_batch(ts, xs, ys)
+        xs[...] = ys[...] = np.nan
+        return out
+
+    return replace(contract, eval_batch=eval_batch)
 
 
 class TestResidualDefect:
@@ -945,13 +957,28 @@ class TestResidualDefect:
         assert residual_defect(homo.system, homo_traj) <= 1e-6
 
     def test_one_pass_equals_the_per_interval_form(self, homo, het, homo_traj):
-        cases = [(homo.system, homo_traj), (het.system, solve_bounded(het.system, (-20, 20)))]
+        # interval -20 alone, whose samples a strided view holds contiguously
+        one = replace(homo_traj, samples=homo_traj.samples[:201].copy())
+        overwriter = replace(homo.system, f=overwriting(homo.system.f))
+        cases = [
+            (homo.system, homo_traj),
+            (het.system, solve_bounded(het.system, (-20, 20))),
+            (homo.system, solve_bounded(homo.system, (-2, 2), substeps=solver.MIN_SUBSTEPS)),
+            (het.system, solve_bounded(het.system, (-2, 2), substeps=5)),
+            (homo.system, one),
+            (homo.system, replace(homo_traj, samples=np.repeat(homo_traj.samples, 2, axis=1)[:, ::2])),
+            # the contract must get copies, whatever the layout of the samples
+            (overwriter, one),
+            (overwriter, replace(homo_traj, samples=homo_traj.samples.copy())),
+        ]
         for seed in range(20):
             sys = random_system(seed)
             cases.append((sys, solve_bounded(sys, (-2, 2), substeps=(20, 60)[seed % 2])))
         for sys, traj in cases:
+            before = traj.samples.copy()
             want = per_interval_defect(sys, traj)
             assert abs(residual_defect(sys, traj) - want) <= 1e-15 * want
+            assert np.array_equal(traj.samples, before)
 
     def test_one_contract_call(self, homo, homo_traj):
         f, rows = counting_rows(homo.system.f)
@@ -972,6 +999,11 @@ class TestResidualDefect:
         clipped = replace(homo_traj, samples=homo_traj.samples[:-3])
         with pytest.raises(GridMismatchError):
             residual_defect(homo.system, clipped)
+
+    def test_no_whole_interval_rejected(self, homo, homo_traj):
+        node = replace(homo_traj, samples=homo_traj.samples[:1])
+        with pytest.raises(GridMismatchError, match="trajectory holds no whole interval"):
+            residual_defect(homo.system, node)
 
     def test_fewest_substeps(self, homo):
         # four substeps leave one interior point per interval for the stencil

@@ -5,6 +5,16 @@ declared global bound and Lipschitz constants in the current state x
 and the frozen-argument state y. Declared constants are spot-checked at
 system assembly; the solver and every proof constant trust them
 afterwards.
+
+eval takes one row: a float time and 1-D state and argument views.
+eval_batch, where a contract has one, takes n rows at once: times
+(n,), states (n, dim) and arguments (n, dim). The argument y = z(gamma(t))
+is constant on each interval, and the solvers evaluate whole intervals
+at a time, so a contract may declare blocked_ys: its eval_batch then
+also accepts ys with one row per block of b = n // len(ys) consecutive
+rows (rows i b .. i b + b - 1 take ys[i]), and can evaluate the
+argument's terms once per block. eval_many hands every other contract,
+and eval, one argument row per row.
 """
 
 from __future__ import annotations
@@ -29,18 +39,26 @@ class NonlinearityContract:
     catalog_id: str
     # optional vectorized form: (ts (n,), xs (n,m), ys (n,m)) -> (n,m)
     eval_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    # eval_batch also takes ys of one row per block of n // len(ys) rows
+    blocked_ys: bool = False
 
 
 def eval_many(contract: NonlinearityContract, ts, xs, ys) -> np.ndarray:
+    """f on the rows of ts (n,) and xs (n, dim); ys holds one argument row
+    per block of n // len(ys) consecutive rows, so (n, dim) gives each row
+    its own."""
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if contract.eval_batch is not None:
-        return contract.eval_batch(ts, xs, ys)
+    batch = contract.eval_batch
+    if len(ys) != len(xs) and not (batch is not None and contract.blocked_ys):
+        ys = np.repeat(ys, len(xs) // len(ys), axis=0)
+    if batch is not None:
+        return batch(ts, xs, ys)
     out = np.empty_like(xs)
     # contracts take a Python float time and 1-D row views
     f = contract.eval
-    for t, x, y, row in zip(ts.tolist(), xs, ys, out):
+    for t, x, y, row in zip(ts.tolist(), xs, ys, out, strict=True):
         row[...] = f(t, x, y)
     return out
 
@@ -53,12 +71,14 @@ def _example_eval(t: float, x, y) -> np.ndarray:
 
 
 def _example_eval_batch(ts, xs, ys) -> np.ndarray:
+    # blocked_ys: the argument's terms once per block, then repeated
+    rep = len(xs) // len(ys)
     e = np.exp(-np.abs(ts))
-    sig = np.where(ts >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    sig = np.where(ts >= 0.0, 1.0, e) / (1.0 + e)
     return np.column_stack(
         [
-            0.03 * np.cos(xs[:, 0]) - 0.01 * np.sin(ys[:, 1]) + sig,
-            0.02 * np.sin(xs[:, 1]) + 0.01 * np.cos(ys[:, 0]),
+            0.03 * np.cos(xs[:, 0]) - np.repeat(0.01 * np.sin(ys[:, 1]), rep) + sig,
+            0.02 * np.sin(xs[:, 1]) + np.repeat(0.01 * np.cos(ys[:, 0]), rep),
         ]
     )
 
@@ -80,6 +100,7 @@ def example_contract() -> NonlinearityContract:
         lip_y=0.01,
         catalog_id=CATALOG_EXAMPLE,
         eval_batch=_example_eval_batch,
+        blocked_ys=True,
     )
 
 
@@ -108,6 +129,7 @@ def custom_contract(
     lip_x: float,
     lip_y: float,
     eval_batch: Callable | None = None,
+    blocked_ys: bool = False,
 ) -> NonlinearityContract:
     return NonlinearityContract(
         eval=eval,
@@ -116,4 +138,5 @@ def custom_contract(
         lip_y=float(lip_y),
         catalog_id=CATALOG_CUSTOM,
         eval_batch=eval_batch,
+        blocked_ys=blocked_ys,
     )

@@ -427,7 +427,7 @@ def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, p
     n_int, m1, dim = psi.shape
     j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m1 - 1)
     w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
-    fv = eval_many(sys.f, ts.reshape(-1), psi.reshape(-1, dim), np.repeat(w, m1, axis=0))
+    fv = eval_many(sys.f, ts.reshape(-1), psi.reshape(-1, dim), w)
     np.add(fv.reshape(n_int, m1, dim), alpha[:, None, :], out=hv)
     new = _convolve(ctx, hv, start)
     np.subtract(new, psi, out=d)
@@ -717,7 +717,7 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     # where the view is contiguous (one interval)
     x = seg[..., 2 : c + 2].transpose(0, 2, 1).copy().reshape(-1, sys.dim)
     idx = ((m_sub * np.arange(n_int))[:, None] + np.arange(2, m_sub - 1)).reshape(-1)
-    ws = np.repeat(np.stack([frozen[k] for k in ks]), c, axis=0)
+    ws = np.stack([frozen[k] for k in ks])
     alpha = np.stack([sys.driver.value(k) for k in ks])
     rhs = x @ sys.a.T
     rhs += eval_many(sys.f, traj.t0 + h * idx, x, ws)

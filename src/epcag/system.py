@@ -289,13 +289,36 @@ def _check_batch_matches_eval(f: NonlinearityContract, ts, xs, ys, batch: np.nda
     """A contract's eval_batch must compute its eval. The solvers and the
     spot check take eval_batch where a contract has one; eval is the form
     the contract is declared by and the one eval_many falls back to.
-    Both come from outside the program, so their agreement is checked."""
-    for i in np.linspace(0, len(ts) - 1, min(SPOT_CHECK_SCALAR_ROWS, len(ts))).astype(int):
-        scalar = np.asarray(f.eval(float(ts[i]), xs[i], ys[i]), dtype=float)
-        gap = float(np.linalg.norm(scalar - batch[i]))
-        if gap > EVAL_BATCH_RTOL * max(float(np.linalg.norm(scalar)), float(np.linalg.norm(batch[i]))):
+    Both come from outside the program, so their agreement is checked. A
+    contract declaring blocked_ys is also called on the sampled rows in
+    consecutive pairs, each sharing its first row's argument, with one
+    argument row per pair."""
+    rows = np.linspace(0, len(ts) - 1, min(SPOT_CHECK_SCALAR_ROWS, len(ts))).astype(int)
+    _check_rows(f, ts[rows], xs[rows], ys[rows], batch[rows])
+    rows = rows[: len(rows) // 2 * 2]
+    if not (f.blocked_ys and len(rows)):
+        return
+    ts, xs, ys = ts[rows], xs[rows], ys[rows[::2]]
+    try:
+        got = np.asarray(f.eval_batch(ts, xs, ys), dtype=float)
+    except (ValueError, IndexError) as e:
+        raise ContractViolatedError(f"eval_batch: declares blocked_ys but fails on blocks of two rows: {e}") from e
+    if got.shape != xs.shape:
+        raise ContractViolatedError(
+            f"eval_batch: declares blocked_ys but returns shape {got.shape} on blocks of two rows, "
+            f"expected {xs.shape}"
+        )
+    _check_rows(f, ts, xs, np.repeat(ys, 2, axis=0), got)
+
+
+def _check_rows(f: NonlinearityContract, ts, xs, ys, batch: np.ndarray) -> None:
+    """Each row of batch must equal f.eval on the same row to EVAL_BATCH_RTOL."""
+    for t, x, y, row in zip(ts, xs, ys, batch):
+        scalar = np.asarray(f.eval(float(t), x, y), dtype=float)
+        gap = float(np.linalg.norm(scalar - row))
+        if gap > EVAL_BATCH_RTOL * max(float(np.linalg.norm(scalar)), float(np.linalg.norm(row))):
             raise ContractViolatedError(
-                f"eval_batch: row at t = {ts[i]:.6g} differs from eval by {gap:.3g}"
+                f"eval_batch: row at t = {t:.6g} differs from eval by {gap:.3g}"
             )
 
 

@@ -26,6 +26,7 @@ from epcag import (
     certificate_dict,
     custom_contract,
     default_pad,
+    estimate_decay_envelope,
     export_frozen_csv,
     export_orbit_csv,
     export_trajectory_csv,
@@ -223,11 +224,13 @@ MALFORMED = [
     (("driver", "k_min"), 1.5, "driver.k_min", "must be an integer"),
     (("driver", "k_max"), "40", "driver.k_max", "must be an integer"),
     (("driver", "k_min"), -5, "driver.k_min", "k_min and k_max must be given together"),
+    (("driver", "k_max"), 40, "driver.k_min", "k_min and k_max must be given together"),
     (("targets",), {}, "targets", "must be an array of driver blocks"),
     (("targets",), [], "targets", "certify needs one or two target orbits"),
     (("targets", 0), 3, "targets[0]", "must be an object"),
     (("targets", 0, "seed"), None, "targets[0].seed", "must be a finite number"),
     (("targets", 0, "k_min"), 50, "targets[0].k_min", "must be below k_max"),
+    (("targets", 0, "k_min"), 40, "targets[0].k_min", "must be below k_max"),
     (("numeric",), [], "numeric", "must be an object"),
     (("numeric", "precision"), 1, "numeric.precision", "unknown field"),
     (("numeric", "substeps"), 2, "numeric.substeps", "must be at least 4"),
@@ -477,6 +480,27 @@ class TestRun:
         assert cert["verdict"] is False
         assert cert["distinctness"] == 0.0
         assert "verdict: fail" in capsys.readouterr().out
+
+    def test_certify_with_estimated_envelope_and_explicit_window(self, tmp_path, capsys):
+        # no envelope block: the envelope is estimated from the matrix;
+        # the driver's k_min/k_max replace the automatic coverage
+        cfg = reference_config(
+            "certify",
+            driver={"map": "logistic", "mu": 3.9, "kind": "homoclinic", "seed": 0.2564102564102564,
+                    "branch": "upper_H", "k_min": -80, "k_max": 25},
+            targets=[{"map": "logistic", "mu": 3.9, "kind": "fixed", "seed": 0.7435897435897436}],
+            numeric={"window": 20},
+        )
+        del cfg["system"]["envelope"]
+        path = tmp_path / "certify.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["certify", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("verdict: pass")
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        envelope = estimate_decay_envelope(np.array(cfg["system"]["matrix"]))
+        assert (cert["constants"]["N"], cert["constants"]["lambda"]) == (envelope.n_const, envelope.rate)
+        beta = (tmp_path / "beta.csv").read_text().splitlines()
+        assert (beta[1].split(",")[0], beta[-1].split(",")[0]) == ("-80", "25")
 
     def test_error_exit_code(self, tmp_path, capsys):
         # mu = 3.6 forward orbits never settle; the run must fail cleanly

@@ -86,6 +86,20 @@ def coupled_contract(dim):
     return custom_contract(coupled, 0.8 * math.sqrt(dim), 0.2, 0.1)
 
 
+def clipped_contract():
+    """A planar contract declaring blocked_ys whose eval and eval_batch take
+    the same correctly rounded steps, so the two agree bit for bit."""
+
+    def eval(t, x, y):
+        return 0.03 * np.clip(x, -1.0, 1.0) + 0.01 * np.clip(y[::-1], -1.0, 1.0) + np.clip(t / 8.0, -0.5, 0.5)
+
+    def eval_batch(ts, xs, ys):
+        y_terms = np.repeat(0.01 * np.clip(ys[:, ::-1], -1.0, 1.0), len(xs) // len(ys), axis=0)
+        return 0.03 * np.clip(xs, -1.0, 1.0) + y_terms + np.clip(ts / 8.0, -0.5, 0.5)[:, None]
+
+    return custom_contract(eval, 0.77, 0.03, 0.01, eval_batch=eval_batch, blocked_ys=True)
+
+
 def recording(contract):
     """The contract with every call's times, states and arguments
     recorded, the arrays beside snapshots taken when they were passed."""
@@ -560,6 +574,32 @@ class TestSolveBounded:
     def test_unknown_method(self, homo):
         with pytest.raises(OutOfRangeError):
             solve_bounded(homo.system, (-2, 2), method="rk45")
+
+
+class TestBlockedArguments:
+    @pytest.mark.parametrize("method", ["picard", "burn_in"])
+    def test_scalar_fallback_solves_bit_identically(self, homo, method):
+        # dropping eval_batch keeps the blocked_ys flag, and eval_many must
+        # still hand eval one argument row per row
+        sys = replace(homo.system, f=clipped_contract())
+        scalar = replace(sys, f=replace(sys.f, eval_batch=None))
+        batched, looped = (solve_bounded(s, (-3, 3), 40, method=method) for s in (sys, scalar))
+        np.testing.assert_array_equal(batched.samples, looped.samples)
+        assert all(k == j and np.array_equal(w, v)
+                   for (k, w), (j, v) in zip(batched.frozen_args, looped.frozen_args, strict=True))
+        assert batched.meta == looped.meta
+        assert residual_defect(sys, batched) == residual_defect(scalar, batched)
+
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_argument_rows(self, homo, declared):
+        # declared: one argument row per interval in each sweep (grids of 4
+        # and 16 substeps) and in residual_defect (13 stencil centres);
+        # undeclared: one per row, as before blocks
+        f, seen = recording(replace(homo.system.f, blocked_ys=declared))
+        sys = replace(homo.system, f=f)
+        residual_defect(sys, solve_bounded(sys, (-3, 3), 16))
+        assert all(len(ts) % len(ys) == 0 for ts, _, _, ys, _ in seen)
+        assert {len(ts) // len(ys) for ts, _, _, ys, _ in seen} == ({5, 17, 13} if declared else {1})
 
 
 def random_system(seed):

@@ -129,11 +129,38 @@ class TestContracts:
         assert seen == calls
         np.testing.assert_array_equal(got, want)
 
+    def test_eval_many_expands_blocked_arguments(self):
+        # one argument row per block of 5 rows computes what a row per row
+        # does: declared, undeclared, and declared with eval_batch dropped
+        rng = np.random.default_rng(23)
+        ts, xs, ys = rng.uniform(-30, 30, 20), rng.normal(size=(20, 2)), rng.normal(size=(4, 2))
+        c = example_contract()
+        for f in (c, replace(c, blocked_ys=False), replace(c, eval_batch=None),
+                  custom_contract(c.eval, c.bound_mf, c.lip_x, c.lip_y)):
+            np.testing.assert_array_equal(eval_many(f, ts, xs, ys), eval_many(f, ts, xs, np.repeat(ys, 5, axis=0)))
+
+    def test_undeclared_batch_gets_an_argument_row_per_row(self):
+        seen = []
+
+        def batch(ts, xs, ys):
+            seen.append(ys.copy())
+            return example_contract().eval_batch(ts, xs, ys)
+
+        rng = np.random.default_rng(29)
+        ys = rng.normal(size=(4, 2))
+        eval_many(custom_contract(example_contract().eval, 1.1, 0.03, 0.01, eval_batch=batch),
+                  rng.uniform(-30, 30, 20), rng.normal(size=(20, 2)), ys)
+        np.testing.assert_array_equal(seen[0], np.repeat(ys, 5, axis=0))
+
     def test_zero_contract(self):
         c = zero_contract(2)
         assert np.all(c.eval(1.0, np.ones(2), np.ones(2)) == 0.0)
         assert c.lip_x == 0.0 and c.lip_y == 0.0
         assert c.bound_mf > 0.0
+
+
+# an envelope of N = 1 for the reference matrix, checked on validate_envelope's grid
+ENVELOPE_FAILS = r"^envelope failed validation: max ratio 3\.31294 at t = 8\.92277$"
 
 
 class TestAssembly:
@@ -281,6 +308,47 @@ class TestAssembly:
                 envelope=reference_envelope(),
             )
 
+    @pytest.mark.parametrize("layout, message", [
+        ("per_row", r"^eval_batch: declares blocked_ys but fails on blocks of two rows: operands could not"),
+        ("tiled", r"^eval_batch: row at t = \S+ differs from eval by "),
+        ("per_block", r"^eval_batch: declares blocked_ys but returns shape \(4, 2\) on blocks of two rows, "
+                      r"expected \(8, 2\)$"),
+    ], ids=["per_row", "tiled", "per_block"])
+    def test_blocked_declaration_is_checked(self, layout, message):
+        # each eval_batch agrees with eval on a row per row, so only the
+        # call on blocks can tell a contract that declares blocked_ys
+        # but does not read its arguments that way
+        def eval(t, x, y):
+            return 0.03 * np.sin(x) + 0.01 * np.cos(y[::-1])
+
+        def blocked(ts, xs, ys):
+            rep = len(xs) // len(ys)
+            return 0.03 * np.sin(xs) + np.repeat(0.01 * np.cos(ys[:, ::-1]), rep, axis=0)
+
+        misread = {
+            "per_row": lambda ts, xs, ys: 0.03 * np.sin(xs) + 0.01 * np.cos(ys[:, ::-1]),
+            "tiled": lambda ts, xs, ys: 0.03 * np.sin(xs)
+            + 0.01 * np.cos(np.tile(ys, (len(xs) // len(ys), 1))[:, ::-1]),
+            "per_block": lambda ts, xs, ys: 0.03 * np.sin(xs[:: len(xs) // len(ys)]) + 0.01 * np.cos(ys[:, ::-1]),
+        }[layout]
+        parts = (reference_matrix(), reference_schedule())
+        assemble_system(*parts, custom_contract(eval, 0.06, 0.03, 0.01, eval_batch=blocked, blocked_ys=True),
+                        fixed_driver(), envelope=reference_envelope())
+        # undeclared, the misreading batch is never handed blocks
+        assemble_system(*parts, custom_contract(eval, 0.06, 0.03, 0.01, eval_batch=misread),
+                        fixed_driver(), envelope=reference_envelope())
+        liar = custom_contract(eval, 0.06, 0.03, 0.01, eval_batch=misread, blocked_ys=True)
+        with pytest.raises(ContractViolatedError, match=message):
+            assemble_system(*parts, liar, fixed_driver(), envelope=reference_envelope())
+
+    def test_envelope_failing_validation_is_refused(self):
+        # ||exp(A t)|| e^{t/2} peaks at REFERENCE_N = 3.31294 on every period
+        # of the rotation; N = 1 understates it
+        low = replace(reference_envelope(), n_const=1.0)
+        with pytest.raises(AssumptionFailureError, match=ENVELOPE_FAILS):
+            assemble_system(reference_matrix(), reference_schedule(), example_contract(), fixed_driver(),
+                            envelope=low)
+
     def test_understated_bound_is_caught(self):
         honest = example_contract()
         lying = custom_contract(honest.eval, 0.5, honest.lip_x, honest.lip_y)
@@ -379,6 +447,13 @@ class TestProofConstants:
         assert pc.h_bound == pytest.approx(140.092853, rel=1e-6)
         assert pc.eta_max == pytest.approx(0.1109234614, rel=1e-6)
 
+    def test_requires_a5(self, homo):
+        # lambda = 0.3 keeps (A4), N (L1 + L2) = 0.1325, and fails (A5)
+        bad = replace(homo.system, envelope=replace(homo.system.envelope, rate=0.3))
+        assert check_assumptions(bad).a4_pass
+        with pytest.raises(AssumptionFailureError, match=A5_FAILS):
+            proof_constants(bad)
+
     def test_requires_contraction(self, homo):
         bad = replace(homo.system, envelope=replace(homo.system.envelope, rate=0.01))
         with pytest.raises(AssumptionFailureError):
@@ -387,6 +462,10 @@ class TestProofConstants:
 
 # the reference system with lambda = 0.05: N (L1 + L2) = 0.132518 leaves no margin
 A4_FAILS = r"^\(A4\) fails: N\(L1\+L2\) = 0\.132518 >= lambda = 0\.05$"
+
+
+# the reference system with lambda = 0.3 keeps (A4) and fails (A5)
+A5_FAILS = r"^\(A5\) fails: lhs = 1\.05267 >= 1; the stable-direction constants r1, r2 are undefined$"
 
 
 class TestA4Guard:

@@ -246,8 +246,20 @@ MALFORMED = [
 ]
 
 
+def _malformed_ids(cases):
+    # "field: message", with the mutated key and value appended when that
+    # pair repeats, so each case keeps a stable id of its own
+    ids = []
+    for path, value, field, message in cases:
+        case_id = f"{field}: {message}"
+        if case_id in ids:
+            case_id += f" ({path[-1]}={value!r})"
+        ids.append(case_id)
+    return ids
+
+
 @pytest.mark.parametrize("path, value, field, message", MALFORMED,
-                         ids=[f"{f}: {m}" for _, _, f, m in MALFORMED])
+                         ids=_malformed_ids(MALFORMED))
 def test_validation_field_and_message(path, value, field, message):
     cfg = certify_config()
     *parents, last = path

@@ -416,31 +416,19 @@ def export_orbit_csv(orbit: DriverOrbit, path) -> None:
 def export_trajectory_csv(traj: SampledTrajectory, path) -> None:
     """t, z_1, ..., z_m, interval_k rows; the last row's node belongs to
     the right interval, matching the half-open convention."""
-    try:
-        k_lo, _ = traj.meta["k_window"]
-        substeps = round(traj.meta["omega"] / traj.step)
-    except KeyError:
-        raise IoError("trajectory lacks schedule metadata (k_window/omega)") from None
     n, dim = traj.samples.shape
     header = "t," + ",".join(f"z_{i + 1}" for i in range(dim)) + ",interval_k"
     row = ",".join([_FMT] * (dim + 1)) + ",%d"
-    ks = k_lo + np.arange(n) // substeps
+    ks = traj.k_window[0] + np.arange(n) // traj.substeps
     _write_csv(path, header, row, np.column_stack([traj.times, traj.samples, ks]))
 
 
 def export_frozen_csv(traj: SampledTrajectory, path) -> None:
     """k, zeta_k, w_1, ..., w_m rows for the stored frozen arguments."""
-    try:
-        omega = traj.meta["omega"]
-        origin = traj.meta["origin"]
-        zf = traj.meta["zeta_fraction"]
-    except KeyError:
-        raise IoError("trajectory lacks schedule metadata (omega/origin/zeta_fraction)") from None
-    if not traj.frozen_args:
-        raise IoError("trajectory carries no frozen arguments")
-    dim = len(traj.frozen_args[0][1])
+    dim = traj.frozen.shape[1]
     header = "k,zeta_k," + ",".join(f"w_{i + 1}" for i in range(dim))
-    table = np.array([(k, origin + k * omega + zf * omega, *w) for k, w in traj.frozen_args])
+    ks = np.arange(*traj.k_window)
+    table = np.column_stack([ks, traj.schedule.zeta(ks), traj.frozen])
     _write_csv(path, header, "%d," + ",".join([_FMT] * (dim + 1)), table)
 
 
@@ -520,10 +508,7 @@ def run(spec: RunSpec) -> int:
     1 = error (diagnostic on stderr)."""
     try:
         return _run(spec)
-    except EpcagError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 1
-    except OSError as e:
+    except (EpcagError, OSError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1
 

@@ -63,8 +63,10 @@ burn_in
     their sweeps and in their stops, so comparing them
     checks the iteration and the truncation, not the quadrature.
 
-Both report their truncation/transient bound (_tail_bound) in the
-trajectory meta and refuse pads whose bound exceeds the requested
+Both return a SampledTrajectory: the schedule, node window and substep
+count that fix its grid, the samples on it, and one frozen argument per
+interval. Both report their truncation/transient bound (_tail_bound) in
+the trajectory meta and refuse pads whose bound exceeds the requested
 tolerance. Every solve checks its samples against the a-priori bound
 M_phi plus that bound, which the bounded solution meets, and raises
 InnerDivergenceError above it: a contract that breaks its declared
@@ -88,10 +90,10 @@ from .errors import (
 )
 from .linear import mat_exp
 from .nonlinearity import eval_many
-from .schedule import locate
+from .schedule import Schedule
 from .system import (
     EpcagSystem,
-    _a4,
+    _kappa_pi,
     _require_a4,
     _solution_bound,
     map_supremum,
@@ -116,15 +118,45 @@ def _too_few_substeps(substeps: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SampledTrajectory:
-    """Uniformly sampled solution on [t0, t1] with per-interval frozen
-    arguments w_k = z(zeta_k). meta carries solver diagnostics."""
+    """A solution sampled on the node window k_window = (k_lo, k_hi) of a
+    schedule, at `substeps` substeps per interval. samples holds
+    substeps (k_hi - k_lo) + 1 rows at t0 + j step, from t0 = theta_{k_lo}
+    to t1 = theta_{k_hi}; frozen holds the frozen arguments
+    w_k = z(zeta_k), row i for interval k_lo + i. These fields are the
+    one record of the grid, and construction refuses arrays that do not
+    fill it with GridMismatchError; meta carries only solver diagnostics."""
 
-    t0: float
-    t1: float
-    step: float
+    schedule: Schedule
+    k_window: tuple[int, int]
+    substeps: int
     samples: np.ndarray
-    frozen_args: tuple
+    frozen: np.ndarray
     meta: dict
+
+    def __post_init__(self):
+        k_lo, k_hi = self.k_window
+        if self.substeps < MIN_SUBSTEPS:
+            raise GridMismatchError(_too_few_substeps(self.substeps))
+        if not k_lo < k_hi:
+            raise GridMismatchError(f"node window {self.k_window!r} holds no interval")
+        n_int = k_hi - k_lo
+        if len(self.samples) != n_int * self.substeps + 1 or len(self.frozen) != n_int:
+            raise GridMismatchError(
+                f"{len(self.samples)} samples and {len(self.frozen)} frozen arguments do not fill "
+                f"{n_int} intervals of {self.substeps} substeps"
+            )
+
+    @property
+    def t0(self) -> float:
+        return self.schedule.node(self.k_window[0])
+
+    @property
+    def t1(self) -> float:
+        return self.schedule.node(self.k_window[1])
+
+    @property
+    def step(self) -> float:
+        return self.schedule.omega / self.substeps
 
     @property
     def times(self) -> np.ndarray:
@@ -381,11 +413,6 @@ def _convolve(ctx: _Context, hv: np.ndarray, start: np.ndarray | None = None) ->
     return out
 
 
-def _kappa_pi(sys: EpcagSystem) -> float:
-    """Contraction factor of the solution operator, N (L1 + L2) / lambda."""
-    return _a4(sys.envelope, sys.f)[0] / sys.envelope.rate
-
-
 def _picard_stop(sys: EpcagSystem) -> float:
     """Stop for the requested grid: PICARD_STOP times min(1, (1 - kappa_pi)
     / kappa_pi). Successive iterates delta apart leave an iteration error
@@ -484,15 +511,13 @@ def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray
     raise _not_reached(k0 + int(np.argmax(per > stop)), stop, cap, m)
 
 
-def _samples_and_frozen(sys: EpcagSystem, psi: np.ndarray, k0: int, pad: int):
-    """The samples of the grid psi (n_int, m+1, dim), whose intervals
-    start at node k0, from interval k0 + pad on as one array, and the
-    frozen arguments w_k read off them."""
-    n_int, m1, dim = psi.shape
-    m = m1 - 1
+def _samples_and_frozen(sys: EpcagSystem, psi: np.ndarray, pad: int):
+    """The samples of the grid psi (n_int, m+1, dim) from its interval pad
+    on as one array, and the frozen arguments w_k read off them, one row
+    per interval."""
+    m, dim = psi.shape[1] - 1, psi.shape[2]
     j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m)
-    w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
-    frozen = tuple((k0 + i, w[i].copy()) for i in range(pad, n_int))
+    frozen = np.einsum("r,ird->id", lw, psi[pad:, j0 : j0 + 4, :])
     samples = np.concatenate([psi[pad:, :m, :].reshape(-1, dim), psi[-1, m][None]])
     return samples, frozen
 
@@ -520,7 +545,7 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
         psi = _convolve(_context(sys, m_next), _refine(hv, m_next))
     psi, deltas, _ = _picard_sweeps(sys, k0, alpha, psi)
 
-    samples, frozen = _samples_and_frozen(sys, psi, k0, pad)
+    samples, frozen = _samples_and_frozen(sys, psi, pad)
     # one contract row per grid point per sweep, on every level
     rows = sum(len(d) * (m_l + 1) for m_l, _, d in levels) + len(deltas) * (m + 1)
     sweeps = {"iterations": len(deltas), "iterate_deltas": tuple(deltas),
@@ -613,7 +638,7 @@ def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: i
         psi = np.concatenate(psi)
         z = new[done - 1, m]
 
-    samples, frozen = _samples_and_frozen(sys, out, k0, pad)
+    samples, frozen = _samples_and_frozen(sys, out, pad)
     passes = {"iterations": int(sweeps.max()), "inner_iterations": tuple(int(s) for s in sweeps),
               "f_evals": int(sweeps.sum()) * (m + 1)}
     return samples, frozen, passes
@@ -653,8 +678,6 @@ def solve_bounded(
         raise PadTooSmallError(
             f"pad {pad} leaves a {kind} bound {bound:.3g} above tol {tol:.3g}"
         )
-    omega = sys.schedule.omega
-
     solve = _solve_picard if method == "picard" else _solve_burn_in
     samples, frozen, counts = solve(sys, k_lo, k_hi, pad, substeps)
     meta = {"method": method, **counts, "pad": pad, "tail_bound": bound}
@@ -665,19 +688,7 @@ def solve_bounded(
             f"{method} samples reach norm {meta['sup_norm']:.6g}, above the a-priori "
             f"bound M_phi + tail bound {limit:.6g}"
         )
-    meta["k_window"] = (k_lo, k_hi)
-    meta["omega"] = omega
-    meta["origin"] = sys.schedule.origin
-    meta["zeta_fraction"] = sys.schedule.zeta_fraction
-    step = omega / substeps
-    return SampledTrajectory(
-        t0=sys.schedule.node(k_lo),
-        t1=sys.schedule.node(k_hi),
-        step=step,
-        samples=samples,
-        frozen_args=frozen,
-        meta=meta,
-    )
+    return SampledTrajectory(sys.schedule, (k_lo, k_hi), substeps, samples, frozen, meta)
 
 
 def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
@@ -686,41 +697,24 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     Differentiates the samples with the 5-point 4th-order centered
     stencil and compares against A z + f(t, z, w_k) + alpha_k. Points
     within two substeps of a node are skipped: the solution has corners
-    there and the stencil would straddle them.
+    there and the stencil would straddle them. A trajectory on another
+    schedule than the system's raises GridMismatchError.
     """
-    omega = sys.schedule.omega
-    m_sub = round(omega / traj.step)
-    if abs(m_sub * traj.step - omega) > 1e-9 * omega:
-        raise GridMismatchError(
-            f"trajectory step {traj.step!r} does not subdivide the interval length {omega!r}"
-        )
-    if m_sub < MIN_SUBSTEPS:
-        raise GridMismatchError(_too_few_substeps(m_sub))
-    n = len(traj.samples)
-    if (n - 1) % m_sub != 0:
-        raise GridMismatchError("sample count does not fill whole intervals")
-    n_int = (n - 1) // m_sub
-    if n_int < 1:
-        raise GridMismatchError("trajectory holds no whole interval")
-    frozen = dict(traj.frozen_args)
-    k_first = locate(sys.schedule, traj.t0 + traj.step / 2.0).k
-    ks = range(k_first, k_first + n_int)
-    for k in ks:
-        if k not in frozen:
-            raise GridMismatchError(f"no frozen argument stored for interval {k}")
-    h, c = traj.step, m_sub - 3
+    if traj.schedule != sys.schedule:
+        raise GridMismatchError("trajectory and system have different schedules")
+    m_sub, (k_lo, k_hi) = traj.substeps, traj.k_window
+    n_int, h, c = k_hi - k_lo, traj.step, m_sub - 3
     # every interval's grid points as a strided view, (n_int, dim, m_sub+1);
     # stencil centres 2 .. m_sub - 2 of each
     seg = np.lib.stride_tricks.sliding_window_view(traj.samples, m_sub + 1, axis=0)[::m_sub]
     dz = (seg[..., :c] - 8.0 * seg[..., 1 : c + 1] + 8.0 * seg[..., 3 : c + 3] - seg[..., 4:]) / (12.0 * h)
-    # the contract may write into its arguments, so it gets a copy, even
+    # the contract may write into its arguments, so it gets copies, even
     # where the view is contiguous (one interval)
     x = seg[..., 2 : c + 2].transpose(0, 2, 1).copy().reshape(-1, sys.dim)
     idx = ((m_sub * np.arange(n_int))[:, None] + np.arange(2, m_sub - 1)).reshape(-1)
-    ws = np.stack([frozen[k] for k in ks])
-    alpha = np.stack([sys.driver.value(k) for k in ks])
+    alpha = np.stack([sys.driver.value(k) for k in range(k_lo, k_hi)])
     rhs = x @ sys.a.T
-    rhs += eval_many(sys.f, traj.t0 + h * idx, x, ws)
+    rhs += eval_many(sys.f, traj.t0 + h * idx, x, traj.frozen.copy())
     rhs = rhs.reshape(n_int, c, -1) + alpha[:, None]
     diff = dz.transpose(0, 2, 1) - rhs
     return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))

@@ -152,6 +152,11 @@ def contraction_margin(sys: EpcagSystem) -> float:
     return _a4(sys.envelope, sys.f)[1]
 
 
+def _kappa_pi(sys: EpcagSystem) -> float:
+    """Contraction factor of the solution operator, N (L1 + L2) / lambda."""
+    return _a4(sys.envelope, sys.f)[0] / sys.envelope.rate
+
+
 def assemble_system(
     a,
     schedule: Schedule,
@@ -397,6 +402,6 @@ def proof_constants(sys: EpcagSystem) -> ProofConstants:
         r2=r2,
         sigma_max=1.0 / (r1 + r2),
         h_bound=2.0 * n * (m_phi + (sys.f.bound_mf + map_sup) / lam),
-        kappa_pi=report.a4_lhs / lam,
+        kappa_pi=_kappa_pi(sys),
         eta_max=margin / n,
     )

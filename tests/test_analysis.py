@@ -52,10 +52,11 @@ class TestDifferenceProfile:
         np.testing.assert_array_equal(ab, ba)
 
     def test_grid_mismatch(self, homo_traj):
-        clipped = replace(homo_traj, samples=homo_traj.samples[:-1])
+        clipped = replace(homo_traj, k_window=(-20, 19), samples=homo_traj.samples[:-200],
+                          frozen=homo_traj.frozen[:-1])
         with pytest.raises(GridMismatchError):
             difference_profile(homo_traj, clipped)
-        moved = replace(homo_traj, t0=homo_traj.t0 + 0.5)
+        moved = replace(homo_traj, schedule=replace(homo_traj.schedule, origin=homo_traj.schedule.origin + 0.5))
         with pytest.raises(GridMismatchError):
             difference_profile(homo_traj, moved)
 
@@ -151,7 +152,7 @@ class TestHomoclinicCertificate:
 class TestHeteroclinicCertificate:
     def test_trajectories_travel_with_certificate(self, het, het_cert):
         beta, alpha_f, alpha_b = het_cert.trajectories
-        assert beta.meta["k_window"] == (-30, 30)
+        assert beta.k_window == (-30, 30)
         assert difference_profile(beta, alpha_f)[-1][1] == het_cert.forward.end_gap
         assert difference_profile(beta, alpha_b)[0][1] == het_cert.backward.end_gap
 

@@ -20,7 +20,6 @@ from epcag import (
     REFERENCE_N,
     DecayEnvelope,
     RunSpec,
-    SampledTrajectory,
     assemble_system,
     build_orbit,
     certificate_dict,
@@ -333,16 +332,6 @@ class TestExports:
             lines.append(f"{fmt % homo_traj.times[r]},{vals},{-20 + r // 200}")
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
-    def test_single_sample_trajectory(self, tmp_path):
-        traj = SampledTrajectory(
-            t0=0.0, t1=0.0, step=0.0075, samples=np.array([[1.0, 2.0]]),
-            frozen_args=((0, np.array([1.0, 2.0])),),
-            meta={"k_window": (0, 0), "omega": 1.5, "origin": 0.0, "zeta_fraction": 1.0 / 3.0},
-        )
-        path = tmp_path / "one.csv"
-        export_trajectory_csv(traj, path)
-        assert len(path.read_text().splitlines()) == 2
-
     def test_frozen_csv(self, tmp_path, homo_traj):
         path = tmp_path / "frozen.csv"
         export_frozen_csv(homo_traj, path)
@@ -351,15 +340,8 @@ class TestExports:
         assert len(lines) == 41  # one per interval of the +-20 window
         k0_row = lines[21].split(",")
         assert k0_row[0] == "0" and k0_row[1] == "0.5"
-        w0 = dict(homo_traj.frozen_args)[0]
+        w0 = homo_traj.frozen[20]  # interval 0 of the window from -20
         assert float(k0_row[2]) == w0[0]
-
-    def test_metadata_required(self, tmp_path, homo_traj):
-        bare = replace(homo_traj, meta={})
-        with pytest.raises(IoError):
-            export_trajectory_csv(bare, tmp_path / "x.csv")
-        with pytest.raises(IoError):
-            export_frozen_csv(bare, tmp_path / "y.csv")
 
     def test_unwritable_target(self, tmp_path):
         with pytest.raises(IoError):
@@ -642,6 +624,14 @@ class TestCli:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["check", "--config", str(tmp_path / "nope.json")]) == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["example4", "--out", str(taken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot create output directory {taken}: ")
+        assert captured.out == ""
 
     def test_command_mismatch(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

@@ -318,6 +318,17 @@ class TestEnvelope:
         with pytest.raises(HorizonTooShortError):
             estimate_decay_envelope(-np.eye(2), horizon=5.0)
 
+    def test_validation_refuses_a_matrix_that_is_not_hurwitz(self):
+        env = DecayEnvelope(n_const=1.0, rate=0.5, validated_horizon=60.0, sample_count=0)
+        with pytest.raises(NotHurwitzError, match=r"^spectral abscissa 0 is not negative$"):
+            validate_envelope(np.array([[0.0, 1.0], [-1.0, 0.0]]), env, 1e-2)
+
+    def test_validation_refuses_a_short_horizon(self):
+        # -I decays at abscissa -1, so the scan must reach t = 10
+        env = DecayEnvelope(n_const=1.0, rate=0.5, validated_horizon=5.0, sample_count=0)
+        with pytest.raises(HorizonTooShortError, match=r"^envelope horizon 5 < 10/\|abscissa\| = 10$"):
+            validate_envelope(-np.eye(2), env, 1e-2)
+
     def test_underflowing_scan_is_refused(self):
         # ||exp(-20 t)|| falls below the smallest normal double at t = 35.43
         # of the 4001-point scan to 60 that estimation runs (35.4211 of

@@ -445,10 +445,8 @@ class TestSolveBounded:
         quarter = 1000
         gap = np.abs(pic.samples[quarter:-quarter] - burn.samples[quarter:-quarter]).max()
         assert gap <= 1e-6
-        wp, wb = dict(pic.frozen_args), dict(burn.frozen_args)
-        assert wp.keys() == wb.keys()
-        worst_w = max(float(np.abs(wp[k] - wb[k]).max()) for k in wp)
-        assert worst_w <= 1e-6
+        assert pic.k_window == burn.k_window
+        assert np.abs(pic.frozen - burn.frozen).max() <= 1e-6
 
     def test_reference_burn_in_inner_iterations(self, homo, het):
         totals = {
@@ -493,14 +491,14 @@ class TestSolveBounded:
         z0 = homo_traj.samples[idx]
         seg, w, _ = step_interval(homo.system, 0, z0)
         assert np.abs(seg[-1] - homo_traj.samples[idx + 200]).max() <= 1e-8
-        assert np.abs(w - dict(homo_traj.frozen_args)[0]).max() <= 1e-8
+        assert np.abs(w - homo_traj.frozen[20]).max() <= 1e-8
 
     def test_times_and_window(self, homo_traj):
         assert homo_traj.t0 == -30.0
         assert homo_traj.t1 == 30.0
         assert homo_traj.times[0] == -30.0
         assert homo_traj.times[-1] == pytest.approx(30.0, abs=1e-9)
-        assert homo_traj.meta["k_window"] == (-20, 20)
+        assert homo_traj.k_window == (-20, 20)
 
     def test_default_pad_reference_value(self, homo):
         assert default_pad(homo.system, 1e-8) == 49
@@ -566,10 +564,10 @@ class TestSolveBounded:
             solve_bounded(homo.system, (2, -2))
         with pytest.raises(OutOfRangeError):
             solve_bounded(homo.system, (-1.5, 2.0))
-        # any integral type is a node index, and the meta keeps Python ints
+        # any integral type is a node index, and the trajectory keeps Python ints
         traj = solve_bounded(homo.system, (np.int64(-2), np.int64(2)))
-        assert traj.meta["k_window"] == (-2, 2)
-        assert all(type(k) is int for k in traj.meta["k_window"])
+        assert traj.k_window == (-2, 2)
+        assert all(type(k) is int for k in traj.k_window)
 
     def test_unknown_method(self, homo):
         with pytest.raises(OutOfRangeError):
@@ -585,8 +583,7 @@ class TestBlockedArguments:
         scalar = replace(sys, f=replace(sys.f, eval_batch=None))
         batched, looped = (solve_bounded(s, (-3, 3), 40, method=method) for s in (sys, scalar))
         np.testing.assert_array_equal(batched.samples, looped.samples)
-        assert all(k == j and np.array_equal(w, v)
-                   for (k, w), (j, v) in zip(batched.frozen_args, looped.frozen_args, strict=True))
+        np.testing.assert_array_equal(batched.frozen, looped.frozen)
         assert batched.meta == looped.meta
         assert residual_defect(sys, batched) == residual_defect(scalar, batched)
 
@@ -884,8 +881,8 @@ class TestQuasiNewtonBurnIn:
         burn = solve_bounded(sys, window, m, method="burn_in")
         pic = solve_bounded(sys, window, m)
         assert np.abs(burn.samples - pic.samples).max() <= 1e-10
-        assert [k for k, _ in burn.frozen_args] == [k for k, _ in pic.frozen_args]
-        assert max(np.abs(wb - wp).max() for (_, wb), (_, wp) in zip(burn.frozen_args, pic.frozen_args)) <= 1e-10
+        assert burn.k_window == pic.k_window
+        assert np.abs(burn.frozen - pic.frozen).max() <= 1e-10
 
     @pytest.mark.parametrize("lip_y, zeta_fraction", [(0.7, 1.0), (0.9, 0.5), (0.9, 1.0)])
     def test_near_the_a4_limit(self, lip_y, zeta_fraction):
@@ -910,12 +907,12 @@ class TestQuasiNewtonBurnIn:
         burn = solve_bounded(sys, (k_lo, k_hi), m, method="burn_in")
         cold, frozen, _ = interval_chain(sys, k_lo, k_hi, burn.meta["pad"], m, warm=False)
         assert np.abs(burn.samples - cold).max() <= 1e-11
-        assert max(np.abs(wb - wc).max() for (_, wb), wc in zip(burn.frozen_args, frozen)) <= 1e-11
+        assert np.abs(burn.frozen - frozen).max() <= 1e-11
 
     def test_sliding_window_counts_every_interval(self, homo):
         traj = solve_bounded(homo.system, (-3, 3), 64, method="burn_in")
         pad = traj.meta["pad"]
-        assert [k for k, _ in traj.frozen_args] == list(range(-3, 3))
+        assert traj.k_window == (-3, 3) and traj.frozen.shape == (6, 2)
         assert len(traj.meta["inner_iterations"]) == pad + 6
         assert traj.meta["iterations"] == max(traj.meta["inner_iterations"])
 
@@ -930,7 +927,7 @@ class TestQuasiNewtonBurnIn:
             chain, frozen, sweeps = interval_chain(sc.system, -20, 20, burn.meta["pad"], 200, warm=True)
             assert burn.meta["inner_iterations"] == sweeps
             assert np.abs(burn.samples - chain).max() <= 1e-14
-            assert max(np.abs(wb - wc).max() for (_, wb), wc in zip(burn.frozen_args, frozen)) <= 1e-14
+            assert np.abs(burn.frozen - frozen).max() <= 1e-14
             totals[name] = sum(sweeps)
         assert totals == {"homoclinic": 415, "heteroclinic": 308}
 
@@ -965,16 +962,14 @@ class TestQuasiNewtonBurnIn:
 def per_interval_defect(sys, traj):
     """residual_defect interval by interval, one contract call each."""
     m_sub = round(sys.schedule.omega / traj.step)
-    frozen = dict(traj.frozen_args)
-    k_first = solver.locate(sys.schedule, traj.t0 + traj.step / 2.0).k
     h, worst = traj.step, 0.0
     for i in range((len(traj.samples) - 1) // m_sub):
-        k = k_first + i
+        k = traj.k_window[0] + i
         seg = traj.samples[i * m_sub : (i + 1) * m_sub + 1]
         ts = traj.t0 + h * (i * m_sub + np.arange(m_sub + 1))
         j = np.arange(2, m_sub - 1)
         dz = (seg[j - 2] - 8.0 * seg[j - 1] + 8.0 * seg[j + 1] - seg[j + 2]) / (12.0 * h)
-        ws = np.repeat(frozen[k][None], len(j), axis=0)
+        ws = np.repeat(traj.frozen[i][None], len(j), axis=0)
         rhs = seg[j] @ sys.a.T + solver.eval_many(sys.f, ts[j], seg[j], ws) + sys.driver.value(k)
         worst = max(worst, float(np.max(np.linalg.norm(dz - rhs, axis=1))))
     return worst
@@ -998,7 +993,8 @@ class TestResidualDefect:
 
     def test_one_pass_equals_the_per_interval_form(self, homo, het, homo_traj):
         # interval -20 alone, whose samples a strided view holds contiguously
-        one = replace(homo_traj, samples=homo_traj.samples[:201].copy())
+        one = replace(homo_traj, k_window=(-20, -19), samples=homo_traj.samples[:201].copy(),
+                      frozen=homo_traj.frozen[:1])
         overwriter = replace(homo.system, f=overwriting(homo.system.f))
         cases = [
             (homo.system, homo_traj),
@@ -1031,19 +1027,20 @@ class TestResidualDefect:
         bad = replace(homo_traj, samples=samples)
         assert residual_defect(homo.system, bad) >= 0.01
 
-    def test_step_mismatch(self, homo, homo_traj):
-        with pytest.raises(GridMismatchError):
-            residual_defect(homo.system, replace(homo_traj, step=0.7))
+    def test_schedule_mismatch(self, homo, homo_traj):
+        other = replace(homo.system, schedule=make_schedule(1.5, 0.0, 0.5))
+        with pytest.raises(GridMismatchError, match="trajectory and system have different schedules"):
+            residual_defect(other, homo_traj)
 
-    def test_partial_interval_rejected(self, homo, homo_traj):
-        clipped = replace(homo_traj, samples=homo_traj.samples[:-3])
-        with pytest.raises(GridMismatchError):
-            residual_defect(homo.system, clipped)
-
-    def test_no_whole_interval_rejected(self, homo, homo_traj):
-        node = replace(homo_traj, samples=homo_traj.samples[:1])
-        with pytest.raises(GridMismatchError, match="trajectory holds no whole interval"):
-            residual_defect(homo.system, node)
+    @pytest.mark.parametrize("change, message", [
+        (lambda t: {"samples": t.samples[:-3]}, "7998 samples and 40 frozen arguments do not fill 40 intervals"),
+        (lambda t: {"k_window": (0, 0), "samples": t.samples[:1], "frozen": t.frozen[:0]},
+         r"node window \(0, 0\) holds no interval"),
+        (lambda t: {"frozen": t.frozen[1:]}, "8001 samples and 39 frozen arguments do not fill 40 intervals"),
+    ], ids=["partial-interval", "no-whole-interval", "missing-frozen-argument"])
+    def test_inconsistent_grid_refused(self, homo_traj, change, message):
+        with pytest.raises(GridMismatchError, match=message):
+            replace(homo_traj, **change(homo_traj))
 
     def test_fewest_substeps(self, homo):
         # four substeps leave one interior point per interval for the stencil
@@ -1055,17 +1052,9 @@ class TestResidualDefect:
     def test_too_few_substeps_same_wording(self, homo):
         with pytest.raises(OutOfRangeError) as solving:
             solve_bounded(homo.system, (-2, 2), substeps=3)
-        coarse = SampledTrajectory(
-            t0=-3.0, t1=3.0, step=0.5, samples=np.zeros((13, 2)), frozen_args=(), meta={}
-        )
-        with pytest.raises(GridMismatchError) as measuring:
-            residual_defect(homo.system, coarse)
-        assert str(solving.value) == str(measuring.value)
-
-    def test_missing_frozen_argument(self, homo, homo_traj):
-        frozen = tuple((k, w) for k, w in homo_traj.frozen_args if k != 0)
-        with pytest.raises(GridMismatchError):
-            residual_defect(homo.system, replace(homo_traj, frozen_args=frozen))
+        with pytest.raises(GridMismatchError) as recording:
+            SampledTrajectory(homo.system.schedule, (-2, 2), 3, np.zeros((13, 2)), np.zeros((4, 2)), {})
+        assert str(solving.value) == str(recording.value)
 
 
 class TestConvergenceOrder:

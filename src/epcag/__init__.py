@@ -7,7 +7,13 @@ contract, generate a driver orbit of the discrete map, assemble and
 check the system, solve for the unique bounded solution, and certify
 that map-level homoclinic/heteroclinic/hyperbolic structure carries
 over to the solutions.
+
+The command-line layer, `epcag.io` (configs, artifacts) and `epcag.cli`
+(the `epcag` entry point), loads on first use of one of its names, so
+a library caller never imports it or its argparse and json.
 """
+
+import importlib
 
 from .analysis import (
     ConnectionCertificate,
@@ -59,17 +65,6 @@ from .errors import (
     RangeMismatchError,
     ValidationError,
 )
-from .cli import main
-from .io import (
-    RunSpec,
-    certificate_dict,
-    export_frozen_csv,
-    export_orbit_csv,
-    export_trajectory_csv,
-    parse_config,
-    run,
-    serialize_config,
-)
 from .linear import (
     DecayEnvelope,
     EnvelopeValidation,
@@ -119,3 +114,35 @@ from .system import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the command-line module that defines it (PEP 562)
+_LAZY = {
+    "main": ".cli",
+    **dict.fromkeys(
+        (
+            "RunSpec",
+            "certificate_dict",
+            "export_frozen_csv",
+            "export_orbit_csv",
+            "export_trajectory_csv",
+            "parse_config",
+            "run",
+            "serialize_config",
+        ),
+        ".io",
+    ),
+}
+
+
+def __getattr__(name):
+    # looked up in the module on every access, never cached here, so a
+    # name rebound in epcag.io or epcag.cli reads the same through epcag
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(module, __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

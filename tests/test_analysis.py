@@ -8,10 +8,12 @@ import pytest
 
 import epcag.analysis
 from epcag import (
+    build_orbit,
     certify_connection,
     contraction_margin,
     difference_profile,
     fit_decay_rate,
+    logistic_map,
     proof_constants,
     solve_bounded,
     transfer_catalog,
@@ -21,6 +23,7 @@ from epcag import (
 from epcag.errors import (
     AssumptionFailureError,
     DegenerateTailError,
+    DimensionMismatchError,
     GridMismatchError,
     OutOfRangeError,
     PremiseFailureError,
@@ -197,6 +200,12 @@ class TestCertifyGuards:
     def test_kind_guard(self, homo):
         with pytest.raises(OutOfRangeError):
             certify_connection(homo.system, homo.alphas, homo.beta, "periodic")
+
+    def test_driver_dimension(self, homo):
+        scalar = build_orbit(logistic_map(4.0), "fixed", 0.75, k_min=-35, k_max=35)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^forward target driver dimension 1 does not match the system \(2\)$"):
+            certify_connection(homo.system, (scalar,), homo.beta, "homoclinic")
 
     def test_gap_above_the_stable_envelope_fails_the_verdict(self, homo, monkeypatch):
         # lift the subject by 0.05 per component on t in [38, 42]; the

@@ -554,13 +554,36 @@ class TestAutoRange:
         assert k_max >= window
 
 
-def python_m_epcag(*args):
-    """`python -m epcag args` in a fresh interpreter that imports the
-    package from the source tree under test."""
+def fresh_python(*args):
+    """`python args` in a fresh interpreter that imports the package
+    from the source tree under test."""
     src = str(Path(epcag.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "epcag", *args],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_out_the_command_line_layer():
+    # a fresh `import epcag` loads neither layer nor argparse and json;
+    # dir() lists the layer's names, and each resolves on first access
+    # to the very object its module defines
+    layer = {
+        "main": "epcag.cli",
+        **dict.fromkeys(("RunSpec", "certificate_dict", "export_frozen_csv", "export_orbit_csv",
+                         "export_trajectory_csv", "parse_config", "run", "serialize_config"), "epcag.io"),
+    }
+    done = fresh_python("-c", f"""
+import sys, epcag
+print(sorted(m for m in ("epcag.io", "epcag.cli", "argparse", "json") if m in sys.modules))
+layer = {layer!r}
+print(sorted(set(layer) - set(dir(epcag))))
+print(sorted(n for n, m in layer.items() if getattr(epcag, n) is not getattr(sys.modules[m], n)))
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["[]", "[]", "[]", ""]
+    assert not hasattr(epcag, "no_such_name")
+    with pytest.raises(AttributeError, match="^module 'epcag' has no attribute 'no_such_name'$"):
+        epcag.no_such_name
 
 
 class TestCli:
@@ -597,7 +620,7 @@ class TestCli:
     def test_python_m_epcag(self, tmp_path):
         # a fresh interpreter runs the package as a module, without the
         # RuntimeWarning that running epcag.cli as a module gives
-        done = python_m_epcag("example4", "--out", str(tmp_path))
+        done = fresh_python("-m", "epcag", "example4", "--out", str(tmp_path))
         assert done.returncode == 0, done.stderr
         assert "RuntimeWarning" not in done.stderr
         assert (tmp_path / "certificate.json").exists()
@@ -610,7 +633,7 @@ class TestCli:
         for sub in ("first", "warm"):
             assert main(["example4", "--mode", mode, "--out", str(tmp_path / sub)]) == 0
         capsys.readouterr()
-        done = python_m_epcag("example4", "--mode", mode, "--out", str(tmp_path / "cold"))
+        done = fresh_python("-m", "epcag", "example4", "--mode", mode, "--out", str(tmp_path / "cold"))
         assert done.returncode == 0, done.stderr
         names = sorted(p.name for p in (tmp_path / "warm").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "cold").iterdir())

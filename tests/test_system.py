@@ -1,6 +1,7 @@
 """Nonlinearity contracts, system assembly, assumption checks, constants."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,22 @@ class TestAssembly:
                 scalar,
                 envelope=reference_envelope(),
             )
+
+    @pytest.mark.parametrize(
+        "matrix, contract, message",
+        [
+            (np.ones((2, 3)), example_contract(), "matrix must be square, got shape (2, 3)"),
+            (reference_matrix(), custom_contract(lambda t, x, y: np.zeros(3), 1.0, 0.0, 0.0),
+             "contract eval returned shape (3,), expected (2,)"),
+        ],
+        ids=["non-square-matrix", "contract-shape"],
+    )
+    def test_shape_refusals(self, matrix, contract, message):
+        # the envelope is supplied: estimating one from a non-square
+        # matrix would refuse first
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            assemble_system(matrix, reference_schedule(), contract, fixed_driver(),
+                            envelope=reference_envelope())
 
     def test_understated_lipschitz_is_caught(self):
         honest = example_contract()
@@ -396,6 +413,15 @@ class TestAssumptions:
         assert rep.passed
         assert rep.a4_lhs == 0.0
         assert rep.a5_lhs == 0.0
+
+    def test_non_positive_bound_is_reported(self):
+        # the spot check would refuse this bound; unchecked, the report flags it
+        zero_bound = replace(example_contract(), bound_mf=0.0)
+        sys = assemble_system(reference_matrix(), reference_schedule(), zero_bound, fixed_driver(),
+                              envelope=reference_envelope(), spot_samples=0)
+        rep = check_assumptions(sys)
+        assert rep.notes == ("(A1) fails: bound 0.0 not a positive finite number",)
+        assert rep.passed is False
 
     def test_failure_is_reported_not_raised(self):
         sys = assemble_system(

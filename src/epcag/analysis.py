@@ -99,12 +99,11 @@ class TransferReport:
 
 def difference_profile(traj_a: SampledTrajectory, traj_b: SampledTrajectory) -> np.ndarray:
     """Pointwise Euclidean gaps between two trajectories on one grid, as
-    an (n, 2) array of (t, gap) rows."""
-    if (
-        len(traj_a.samples) != len(traj_b.samples)
-        or abs(traj_a.t0 - traj_b.t0) > 1e-12
-        or abs(traj_a.step - traj_b.step) > 1e-15
-    ):
+    an (n, 2) array of (t, gap) rows. One grid means the same node
+    window, substeps and schedule omega and origin; the zeta fractions
+    may differ, as gap profiles across argument points are legitimate."""
+    grid_a, grid_b = ((t.k_window, t.substeps, t.schedule.omega, t.schedule.origin) for t in (traj_a, traj_b))
+    if grid_a != grid_b:
         raise GridMismatchError("trajectories live on different grids")
     gaps = np.linalg.norm(traj_a.samples - traj_b.samples, axis=1)
     return np.column_stack([traj_a.times, gaps])

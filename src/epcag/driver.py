@@ -77,7 +77,8 @@ def logistic_inverse(mu: float, s: float, branch: str) -> float:
     """Preimage of s under F_mu on the requested branch.
 
     Domain is [0, mu/4]; values a rounding error above mu/4 are treated
-    as mu/4 (the two branches meet at 1/2 there).
+    as mu/4 (the two branches meet at 1/2 there). The lower branch lands
+    in [0, 1/2] and the upper in [1/2, 1], in floating point too.
     """
     if not (0.0 < mu <= 4.0):
         raise OutOfRangeError(f"mu must lie in (0, 4], got {mu!r}")
@@ -103,14 +104,10 @@ def _fixed_points(mu: float) -> list[float]:
     return pts
 
 
-def _branch_range(branch: str) -> tuple[float, float]:
-    return (0.0, 0.5) if branch == LOWER_BRANCH else (0.5, 1.0)
-
-
 def _branch_fixed_point(mu: float, branch: str) -> float | None:
     """The fixed point of F inside the branch range that attracts the
     inverse iteration (|F'| >= 1 there)."""
-    lo, hi = _branch_range(branch)
+    lo, hi = (0.0, 0.5) if branch == LOWER_BRANCH else (0.5, 1.0)
     for p in _fixed_points(mu):
         if lo <= p <= hi and abs(mu * (1.0 - 2.0 * p)) >= 1.0:
             return p
@@ -239,7 +236,6 @@ def build_orbit(
 
     # backward sweep, extended 20 intervals at a time until the edge gap
     # target is met
-    lo_r, hi_r = _branch_range(backward_branch)
     bwd = []
     cur = seed
     lo = k_min
@@ -251,10 +247,6 @@ def build_orbit(
                 raise BranchEscapeError(
                     f"backward iterate left the branch domain: {exc}"
                 ) from exc
-            if not (lo_r - 1e-12 <= cur <= hi_r + 1e-12):
-                raise BranchEscapeError(
-                    f"backward iterate {cur!r} left branch range [{lo_r}, {hi_r}]"
-                )
             bwd.append(cur)
         gap = abs(cur - back_fp)
         if gap <= edge_gap:

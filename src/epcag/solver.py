@@ -57,20 +57,28 @@ burn_in
     Neighbouring intervals see similar forcing, so this start saves
     sweeps and leaves the fixed point where it was; one sweep of eight
     intervals costs little more than one of one. The first window
-    starts from zero. step_interval solves one interval the same way.
-    The linear part is exact, so no substep count is unstable. Both
-    methods solve the same discrete equations and differ in the order of
-    their sweeps and in their stops, so comparing them
+    starts from zero. The linear part is exact, so no substep count is
+    unstable. Both methods solve the same discrete equations and differ
+    in the order of their sweeps and in their stops, so comparing them
     checks the iteration and the truncation, not the quadrature.
 
-Both return a SampledTrajectory: the schedule, node window and substep
-count that fix its grid, the samples on it, and one frozen argument per
-interval. Both report their truncation/transient bound (_tail_bound) in
-the trajectory meta and refuse pads whose bound exceeds the requested
-tolerance. Every solve checks its samples against the a-priori bound
-M_phi plus that bound, which the bounded solution meets, and raises
-InnerDivergenceError above it: a contract that breaks its declared
-bound, or an iteration gone wrong.
+One loop, _iterate, runs every fixed-point iteration: each Picard grid
+level, burn-in, and step_interval. It sweeps, refuses non-finite deltas
+and stops at the sweep cap, naming the interval; its callers differ
+only in when a converged interval retires. Picard retires the whole
+grid once every interval has met its stop. Burn-in is the loop's
+windowed use: it retires the leading intervals that met the stop and
+moves the window on. step_interval is a window of one interval started
+from a given value, where the two rules agree.
+
+Both methods return a SampledTrajectory: the schedule, node window and
+substep count that fix its grid, the samples on it, and one frozen
+argument per interval. Both report their truncation/transient bound
+(_tail_bound) in the trajectory meta and refuse pads whose bound
+exceeds the requested tolerance. Every solve checks its samples
+against the a-priori bound M_phi plus that bound, which the bounded
+solution meets, and raises InnerDivergenceError above it: a contract
+that breaks its declared bound, or an iteration gone wrong.
 """
 
 from __future__ import annotations
@@ -461,54 +469,67 @@ def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, p
     return new, np.sqrt(np.einsum("ijk,ijk->ij", d, d).max(axis=1))
 
 
-def _non_finite(k0: int, deltas: np.ndarray, sweeps) -> InnerDivergenceError:
-    """The error for sweep deltas of intervals k0, k0 + 1, ... not all
-    finite, naming the first interval that went non-finite and its sweep
-    count (sweeps, one per interval or one for all)."""
-    i = int(np.argmin(np.isfinite(deltas)))
-    return InnerDivergenceError(
-        f"interval {k0 + i}: non-finite samples in picard sweep {np.broadcast_to(sweeps, deltas.shape)[i]}"
-    )
-
-
-def _not_reached(k: int, stop: float, cap: int, m: int) -> InnerDivergenceError:
-    return InnerDivergenceError(
-        f"interval {k}: picard iteration did not reach {stop:g} in {cap} sweeps at {m} substeps"
-    )
-
-
-def _picard_sweeps(sys: EpcagSystem, k0: int, alpha: np.ndarray, psi: np.ndarray,
-                   stop: float | None = None, start: np.ndarray | None = None, cap: int | None = None):
-    """Picard sweeps on the grid of psi (n_int, m+1, dim), whose intervals
-    start at node k0 and carry driver values alpha (n_int, dim), until
-    successive iterates differ by <= stop (default _picard_stop), for at
-    most cap sweeps (default _picard_cap). Each sweep is _sweep from the
-    start value `start` (zero by default), and its delta is the largest
-    of the intervals'. Returns the last iterate, the sweep deltas and the
-    last sweep's integrand hv = f + alpha. An error names the first
-    interval that went non-finite, or the first still above the stop."""
-    if stop is None:
-        stop = _picard_stop(sys)
-    if cap is None:
-        cap = _picard_cap(sys)
-    n_int, m1, _ = psi.shape
-    m = m1 - 1
-    ctx = _context(sys, m)
-    ts = _grid_times(sys, k0, n_int, m)
-
+def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np.ndarray, psi: np.ndarray,
+             stop: float, cap: int, start: np.ndarray | None = None, sliding: bool = False):
+    """Picard sweeps over intervals k0, k0 + 1, ... of the grid ts (n_all,
+    m+1), which carry driver values alpha (n_all, dim), from the iterate
+    psi on a window of the leading intervals and the start value `start`
+    at its first node (zero if None). Each sweep is _sweep over the
+    window. After it the intervals whose delta is at most stop retire:
+    the leading ones if `sliding` (burn-in), else all of them once every
+    one has (Picard), which needs a window of the whole grid. A sliding
+    window then takes the end of the last retired interval as its start
+    value and is topped up to its first size with intervals each started
+    from the one before it moved onto its own start, last + exp(A j h)
+    (last[-1] - last[0]). An interval unretired
+    after cap sweeps, or a non-finite delta, raises InnerDivergenceError
+    naming the interval. Returns the retired intervals (n_all, m+1, dim),
+    each sweep's largest delta, each interval's sweep count and the
+    integrand buffer hv = f + alpha, which holds the last sweep's
+    integrand on the window it swept (the whole grid for Picard)."""
+    (n_all, m1), size = ts.shape, len(psi)
+    # only a sliding window retires part of the grid; allocating this
+    # for Picard too cost 2-3% of a crosscheck op
+    out = np.empty((n_all, m1, psi.shape[2])) if sliding else None
+    sweeps = np.zeros(n_all, dtype=int)
     deltas: list[float] = []
     # one integrand and one difference array serve every sweep; fresh
     # ones each sweep would fault in new pages every time
     hv, d = np.empty_like(psi), np.empty_like(psi)
-    per = np.full(n_int, math.inf)  # before any sweep no interval has converged
-    for _ in range(cap):
-        psi, per = _sweep(sys, ctx, ts, alpha, psi, start, hv, d)
+    # i0: the first interval in the window; first: the first not yet
+    # within stop
+    i0 = first = 0
+    while i0 < n_all:
+        if sweeps[first] >= cap:
+            raise InnerDivergenceError(
+                f"interval {k0 + first}: picard iteration did not reach {stop:g} in {cap} sweeps at {m1 - 1} substeps"
+            )
+        n = len(psi)
+        new, per = _sweep(sys, ctx, ts[i0 : i0 + n], alpha[i0 : i0 + n], psi, start, hv[:n], d[:n])
+        sweeps[i0 : i0 + n] += 1
         deltas.append(float(per.max()))
         if not math.isfinite(deltas[-1]):
-            raise _non_finite(k0, per, len(deltas))
-        if deltas[-1] <= stop:
-            return psi, deltas, hv
-    raise _not_reached(k0 + int(np.argmax(per > stop)), stop, cap, m)
+            i = int(np.argmin(np.isfinite(per)))
+            raise InnerDivergenceError(f"interval {k0 + i0 + i}: non-finite samples in picard sweep {sweeps[i0 + i]}")
+        met = n if deltas[-1] <= stop else int(np.argmax(per > stop))
+        first = i0 + met
+        done = met if sliding or met == n else 0
+        if not done:
+            psi = new
+            continue
+        if done == n_all:
+            # the whole grid at once, as Picard retires it: copying it
+            # into out cost 4% of a Picard solve
+            return new, deltas, sweeps, hv
+        out[i0 : i0 + done] = new[:done]
+        i0 += done
+        psi, last = [new[done:]], new[-1]
+        for _ in range(min(size, n_all - i0) - (n - done)):
+            last = last + ((last[-1] - last[0]) @ ctx.e_rows).reshape(last.shape)
+            psi.append(last[None])
+        psi = np.concatenate(psi)
+        start = new[done - 1, -1]
+    return out, deltas, sweeps, hv
 
 
 def _samples_and_frozen(sys: EpcagSystem, psi: np.ndarray, pad: int):
@@ -535,21 +556,21 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
         grids.append(grids[-1] // 4)
     grids.reverse()
     levels = []
-    psi = np.zeros((n_int, grids[0] + 1, dim))
-    base = _picard_stop(sys)
-    for m_l, m_next in zip(grids, grids[1:]):
+    base, cap = _picard_stop(sys), _picard_cap(sys)
+    hv = None
+    for m_l in grids:
+        ctx = _context(sys, m_l)
+        # each finer grid starts one sweep on, at the cost of a convolution
+        psi = np.zeros((n_int, m_l + 1, dim)) if hv is None else _convolve(ctx, _refine(hv, m_l))
         stop = base * (m / m_l) ** 4
-        _, deltas, hv = _picard_sweeps(sys, k0, alpha, psi, stop)
+        psi, deltas, _, hv = _iterate(sys, ctx, k0, _grid_times(sys, k0, n_int, m_l), alpha, psi, stop, cap)
         levels.append((m_l, stop, tuple(deltas)))
-        # the next grid starts one sweep on, at the cost of a convolution
-        psi = _convolve(_context(sys, m_next), _refine(hv, m_next))
-    psi, deltas, _ = _picard_sweeps(sys, k0, alpha, psi)
 
     samples, frozen = _samples_and_frozen(sys, psi, pad)
     # one contract row per grid point per sweep, on every level
-    rows = sum(len(d) * (m_l + 1) for m_l, _, d in levels) + len(deltas) * (m + 1)
+    rows = sum(len(d) * (m_l + 1) for m_l, _, d in levels)
     sweeps = {"iterations": len(deltas), "iterate_deltas": tuple(deltas),
-              "levels": tuple(levels), "f_evals": n_int * rows}
+              "levels": tuple(levels[:-1]), "f_evals": n_int * rows}
     return samples, frozen, sweeps
 
 
@@ -582,16 +603,16 @@ def step_interval(
     if z0.shape != (sys.dim,):
         raise OutOfRangeError(f"z0 must have shape ({sys.dim},), got {z0.shape}")
     shape = (substeps + 1, sys.dim)
-    if guess is None:
-        psi = z0 @ _context(sys, substeps).e_rows
-    else:
-        psi = np.asarray(guess, dtype=float)
-        if psi.shape != shape:
-            raise OutOfRangeError(f"guess must have shape {shape}, got {psi.shape}")
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != shape:
+            raise OutOfRangeError(f"guess must have shape {shape}, got {guess.shape}")
+    ctx = _context(sys, substeps)
+    psi = (z0 @ ctx.e_rows if guess is None else guess).reshape((1,) + shape)
     alpha = sys.driver.value(k)[None]
-    psi, deltas, _ = _picard_sweeps(sys, k, alpha, psi.reshape((1,) + shape), tol, z0, max_inner)
+    psi, _, sweeps, _ = _iterate(sys, ctx, k, _grid_times(sys, k, 1, substeps), alpha, psi, tol, max_inner, z0)
     j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, substeps)
-    return psi[0], lw @ psi[0, j0 : j0 + 4], len(deltas)
+    return psi[0], lw @ psi[0, j0 : j0 + 4], int(sweeps[0])
 
 
 def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
@@ -601,43 +622,13 @@ def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: i
     raises InnerDivergenceError; inner_iterations counts each interval's
     sweeps in the window, so f_evals is (substeps + 1) times their sum."""
     m, dim = substeps, sys.dim
-    cap = _picard_cap(sys)
     ctx = _context(sys, m)
     k0 = k_lo - pad
     n_all = k_hi - k0
-    ts = _grid_times(sys, k0, n_all, m)
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
-    size = min(BURN_IN_WINDOW, n_all)
-
-    out = np.empty((n_all, m + 1, dim))
-    sweeps = np.zeros(n_all, dtype=int)
-    z, i0 = np.zeros(dim), 0
-    psi = np.zeros((size, m + 1, dim))
-    hv, d = np.empty_like(psi), np.empty_like(psi)
-    while i0 < n_all:
-        n = len(psi)
-        new, per = _sweep(sys, ctx, ts[i0 : i0 + n], alpha[i0 : i0 + n], psi, z, hv[:n], d[:n])
-        sweeps[i0 : i0 + n] += 1
-        if not np.isfinite(per).all():
-            raise _non_finite(k0 + i0, per, sweeps[i0 : i0 + n])
-        ok = per <= INNER_DEFAULT_TOL
-        done = n if ok.all() else int(np.argmin(ok))
-        out[i0 : i0 + done] = new[:done]
-        i0 += done
-        if i0 < n_all and sweeps[i0] >= cap:
-            raise _not_reached(k0 + i0, INNER_DEFAULT_TOL, cap, m)
-        if not done:
-            psi = new
-            continue
-        # each interval joining the window starts from the one before it
-        # moved onto its start
-        psi, last = [new[done:]], new[-1]
-        for _ in range(min(size, n_all - i0) - (n - done)):
-            last = last + ((last[-1] - last[0]) @ ctx.e_rows).reshape(last.shape)
-            psi.append(last[None])
-        psi = np.concatenate(psi)
-        z = new[done - 1, m]
-
+    psi = np.zeros((min(BURN_IN_WINDOW, n_all), m + 1, dim))
+    out, _, sweeps, _ = _iterate(sys, ctx, k0, _grid_times(sys, k0, n_all, m), alpha, psi,
+                                 INNER_DEFAULT_TOL, _picard_cap(sys), np.zeros(dim), sliding=True)
     samples, frozen = _samples_and_frozen(sys, out, pad)
     passes = {"iterations": int(sweeps.max()), "inner_iterations": tuple(int(s) for s in sweeps),
               "f_evals": int(sweeps.sum()) * (m + 1)}

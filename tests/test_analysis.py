@@ -62,6 +62,14 @@ class TestDifferenceProfile:
         moved = replace(homo_traj, schedule=replace(homo_traj.schedule, origin=homo_traj.schedule.origin + 0.5))
         with pytest.raises(GridMismatchError):
             difference_profile(homo_traj, moved)
+        # as many samples from the same t0, at half the step
+        finer = replace(homo_traj, k_window=(-20, 60), substeps=100, frozen=np.tile(homo_traj.frozen, (2, 1)))
+        with pytest.raises(GridMismatchError):
+            difference_profile(homo_traj, finer)
+
+    def test_zeta_fraction_may_differ(self, homo_traj):
+        other = replace(homo_traj, schedule=replace(homo_traj.schedule, zeta_fraction=0.25))
+        assert np.all(difference_profile(homo_traj, other)[:, 1] == 0.0)
 
 
 class TestFitDecayRate:
@@ -87,6 +95,13 @@ class TestFitDecayRate:
     def test_growth_gets_negative_rate(self):
         rate, _ = fit_decay_rate(synthetic_profile(lambda t: math.exp(0.3 * t)))
         assert rate == pytest.approx(-0.3, abs=1e-6)
+
+    def test_flat_tail_fits_exactly(self):
+        # a constant gap above the floor leaves nothing to explain: rate 0,
+        # and the fit is exact (log 1 = 0 keeps the tail's mean exact)
+        rate, quality = fit_decay_rate(synthetic_profile(lambda t: 1.0))
+        assert rate == pytest.approx(0.0, abs=1e-12)
+        assert quality == 1.0
 
     def test_floored_tail_is_degenerate(self):
         with pytest.raises(DegenerateTailError):
@@ -185,6 +200,15 @@ class TestCertifyGuards:
         cert = certify_connection(homo.system, (homo.beta,), homo.beta, "homoclinic")
         assert len(solve_counter) == 1
         assert cert.trajectories[0] is cert.trajectories[1]
+
+    def test_bare_target_orbit(self, homo, homo_cert):
+        # one DriverOrbit stands for the one-target tuple
+        (alpha,) = homo.alphas
+        cert = certify_connection(homo.system, alpha, homo.beta, "homoclinic")
+        assert cert.verdict is homo_cert.verdict is True
+        for got, want in zip(cert.trajectories, homo_cert.trajectories):
+            assert np.array_equal(got.samples, want.samples)
+        assert (cert.forward.end_gap, cert.backward.end_gap) == (homo_cert.forward.end_gap, homo_cert.backward.end_gap)
 
     def test_premise_failure(self, homo, het):
         # a mu=3.9 subject can never meet mu=4 fixed targets at the ends

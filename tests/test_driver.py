@@ -57,11 +57,24 @@ class TestStepAndInverse:
             logistic_inverse(4.0, -0.1, "lower_G")
         with pytest.raises(OutOfRangeError):
             logistic_inverse(4.0, 0.5, "middle")
+        for mu in (0.0, 4.5, math.nan):
+            with pytest.raises(OutOfRangeError, match=r"mu must lie in \(0, 4\]"):
+                logistic_inverse(mu, 0.1, "lower_G")
 
     def test_branch_ranges(self):
         for s in np.linspace(0.0, 1.0, 41):
             assert 0.0 <= logistic_inverse(4.0, s, "lower_G") <= 0.5
             assert 0.5 <= logistic_inverse(4.0, s, "upper_H") <= 1.0
+
+    @given(mu=st.floats(0.0, 4.0, exclude_min=True), frac=st.floats(0.0, 1.0 + 1e-12))
+    @settings(max_examples=300, deadline=None)
+    def test_branches_stay_in_their_ranges(self, mu, frac):
+        # build_orbit relies on this and has no check of its own: with
+        # disc in [0, 1], (1 + disc) / 2 lies in [1/2, 1], and
+        # 2 s / (mu (1 + disc)) <= 2 s / mu <= 1/2 under monotone rounding
+        s = frac * mu / 4.0
+        assert 0.0 <= logistic_inverse(mu, s, "lower_G") <= 0.5
+        assert 0.5 <= logistic_inverse(mu, s, "upper_H") <= 1.0
 
     @given(
         mu=st.floats(1.0, 4.0),
@@ -168,6 +181,52 @@ class TestBuildOrbit:
             build_orbit(logistic_map(3.6), "homoclinic", 0.3, backward_branch="upper_H",
                         k_min=-10, k_max=10)
 
+    def test_seed_domain(self):
+        with pytest.raises(OutOfDomainError, match=r"seed must lie in \[0, 1\], got 1.5"):
+            build_orbit(logistic_map(4.0), "heteroclinic", 1.5, backward_branch="lower_G")
+
+    def test_unknown_kind(self):
+        with pytest.raises(OutOfRangeError, match="unknown orbit kind 'periodic'"):
+            build_orbit(logistic_map(4.0), "periodic", 0.25, backward_branch="lower_G")
+
+    def test_slow_forward_approach_within_edge_gap(self):
+        # mu = 2.9: F' = -0.9 at the fixed point 19/29, so 200 steps from
+        # 0.3 leave about 2e-10, inside edge_gap but not pinned
+        star = 1.9 / 2.9
+        orb = build_orbit(logistic_map(2.9), "heteroclinic", 0.3, backward_branch="lower_G", k_max=200)
+        assert orb.right_limit[0] == star
+        assert 1e-13 < abs(orb.values[-1, 0] - star) <= orb.edge_gap
+
+    def test_homoclinic_forward_limit_off_the_branch_fixed_point(self):
+        # F(1/4) = 3/4 at mu = 4, but the lower branch's fixed point is 0
+        with pytest.raises(NoConvergenceError, match="must return to the branch fixed point 0.0, forward limit is 0.75"):
+            build_orbit(logistic_map(4.0), "homoclinic", 0.25, backward_branch="lower_G")
+
+    def test_heteroclinic_limits_coincide(self):
+        # 1/2 -> 1 -> 0, the lower branch's own fixed point
+        with pytest.raises(NoConvergenceError, match="heteroclinic orbit limits coincide"):
+            build_orbit(logistic_map(4.0), "heteroclinic", 0.5, backward_branch="lower_G")
+
+    def test_backward_iterate_leaves_the_branch_domain(self):
+        # at mu = 2.5 the inverse branches take s <= mu/4 = 0.625 only
+        with pytest.raises(BranchEscapeError, match="left the branch domain: s = 0.7 exceeds"):
+            build_orbit(logistic_map(2.5), "heteroclinic", 0.7, backward_branch="lower_G", k_max=60)
+
+    def test_widening_floor(self):
+        # the lower branch quarters the gap to 0 each step: 4^-200 is far
+        # above an edge_gap of 1e-300
+        with pytest.raises(NoConvergenceError, match="still above edge_gap 1e-300 at the widening floor k = -200"):
+            build_orbit(logistic_map(4.0), "heteroclinic", 0.25, backward_branch="lower_G", edge_gap=1e-300)
+
+    def test_consistency_check(self):
+        # logistic_inverse forgives a seed up to 1e-12 relative above
+        # mu/4 and maps it as mu/4, so F(alpha_-1) misses alpha_0 by that
+        # much, which tops CONSISTENCY_TOL once mu/4 is near 1
+        top = 3.9999 / 4.0
+        with pytest.raises(NoConvergenceError, match="orbit consistency violated"):
+            build_orbit(logistic_map(3.9999), "heteroclinic", top * (1.0 + 1e-12), backward_branch="lower_G",
+                        k_max=8, edge_gap=0.3)
+
     def test_orbit_coverage_error_without_limits(self):
         orb = DriverOrbit(k_min=0, k_max=2, values=np.zeros((3, 1)),
                           left_limit=None, right_limit=None, edge_gap=1e-8)
@@ -193,6 +252,18 @@ class TestPairAndGaps:
         b = build_orbit(m, "fixed", 0.75, k_min=-4, k_max=3)
         with pytest.raises(RangeMismatchError):
             pair_orbits(a, b)
+
+    def test_pair_needs_scalar_orbits(self):
+        a = build_orbit(logistic_map(4.0), "fixed", 0.75, k_min=-3, k_max=3)
+        with pytest.raises(RangeMismatchError, match="pair_orbits expects scalar orbits"):
+            pair_orbits(pair_orbits(a, a), a)
+
+    def test_pair_keeps_a_missing_limit_missing(self):
+        a = build_orbit(logistic_map(4.0), "fixed", 0.75, k_min=-3, k_max=3)
+        open_left = DriverOrbit(-3, 3, a.values, None, a.right_limit, a.edge_gap)
+        p = pair_orbits(a, open_left)
+        assert p.left_limit is None
+        assert p.right_limit.tolist() == [0.75, 0.75]
 
     def test_gap_profile_against_point(self):
         m = logistic_map(4.0)

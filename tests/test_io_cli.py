@@ -417,6 +417,15 @@ class TestRun:
         assert captured.err == "error: (A4) fails: N(L1+L2) = 0.132518 >= lambda = 0.05\n"
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_config_runs_need_a_2x2_matrix(self, tmp_path, capsys):
+        # a config names one scalar orbit, paired into both components
+        cfg = reference_config("check", out_dir=str(tmp_path))
+        cfg["system"]["matrix"] = (-np.eye(3)).tolist()
+        assert run(parse(cfg)) == 1
+        assert capsys.readouterr().err == ("error: system.matrix: config-driven runs pair one scalar orbit "
+                                           "into two components; the matrix must be 2x2\n")
+        assert not (tmp_path / "check_report.json").exists()
+
     def test_constants_command(self, tmp_path, capsys):
         cfg = reference_config("constants", out_dir=str(tmp_path))
         assert run(parse(cfg)) == 0

@@ -144,6 +144,18 @@ class TestMatExp:
         # fast decay is not an overflow risk, it just underflows to zero
         assert mat_exp([[-800.0]], 1.0)[0, 0] == 0.0
 
+    def test_guards_hold_near_the_largest_double(self):
+        # (A + A^T) / 2 summed before halving overflowed to a nan mu(A t),
+        # which passed the overflow guard, and an overflowed 1-norm broke
+        # the scaling: both returned the identity
+        huge = np.full((2, 2), 1e308)
+        with pytest.raises(OverflowRiskError, match=r"mu\(A t\) = inf at t = 1 "):
+            mat_exp(huge, 1.0)
+        with pytest.raises(NonFiniteError, match="A t overflowed"):
+            mat_exp([[-1.7e308, 1.7e308], [-1.7e308, -1.7e308]], 1.0)
+        assert np.array_equal(mat_exp(huge, 0.0), np.eye(2))
+        assert np.array_equal(mat_exp([[-1.7e308, 0.0], [0.0, -1.7e308]], 1.0), np.zeros((2, 2)))
+
     @pytest.mark.parametrize(
         "a, closed_form",
         [
@@ -285,6 +297,16 @@ class TestEnvelope:
         report = validate_envelope(reference_matrix(), env, 1e-2, slack=1e-9)
         assert not report.passed
         assert report.max_ratio > 2.0
+
+    def test_argument_guards(self):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            sample_norm_curve(reference_matrix(), 60.0, 1)
+        for margin in (-0.1, 1.0):
+            with pytest.raises(ValueError, match=r"rate_margin must lie in \[0, 1\)"):
+                estimate_decay_envelope(reference_matrix(), rate_margin=margin)
+        for step in (0.0, -1e-2, math.inf, math.nan):
+            with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+                validate_envelope(reference_matrix(), reference_envelope(), step)
 
     def test_sampled_sup_stays_below_reference_constant(self):
         ts, norms = sample_norm_curve(reference_matrix(), 60.0, 6001)

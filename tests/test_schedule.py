@@ -32,7 +32,7 @@ class TestConstruction:
             make_schedule("shifted", 3.0, 1)
 
     def test_unknown_preset(self):
-        with pytest.raises(BadStepError):
+        with pytest.raises(BadStepError, match="unknown preset 'weekly'"):
             make_schedule("weekly")
 
     def test_explicit_example(self):
@@ -54,6 +54,11 @@ class TestConstruction:
             make_schedule(0.0)
         with pytest.raises(BadStepError):
             make_schedule(math.inf)
+
+    @pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
+    def test_bad_origin(self, origin):
+        with pytest.raises(BadStepError, match="origin must be finite"):
+            make_schedule(1.5, origin, 0.5)
 
     def test_bad_fraction(self):
         with pytest.raises(BadFractionError):

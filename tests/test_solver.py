@@ -648,7 +648,9 @@ def zero_start(sys, window, substeps, tol=1e-8):
     (k_lo, k_hi), pad = window, default_pad(sys, tol)
     k0 = k_lo - pad
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
-    psi, deltas, _ = solver._picard_sweeps(sys, k0, alpha, np.zeros((k_hi - k0, substeps + 1, sys.dim)))
+    ctx, ts = solver._context(sys, substeps), solver._grid_times(sys, k0, k_hi - k0, substeps)
+    psi, deltas, _, _ = solver._iterate(sys, ctx, k0, ts, alpha, np.zeros((k_hi - k0, substeps + 1, sys.dim)),
+                                        solver._picard_stop(sys), solver._picard_cap(sys))
     return np.concatenate([psi[pad:, :substeps].reshape(-1, sys.dim), psi[-1, substeps][None]]), deltas
 
 

@@ -16,7 +16,6 @@ from epcag import (
     logistic_map,
     logistic_step,
     pair_orbits,
-    sequence_gap_profile,
 )
 
 # one forward step and its two preimages
@@ -40,7 +39,7 @@ print(f"  gap at the left edge: {left_edge:.2e} (threshold {homo.edge_gap:.0e})"
 
 # backward convergence is geometric with ratio 1/F'(s*) = 1/(2 - mu) = -1/1.9;
 # in absolute gaps that is 1/1.9 per step
-gaps = dict(sequence_gap_profile(homo, star, "backward"))
+gaps = {k: abs(homo.value(k)[0] - star) for k in range(homo.k_min, 1)}
 print("  backward gap ratios (should settle near 1/1.9 = 0.5263):")
 for k in (-5, -15, -25, -35):
     print(f"    k = {k:3d}: gap = {gaps[k]:.3e}, ratio = {gaps[k - 1] / gaps[k]:.4f}")
@@ -50,7 +49,7 @@ for k in (-5, -15, -25, -35):
 het = build_orbit(logistic_map(4.0), "heteroclinic", seed=0.25, backward_branch=LOWER_BRANCH)
 print(f"\nheteroclinic orbit: {het.left_limit[0]:.4f} -> {het.right_limit[0]:.4f}")
 print(f"  value at k=0: {het.value(0)[0]:.4f}, at k=1: {het.value(1)[0]:.4f}")
-gaps = dict(sequence_gap_profile(het, float(het.left_limit[0]), "backward"))
+gaps = {k: abs(het.value(k)[0] - het.left_limit[0]) for k in range(het.k_min, 1)}
 print(f"  backward ratio near the repeller: {gaps[-21] / gaps[-20]:.6f} (expect 1/4)")
 
 # scalar orbits are paired into planar forcing terms for the 2d system

@@ -36,7 +36,6 @@ from .driver import (
     logistic_map,
     logistic_step,
     pair_orbits,
-    sequence_gap_profile,
 )
 from .errors import (
     AssumptionFailureError,

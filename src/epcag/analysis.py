@@ -47,6 +47,8 @@ MIN_FIT_POINTS = 10
 TAIL_FRACTION = 1.0 / 3.0
 DISTINCTNESS_FACTOR = 10.0
 ENVELOPE_SLACK = 0.1
+# certify_connection's kinds of connection
+CONNECTION_KINDS = ("homoclinic", "heteroclinic")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +62,6 @@ class DecayCertificate:
     applies.
     """
 
-    direction: str
     gap_samples: np.ndarray
     fitted_rate: float
     fit_quality: float
@@ -109,21 +110,20 @@ def difference_profile(traj_a: SampledTrajectory, traj_b: SampledTrajectory) -> 
     return np.column_stack([traj_a.times, gaps])
 
 
-def fit_decay_rate(profile, tail_fraction: float = TAIL_FRACTION) -> tuple[float, float]:
+def fit_decay_rate(profile) -> tuple[float, float]:
     """Least-squares decay rate of log gap vs t over the profile's tail.
 
-    The tail is the last `tail_fraction` of the samples; gaps at or
-    below the GAP_FLOOR of 1e-10 are excluded as rounding noise. The
+    The tail is the last TAIL_FRACTION (a third) of the samples; gaps at
+    or below the GAP_FLOOR of 1e-10 are excluded as rounding noise. The
     profile may run toward either +inf or -inf in t; the rate is
     positive when the gap shrinks toward the profile's end. Returns
-    (rate, coefficient of determination).
+    (rate, coefficient of determination); a tail flat to rounding is
+    fitted exactly.
     """
     arr = np.asarray(profile, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
         raise OutOfRangeError("profile must be a nonempty sequence of (t, gap) pairs")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise OutOfRangeError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    n_tail = max(int(math.ceil(len(arr) * tail_fraction)), 2)
+    n_tail = max(int(math.ceil(len(arr) * TAIL_FRACTION)), 2)
     tail = arr[len(arr) - n_tail :]
     xs = tail[:, 0]
     gaps = tail[:, 1]
@@ -140,16 +140,15 @@ def fit_decay_rate(profile, tail_fraction: float = TAIL_FRACTION) -> tuple[float
     res = y - (slope * x + intercept)
     ss_res = float(res @ res)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot <= 1e-30:
-        quality = 1.0 if ss_res <= 1e-24 else 0.0
-    else:
-        quality = 1.0 - ss_res / ss_tot
+    # a spread of 1e-12 relative to the log gaps' own size is the rounding
+    # of their mean, not a trend
+    quality = 1.0 if ss_tot <= 1e-24 * max(1.0, float(y @ y)) else 1.0 - ss_res / ss_tot
     return float(-slope), float(quality)
 
 
 def _degenerate_fit(profile):
     try:
-        return fit_decay_rate(profile, TAIL_FRACTION)
+        return fit_decay_rate(profile)
     except DegenerateTailError:
         # identical drivers produce an all-floored profile; report no
         # measurable rate and let the distinctness gate fail the verdict
@@ -178,7 +177,6 @@ def _forward_certificate(
     )
     bound_check = bool(np.all(gaps[sel] <= envelope))
     return DecayCertificate(
-        direction="forward",
         gap_samples=profile,
         fitted_rate=rate,
         fit_quality=quality,
@@ -191,7 +189,6 @@ def _backward_certificate(profile: np.ndarray) -> DecayCertificate:
     rev = profile[::-1]
     rate, quality = _degenerate_fit(rev)
     return DecayCertificate(
-        direction="backward",
         gap_samples=rev,
         fitted_rate=rate,
         fit_quality=quality,
@@ -202,16 +199,15 @@ def _backward_certificate(profile: np.ndarray) -> DecayCertificate:
 
 def _solve_once(sys: EpcagSystem, window: int, substeps: int, solve_tol: float, method: str):
     """A solver for the bounded solution of each driver orbit on the
-    window that solves each distinct orbit object once."""
+    window that solves each distinct orbit object once (orbits compare
+    and hash by identity)."""
     t_window = (-window, window)
-    cache: dict = {}
+    cache: dict[DriverOrbit, SampledTrajectory] = {}
 
     def solved(orbit: DriverOrbit) -> SampledTrajectory:
-        key = id(orbit)
-        if key not in cache:
-            traj = solve_bounded(replace(sys, driver=orbit), t_window, substeps, solve_tol, method)
-            cache[key] = (orbit, traj)  # holding the orbit keeps its id from being reused
-        return cache[key][1]
+        if orbit not in cache:
+            cache[orbit] = solve_bounded(replace(sys, driver=orbit), t_window, substeps, solve_tol, method)
+        return cache[orbit]
 
     return solved
 
@@ -277,7 +273,7 @@ def certify_connection(
     not meet at the window ends, and AssumptionFailureError when the
     contraction conditions behind the certified bounds fail.
     """
-    if kind not in ("homoclinic", "heteroclinic"):
+    if kind not in CONNECTION_KINDS:
         raise OutOfRangeError(f"kind must be homoclinic or heteroclinic, got {kind!r}")
     if isinstance(alphas, DriverOrbit):
         alphas = (alphas,)

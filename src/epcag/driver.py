@@ -34,6 +34,8 @@ from .errors import (
 
 LOWER_BRANCH = "lower_G"
 UPPER_BRANCH = "upper_H"
+BRANCHES = (LOWER_BRANCH, UPPER_BRANCH)
+ORBIT_KINDS = ("fixed", "homoclinic", "heteroclinic")
 
 # hard floor for automatic backward widening
 WIDEN_K_MIN = -200
@@ -76,9 +78,11 @@ def logistic_step(mu: float, s: float) -> float:
 def logistic_inverse(mu: float, s: float, branch: str) -> float:
     """Preimage of s under F_mu on the requested branch.
 
-    Domain is [0, mu/4]; values a rounding error above mu/4 are treated
-    as mu/4 (the two branches meet at 1/2 there). The lower branch lands
-    in [0, 1/2] and the upper in [1/2, 1], in floating point too.
+    Domain is [0, mu/4]; s at most CONSISTENCY_TOL above mu/4 is treated
+    as mu/4, whose preimage on both branches is exactly 1/2, so the
+    consistency check of build_orbit reads the same |F(1/2) - s| this
+    forgives. The lower branch lands in [0, 1/2] and the upper in
+    [1/2, 1], in floating point too.
     """
     if not (0.0 < mu <= 4.0):
         raise OutOfRangeError(f"mu must lie in (0, 4], got {mu!r}")
@@ -86,15 +90,15 @@ def logistic_inverse(mu: float, s: float, branch: str) -> float:
         raise OutOfDomainError(f"s must be nonnegative, got {s!r}")
     top = mu / 4.0
     if s > top:
-        if s > top * (1.0 + 1e-12):
+        if abs(top - s) > CONSISTENCY_TOL:
             raise OutOfDomainError(f"s = {s!r} exceeds the branch domain top mu/4 = {top!r}")
         s = top
+    if branch not in BRANCHES:
+        raise OutOfRangeError(f"branch must be {LOWER_BRANCH!r} or {UPPER_BRANCH!r}, got {branch!r}")
     disc = math.sqrt(max(0.0, 1.0 - 4.0 * s / mu))
     if branch == UPPER_BRANCH:
         return (1.0 + disc) / 2.0
-    if branch == LOWER_BRANCH:
-        return 2.0 * s / (mu * (1.0 + disc))
-    raise OutOfRangeError(f"branch must be {LOWER_BRANCH!r} or {UPPER_BRANCH!r}, got {branch!r}")
+    return 2.0 * s / (mu * (1.0 + disc))
 
 
 def _fixed_points(mu: float) -> list[float]:
@@ -130,7 +134,6 @@ class DriverOrbit:
     right_limit: np.ndarray | None
     edge_gap: float
     mus: tuple[float, ...] | None = None
-    kind: str = "custom"
 
     @property
     def dim(self) -> int:
@@ -181,9 +184,9 @@ def build_orbit(
             raise NoConvergenceError(f"seed {seed!r} is not a fixed point of F_{mu}")
         vals = np.full(k_max - k_min + 1, seed)
         lim = np.array([seed])
-        return DriverOrbit(k_min, k_max, vals.reshape(-1, 1), lim, lim, edge_gap, (mu,), kind)
+        return DriverOrbit(k_min, k_max, vals.reshape(-1, 1), lim, lim, edge_gap, (mu,))
 
-    if kind not in ("homoclinic", "heteroclinic"):
+    if kind not in ORBIT_KINDS:
         raise OutOfRangeError(f"unknown orbit kind {kind!r}")
     if backward_branch is None:
         raise OutOfRangeError(f"kind {kind!r} needs a backward_branch")
@@ -267,7 +270,6 @@ def build_orbit(
         right_limit=np.array([fwd_limit]),
         edge_gap=edge_gap,
         mus=(mu,),
-        kind=kind,
     )
     _check_consistency(scalar_map, orbit)
     return orbit
@@ -301,7 +303,6 @@ def pair_orbits(first: DriverOrbit, second: DriverOrbit) -> DriverOrbit:
     mus = None
     if first.mus is not None and second.mus is not None:
         mus = first.mus + second.mus
-    kind = first.kind if first.kind == second.kind else "custom"
     return DriverOrbit(
         k_min=first.k_min,
         k_max=first.k_max,
@@ -310,27 +311,10 @@ def pair_orbits(first: DriverOrbit, second: DriverOrbit) -> DriverOrbit:
         right_limit=_stack(first.right_limit, second.right_limit),
         edge_gap=max(first.edge_gap, second.edge_gap),
         mus=mus,
-        kind=kind,
     )
 
 
-def _sequence_gaps(orbit: DriverOrbit, target, ks) -> np.ndarray:
-    """||alpha_k - target_k|| for k in ks. target may be a point (array of
-    the orbit dimension) or another DriverOrbit on any window (extended by
-    its limits where needed)."""
-    point = None if isinstance(target, DriverOrbit) else np.asarray(target, dtype=float)
-    return np.array([np.linalg.norm(orbit.value(k) - (target.value(k) if point is None else point))
-                     for k in ks])
-
-
-def sequence_gap_profile(orbit: DriverOrbit, target, direction: str):
-    """Gaps ||alpha_k - target_k|| (see _sequence_gaps) over the orbit's
-    window, ordered toward the requested infinity: a list of (k, gap), k
-    ascending for "forward" and descending for "backward".
-    """
-    if direction not in ("forward", "backward"):
-        raise OutOfRangeError(f"direction must be forward or backward, got {direction!r}")
-    ks = range(orbit.k_min, orbit.k_max + 1)
-    if direction == "backward":
-        ks = ks[::-1]
-    return list(zip(ks, _sequence_gaps(orbit, target, ks).tolist()))
+def _sequence_gaps(orbit: DriverOrbit, target: DriverOrbit, ks) -> np.ndarray:
+    """||alpha_k - target_k|| for k in ks; the target orbit may have any
+    window, and is extended by its limits where needed."""
+    return np.array([np.linalg.norm(orbit.value(k) - target.value(k)) for k in ks])

@@ -39,22 +39,19 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import CONNECTION_KINDS as MODES
 from .analysis import ConnectionCertificate, certify_connection
-from .driver import DriverOrbit, ScalarMap, build_orbit, pair_orbits
+from .driver import BRANCHES, ORBIT_KINDS, DriverOrbit, ScalarMap, build_orbit, pair_orbits
 from .errors import AssumptionFailureError, EpcagError, IoError, ParseError, ValidationError
 from .linear import DecayEnvelope, estimate_decay_envelope
 from .nonlinearity import example_contract, zero_contract
 from .reference import heteroclinic_scenario, homoclinic_scenario
 from .schedule import make_schedule
-from .solver import MIN_SUBSTEPS, SampledTrajectory, _coverage_range, _lead_in_pad, solve_bounded
+from .solver import METHODS, MIN_SUBSTEPS, SampledTrajectory, _coverage_range, _lead_in_pad, solve_bounded
 from .system import _logistic_sup, assemble_system, check_assumptions, proof_constants
 
 COMMANDS = ("check", "constants", "orbit", "solve", "certify", "example4")
-MODES = ("homoclinic", "heteroclinic")
-ORBIT_KINDS = ("fixed", "homoclinic", "heteroclinic")
-METHODS = ("picard", "burn_in")
 F_CATALOGS = ("example4", "zero")
-BRANCHES = ("lower_G", "upper_H")
 
 
 @dataclass(frozen=True)

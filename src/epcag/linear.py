@@ -178,8 +178,6 @@ class EnvelopeValidation:
     passed: bool
     max_ratio: float
     t_at_max: float
-    sample_count: int
-    slack: float
 
 
 def sample_norm_curve(a, horizon: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,6 +326,4 @@ def validate_envelope(
         passed=max_ratio <= 1.0 + slack,
         max_ratio=max_ratio,
         t_at_max=float(ts[idx]),
-        sample_count=count,
-        slack=slack,
     )

@@ -25,10 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-CATALOG_EXAMPLE = "example4"
-CATALOG_ZERO = "zero"
-CATALOG_CUSTOM = "custom"
-
 
 @dataclass(frozen=True)
 class NonlinearityContract:
@@ -36,7 +32,6 @@ class NonlinearityContract:
     bound_mf: float
     lip_x: float
     lip_y: float
-    catalog_id: str
     # optional vectorized form: (ts (n,), xs (n,m), ys (n,m)) -> (n,m)
     eval_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     # eval_batch also takes ys of one row per block of n // len(ys) rows
@@ -98,7 +93,6 @@ def example_contract() -> NonlinearityContract:
         bound_mf=1.07229,
         lip_x=0.03,
         lip_y=0.01,
-        catalog_id=CATALOG_EXAMPLE,
         eval_batch=_example_eval_batch,
         blocked_ys=True,
     )
@@ -118,7 +112,6 @@ def zero_contract(dim: int) -> NonlinearityContract:
         bound_mf=1e-12,
         lip_x=0.0,
         lip_y=0.0,
-        catalog_id=CATALOG_ZERO,
         eval_batch=_zero_batch,
     )
 
@@ -136,7 +129,6 @@ def custom_contract(
         bound_mf=float(bound_mf),
         lip_x=float(lip_x),
         lip_y=float(lip_y),
-        catalog_id=CATALOG_CUSTOM,
         eval_batch=eval_batch,
         blocked_ys=blocked_ys,
     )

@@ -53,10 +53,10 @@ def reference_matrix() -> np.ndarray:
     return np.array(REFERENCE_MATRIX)
 
 
-def reference_envelope(horizon: float = REFERENCE_HORIZON) -> DecayEnvelope:
+def reference_envelope() -> DecayEnvelope:
     """Analytic envelope; sample_count 0 marks it as closed-form."""
     return DecayEnvelope(
-        n_const=REFERENCE_N, rate=REFERENCE_RATE, validated_horizon=horizon, sample_count=0
+        n_const=REFERENCE_N, rate=REFERENCE_RATE, validated_horizon=REFERENCE_HORIZON, sample_count=0
     )
 
 
@@ -102,7 +102,6 @@ class ReferenceScenario:
     system: EpcagSystem
     beta: DriverOrbit
     alphas: tuple
-    window: int
 
 
 def _assemble(driver: DriverOrbit) -> EpcagSystem:
@@ -117,12 +116,12 @@ def _assemble(driver: DriverOrbit) -> EpcagSystem:
 
 def homoclinic_scenario(window: int = 30, tol: float = 1e-8) -> ReferenceScenario:
     beta, alpha = homoclinic_driver(window, tol)
-    return ReferenceScenario("homoclinic", _assemble(beta), beta, (alpha,), window)
+    return ReferenceScenario("homoclinic", _assemble(beta), beta, (alpha,))
 
 
 def heteroclinic_scenario(window: int = 30, tol: float = 1e-8) -> ReferenceScenario:
     beta, alpha_f, alpha_b = heteroclinic_driver(window, tol)
-    return ReferenceScenario("heteroclinic", _assemble(beta), beta, (alpha_f, alpha_b), window)
+    return ReferenceScenario("heteroclinic", _assemble(beta), beta, (alpha_f, alpha_b))
 
 
 def transfer_catalog(window: int = 30, tol: float = 1e-8):

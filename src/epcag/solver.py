@@ -108,6 +108,7 @@ from .system import (
     solution_bound,
 )
 
+METHODS = ("picard", "burn_in")
 PICARD_STOP = 1e-10
 # fewest sweeps Picard may take; _picard_cap raises it near the (A4) limit
 PICARD_MAX_ITERS = 80
@@ -659,7 +660,7 @@ def solve_bounded(
     if not k_lo < k_hi:
         raise OutOfRangeError(f"t_window must be an increasing pair of node indices, got {t_window!r}")
     _require_a4(sys.envelope, sys.f)
-    if method not in ("picard", "burn_in"):
+    if method not in METHODS:
         raise OutOfRangeError(f"method must be picard or burn_in, got {method!r}")
     if pad is None:
         pad = default_pad(sys, tol)

@@ -29,13 +29,15 @@ from .linear import DecayEnvelope, estimate_decay_envelope, validate_envelope
 from .nonlinearity import NonlinearityContract, eval_many
 from .schedule import Schedule
 
-# deterministic seed for contract spot checks; keeps artifact runs reproducible
+# deterministic seed and point count for contract spot checks; the seed
+# keeps artifact runs reproducible
 SPOT_CHECK_SEED = 20260814
+SPOT_CHECK_SAMPLES = 1000
 
 # relative slack allowed on sampled bound/Lipschitz quotients
 SPOT_CHECK_SLACK = 1e-6
 
-# (count, dim) pairs whose spot-check draws are kept
+# dimensions whose spot-check draws are kept
 SPOT_DESIGN_CACHE_SIZE = 8
 
 # sampled points at which a contract's eval must reproduce its
@@ -163,15 +165,13 @@ def assemble_system(
     f: NonlinearityContract,
     driver: DriverOrbit,
     envelope: DecayEnvelope | None = None,
-    spot_samples: int = 1000,
-    envelope_slack: float = 1e-2,
 ) -> EpcagSystem:
     """Validate all parts against each other and freeze them into a system.
 
     When no envelope is supplied one is estimated from the matrix. Either
     way the envelope is re-validated against the matrix, and the
     contract's declared bound and Lipschitz constants are spot-checked on
-    `spot_samples` deterministic pseudo-random points with
+    SPOT_CHECK_SAMPLES (1000) deterministic pseudo-random points with
     ||x||, ||y|| <= 2 M_phi. A sampled quotient exceeding a declared
     constant by more than a relative 1e-6 raises ContractViolatedError.
     """
@@ -193,8 +193,9 @@ def assemble_system(
 
     # 4002 points, of which only the ends lie on estimate_decay_envelope's
     # 4001-point scan (4000 and 4001 are coprime): an estimated envelope
-    # is checked where its constant was not read off, so the check can fail
-    report = validate_envelope(a, envelope, envelope.validated_horizon / 4001.5, envelope_slack)
+    # is checked where its constant was not read off, so the check can
+    # fail; the default slack of 1e-2 covers the rounding of that constant
+    report = validate_envelope(a, envelope, envelope.validated_horizon / 4001.5)
     if not report.passed:
         raise AssumptionFailureError(
             f"envelope failed validation: max ratio {report.max_ratio:.6g} "
@@ -202,18 +203,17 @@ def assemble_system(
         )
 
     sys = EpcagSystem(a=a, envelope=envelope, schedule=schedule, f=f, driver=driver)
-    if spot_samples > 0:
-        _spot_check_contract(sys, spot_samples)
+    _spot_check_contract(sys)
     return sys
 
 
 @functools.lru_cache(maxsize=SPOT_DESIGN_CACHE_SIZE)
-def _spot_design(count: int, dim: int) -> tuple[np.ndarray, ...]:
+def _spot_design(dim: int) -> tuple[np.ndarray, ...]:
     """The spot check's seeded draws, read-only: times ts, the unit
     directions and radial factors of the x and y balls, and the steps of
     the Lipschitz quotients. Only the ball radius differs between
-    assemblies, so the stream is drawn once per (count, dim)."""
-    rng = np.random.default_rng(SPOT_CHECK_SEED)
+    assemblies, so the stream is drawn once per dimension."""
+    rng, count = np.random.default_rng(SPOT_CHECK_SEED), SPOT_CHECK_SAMPLES
 
     def _ball(n):
         v = rng.standard_normal((n, dim))
@@ -239,12 +239,12 @@ def _spot_design(count: int, dim: int) -> tuple[np.ndarray, ...]:
     return design
 
 
-def _spot_check_contract(sys: EpcagSystem, count: int) -> None:
-    dim = sys.dim
+def _spot_check_contract(sys: EpcagSystem) -> None:
+    count, dim = SPOT_CHECK_SAMPLES, sys.dim
     f = sys.f
     radius = 2.0 * solution_bound(sys)
     slack = 1.0 + SPOT_CHECK_SLACK
-    ts, x_dirs, x_radii, y_dirs, y_radii, steps = _spot_design(count, dim)
+    ts, x_dirs, x_radii, y_dirs, y_radii, steps = _spot_design(dim)
     # contracts get writable arrays of their own
     ts = ts.copy()
     xs = x_dirs * (radius * x_radii)[:, None]

@@ -15,8 +15,8 @@ from epcag import (
     logistic_map,
     logistic_step,
     pair_orbits,
-    sequence_gap_profile,
 )
+from epcag.driver import CONSISTENCY_TOL, _check_consistency
 from epcag.errors import (
     BranchEscapeError,
     NoConvergenceError,
@@ -66,7 +66,7 @@ class TestStepAndInverse:
             assert 0.0 <= logistic_inverse(4.0, s, "lower_G") <= 0.5
             assert 0.5 <= logistic_inverse(4.0, s, "upper_H") <= 1.0
 
-    @given(mu=st.floats(0.0, 4.0, exclude_min=True), frac=st.floats(0.0, 1.0 + 1e-12))
+    @given(mu=st.floats(0.0, 4.0, exclude_min=True), frac=st.floats(0.0, 1.0 + 1e-13))
     @settings(max_examples=300, deadline=None)
     def test_branches_stay_in_their_ranges(self, mu, frac):
         # build_orbit relies on this and has no check of its own: with
@@ -219,12 +219,27 @@ class TestBuildOrbit:
             build_orbit(logistic_map(4.0), "heteroclinic", 0.25, backward_branch="lower_G", edge_gap=1e-300)
 
     def test_consistency_check(self):
-        # logistic_inverse forgives a seed up to 1e-12 relative above
-        # mu/4 and maps it as mu/4, so F(alpha_-1) misses alpha_0 by that
-        # much, which tops CONSISTENCY_TOL once mu/4 is near 1
-        top = 3.9999 / 4.0
+        # build_orbit's own orbits pass it (test_seed_above_the_domain_top);
+        # a window off F by more than CONSISTENCY_TOL is refused
+        vals = np.array([[0.25], [0.75 + 2 * CONSISTENCY_TOL]])
+        orb = DriverOrbit(0, 1, vals, None, None, 1e-8)
         with pytest.raises(NoConvergenceError, match="orbit consistency violated"):
-            build_orbit(logistic_map(3.9999), "heteroclinic", top * (1.0 + 1e-12), backward_branch="lower_G",
+            _check_consistency(logistic_map(4.0), orb)
+
+    def test_seed_above_the_domain_top(self):
+        # logistic_inverse forgives s up to CONSISTENCY_TOL above mu/4 by
+        # the consistency check's own |F(1/2) - s|, so a seed it takes
+        # builds; 1e-12 relative is 1.00009e-12 above this top, which is
+        # refused as leaving the domain rather than as inconsistent
+        m, top = logistic_map(3.9999), 3.9999 / 4.0
+        orb = build_orbit(m, "heteroclinic", top + CONSISTENCY_TOL, backward_branch="lower_G",
+                          k_max=8, edge_gap=0.3)
+        assert orb.value(0)[0] == top + CONSISTENCY_TOL
+        assert orb.value(-1)[0] == 0.5
+        with pytest.raises(OutOfDomainError, match="exceeds the branch domain top"):
+            logistic_inverse(3.9999, top + 2 * CONSISTENCY_TOL, "lower_G")
+        with pytest.raises(BranchEscapeError, match="left the branch domain"):
+            build_orbit(m, "heteroclinic", top * (1.0 + 1e-12), backward_branch="lower_G",
                         k_max=8, edge_gap=0.3)
 
     def test_orbit_coverage_error_without_limits(self):
@@ -264,28 +279,3 @@ class TestPairAndGaps:
         p = pair_orbits(a, open_left)
         assert p.left_limit is None
         assert p.right_limit.tolist() == [0.75, 0.75]
-
-    def test_gap_profile_against_point(self):
-        m = logistic_map(4.0)
-        orb = build_orbit(m, "heteroclinic", 0.25, backward_branch="lower_G",
-                          k_min=-20, k_max=20)
-        fwd = sequence_gap_profile(orb, [0.75], "forward")
-        assert fwd[0][0] == orb.k_min
-        assert fwd[-1] == (20, 0.0)
-        bwd = sequence_gap_profile(orb, [0.0], "backward")
-        assert bwd[0][0] == 20
-        assert bwd[-1][0] == orb.k_min
-        assert bwd[-1][1] <= orb.edge_gap
-
-    def test_gap_profile_against_orbit(self):
-        m = logistic_map(4.0)
-        orb = build_orbit(m, "heteroclinic", 0.25, backward_branch="lower_G",
-                          k_min=-20, k_max=20)
-        prof = sequence_gap_profile(orb, orb, "forward")
-        assert all(g == 0.0 for _, g in prof)
-
-    def test_gap_profile_direction_guard(self):
-        m = logistic_map(4.0)
-        orb = build_orbit(m, "fixed", 0.75, k_min=-2, k_max=2)
-        with pytest.raises(OutOfRangeError):
-            sequence_gap_profile(orb, [0.75], "sideways")

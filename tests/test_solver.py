@@ -31,7 +31,6 @@ from epcag import (
     pair_orbits,
     reference_envelope,
     reference_matrix,
-    reference_schedule,
     residual_defect,
     solution_bound,
     solve_bounded,
@@ -59,7 +58,6 @@ def linear_system(zeta_fraction=1.0 / 3.0):
         zero_contract(2),
         constant_driver(),
         envelope=reference_envelope(),
-        spot_samples=0,
     )
 
 
@@ -232,7 +230,6 @@ class TestStepInterval:
             coupled_contract(dim),
             held_driver(rng.uniform(0.0, 1.0, (3, dim)), -1),
             envelope=estimate_decay_envelope(a),
-            spot_samples=0,
         )
         z0, m = rng.standard_normal(dim), 150
         samples, w, inner = step_interval(sys, 1, z0, substeps=m)
@@ -363,15 +360,9 @@ class TestStepInterval:
 
     def test_inner_divergence_guard(self):
         # a frozen-argument gain this large defeats the fixed point loop
+        # (its declared bound is too small, so assembly would refuse it)
         wild = custom_contract(lambda t, x, y: 5.0 * y, 10.0, 0.0, 5.0)
-        sys = assemble_system(
-            reference_matrix(),
-            reference_schedule(),
-            wild,
-            constant_driver(),
-            envelope=reference_envelope(),
-            spot_samples=0,
-        )
+        sys = replace(linear_system(), f=wild)
         with pytest.raises(InnerDivergenceError):
             step_interval(sys, 0, np.array([1.0, 1.0]), max_inner=20)
 
@@ -385,7 +376,6 @@ def stiff_system(rate=50.0):
         zero_contract(2),
         constant_driver(),
         envelope=DecayEnvelope(n_const=1.0, rate=rate, validated_horizon=10.0 / rate, sample_count=0),
-        spot_samples=0,
     )
 
 
@@ -415,13 +405,13 @@ class TestStabilityGuards:
     @pytest.mark.parametrize("method", ["picard", "burn_in"])
     def test_samples_above_the_a_priori_bound_are_refused(self, method):
         # f = 5 everywhere against a declared bound of 0.01: M_phi is
-        # 1.42 while the solution sits at norm 8.1; only the spot check,
-        # switched off here, would have caught the contract
+        # 1.42 while the solution sits at norm 8.1; only assembly's spot
+        # check, which saw an honest contract here, would have caught it
         liar = custom_contract(lambda t, x, y: np.full(2, 5.0), 0.01, 0.0, 0.0)
-        sys = assemble_system(-np.eye(2), make_schedule(1.5, 0.0, 1.0 / 3.0), liar, constant_driver(),
+        sys = assemble_system(-np.eye(2), make_schedule(1.5, 0.0, 1.0 / 3.0), zero_contract(2), constant_driver(),
                               envelope=DecayEnvelope(n_const=1.0, rate=1.0, validated_horizon=10.0,
-                                                     sample_count=0),
-                              spot_samples=0)
+                                                     sample_count=0))
+        sys = replace(sys, f=liar)
         with pytest.raises(InnerDivergenceError, match="above the a-priori bound M_phi"):
             solve_bounded(sys, (-3, 3), 32, method=method)
 
@@ -636,7 +626,7 @@ def random_system(seed):
     f = custom_contract(forcing, 1.01 * math.hypot(lx + ly + c1, lx + ly + c2), lx, ly, eval_batch=forcing_batch)
     zeta_fraction = (0.0, 1.0, rng.uniform(0.0, 1.0))[seed % 3]
     driver = held_driver(rng.uniform(0.0, 1.0, (9, 2)), -4)
-    sys = assemble_system(a, make_schedule(omega, 0.0, zeta_fraction), f, driver, envelope=env, spot_samples=200)
+    sys = assemble_system(a, make_schedule(omega, 0.0, zeta_fraction), f, driver, envelope=env)
     report = check_assumptions(sys)
     assert report.a4_pass and report.a5_pass and report.a5_margin > 0.3
     return sys
@@ -840,7 +830,6 @@ def a4_limit_system(lip_y, zeta_fraction):
         f,
         constant_driver(k=90),
         envelope=DecayEnvelope(1.0, 1.0, 60.0, 0),
-        spot_samples=0,
     )
 
 

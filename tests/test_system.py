@@ -278,7 +278,7 @@ class TestAssembly:
                 for arr_a, arr_b in zip(call_a, call_b):
                     np.testing.assert_array_equal(arr_a, arr_b)
         assert not np.array_equal(first[0][0][1], first[1][0][1])
-        assert not any(arr.flags.writeable for arr in system._spot_design(1000, 2))
+        assert not any(arr.flags.writeable for arr in system._spot_design(2))
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_first_violation_in_sample_order(self, batched):
@@ -415,10 +415,11 @@ class TestAssumptions:
         assert rep.a5_lhs == 0.0
 
     def test_non_positive_bound_is_reported(self):
-        # the spot check would refuse this bound; unchecked, the report flags it
+        # the spot check would refuse this bound; past assembly, the report flags it
         zero_bound = replace(example_contract(), bound_mf=0.0)
-        sys = assemble_system(reference_matrix(), reference_schedule(), zero_bound, fixed_driver(),
-                              envelope=reference_envelope(), spot_samples=0)
+        sys = assemble_system(reference_matrix(), reference_schedule(), example_contract(), fixed_driver(),
+                              envelope=reference_envelope())
+        sys = replace(sys, f=zero_bound)
         rep = check_assumptions(sys)
         assert rep.notes == ("(A1) fails: bound 0.0 not a positive finite number",)
         assert rep.passed is False

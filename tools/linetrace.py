@@ -1,6 +1,7 @@
 """Run the Tier-1 suite in-process under a stdlib line tracer and list the
 executable lines of src/epcag it never runs. Exits non-zero when the
-suite fails or a line outside ALLOW is never run.
+suite fails, a line outside ALLOW is never run, or an ALLOW entry is
+stale: it matches no line that is never run.
 
     python tools/linetrace.py [pytest arguments]
 
@@ -65,16 +66,23 @@ def main(args: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
     run = {(Path(os.path.realpath(f)).name, line) for f, line in hit if _ours.get(f)}
-    missed = 0
+    missed, used = 0, set()
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text().splitlines()
         allow = ALLOW.get(path.name, set())
         for line, code in sorted(executable(path).items()):
-            if (path.name, line) not in run and code not in allow and text[line - 1].strip() not in allow:
+            if (path.name, line) in run:
+                continue
+            matched = allow & {code, text[line - 1].strip()}
+            used |= {(path.name, entry) for entry in matched}
+            if not matched:
                 print(f"never run: src/epcag/{path.name}:{line}: {text[line - 1].strip()}")
                 missed += 1
+    stale = sorted({(name, entry) for name, entries in ALLOW.items() for entry in entries} - used)
+    for name, entry in stale:
+        print(f"stale ALLOW entry: {name}: {entry!r} matches no line that is never run")
     print(f"{missed} executable lines of src/epcag never run outside the allowlist")
-    return int(status != 0 or missed > 0)
+    return int(status != 0 or missed > 0 or bool(stale))
 
 
 if __name__ == "__main__":

@@ -75,6 +75,11 @@ def logistic_step(mu: float, s: float) -> float:
     return mu * s * (1.0 - s)
 
 
+def _check_branch(branch) -> None:
+    if branch not in BRANCHES:
+        raise OutOfRangeError(f"branch must be {LOWER_BRANCH!r} or {UPPER_BRANCH!r}, got {branch!r}")
+
+
 def logistic_inverse(mu: float, s: float, branch: str) -> float:
     """Preimage of s under F_mu on the requested branch.
 
@@ -93,8 +98,7 @@ def logistic_inverse(mu: float, s: float, branch: str) -> float:
         if abs(top - s) > CONSISTENCY_TOL:
             raise OutOfDomainError(f"s = {s!r} exceeds the branch domain top mu/4 = {top!r}")
         s = top
-    if branch not in BRANCHES:
-        raise OutOfRangeError(f"branch must be {LOWER_BRANCH!r} or {UPPER_BRANCH!r}, got {branch!r}")
+    _check_branch(branch)
     disc = math.sqrt(max(0.0, 1.0 - 4.0 * s / mu))
     if branch == UPPER_BRANCH:
         return (1.0 + disc) / 2.0
@@ -190,6 +194,7 @@ def build_orbit(
         raise OutOfRangeError(f"unknown orbit kind {kind!r}")
     if backward_branch is None:
         raise OutOfRangeError(f"kind {kind!r} needs a backward_branch")
+    _check_branch(backward_branch)
 
     back_fp = _branch_fixed_point(mu, backward_branch)
     if back_fp is None:

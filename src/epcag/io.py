@@ -546,13 +546,8 @@ def _run(spec: RunSpec) -> int:
         traj = solve_bounded(system, (-n.window, n.window), n.substeps, n.tol, n.method)
         _emit(out / "trajectory.csv", export_trajectory_csv, traj)
         _emit(out / "frozen_args.csv", export_frozen_csv, traj)
-        levels, passes = traj.meta.get("levels"), traj.meta.get("inner_iterations")
-        if levels:
-            stage = f" (after {', '.join(f'{len(d)} at {m_l}' for m_l, _, d in levels)} substeps)"
-        elif passes:
-            stage = f" at most, {sum(passes)} inner passes over {len(passes)} intervals"
-        else:
-            stage = ""
+        passes = traj.meta.get("inner_iterations")
+        stage = f" at most, {sum(passes)} inner passes over {len(passes)} intervals" if passes else ""
         print(f"sup norm {traj.meta['sup_norm']:.6g}, "
               f"{traj.meta['iterations']} iterations{stage}, tail bound {traj.meta['tail_bound']:.3g}, "
               f"{traj.meta['f_evals']} f evaluations")

@@ -1,75 +1,73 @@
 """Bounded-solution solvers for the assembled system.
 
-Two routes to the unique bounded solution:
+Both routes to the unique bounded solution solve one discretisation:
+n-node Gauss-Legendre collocation inside each interval, an exponential
+collocation method (Hochbruck & Ostermann, "Exponential integrators",
+Acta Numerica 2010, section 2). Inside interval k the frozen argument
+w_k = z(zeta_k) and the driver alpha_k are constant, so the integrand
+is analytic and every kink sits on a node; with nodes tau_r in [0,
+omega] and F_r the integrand f(t, z, w_k) + alpha_k at them,
+
+    z(theta_k + tau) = exp(A tau) z_k + sum_r W_r(tau) F_r,
+    W_r(tau) = int_0^tau exp(A (tau - s)) l_r(s) ds,
+
+l_r the Lagrange basis of the nodes (in barycentric form, Berrut &
+Trefethen 2004), converges geometrically in n. NODES = 16 puts both
+reference scenarios within 1e-12 of 28-node solves. w_k is read at
+tau = c omega by the same formula. The weights come from forward
+exponentials only, never exp(-A s), which overflows for strongly
+decaying A: each target's integral is Gauss-Legendre quadrature of
+exp(A sigma) l_r(tau - sigma) over pieces that grade geometrically
+away from the target, in one stacked mat_exp call. A sweep evaluates
+the contract at the nodes, then takes one product with the (n dim) x
+((n+2) dim) weight block per interval, a doubling scan over exp(A
+omega)^(2^s) for the node values z_k (Blelloch 1990), and one product
+adding exp(A tau) z_k. The samples on the uniform grid of `substeps`
+substeps, and the frozen arguments, are written once per solve, over
+the requested window only, from a table built by translation: one set
+of exponentials over one substep and the powers of exp(A h) serve
+every substep. So `substeps` only sets how densely the output is
+sampled. The linear part is exact, so no node or substep count is
+unstable.
 
 picard
     Iterates the integral operator
 
         (Pi psi)(t) = int_{t_lo}^{t} exp(A(t-s)) [f(s, psi(s), psi(gamma(s))) + g(s, alpha)] ds
 
-    on a uniform grid, truncated `pad` intervals before the requested
-    window. The convolution obeys I_{j+1} = exp(A h) I_j + q_j substep
-    by substep, with q_j from exponentially weighted interpolatory
-    4-point quadrature (weights precomputed once per matrix/step pair in
-    closed form, from the phi-functions of A h), which is
-    grid-restricted, respects the interval kinks, and is 4th order like
-    a composite Simpson rule, but needs no off-grid midpoints. The
-    recurrence is evaluated as a blocked scan (Blelloch 1990) from
-    forward powers exp(A j h) only, never the growing backward factors
-    exp(-A tau): one matrix product of every block of up to
-    CONVOLVE_BLOCK substeps with a block kernel, edge stencils, carries
-    between blocks, a doubling scan over exp(A omega)^(2^s) for the node
-    values, and one product adding exp(A j h) times them, each product
-    in row chunks that BLAS runs on one thread. The scan's powers are
-    kept per context, built only as far as the longest scan has reached,
-    as later ones underflow to slow subnormals. Successive iterates
-    contract with factor at most kappa_pi; iteration stops when they differ by at most
-    1e-10 min(1, (1 - kappa_pi) / kappa_pi) in the sup norm, which
-    bounds the iteration error kappa_pi / (1 - kappa_pi) delta by 1e-10.
-    The sweeps run as nested iteration over the grids m, m/4, m/16, ...
-    of at least MIN_SUBSTEPS substeps each, coarsest first and from zero
-    (full multigrid's cascade, Brandt 1977). A coarse grid of m_l
-    substeps stops at that stop times (m/m_l)^4: its 4th-order solution
-    is that much less accurate, so sweeping it further buys nothing. It
-    hands the next grid the convolution of its last sweep's integrand,
-    refined by interval-local quintic interpolation through the six
-    nearest grid points, which is one more sweep for the price of a
-    convolution and no contract call. That interpolation errs like h^6,
-    an order beyond the discretisation's h^4, so the hand-over adds
-    little to the coarse grid's own error, as full multigrid asks. The
-    requested grid keeps the stop rule and fixed point of a start from
-    zero; the coarse sweeps cost a quarter, a sixteenth, ... as much.
+    from zero on all intervals at once, truncated `pad` intervals before
+    the requested window. Successive iterates contract with factor at
+    most kappa_pi; iteration stops when they differ by at most 1e-10
+    min(1, (1 - kappa_pi) / kappa_pi) in the sup norm over the targets,
+    which bounds the iteration error kappa_pi / (1 - kappa_pi) delta by
+    1e-10.
 
 burn_in
     Marches from zero initial data `pad` intervals early and discards
-    the transient: an exponential integrator in collocation form (Cox &
-    Matthews 2002; Hochbruck & Ostermann 2010). It sweeps a sliding
-    window of up to BURN_IN_WINDOW unfinished intervals [k, k + n) whose
-    start value z(theta_k) is final, as windowed waveform relaxation
-    does (Lelarasmee, Ruehli & Sangiovanni-Vincentelli 1982). A sweep is
-    Picard's convolution above from theta_k with z(theta_k) as its first
-    node value, so the node scan carries exp(A (t - theta_k)) z(theta_k)
-    along and no table of free responses is needed. After each sweep the
-    leading intervals whose own delta is at most INNER_DEFAULT_TOL are
-    final, z(theta_k) moves to the end of the last of them, and the
+    the transient. It sweeps a sliding window of up to BURN_IN_WINDOW
+    unfinished intervals [k, k + n) whose start value z(theta_k) is
+    final, as windowed waveform relaxation does (Lelarasmee, Ruehli &
+    Sangiovanni-Vincentelli 1982). A sweep is Picard's above from
+    theta_k with z(theta_k) as its first node value. After each sweep
+    the leading intervals whose own delta is at most INNER_DEFAULT_TOL
+    are final, z(theta_k) moves to the end of the last of them, and the
     window is topped up with intervals each started from the one before
-    it moved onto its own start, last + exp(A j h) (last[-1] - last[0]).
-    Neighbouring intervals see similar forcing, so this start saves
-    sweeps and leaves the fixed point where it was; one sweep of eight
-    intervals costs little more than one of one. The first window
-    starts from zero. The linear part is exact, so no substep count is
-    unstable. Both methods solve the same discrete equations and differ
-    in the order of their sweeps and in their stops, so comparing them
-    checks the iteration and the truncation, not the quadrature.
+    it moved onto its own start, last + exp(A tau) (end - start of
+    last). Neighbouring intervals see similar forcing, so this start
+    saves sweeps and leaves the fixed point where it was; one sweep of
+    eight intervals costs little more than one of one. The first window
+    starts from zero. Both methods solve the same discrete equations and
+    differ in the order of their sweeps and in their stops, so comparing
+    them checks the iteration and the truncation, not the quadrature.
 
-One loop, _iterate, runs every fixed-point iteration: each Picard grid
-level, burn-in, and step_interval. It sweeps, refuses non-finite deltas
-and stops at the sweep cap, naming the interval; its callers differ
-only in when a converged interval retires. Picard retires the whole
-grid once every interval has met its stop. Burn-in is the loop's
-windowed use: it retires the leading intervals that met the stop and
-moves the window on. step_interval is a window of one interval started
-from a given value, where the two rules agree.
+One loop, _iterate, runs every fixed-point iteration: Picard, burn-in,
+and step_interval. It sweeps, refuses non-finite deltas and stops at
+the sweep cap, naming the interval; its callers differ only in when a
+converged interval retires. Picard retires the whole grid once every
+interval has met its stop. Burn-in is the loop's windowed use: it
+retires the leading intervals that met the stop and moves the window
+on. step_interval is a window of one interval started from a given
+value, where the two rules agree.
 
 Both methods return a SampledTrajectory: the schedule, node window and
 substep count that fix its grid, the samples on it, and one frozen
@@ -117,7 +115,7 @@ INNER_MAX_ITERS = 100
 # most unfinished intervals burn-in sweeps together
 BURN_IN_WINDOW = 8
 # fewest substeps per interval: five grid points hold the 5-point
-# residual stencil, and the 4-point quadrature stencils fit inside it
+# residual stencil
 MIN_SUBSTEPS = 4
 
 
@@ -234,133 +232,154 @@ def default_pad(sys: EpcagSystem, tol: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# stepping context: exponential powers and quadrature weights per
-# (matrix, omega, substeps)
+# collocation context: weight tables per (matrix, omega, zeta fraction,
+# substeps, nodes)
 
-# contexts kept for the most recent (matrix, omega, substeps) keys
+# collocation nodes per interval: the fewest whose solves of both reference
+# scenarios on (-30, 30) lie within 1e-12 of 28-node solves
+NODES = 16
+# largest ||A||_F times the length of a quadrature piece next to its
+# target; the output grid's rule over one substep takes pieces of a quarter
+# of that, and half as many points
+PIECE_NORM = 8.0
+# contexts kept for the most recent keys
 CONTEXT_CACHE_SIZE = 8
-# most substeps per block of _convolve's block kernel
-CONVOLVE_BLOCK = 16
-# largest m n k of one matrix product in _convolve: OpenBLAS runs larger
+# largest m n k of one matrix product in _serial_matmul: OpenBLAS runs larger
 # products on all its threads (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD)
 SERIAL_MATMUL_MNK = 1 << 18
 
 
-class _Context:
-    """Forward powers e_pows[j] = exp(A j h), j = 0..m, the three 4-point
-    stencil weight sets, the block tables _convolve applies them with, and
-    the node scan's powers scan[s] = (exp(A omega)^(2^s)).T, which
-    _convolve extends as far as its longest scan needs."""
+@functools.lru_cache(maxsize=4)
+def _gauss(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: Newton's
+    method on the Legendre recurrence from the nodes' cosine estimates,
+    in long double, with the weights 2 (1 - x^2) / (n P_{n-1}(x))^2. On
+    x86-64 the rule comes out correctly rounded; numpy's leggauss weights
+    err by up to 1e-13 relative, which showed as 4e-15 in the weights of
+    a stiff A, and importing numpy.polynomial costs each process 2 ms."""
+    x = -np.cos(np.pi * (np.arange(1, points + 1, dtype=np.longdouble) - 0.25) / (points + 0.5))
+    # four steps reach long double resolution up to 40 points; the fifth
+    # moves x by less, so its recurrence values serve the weights
+    for _ in range(5):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, points + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        # P_n' = n (P_{n-1} - x P_n) / (1 - x^2)
+        x = x - p1 * (1 - x * x) / (points * (p0 - x * p1))
+    v = 2 * (1 - x * x) / (points * (p0 - x * p1)) ** 2
+    x, v = x.astype(float), v.astype(float)
+    x.flags.writeable = v.flags.writeable = False
+    return x, v
 
-    def __init__(self, a: np.ndarray, omega: float, substeps: int):
+
+def _bary(x_nodes: np.ndarray) -> np.ndarray:
+    """Barycentric weights 1 / prod_{s != r} (x_r - x_s) of the nodes,
+    scaled to a largest magnitude of 1."""
+    diff = x_nodes[:, None] - x_nodes
+    np.fill_diagonal(diff, 1.0)
+    bary = 1.0 / diff.prod(axis=1)
+    return bary / np.abs(bary).max()
+
+
+def _lagrange(x_nodes: np.ndarray, bary: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Lagrange basis l_r of the nodes at every x (k,), shape (n, k),
+    by the second barycentric form (Berrut & Trefethen 2004): its basis
+    sums to 1 to rounding at every x, so a constant integrand keeps its
+    exact convolution. A point on a node is moved off it by 1e-200, the
+    formula's limit there."""
+    diff = x - x_nodes[:, None]
+    diff[diff == 0.0] = 1e-200
+    # in place: a fresh array of this size faults in new pages every call
+    np.divide(bary[:, None], diff, out=diff)
+    diff /= diff.sum(axis=0)
+    return diff
+
+
+def _rule(length: float, piece: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points sigma and weights of a rule for int_0^length exp(A sigma) p(sigma)
+    dsigma, p a polynomial: `points` Gauss-Legendre points on each of the
+    pieces [0, d], [d, 2d], [2d, 4d], ... with d = min(length, piece). The
+    first two keep each piece at most `piece` long; past them the pieces
+    double, as the exponential of a stiff A has decayed there. A length of
+    0 gives one piece of zero weights."""
+    x, v = _gauss(points)
+    edges = [0.0, min(length, piece)]
+    while edges[-1] < length:
+        edges.append(min(length, 2.0 * edges[-1]))
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    return (lo + (hi - lo) * (1.0 + x) / 2.0).ravel(), ((hi - lo) / 2.0 * v).ravel()
+
+
+class _Context:
+    """Weight tables of n-node Gauss-Legendre collocation on intervals of
+    length omega (module docstring). offsets holds the nodes tau_r in an
+    interval. The sweep's targets are the n nodes, the zeta point
+    c omega and the end omega: weights maps an interval's integrand
+    (n dim,) to the convolution part sum_r W_r(tau) F_r at every target,
+    and shift maps a start value z (dim,) to exp(A tau) z at every target.
+    table maps [z, F] ((n+1) dim,) to the samples at substeps 0..m-1.
+    The node scan's powers scan[s] = (exp(A omega)^(2^s)).T are built as
+    far as the longest scan has reached, as later ones underflow to slow
+    subnormals."""
+
+    def __init__(self, a: np.ndarray, omega: float, zeta_fraction: float, substeps: int, nodes: int):
         if substeps < MIN_SUBSTEPS:
             raise OutOfRangeError(_too_few_substeps(substeps))
-        h = omega / substeps
-        self.m_sub = m = substeps
-        dim = a.shape[0]
+        dim, m, h = a.shape[0], substeps, omega / substeps
+        x_nodes, _ = _gauss(nodes)
+        bary = _bary(x_nodes)
+        self.nodes = nodes
+        self.offsets = omega * (1.0 + x_nodes) / 2.0
+        targets = np.append(self.offsets, [zeta_fraction * omega, omega])
 
-        # the exponential of [[hA, I, 0, 0, 0], [0, 0, I, 0, 0], ..., [0, 0,
-        # 0, 0, 0]] has the top block row [exp(hA), phi_1, .., phi_4](hA)
-        # (Saad 1992); moments[k] = int_0^h exp(A(h-tau)) (tau/h)^k dtau
-        # = h k! phi_{k+1}(hA)
-        aug = np.eye(5 * dim, k=dim)
-        aug[:dim, :dim] = h * a
-        top = mat_exp(aug)[:dim].reshape(dim, 5, dim).transpose(1, 0, 2)
-        self.e_h = top[0]
-        moments = h * np.array([1.0, 1.0, 2.0, 6.0])[:, None, None] * top[1:]
-        self.e_pows = pows = np.empty((m + 1, dim, dim))
-        pows[0] = np.eye(dim)
-        for j in range(m):
-            pows[j + 1] = self.e_h @ pows[j]
+        # every exponential in one stacked call, all at times in [0, omega]:
+        # the targets, exp(A h 2^s) for the output scan, the output rule
+        # over one substep, and the rule of each target
+        piece = PIECE_NORM / np.linalg.norm(a)
+        rules = [_rule(tau, piece, nodes + 4) for tau in targets]
+        local, local_w = _rule(h, piece / 4.0, nodes // 2 + 2)
+        doublings = h * 2.0 ** np.arange((m - 1).bit_length())
+        sigma, counts = np.concatenate([s for s, _ in rules]), [len(s) for s, _ in rules]
+        exps = mat_exp(a, np.concatenate([targets, doublings, local, sigma]))
+        free, pows, e_local, e_rule = np.split(exps, np.cumsum([len(targets), len(doublings), len(local)]))
 
-        # interpolatory weights W_r = int_0^h exp(A(h-tau)) l_r(tau) dtau for
-        # the cubic through the stencil nodes (offsets in substeps): with V
-        # the Vandermonde matrix of the offsets, l_r(tau) = sum_k
-        # (V^-1)_{kr} (tau/h)^k, so W_r = sum_k (V^-1)_{kr} moments[k]
-        offsets = np.array([[-1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [-2.0, -1.0, 0.0, 1.0]])
-        inv = np.linalg.inv(offsets[..., None] ** np.arange(4))
-        wi, wl, wr = np.einsum("skr,kab->srab", inv, moments)
-        self.w_interior, self.w_left, self.w_right = wi, wl, wr
+        # W_r(tau) = sum_p w_p l_r(tau - sigma_p) exp(A sigma_p) over each
+        # target's rule
+        at = np.repeat(targets, counts) - sigma
+        lw = _lagrange(x_nodes, bary, 2.0 * at / omega - 1.0) * np.concatenate([w for _, w in rules])
+        starts = np.cumsum([0] + counts[:-1])
+        w_tau = np.add.reduceat(lw.T[:, :, None] * e_rule.reshape(len(at), 1, -1), starts, axis=0)
+        w_tau = w_tau.reshape(len(targets), nodes, dim, dim)
+        self.weights = w_tau.transpose(1, 3, 0, 2).reshape(nodes * dim, -1)
+        self.shift = free.transpose(2, 0, 1).reshape(dim, -1)
+        self.scan = (free[-1].T,)
 
-        # substeps 1..m-1 in nb blocks of b; block i reads grid points
-        # i b .. i b + b + 2 (clipped to m), and the kernel maps each of
-        # them to I_1..I_b of the recurrence run from zero over the block
-        self.n_blocks = nb = -(-(m - 1) // CONVOLVE_BLOCK)
-        self.block = b = -(-(m - 1) // nb)
-        self.windows = b * np.arange(nb)[:, None] + np.arange(b + 3)
-        kernel = np.zeros((b + 1, b + 3, dim, dim))
-        for t in range(b):
-            kernel[t + 1] = self.e_h @ kernel[t]
-            kernel[t + 1, t : t + 4] += wi
-        self.kernel = kernel[1:].transpose(1, 3, 0, 2).reshape((b + 3) * dim, b * dim)
-        # carries[i, j] = E^{(j - i) b} takes [I_1, block ends] to block starts
-        lag = np.arange(nb) - np.arange(nb)[:, None]
-        carries = np.where(lag[..., None, None] >= 0, pows[b * np.maximum(lag, 0)], 0.0)
-        self.carries = carries.transpose(0, 3, 1, 2).reshape(nb * dim, nb * dim)
-        # v @ e_rows[:, j dim : (j + 1) dim] = E^j v
-        self.e_rows = np.ascontiguousarray(pows.transpose(2, 0, 1)).reshape(dim, -1)
-        # substep 0 takes the left stencil; substep m-1 the right one, less
-        # the interior one the kernel gave it (reading point m for m + 1)
-        fix = wr - np.stack([0 * wi[0], wi[0], wi[1], wi[2] + wi[3]])
-        self.edges = [w.transpose(0, 2, 1).reshape(4 * dim, dim) for w in (wl, fix)]
-        self.scan = (pows[m].T,)
+        # the output by translation: out[j] = [exp(A j h), W_1(j h), ..,
+        # W_n(j h)] obeys out[j] = exp(A h) out[j-1] + [0, L_j], L_j the
+        # local rule over substep j, whose exponentials every substep
+        # shares; the recurrence runs as a doubling scan. out is laid out
+        # (row of A, j, r, column) so that each step is one product
+        at = (h * np.arange(1, m)[:, None] - local).ravel()
+        lw = _lagrange(x_nodes, bary, 2.0 * at / omega - 1.0).reshape(-1, len(local)) * local_w
+        out = np.zeros((dim, m, nodes + 1, dim))
+        out[:, 0, 0] = np.eye(dim)
+        out[:, 1:, 1:] = (lw @ e_local.reshape(len(local), -1)).reshape(nodes, m - 1, dim, dim).transpose(2, 1, 0, 3)
+        for s, power in enumerate(pows):
+            k = 1 << s
+            out[:, k:] += (power @ out[:, :-k].reshape(dim, -1)).reshape(dim, m - k, nodes + 1, dim)
+        self.table = out.transpose(2, 3, 1, 0).reshape((nodes + 1) * dim, m * dim)
 
 
 @functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def _cached_context(a_bytes: bytes, dim: int, omega: float, substeps: int) -> _Context:
-    return _Context(np.frombuffer(a_bytes).reshape(dim, dim), omega, substeps)
+def _cached_context(a_bytes: bytes, dim: int, omega: float, zeta_fraction: float, substeps: int,
+                    nodes: int) -> _Context:
+    return _Context(np.frombuffer(a_bytes).reshape(dim, dim), omega, zeta_fraction, substeps, nodes)
 
 
 def _context(sys: EpcagSystem, substeps: int) -> _Context:
     a = np.ascontiguousarray(sys.a, dtype=float)
-    return _cached_context(a.tobytes(), a.shape[0], sys.schedule.omega, substeps)
-
-
-def _lagrange_stencils(pos, m_sub: int, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start indices and Lagrange weights reading a function off grid
-    points 0..m_sub of one interval at positions pos (in substeps): the
-    `points` grid points nearest each position, kept inside the interval.
-    Picard reads the frozen argument psi(zeta) with four of them, and
-    _refine hands over with six."""
-    pos = np.asarray(pos, dtype=float)
-    j0 = np.clip(np.floor(pos) - (points // 2 - 1), 0, m_sub + 1 - points).astype(int)
-    rel = pos - j0
-    lw = np.ones(pos.shape + (points,))
-    for r in range(points):
-        for s in range(points):
-            if s != r:
-                lw[..., r] *= (rel - s) / (r - s)
-    return j0, lw
-
-
-@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def _zeta_stencil(zeta_fraction: float, m_sub: int) -> tuple[int, np.ndarray]:
-    """The cubic (4-point) _lagrange_stencils at the zeta point,
-    zeta_fraction * m_sub, of an interval of m_sub substeps; its weights
-    are read-only, as every caller shares them."""
-    j0, lw = _lagrange_stencils(zeta_fraction * m_sub, m_sub, 4)
-    lw.flags.writeable = False
-    return int(j0), lw
-
-
-@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def _refine_matrix(m: int, m_sub: int) -> np.ndarray:
-    """The (m_sub+1, m+1) matrix of _refine, read-only, as every caller
-    shares it."""
-    points = min(6, m + 1)
-    j0, lw = _lagrange_stencils(np.arange(m_sub + 1) * m / m_sub, m, points)
-    interp = np.zeros((m_sub + 1, m + 1))
-    interp[np.arange(m_sub + 1)[:, None], j0[:, None] + np.arange(points)] = lw
-    interp.flags.writeable = False
-    return interp
-
-
-def _refine(psi: np.ndarray, m_sub: int) -> np.ndarray:
-    """Interval-local quintic interpolation of psi (n_int, m+1, dim) onto
-    m_sub substeps per interval, through the six grid points nearest each
-    position (all five of a 4-substep grid); no stencil reaches across a
-    node."""
-    return _refine_matrix(psi.shape[1] - 1, m_sub) @ psi
+    sched = sys.schedule
+    return _cached_context(a.tobytes(), a.shape[0], sched.omega, sched.zeta_fraction, substeps, NODES)
 
 
 def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -379,32 +398,16 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _convolve(ctx: _Context, hv: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative convolution I(t) = int_{grid start}^t exp(A(t-s)) hv(s) ds,
-    plus exp(A(t - grid start)) start if a start value (dim,) is given.
-
-    hv has shape (n_int, m_sub+1, dim) with interval-local endpoint
-    values (the integrand jumps at nodes). Returns I on the same grid;
-    node values are shared between intervals, so I is continuous.
-
-    Solves I_{j+1} = E I_j + q_j, with E = exp(A h) and q_j the stencil
-    integral over substep j, by forward powers of E only: one product of
-    every block window with the block kernel, the edge stencils, the
-    carries between blocks, the node values by a doubling scan over
-    E_omega^(2^s) (Blelloch 1990) from the start value, and one product
-    adding E^j times them.
-    """
-    n_int, m1, dim = hv.shape
-    m, b, nb = ctx.m_sub, ctx.block, ctx.n_blocks
-    flat = _serial_matmul(np.take(hv, ctx.windows, axis=1, mode="clip").reshape(n_int * nb, -1), ctx.kernel)
-    flat = flat.reshape(n_int, nb * b, dim)  # grid points 2, 3, ...
-    first = hv[:, :4].reshape(n_int, -1) @ ctx.edges[0]  # I_1
-    flat[:, m - 2] += hv[:, m - 3 :].reshape(n_int, -1) @ ctx.edges[1]
-    starts = np.concatenate([first[:, None], flat[:, b - 1 : (nb - 1) * b : b]], axis=1).reshape(n_int, -1)
-    carry = _serial_matmul(starts, ctx.carries).reshape(-1, dim)
-    flat += _serial_matmul(carry, ctx.e_rows[:, dim : (b + 1) * dim]).reshape(flat.shape)
-    # node values: the start value, then the inclusive prefix of the
-    # interval ends from it, doubled in log2 steps
-    ends = flat[:, m - 2].copy()
+    """The collocation solution at every target of every interval, from
+    the integrand hv (n_int, n, dim) at the nodes and the start value
+    `start` (dim,) at the first node (zero if None): one product with the
+    weight block per interval, the node values z_k by a doubling scan
+    over exp(A omega)^(2^s) (Blelloch 1990), and one product adding
+    exp(A tau) z_k. Returns (n_int, n+2, dim); the end target holds the
+    scan's node values, so the next interval starts exactly there."""
+    n_int, _, dim = hv.shape
+    out = _serial_matmul(hv.reshape(n_int, -1), ctx.weights).reshape(n_int, -1, dim)
+    ends = out[:, -1].copy()
     if start is not None:
         ends[0] += start @ ctx.scan[0]
     # powers are built on first need: later ones underflow to subnormals,
@@ -416,18 +419,26 @@ def _convolve(ctx: _Context, hv: np.ndarray, start: np.ndarray | None = None) ->
     for s, power in enumerate(scan[:need]):
         ends[1 << s :] += ends[: -(1 << s)] @ power
     nodes = np.concatenate([np.zeros((1, dim)) if start is None else start[None], ends[:-1]])
-    out = _serial_matmul(nodes, ctx.e_rows).reshape(n_int, m1, dim)
-    out[:, 1] += first
-    out[:, 2:] += flat[:, : m - 1]
+    out += (nodes @ ctx.shift).reshape(out.shape)
+    out[:, -1] = ends
     return out
 
 
+def _output(ctx: _Context, hv: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Samples at substeps 0..m of intervals with integrands hv (n_int, n,
+    dim) and node values nodes (n_int + 1, dim): one product with the
+    output table, the last node appended."""
+    n_int, _, dim = hv.shape
+    rows = _serial_matmul(np.concatenate([nodes[:-1], hv.reshape(n_int, -1)], axis=1), ctx.table)
+    return np.concatenate([rows.reshape(-1, dim), nodes[-1:]])
+
+
 def _picard_stop(sys: EpcagSystem) -> float:
-    """Stop for the requested grid: PICARD_STOP times min(1, (1 - kappa_pi)
-    / kappa_pi). Successive iterates delta apart leave an iteration error
-    of at most kappa_pi / (1 - kappa_pi) delta (the contraction mapping
-    theorem's a-posteriori bound), so at most PICARD_STOP at this stop
-    whatever kappa_pi is; kappa_pi <= 1/2 keeps PICARD_STOP itself."""
+    """Stop for Picard: PICARD_STOP times min(1, (1 - kappa_pi) / kappa_pi).
+    Successive iterates delta apart leave an iteration error of at most
+    kappa_pi / (1 - kappa_pi) delta (the contraction mapping theorem's
+    a-posteriori bound), so at most PICARD_STOP at this stop whatever
+    kappa_pi is; kappa_pi <= 1/2 keeps PICARD_STOP itself."""
     kappa = _kappa_pi(sys)
     return PICARD_STOP * (1.0 - kappa) / kappa if kappa > 0.5 else PICARD_STOP
 
@@ -443,28 +454,26 @@ def _picard_cap(sys: EpcagSystem) -> int:
     return max(PICARD_MAX_ITERS, math.ceil(2.0 * math.log(_picard_stop(sys)) / math.log(kappa)))
 
 
-def _grid_times(sys: EpcagSystem, k0: int, n_int: int, m: int) -> np.ndarray:
-    """Times of the grid points of intervals k0 .. k0 + n_int - 1 at m
-    substeps, shape (n_int, m+1)."""
-    omega = sys.schedule.omega
-    starts = sys.schedule.origin + np.arange(k0, k0 + n_int) * omega
-    return starts[:, None] + (omega / m) * np.arange(m + 1)
+def _node_times(sys: EpcagSystem, ctx: _Context, k0: int, n_int: int) -> np.ndarray:
+    """Times of the collocation nodes of intervals k0 .. k0 + n_int - 1,
+    shape (n_int, n)."""
+    sched = sys.schedule
+    return (sched.origin + np.arange(k0, k0 + n_int) * sched.omega)[:, None] + ctx.offsets
 
 
 def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, psi: np.ndarray,
            start: np.ndarray | None, hv: np.ndarray, d: np.ndarray):
-    """One Picard sweep on the grid of psi (n_int, m+1, dim), whose
-    intervals run at times ts (n_int, m+1) and carry driver values alpha
-    (n_int, dim): the frozen arguments are read off psi, hv is filled
-    with the integrand f + alpha, and the new iterate is its convolution
-    from the start value `start` (zero if None). d is scratch of psi's
-    shape. Returns the new iterate and each interval's sup-norm delta to
-    psi."""
-    n_int, m1, dim = psi.shape
-    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m1 - 1)
-    w = np.einsum("r,ird->id", lw, psi[:, j0 : j0 + 4, :])
-    fv = eval_many(sys.f, ts.reshape(-1), psi.reshape(-1, dim), w)
-    np.add(fv.reshape(n_int, m1, dim), alpha[:, None, :], out=hv)
+    """One Picard sweep from the iterate psi (n_int, n+2, dim) at the
+    targets of intervals whose nodes run at times ts (n_int, n) and which
+    carry driver values alpha (n_int, dim): hv (n_int, n, dim) is filled
+    with the integrand f + alpha at the nodes, with the frozen argument
+    read at the zeta target, and the new iterate is its _convolve from the
+    start value `start` (zero if None). d is scratch of psi's shape.
+    Returns the new iterate and each interval's sup-norm delta to psi."""
+    n_int, _, dim = psi.shape
+    n = ctx.nodes
+    fv = eval_many(sys.f, ts.reshape(-1), psi[:, :n].reshape(-1, dim), psi[:, n])
+    np.add(fv.reshape(n_int, n, dim), alpha[:, None, :], out=hv)
     new = _convolve(ctx, hv, start)
     np.subtract(new, psi, out=d)
     return new, np.sqrt(np.einsum("ijk,ijk->ij", d, d).max(axis=1))
@@ -472,39 +481,38 @@ def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, p
 
 def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np.ndarray, psi: np.ndarray,
              stop: float, cap: int, start: np.ndarray | None = None, sliding: bool = False):
-    """Picard sweeps over intervals k0, k0 + 1, ... of the grid ts (n_all,
-    m+1), which carry driver values alpha (n_all, dim), from the iterate
-    psi on a window of the leading intervals and the start value `start`
-    at its first node (zero if None). Each sweep is _sweep over the
-    window. After it the intervals whose delta is at most stop retire:
-    the leading ones if `sliding` (burn-in), else all of them once every
-    one has (Picard), which needs a window of the whole grid. A sliding
-    window then takes the end of the last retired interval as its start
-    value and is topped up to its first size with intervals each started
-    from the one before it moved onto its own start, last + exp(A j h)
-    (last[-1] - last[0]). An interval unretired
-    after cap sweeps, or a non-finite delta, raises InnerDivergenceError
-    naming the interval. Returns the retired intervals (n_all, m+1, dim),
-    each sweep's largest delta, each interval's sweep count and the
-    integrand buffer hv = f + alpha, which holds the last sweep's
-    integrand on the window it swept (the whole grid for Picard)."""
-    (n_all, m1), size = ts.shape, len(psi)
-    # only a sliding window retires part of the grid; allocating this
-    # for Picard too cost 2-3% of a crosscheck op
-    out = np.empty((n_all, m1, psi.shape[2])) if sliding else None
+    """Picard sweeps over intervals k0, k0 + 1, ... whose nodes run at
+    times ts (n_all, n) and which carry driver values alpha (n_all, dim),
+    from the iterate psi (size, n+2, dim) on a window of the leading
+    intervals and the start value `start` at its first node (zero if
+    None). Each sweep is _sweep over the window. After it the intervals
+    whose delta is at most stop retire: the leading ones if `sliding`
+    (burn-in), else all of them once every one has (Picard), which needs
+    a window of the whole grid. A sliding window then takes the end of the
+    last retired interval as its start value and is topped up to its
+    first size with intervals each started from the one before it moved
+    onto its own start, last + exp(A tau) (end - start of last). An
+    interval unretired after cap sweeps, or a non-finite delta, raises
+    InnerDivergenceError naming the interval. Returns the retired
+    intervals (n_all, n+2, dim), each sweep's largest delta, each
+    interval's sweep count and their integrands (n_all, n, dim) from the
+    sweep that retired them."""
+    n_all, size, dim = len(ts), len(psi), psi.shape[2]
+    # only a sliding window retires part of the grid; allocating these
+    # for Picard too would copy its whole grid once more
+    out, out_hv = (np.empty((n_all,) + psi.shape[1:]), np.empty((n_all, ctx.nodes, dim))) if sliding else (None, None)
     sweeps = np.zeros(n_all, dtype=int)
     deltas: list[float] = []
     # one integrand and one difference array serve every sweep; fresh
     # ones each sweep would fault in new pages every time
-    hv, d = np.empty_like(psi), np.empty_like(psi)
+    hv, d = np.empty((size, ctx.nodes, dim)), np.empty_like(psi)
     # i0: the first interval in the window; first: the first not yet
     # within stop
     i0 = first = 0
     while i0 < n_all:
         if sweeps[first] >= cap:
-            raise InnerDivergenceError(
-                f"interval {k0 + first}: picard iteration did not reach {stop:g} in {cap} sweeps at {m1 - 1} substeps"
-            )
+            raise InnerDivergenceError(f"interval {k0 + first}: picard iteration did not reach {stop:g} "
+                                       f"in {cap} sweeps")
         n = len(psi)
         new, per = _sweep(sys, ctx, ts[i0 : i0 + n], alpha[i0 : i0 + n], psi, start, hv[:n], d[:n])
         sweeps[i0 : i0 + n] += 1
@@ -519,59 +527,40 @@ def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np
             psi = new
             continue
         if done == n_all:
-            # the whole grid at once, as Picard retires it: copying it
-            # into out cost 4% of a Picard solve
+            # the whole grid at once, as Picard retires it
             return new, deltas, sweeps, hv
-        out[i0 : i0 + done] = new[:done]
+        out[i0 : i0 + done], out_hv[i0 : i0 + done] = new[:done], hv[:done]
         i0 += done
-        psi, last = [new[done:]], new[-1]
+        psi, last, s = [new[done:]], new[-1], (new[-2, -1] if n > 1 else start)
         for _ in range(min(size, n_all - i0) - (n - done)):
-            last = last + ((last[-1] - last[0]) @ ctx.e_rows).reshape(last.shape)
+            last, s = last + ((last[-1] - s) @ ctx.shift).reshape(last.shape), last[-1]
             psi.append(last[None])
         psi = np.concatenate(psi)
         start = new[done - 1, -1]
-    return out, deltas, sweeps, hv
+    return out, deltas, sweeps, out_hv
 
 
-def _samples_and_frozen(sys: EpcagSystem, psi: np.ndarray, pad: int):
-    """The samples of the grid psi (n_int, m+1, dim) from its interval pad
-    on as one array, and the frozen arguments w_k read off them, one row
-    per interval."""
-    m, dim = psi.shape[1] - 1, psi.shape[2]
-    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, m)
-    frozen = np.einsum("r,ird->id", lw, psi[pad:, j0 : j0 + 4, :])
-    samples = np.concatenate([psi[pad:, :m, :].reshape(-1, dim), psi[-1, m][None]])
-    return samples, frozen
+def _samples_and_frozen(ctx: _Context, psi: np.ndarray, hv: np.ndarray, pad: int):
+    """The samples of the solved intervals psi (n_int, n+2, dim), whose
+    integrands are hv, from interval pad on, and their frozen arguments,
+    read at the zeta target; the grid starts from zero before interval
+    0."""
+    first = psi[pad - 1, -1] if pad else np.zeros(psi.shape[2])
+    nodes = np.concatenate([first[None], psi[pad:, -1]])
+    return _output(ctx, hv[pad:], nodes), psi[pad:, ctx.nodes].copy()
 
 
 def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
-    """Picard on [k_lo - pad, k_hi] by the cascade the module docstring
-    describes, over grids of m, m/4, m/16, ... substeps (floored, each at
-    least MIN_SUBSTEPS), coarsest first."""
-    m, dim = substeps, sys.dim
+    """Picard on [k_lo - pad, k_hi] from zero."""
+    ctx = _context(sys, substeps)
     k0 = k_lo - pad
     n_int = k_hi - k0
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
-    grids = [m]
-    while grids[-1] // 4 >= MIN_SUBSTEPS:
-        grids.append(grids[-1] // 4)
-    grids.reverse()
-    levels = []
-    base, cap = _picard_stop(sys), _picard_cap(sys)
-    hv = None
-    for m_l in grids:
-        ctx = _context(sys, m_l)
-        # each finer grid starts one sweep on, at the cost of a convolution
-        psi = np.zeros((n_int, m_l + 1, dim)) if hv is None else _convolve(ctx, _refine(hv, m_l))
-        stop = base * (m / m_l) ** 4
-        psi, deltas, _, hv = _iterate(sys, ctx, k0, _grid_times(sys, k0, n_int, m_l), alpha, psi, stop, cap)
-        levels.append((m_l, stop, tuple(deltas)))
-
-    samples, frozen = _samples_and_frozen(sys, psi, pad)
-    # one contract row per grid point per sweep, on every level
-    rows = sum(len(d) * (m_l + 1) for m_l, _, d in levels)
-    sweeps = {"iterations": len(deltas), "iterate_deltas": tuple(deltas),
-              "levels": tuple(levels[:-1]), "f_evals": n_int * rows}
+    psi = np.zeros((n_int, ctx.nodes + 2, sys.dim))
+    psi, deltas, _, hv = _iterate(sys, ctx, k0, _node_times(sys, ctx, k0, n_int), alpha, psi,
+                                  _picard_stop(sys), _picard_cap(sys))
+    samples, frozen = _samples_and_frozen(ctx, psi, hv, pad)
+    sweeps = {"iterations": len(deltas), "iterate_deltas": tuple(deltas), "f_evals": n_int * ctx.nodes * len(deltas)}
     return samples, frozen, sweeps
 
 
@@ -582,38 +571,28 @@ def step_interval(
     substeps: int = 200,
     tol: float = INNER_DEFAULT_TOL,
     max_inner: int = INNER_MAX_ITERS,
-    guess=None,
 ):
     """Solve one interval [theta_k, theta_{k+1}] from z(theta_k) = z0.
 
-    Picard sweeps on this interval alone: each sweep reads the frozen
-    argument w_k = z(zeta_k) off the current iterate by the cubic
-    stencil and sets z_j = exp(A j h) z0 + I_j, with I the convolution
-    of f(t, z, w_k) + alpha_k that Picard uses. The sweeps start from
-    `guess`, an array of shape (substeps+1, dim) on the substep grid,
-    or from the free response exp(A j h) z0 if it is None; the start
-    moves the sweep count, not the fixed point. The linear part is
-    exact, so every substep count is stable. Stops when successive
-    sweeps differ by at most tol in the sup norm, after at most
-    max_inner sweeps (InnerDivergenceError otherwise, or on non-finite
-    samples). Returns (samples on the substep grid, w_k read off them,
+    Picard sweeps on this interval alone, from the free response
+    exp(A tau) z0: each evaluates f(t, z, w_k) + alpha_k at the
+    collocation nodes, with w_k = z(zeta_k) from the iterate, and sets
+    z(tau) = exp(A tau) z0 + sum_r W_r(tau) F_r as Picard does. The
+    linear part is exact, so every substep count is stable. Stops when
+    successive sweeps differ by at most tol in the sup norm, after at
+    most max_inner sweeps (InnerDivergenceError otherwise, or on
+    non-finite samples). Returns (samples on the substep grid, w_k,
     sweep count). The a-priori bound check on the samples belongs to
     solve_bounded.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.dim,):
         raise OutOfRangeError(f"z0 must have shape ({sys.dim},), got {z0.shape}")
-    shape = (substeps + 1, sys.dim)
-    if guess is not None:
-        guess = np.asarray(guess, dtype=float)
-        if guess.shape != shape:
-            raise OutOfRangeError(f"guess must have shape {shape}, got {guess.shape}")
     ctx = _context(sys, substeps)
-    psi = (z0 @ ctx.e_rows if guess is None else guess).reshape((1,) + shape)
+    psi = (z0 @ ctx.shift).reshape(1, -1, sys.dim)
     alpha = sys.driver.value(k)[None]
-    psi, _, sweeps, _ = _iterate(sys, ctx, k, _grid_times(sys, k, 1, substeps), alpha, psi, tol, max_inner, z0)
-    j0, lw = _zeta_stencil(sys.schedule.zeta_fraction, substeps)
-    return psi[0], lw @ psi[0, j0 : j0 + 4], int(sweeps[0])
+    psi, _, sweeps, hv = _iterate(sys, ctx, k, _node_times(sys, ctx, k, 1), alpha, psi, tol, max_inner, z0)
+    return _output(ctx, hv, np.stack([z0, psi[0, -1]])), psi[0, ctx.nodes].copy(), int(sweeps[0])
 
 
 def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
@@ -621,18 +600,17 @@ def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: i
     up to BURN_IN_WINDOW intervals the module docstring describes. An
     interval still unfinished after _picard_cap sweeps in the window
     raises InnerDivergenceError; inner_iterations counts each interval's
-    sweeps in the window, so f_evals is (substeps + 1) times their sum."""
-    m, dim = substeps, sys.dim
-    ctx = _context(sys, m)
+    sweeps in the window, so f_evals is n times their sum."""
+    ctx = _context(sys, substeps)
     k0 = k_lo - pad
     n_all = k_hi - k0
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
-    psi = np.zeros((min(BURN_IN_WINDOW, n_all), m + 1, dim))
-    out, _, sweeps, _ = _iterate(sys, ctx, k0, _grid_times(sys, k0, n_all, m), alpha, psi,
-                                 INNER_DEFAULT_TOL, _picard_cap(sys), np.zeros(dim), sliding=True)
-    samples, frozen = _samples_and_frozen(sys, out, pad)
+    psi = np.zeros((min(BURN_IN_WINDOW, n_all), ctx.nodes + 2, sys.dim))
+    out, _, sweeps, hv = _iterate(sys, ctx, k0, _node_times(sys, ctx, k0, n_all), alpha, psi,
+                                  INNER_DEFAULT_TOL, _picard_cap(sys), np.zeros(sys.dim), sliding=True)
+    samples, frozen = _samples_and_frozen(ctx, out, hv, pad)
     passes = {"iterations": int(sweeps.max()), "inner_iterations": tuple(int(s) for s in sweeps),
-              "f_evals": int(sweeps.sum()) * (m + 1)}
+              "f_evals": int(sweeps.sum()) * ctx.nodes}
     return samples, frozen, passes
 
 
@@ -702,11 +680,13 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     dz = (seg[..., :c] - 8.0 * seg[..., 1 : c + 1] + 8.0 * seg[..., 3 : c + 3] - seg[..., 4:]) / (12.0 * h)
     # the contract may write into its arguments, so it gets copies, even
     # where the view is contiguous (one interval)
-    x = seg[..., 2 : c + 2].transpose(0, 2, 1).copy().reshape(-1, sys.dim)
+    x = seg[..., 2 : c + 2].transpose(0, 2, 1).copy()
     idx = ((m_sub * np.arange(n_int))[:, None] + np.arange(2, m_sub - 1)).reshape(-1)
     alpha = np.stack([sys.driver.value(k) for k in range(k_lo, k_hi)])
+    # one (c, dim) product per interval, as an interval alone takes it; one
+    # (n_int c, dim) product rounds differently where c is 1
     rhs = x @ sys.a.T
-    rhs += eval_many(sys.f, traj.t0 + h * idx, x, traj.frozen.copy())
-    rhs = rhs.reshape(n_int, c, -1) + alpha[:, None]
+    rhs += eval_many(sys.f, traj.t0 + h * idx, x.reshape(-1, sys.dim), traj.frozen.copy()).reshape(rhs.shape)
+    rhs += alpha[:, None]
     diff = dz.transpose(0, 2, 1) - rhs
     return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))

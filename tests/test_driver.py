@@ -181,6 +181,14 @@ class TestBuildOrbit:
             build_orbit(logistic_map(3.6), "homoclinic", 0.3, backward_branch="upper_H",
                         k_min=-10, k_max=10)
 
+    @pytest.mark.parametrize("mu", [2.5, 3.9])
+    def test_unknown_backward_branch(self, mu):
+        # refused before any sweep, with logistic_inverse's message; at
+        # mu = 2.5 the branch fixed point search would read any name but
+        # lower_G as the upper branch and report no convergence
+        with pytest.raises(OutOfRangeError, match=r"branch must be 'lower_G' or 'upper_H', got 'bogus'"):
+            build_orbit(logistic_map(mu), "homoclinic", 0.3, backward_branch="bogus")
+
     def test_seed_domain(self):
         with pytest.raises(OutOfDomainError, match=r"seed must lie in \[0, 1\], got 1.5"):
             build_orbit(logistic_map(4.0), "heteroclinic", 1.5, backward_branch="lower_G")

@@ -40,6 +40,7 @@ from epcag import (
 )
 from epcag.errors import IoError, ParseError, ValidationError
 from epcag.io import DriverSpec, NumericSpec, SystemSpec, _auto_range
+from epcag.solver import NODES
 
 
 def reference_config(command, **over):
@@ -445,14 +446,14 @@ class TestRun:
         assert len(frozen_lines) == 7
         assert "sup norm" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("substeps, stage", [
-        (64, r" \(after \d+ at 4, \d+ at 16 substeps\)"), (20, r" \(after \d+ at 5 substeps\)"), (15, ""),
-    ])
-    def test_solve_reports_the_coarse_stage(self, tmp_path, capsys, substeps, stage):
+    def test_picard_solve_reports_its_sweeps(self, tmp_path, capsys):
+        # each Picard sweep evaluates the contract at the NODES collocation
+        # nodes of all 55 intervals (pad 49), whatever the substeps
         cfg = reference_config("solve", out_dir=str(tmp_path),
-                               numeric={"window": 3, "substeps": substeps})
+                               numeric={"window": 3, "substeps": 15})
         assert run(parse(cfg)) == 0
-        assert re.search(rf", \d+ iterations{stage}, tail bound", capsys.readouterr().out)
+        line = re.search(r", (\d+) iterations, tail bound \S+, (\d+) f evaluations\n$", capsys.readouterr().out)
+        assert line and int(line[2]) == 55 * NODES * int(line[1])
 
     def test_burn_in_solve_reports_inner_passes(self, tmp_path, capsys):
         cfg = reference_config("solve", out_dir=str(tmp_path),
@@ -463,13 +464,13 @@ class TestRun:
         assert passes and int(passes[1]) < int(passes[2])
 
     def test_solve_reports_contract_evaluations(self, tmp_path, capsys):
-        # each inner pass is one sweep of the interval's 65 grid points
+        # each inner pass is one sweep of the interval's NODES collocation nodes
         cfg = reference_config("solve", out_dir=str(tmp_path),
                                numeric={"window": 3, "substeps": 64, "method": "burn_in"})
         assert run(parse(cfg)) == 0
         line = re.search(r"(\d+) inner passes over 55 intervals, tail bound \S+, (\d+) f evaluations\n$",
                          capsys.readouterr().out)
-        assert line and int(line[2]) == (64 + 1) * int(line[1])
+        assert line and int(line[2]) == NODES * int(line[1])
 
     def test_certify_control_fails_distinctness(self, tmp_path, capsys):
         cfg = reference_config(

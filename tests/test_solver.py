@@ -37,7 +37,7 @@ from epcag import (
     step_interval,
     zero_contract,
 )
-from epcag import solver
+from epcag import solver, system
 from epcag.errors import (
     GridMismatchError,
     InnerDivergenceError,
@@ -128,62 +128,96 @@ def cubic_convolution(a, coeffs, ts):
     return np.array([(mat_exp(gen, t) @ y0)[:dim] for t in ts])
 
 
-def sequential_convolution(ctx, hv):
-    """The recurrence the convolution discretises, substep by substep:
-    I_{j+1} = E I_j + q_j with E = exp(A h) and q_j the 4-point stencil
-    integral over substep j; each interval starts from the previous
-    one's end value."""
+def interval_polynomials(coeffs, m, a=None, omega=1.5):
+    """Samples at m substeps, by _convolve and _output from zero, of the
+    integrand sum_k coeffs[i, k] tau^k on interval i (tau from its node),
+    and the exact ones, each interval from the exact node value before it."""
+    a = reference_matrix() if a is None else a
+    ctx = solver._Context(a, omega, 1.0 / 3.0, m, solver.NODES)
+    hv = np.einsum("ikd,rk->ird", coeffs, ctx.offsets[:, None] ** np.arange(coeffs.shape[1]))
+    new = solver._convolve(ctx, hv)
+    got = solver._output(ctx, hv, np.concatenate([np.zeros((1, a.shape[0])), new[:, -1]]))
+    taus, z, want = omega * np.arange(m + 1) / m, np.zeros(a.shape[0]), []
+    for c in coeffs:
+        rows = mat_exp(a, taus) @ z + cubic_convolution(a, list(c), taus)
+        want.append(rows[:-1])
+        z = rows[-1]
+    return got, np.concatenate(want + [z[None]])
+
+
+def direct_table(a, omega, taus):
+    """[exp(A tau), W_1(tau), .., W_n(tau)] at each tau, shape (len(taus),
+    n+1, dim, dim): every W_r(tau) = int_0^tau exp(A(tau-s)) l_r(s) ds by
+    its own graded quadrature rule, with no translation and no scan."""
+    n = solver.NODES
+    x_nodes, _ = solver._gauss(n)
+    bary = solver._bary(x_nodes)
+    piece = solver.PIECE_NORM / np.linalg.norm(a)
+    rows = []
+    for tau in taus:
+        sigma, w = solver._rule(tau, piece, n + 4)
+        basis = solver._lagrange(x_nodes, bary, 2.0 * (tau - sigma) / omega - 1.0)
+        weights = np.einsum("p,rp,pab->rab", w, basis, mat_exp(a, sigma))
+        rows.append(np.concatenate([mat_exp(a, tau)[None], weights]))
+    return np.array(rows)
+
+
+def sequential_form(a, omega, hv, taus, start=None):
+    """The collocation solution interval by interval: node values by the
+    recurrence z_{k+1} = exp(A omega) z_k + sum_r W_r(omega) F_{k,r} from
+    `start` (zero if None), and z(theta_k + tau) at each tau of every
+    interval from direct_table. hv holds the integrands F (n_int, n, dim)."""
     n_int, _, dim = hv.shape
-    m = ctx.m_sub
-    wi, wl, wr = ctx.w_interior, ctx.w_left, ctx.w_right
-    e = ctx.e_pows[1]
-    out = np.empty_like(hv)
-    value = np.zeros(dim)
+    at_taus, at_end = direct_table(a, omega, taus), direct_table(a, omega, [omega])[0]
+    z = np.zeros(dim) if start is None else start
+    out = np.empty((n_int, len(taus), dim))
     for k in range(n_int):
-        seg = hv[k]
-        q = np.empty((m, dim))
-        q[1 : m - 1] = sum(seg[r : r + m - 2] @ wi[r].T for r in range(4))
-        q[0] = sum(wl[r] @ seg[r] for r in range(4))
-        q[m - 1] = sum(wr[r] @ seg[m - 3 + r] for r in range(4))
-        out[k, 0] = value
-        for j in range(m):
-            value = e @ value + q[j]
-            out[k, j + 1] = value
-    return out
+        out[k] = at_taus[:, 0] @ z + np.einsum("trab,rb->ta", at_taus[:, 1:], hv[k])
+        z = at_end[0] @ z + np.einsum("rab,rb->a", at_end[1:], hv[k])
+    return out, z
 
 
 class TestConvolve:
     N_INT = 50
     OMEGA = 1.5
 
-    def grid(self, m):
-        h = self.OMEGA / m
-        return self.OMEGA * np.arange(self.N_INT)[:, None] + h * np.arange(m + 1)[None, :]
+    def context(self, a, m):
+        return solver._Context(a, self.OMEGA, 1.0 / 3.0, m, solver.NODES)
+
+    def solve(self, ctx, hv):
+        """The targets by _convolve, and the samples by _output from its
+        node values."""
+        new = solver._convolve(ctx, hv)
+        return new, solver._output(ctx, hv, np.concatenate([np.zeros((1, hv.shape[2])), new[:, -1]]))
 
     @pytest.mark.parametrize("m", [4, 60, 200])
     @pytest.mark.parametrize("degree", [0, 3])
     def test_polynomial_integrands_are_exact(self, m, degree):
-        # the 4-point rule integrates cubics exactly, so only rounding is
-        # left, however large h lambda is (up to 1125, at -3000 I and m = 4)
+        # the nodes interpolate polynomials below their count exactly, so
+        # only rounding is left, however large h lambda is (up to 1125, at
+        # -3000 I and m = 4)
         span = self.N_INT * self.OMEGA
         base = [np.array([0.8, -0.3]), np.array([-1.1, 0.4]), np.array([0.5, 0.9]), np.array([0.7, -0.6])]
         coeffs = [c / span**k for k, c in enumerate(base[: degree + 1])]
-        ts = self.grid(m)
-        hv = sum(np.multiply.outer(ts**k, c) for k, c in enumerate(coeffs))
         # every interval's nodes, and every grid point of the first, a middle and the last interval
         checks = [(k, 0) for k in range(self.N_INT)] + [
             (k, j) for k in (0, self.N_INT // 2, self.N_INT - 1) for j in range(1, m + 1)
         ]
         for name, a in (("reference", reference_matrix()), ("-300 I", -300.0 * np.eye(2)),
                         ("-3000 I", -3000.0 * np.eye(2))):
-            got = solver._convolve(solver._Context(a, self.OMEGA, m), hv)
-            want = cubic_convolution(a, coeffs, [ts[k, j] for k, j in checks])
-            err = np.abs(np.array([got[k, j] for k, j in checks]) - want).max()
-            assert err <= 1e-13 * np.abs(want).max(), name
+            ctx = self.context(a, m)
+            ts = self.OMEGA * np.arange(self.N_INT)[:, None] + ctx.offsets
+            new, samples = self.solve(ctx, sum(np.multiply.outer(ts**k, c) for k, c in enumerate(coeffs)))
+            got = np.array([samples[k * m + j] for k, j in checks])
+            want = cubic_convolution(a, coeffs, [self.OMEGA * (k + j / m) for k, j in checks])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+            # the frozen argument at zeta = theta_k + omega / 3
+            want = cubic_convolution(a, coeffs, self.OMEGA * (np.arange(self.N_INT) + 1.0 / 3.0))
+            assert np.abs(new[:, solver.NODES] - want).max() <= 1e-13 * np.abs(want).max(), name
 
     def test_context_takes_forward_exponentials_only(self, monkeypatch):
         # exp(-A t) grows like exp(lambda t) and overflows for a strongly
-        # decaying A; the convolution is built from exp(A t), t > 0, alone
+        # decaying A; the weights are built from exp(A t), t >= 0, alone
         times = []
 
         def recording(a, t=1.0):
@@ -191,19 +225,85 @@ class TestConvolve:
             return mat_exp(a, t)
 
         monkeypatch.setattr(solver, "mat_exp", recording)
-        solver._Context(reference_matrix(), self.OMEGA, 200)
-        assert times and min(times) > 0.0
+        self.context(reference_matrix(), 200)
+        assert times and min(times) >= 0.0
 
-    # below, at, across and off multiples of the block length; interval
+    # output grids from MIN_SUBSTEPS up, across powers of two; interval
     # counts on either side of the node scan's doubling steps
     @pytest.mark.parametrize("m", [4, 5, 7, 12, 15, 17, 33, 50, 60, 200, 240])
     def test_matches_interval_by_interval_form(self, m):
-        ctx = solver._Context(reference_matrix(), self.OMEGA, m)
+        ctx = self.context(reference_matrix(), m)
+        grid = np.arange(m) * self.OMEGA / m
+        targets = np.append(ctx.offsets, [self.OMEGA / 3.0, self.OMEGA])
         for n_int in (1, 2, 50, 109):
             # random integrands jump at every node, as Picard's do
-            hv = np.random.default_rng(m).standard_normal((n_int, m + 1, 2))
-            want = sequential_convolution(ctx, hv)
-            assert np.abs(solver._convolve(ctx, hv) - want).max() <= 1e-14 * np.abs(want).max(), n_int
+            hv = np.random.default_rng(m).standard_normal((n_int, solver.NODES, 2))
+            new, samples = self.solve(ctx, hv)
+            want, end = sequential_form(reference_matrix(), self.OMEGA, hv, np.append(grid, targets))
+            scale = np.abs(want).max()
+            assert np.abs(samples[:-1].reshape(n_int, m, 2) - want[:, :m]).max() <= 1e-14 * scale, n_int
+            assert np.abs(samples[-1] - end).max() <= 1e-14 * scale, n_int
+            assert np.abs(new - want[:, m:]).max() <= 1e-14 * scale, n_int
+
+
+class TestCollocationRules:
+    @pytest.mark.parametrize("points", [10, 16, 20, 28])
+    def test_gauss_rule_integrates_polynomials_exactly(self, points):
+        # monomials up to degree 2n - 1, to rounding
+        x, v = solver._gauss(points)
+        k = np.arange(2 * points)
+        want = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        assert np.abs(v @ x[:, None] ** k - want).max() <= 4e-16 * points
+        assert np.all(np.diff(x) > 0.0) and np.array_equal(x, -x[::-1])
+        # a stiff exponential rests on the small weights at the ends, where
+        # numpy's leggauss errs: 2.8e-16 to 3.5e-15 relative here
+        for rate in (1.0, 2.5):
+            want = -np.expm1(-2.0 * rate) / rate
+            assert abs(v @ np.exp(rate * (x - 1.0)) - want) <= 2.5e-16 * want
+
+    def test_lagrange_basis_reproduces_polynomials(self):
+        x_nodes, _ = solver._gauss(solver.NODES)
+        basis = solver._lagrange(x_nodes, solver._bary(x_nodes), np.linspace(-1.0, 1.0, 101))
+        coeffs = np.random.default_rng(3).standard_normal(solver.NODES)
+        poly = np.polynomial.polynomial.polyval
+        assert np.abs(basis.sum(axis=0) - 1.0).max() <= 1e-15
+        assert np.abs(poly(x_nodes, coeffs) @ basis - poly(np.linspace(-1.0, 1.0, 101), coeffs)).max() <= 1e-13
+
+    def test_lagrange_basis_on_a_node_is_its_delta(self):
+        # the point moves 1e-200 off the node, so the other terms are
+        # about 1e-200 of its own
+        x_nodes, _ = solver._gauss(solver.NODES)
+        basis = solver._lagrange(x_nodes, solver._bary(x_nodes), x_nodes[[0, 7, 15]])
+        assert np.abs(basis - np.eye(solver.NODES)[:, [0, 7, 15]]).max() <= 1e-190
+
+    def test_rule_grades_away_from_its_target(self):
+        # pieces of 0.01, 0.01, 0.02, ... up to 2.56, then the rest to 3
+        sigma, w = solver._rule(3.0, 0.01, 10)
+        assert len(sigma) == 10 * 10
+        assert np.all((0.0 < sigma) & (sigma < 3.0)) and np.all(sigma[:10] < 0.01)
+        assert abs(w.sum() - 3.0) <= 1e-15
+        # a rule over no length has zero weights, so its integral is 0 exactly
+        sigma, w = solver._rule(0.0, 0.01, 10)
+        assert not w.any() and not sigma.any()
+
+    def test_start_value_is_carried_by_the_scan(self):
+        # a start value adds its free response exp(A (t - t0)) start to
+        # every target of every interval
+        ctx = solver._Context(reference_matrix(), 1.5, 1.0 / 3.0, 60, solver.NODES)
+        hv = np.random.default_rng(4).standard_normal((50, solver.NODES, 2))
+        start = np.array([0.6, -1.3])
+        targets = np.append(ctx.offsets, [0.5, 1.5])
+        times = 1.5 * np.arange(50)[:, None] + targets
+        free = np.einsum("kab,b->ka", mat_exp(reference_matrix(), times.ravel()), start).reshape(50, -1, 2)
+        got = solver._convolve(ctx, hv, start) - solver._convolve(ctx, hv)
+        assert np.abs(got - free).max() <= 1e-14 * np.abs(free).max()
+
+    def test_contract_sees_the_collocation_nodes(self, homo):
+        f, seen = recording(homo.system.f)
+        traj = solve_bounded(replace(homo.system, f=f), (-2, 2), 40)
+        nodes = -1.5 * (2 + traj.meta["pad"]) + 1.5 * np.arange(4 + traj.meta["pad"])[:, None]
+        want = (nodes + 0.75 * (1.0 + solver._gauss(solver.NODES)[0])).ravel()
+        assert all(np.array_equal(ts, want) for ts, *_ in seen)
 
 
 class TestStepInterval:
@@ -220,8 +320,8 @@ class TestStepInterval:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("zeta_fraction", [0.0, 0.37, 1.0])
     def test_matches_sequential_sweeps(self, dim, zeta_fraction):
-        # the sweeps written out with the substep-by-substep recurrence and
-        # the contract's scalar eval, from the free response E^j z0
+        # the sweeps written out with directly built weights and the
+        # contract's scalar eval, from the free response exp(A tau) z0
         rng = np.random.default_rng(10 * dim + round(100 * zeta_fraction))
         a = non_normal_hurwitz(rng, dim)
         sys = assemble_system(
@@ -231,24 +331,24 @@ class TestStepInterval:
             held_driver(rng.uniform(0.0, 1.0, (3, dim)), -1),
             envelope=estimate_decay_envelope(a),
         )
-        z0, m = rng.standard_normal(dim), 150
+        z0, m, n = rng.standard_normal(dim), 150, solver.NODES
         samples, w, inner = step_interval(sys, 1, z0, substeps=m)
 
-        ctx = solver._Context(a, 1.2, m)
-        ts = sys.schedule.node(1) + 1.2 / m * np.arange(m + 1)
-        free = np.array([p @ z0 for p in ctx.e_pows])
-        j0, lw = solver._lagrange_stencils(zeta_fraction * m, m, 4)
-        psi, deltas = free, []
+        offsets = solver._context(sys, m).offsets
+        table = direct_table(a, 1.2, np.append(offsets, zeta_fraction * 1.2))
+        ts = sys.schedule.node(1) + offsets
+        psi, deltas = table[:, 0] @ z0, []
         while not deltas or deltas[-1] > solver.INNER_DEFAULT_TOL:
-            want_w = lw @ psi[j0 : j0 + 4]
-            hv = np.array([sys.f.eval(t, x, want_w) for t, x in zip(ts, psi)]) + sys.driver.value(1)
-            new = free + sequential_convolution(ctx, hv[None])[0]
+            hv = np.array([sys.f.eval(t, x, psi[n]) for t, x in zip(ts, psi[:n])]) + sys.driver.value(1)
+            new = table[:, 0] @ z0 + np.einsum("trab,rb->ta", table[:, 1:], hv)
             deltas.append(np.linalg.norm(new - psi, axis=1).max())
             psi = new
-        scale = np.abs(psi).max()
+        grid = direct_table(a, 1.2, np.arange(m + 1) * 1.2 / m)
+        want = grid[:, 0] @ z0 + np.einsum("trab,rb->ta", grid[:, 1:], hv)
+        scale = np.abs(want).max()
         assert inner == len(deltas)
-        assert np.abs(samples - psi).max() <= 1e-13 * scale
-        assert np.abs(w - lw @ psi[j0 : j0 + 4]).max() <= 1e-13 * scale
+        assert np.abs(samples - want).max() <= 1e-13 * scale
+        assert np.abs(w - psi[n]).max() <= 1e-13 * scale
 
     def test_variation_of_constants(self):
         sys = linear_system()
@@ -266,12 +366,13 @@ class TestStepInterval:
         "zeta_fraction, j_full, partial", [(0.0, 0, 0), (0.25, 50, 0), (1.0 / 3.0, 66, 1), (1.0, 200, 0)]
     )
     def test_eval_count_and_fresh_arguments(self, homo, zeta_fraction, j_full, partial):
-        # every sweep evaluates the contract on all 201 grid points; zeta
-        # lies j_full substeps in, plus a part of one more if partial
+        # every sweep evaluates the contract at the interval's NODES
+        # collocation nodes; zeta lies j_full substeps in, plus a part of
+        # one more if partial
         f, seen = recording(homo.system.f)
         sys = replace(homo.system, f=f, schedule=make_schedule(1.5, 0.0, zeta_fraction))
         samples, w, inner = step_interval(sys, 0, np.array([0.3, -0.2]), substeps=200)
-        assert sum(len(ts) for ts, *_ in seen) == inner * 201
+        assert sum(len(ts) for ts, *_ in seen) == inner * solver.NODES
         # no state or argument the contract saw was changed afterwards or lives in the samples
         assert all(np.array_equal(x, xc) and np.array_equal(y, yc) for _, x, xc, y, yc in seen)
         assert not any(np.shares_memory(x, samples) or np.shares_memory(y, samples) for _, x, _, y, _ in seen)
@@ -280,12 +381,16 @@ class TestStepInterval:
             lo, hi = samples[j_full], samples[j_full + 1]
             assert np.all((np.minimum(lo, hi) - 1e-3 <= w) & (w <= np.maximum(lo, hi) + 1e-3))
             assert not any(np.array_equal(w, s) for s in samples)
+        elif j_full == 0:
+            assert np.array_equal(w, samples[0])
         else:
-            assert np.array_equal(w, samples[j_full])
+            # the sweep's zeta target and the output table reach the same
+            # point by different sums
+            assert np.abs(w - samples[j_full]).max() <= 1e-15 * np.abs(samples).max()
         # the last sweep froze the argument its predecessor gave, which is
-        # w to within the stop (the cubic stencil's weights sum below 1.2
-        # in absolute value)
-        assert np.abs(seen[-1][3] - w).max() <= 1.2 * solver.INNER_DEFAULT_TOL
+        # w to within the stop, as the zeta target is one of the targets
+        # whose delta the stop bounds
+        assert np.abs(seen[-1][3] - w).max() <= solver.INNER_DEFAULT_TOL
 
     def test_reference_interval_inner_iterations(self, homo):
         samples, w, inner = step_interval(homo.system, 0, np.zeros(2), tol=1e-12)
@@ -297,41 +402,37 @@ class TestStepInterval:
         lerp = samples[66] + (0.5 / 0.0075 - 66.0) * (samples[67] - samples[66])
         assert np.abs(w - lerp).max() <= 1e-3
 
-    def test_zeta_stencil_is_shared_and_read_only(self):
-        j0, lw = solver._zeta_stencil(1.0 / 3.0, 200)
-        want_j0, want_lw = solver._lagrange_stencils(1.0 / 3.0 * 200, 200, 4)
-        assert j0 == want_j0 and np.array_equal(lw, want_lw)
-        assert solver._zeta_stencil(1.0 / 3.0, 200)[1] is lw
-        with pytest.raises(ValueError):
-            lw[0] = 0.0
-
     @pytest.mark.parametrize("z0", [[1.0, 2.0, 3.0], 5.0, [[0.3, -0.2]]])
     def test_z0_shape_is_checked(self, homo, z0):
         with pytest.raises(OutOfRangeError, match=r"z0 must have shape \(2,\)"):
             step_interval(homo.system, 0, z0)
 
-    @pytest.mark.parametrize("shape", [(200, 2), (201, 3), (201,), (1, 201, 2)])
-    def test_guess_shape_is_checked(self, homo, shape):
-        with pytest.raises(OutOfRangeError, match=r"guess must have shape \(201, 2\)"):
-            step_interval(homo.system, 0, np.zeros(2), 200, 1e-12, 100, np.zeros(shape))
+    def one_interval(self, sys, z0, psi):
+        """The sweep loop on interval 0 alone from the iterate psi (the
+        guess step_interval once took) and the start value z0."""
+        ctx = solver._context(sys, 200)
+        return solver._iterate(sys, ctx, 0, solver._node_times(sys, ctx, 0, 1), sys.driver.value(0)[None], psi,
+                               solver.INNER_DEFAULT_TOL, solver.INNER_MAX_ITERS, z0)
 
     def test_converged_guess_stops_after_one_sweep(self, homo):
+        # step_interval starts from the free response; the loop under it
+        # starts from any iterate, as burn-in's warm start does
         z0, tol = np.array([0.3, -0.2]), solver.INNER_DEFAULT_TOL
-        samples, w, inner = step_interval(homo.system, 0, z0)
-        again, w_again, one = step_interval(homo.system, 0, z0, 200, tol, solver.INNER_MAX_ITERS, samples)
-        assert inner > 1 and one == 1
-        assert np.abs(again - samples).max() <= tol
-        assert np.abs(w_again - w).max() <= 1.2 * tol
+        free = (z0 @ solver._context(homo.system, 200).shift).reshape(1, -1, 2)
+        psi, _, inner, _ = self.one_interval(homo.system, z0, free)
+        again, _, one, _ = self.one_interval(homo.system, z0, psi)
+        assert inner[0] > 1 and one[0] == 1
+        assert np.abs(again - psi).max() <= tol
 
     def test_poor_guess_reaches_the_same_fixed_point(self, homo):
         # a start 100 times the solution costs sweeps, not accuracy:
         # both stops leave about kappa_pi / (1 - kappa_pi) 1e-12 of error
-        z0, tol = np.array([0.3, -0.2]), solver.INNER_DEFAULT_TOL
-        samples, w, _ = step_interval(homo.system, 0, z0)
-        far, w_far, inner = step_interval(homo.system, 0, z0, 200, tol, solver.INNER_MAX_ITERS, 100.0 * samples)
-        assert inner > 1
-        assert np.abs(far - samples).max() <= 1e-11
-        assert np.abs(w_far - w).max() <= 1e-11
+        z0 = np.array([0.3, -0.2])
+        free = (z0 @ solver._context(homo.system, 200).shift).reshape(1, -1, 2)
+        psi, _, _, _ = self.one_interval(homo.system, z0, free)
+        far, _, inner, _ = self.one_interval(homo.system, z0, 100.0 * psi)
+        assert inner[0] > 1
+        assert np.abs(far - psi).max() <= 1e-11
 
     def test_non_finite_samples_after_zeta(self):
         # f turns NaN on (4, 4.5), inside the last interval [3, 4.5] of a
@@ -347,8 +448,8 @@ class TestStepInterval:
             solve_bounded(sys, (-3, 3), substeps=20, method="picard")
 
     def test_picard_names_the_first_non_finite_interval(self):
-        # the 5-substep level meets the NaN in interval 2 on its first
-        # sweep; the convolution carries it forward only
+        # the first sweep meets the NaN in interval 2, the last one; the
+        # node scan carries it forward only
         sys = replace(linear_system(), f=custom_contract(
             lambda t, x, y: np.full(2, np.nan) if 4.0 < t < 4.5 else np.zeros(2), 1.0, 0.0, 0.0))
         with pytest.raises(InnerDivergenceError, match="interval 2: non-finite samples in picard sweep 1$"):
@@ -392,9 +493,9 @@ class TestStabilityGuards:
         assert np.abs(traj.samples - want).max() <= 1e-12 * want
 
     def test_picard_solves_a_strongly_decaying_matrix(self):
-        # at rate 300 exp(-A omega) = e^900 overflows; the convolution
-        # takes forward powers only and meets no overflow. At rate 3000
-        # h lambda = 45, and the closed-form weights keep the samples exact
+        # at rate 300 exp(-A omega) = e^900 overflows; the weights take
+        # forward exponentials only and meet no overflow. At rate 3000
+        # h lambda = 45, and the graded quadrature keeps the samples exact
         for rate in (300.0, 3000.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -414,6 +515,21 @@ class TestStabilityGuards:
         sys = replace(sys, f=liar)
         with pytest.raises(InnerDivergenceError, match="above the a-priori bound M_phi"):
             solve_bounded(sys, (-3, 3), 32, method=method)
+
+    @pytest.mark.parametrize("method", ["picard", "burn_in"])
+    def test_stiff_non_normal_matrix_builds_finite_weights(self, method):
+        # spectral abscissa -300 with a large off-diagonal coupling: exp(-A
+        # omega) is out of double range, and the graded rules near each
+        # target keep every weight finite and the equilibrium -A^-1 alpha
+        # exact to rounding
+        a = np.array([[-300.0, 40.0], [0.0, -310.0]])
+        sys = assemble_system(a, make_schedule(3.0, 0.0, 0.5), zero_contract(2), constant_driver(),
+                              envelope=estimate_decay_envelope(a))
+        ctx = solver._context(sys, 40)
+        assert all(np.isfinite(t).all() for t in (ctx.weights, ctx.shift, ctx.table))
+        want = np.linalg.solve(a, -np.full(2, 0.75))
+        traj = solve_bounded(sys, (-3, 3), 40, method=method)
+        assert np.abs(traj.samples - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_reference_passes_with_room(self, homo, homo_traj):
         assert homo_traj.meta["sup_norm"] == pytest.approx(2.37, abs=0.01)
@@ -454,8 +570,8 @@ class TestSolveBounded:
         ("burn_in", False, 1.0 / 3.0),
     ])
     def test_f_evals_counts_every_contract_row(self, homo, method, batch, zeta_fraction):
-        # 64 substeps: picard sweeps at 16 substeps first; burn-in sweeps
-        # its window of intervals at 64, whatever the zeta fraction
+        # NODES rows per interval and sweep, whatever the substeps and the
+        # zeta fraction
         f, rows = counting_rows(homo.system.f, batch)
         sys = replace(homo.system, f=f, schedule=make_schedule(1.5, 0.0, zeta_fraction))
         traj = solve_bounded(sys, (-3, 3), 64, method=method)
@@ -503,6 +619,16 @@ class TestSolveBounded:
         with pytest.raises(PadTooSmallError):
             solve_bounded(homo.system, (-2, 2), pad=1)
 
+    @pytest.mark.parametrize("method", ["picard", "burn_in"])
+    def test_no_lead_in_starts_the_window_from_zero(self, homo, method):
+        # a tol above the tail bound of no lead-in at all (73 here) allows
+        # pad 0: the samples are the initial-value problem from zero at
+        # the window's start
+        traj = solve_bounded(homo.system, (-2, 2), 40, tol=100.0, pad=0, method=method)
+        assert traj.meta["pad"] == 0 and not traj.samples[0].any()
+        first, _, _ = step_interval(homo.system, -2, np.zeros(2), 40)
+        assert np.abs(traj.samples[:41] - first).max() <= 1e-11
+
     def test_tail_bound_decays_at_the_contraction_margin(self, homo):
         # f = 0.6 tanh(x/5): L1 = 0.12 leaves a margin of 0.102 against
         # lambda = 0.5, so the start transient fades five times slower
@@ -542,6 +668,47 @@ class TestSolveBounded:
         assert traj.meta["pad"] == {0.5: 51, 0.7: 102, 0.9: 360}[lip_y]
         assert np.abs(traj.samples - long.samples).max() <= 1e-8
 
+    @pytest.mark.parametrize("zeta_fraction", [0.0, 0.37, 1.0])
+    def test_frozen_arguments_at_every_zeta_fraction(self, homo, zeta_fraction):
+        # f = 0: w is the variation-of-constants value at zeta from z0
+        sys = linear_system(zeta_fraction)
+        z0, alpha, a = np.array([0.4, 0.1]), np.full(2, 0.75), reference_matrix()
+        phi = mat_exp(a, zeta_fraction * 1.5)
+        _, w, _ = step_interval(sys, 0, z0, 100)
+        assert np.abs(w - (phi @ z0 + np.linalg.solve(a, (phi - np.eye(2)) @ alpha))).max() <= 1e-13
+        # with the reference contract, at 100 substeps zeta falls on grid
+        # point 0, 37 or 100 of each interval: the start node exactly, and
+        # elsewhere the same point by the output table's sums
+        sys = replace(homo.system, schedule=make_schedule(1.5, 0.0, zeta_fraction))
+        for method in ("picard", "burn_in"):
+            traj = solve_bounded(sys, (-3, 3), 100, method=method)
+            at_zeta = traj.samples[round(100 * zeta_fraction) :: 100][:6]
+            if zeta_fraction == 0.0:
+                assert np.array_equal(traj.frozen, at_zeta)
+            assert np.abs(traj.frozen - at_zeta).max() <= 1e-14 * np.abs(at_zeta).max()
+
+    def test_output_at_the_fewest_substeps(self, homo):
+        # MIN_SUBSTEPS samples every 50th point of a 200-substep solve, and
+        # the frozen arguments do not depend on the output grid
+        few, many = (solve_bounded(homo.system, (-3, 3), m) for m in (solver.MIN_SUBSTEPS, 200))
+        assert few.samples.shape == (6 * solver.MIN_SUBSTEPS + 1, 2)
+        assert np.array_equal(few.frozen, many.frozen)
+        assert np.abs(few.samples - many.samples[::50]).max() <= 1e-14 * np.abs(many.samples).max()
+
+    @pytest.mark.parametrize("method", ["picard", "burn_in"])
+    def test_cold_caches_solve_bit_for_bit(self, homo, method):
+        # a solve that builds its weights, Gauss rules and node-scan powers
+        # afresh equals one that finds them cached, samples, frozen
+        # arguments and meta alike
+        for cache in (solver._cached_context, solver._gauss, system._spot_design):
+            cache.cache_clear()
+        cold = solve_bounded(homo.system, (-20, 20), method=method)
+        warm = solve_bounded(homo.system, (-20, 20), method=method)
+        assert solver._cached_context.cache_info().hits >= 1
+        np.testing.assert_array_equal(cold.samples, warm.samples)
+        np.testing.assert_array_equal(cold.frozen, warm.frozen)
+        assert cold.meta == warm.meta
+
     def test_context_cache_is_bounded(self, homo):
         for m in range(4, 8 + solver.CONTEXT_CACHE_SIZE):
             solver._context(homo.system, m)
@@ -579,14 +746,14 @@ class TestBlockedArguments:
 
     @pytest.mark.parametrize("declared", [True, False])
     def test_argument_rows(self, homo, declared):
-        # declared: one argument row per interval in each sweep (grids of 4
-        # and 16 substeps) and in residual_defect (13 stencil centres);
-        # undeclared: one per row, as before blocks
+        # declared: one argument row per interval in each sweep (NODES
+        # collocation nodes) and in residual_defect (13 stencil centres at
+        # 16 substeps); undeclared: one per row, as before blocks
         f, seen = recording(replace(homo.system.f, blocked_ys=declared))
         sys = replace(homo.system, f=f)
         residual_defect(sys, solve_bounded(sys, (-3, 3), 16))
         assert all(len(ts) % len(ys) == 0 for ts, _, _, ys, _ in seen)
-        assert {len(ts) // len(ys) for ts, _, _, ys, _ in seen} == ({5, 17, 13} if declared else {1})
+        assert {len(ts) // len(ys) for ts, _, _, ys, _ in seen} == ({solver.NODES, 13} if declared else {1})
 
 
 def random_system(seed):
@@ -634,14 +801,16 @@ def random_system(seed):
 
 def zero_start(sys, window, substeps, tol=1e-8):
     """Picard samples and sweep deltas of solve_bounded's grid, swept from
-    zero through the solver's sweep helper with no coarse stage."""
+    zero through the solver's sweep loop and written out by its output
+    table."""
     (k_lo, k_hi), pad = window, default_pad(sys, tol)
     k0 = k_lo - pad
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
-    ctx, ts = solver._context(sys, substeps), solver._grid_times(sys, k0, k_hi - k0, substeps)
-    psi, deltas, _, _ = solver._iterate(sys, ctx, k0, ts, alpha, np.zeros((k_hi - k0, substeps + 1, sys.dim)),
-                                        solver._picard_stop(sys), solver._picard_cap(sys))
-    return np.concatenate([psi[pad:, :substeps].reshape(-1, sys.dim), psi[-1, substeps][None]]), deltas
+    ctx = solver._context(sys, substeps)
+    psi, deltas, _, hv = solver._iterate(sys, ctx, k0, solver._node_times(sys, ctx, k0, k_hi - k0), alpha,
+                                         np.zeros((k_hi - k0, solver.NODES + 2, sys.dim)),
+                                         solver._picard_stop(sys), solver._picard_cap(sys))
+    return solver._output(ctx, hv[pad:], psi[pad - 1 :, -1]), deltas
 
 
 def counting_rows(contract, batch=True):
@@ -663,7 +832,7 @@ def counting_rows(contract, batch=True):
 @pytest.fixture(scope="module", params=["homo", "het", 0, 1, 2, 3])
 def nested(request):
     """(system, window, substeps, solve) for each reference scenario on
-    (-30, 30) and each TestRandomSystems draw; all run the cascade."""
+    (-30, 30) and each TestRandomSystems draw."""
     if isinstance(request.param, str):
         sys, window, m = request.getfixturevalue(request.param).system, (-20, 20), 200
     else:
@@ -672,131 +841,121 @@ def nested(request):
 
 
 class TestNestedStart:
+    """Picard's start. The class is named for the cascade of coarser grids
+    that Picard once ran before its requested grid, and its cases for what
+    the cascade owed: the fixed point of a start from zero, sweeps that
+    contract from the first, and a hand-over and refinement between grids
+    that leak across no node. Picard now sweeps the collocation nodes from
+    zero, and the cases hold that start, its sweeps, and the output table
+    that refines the nodes onto the substep grid to the same demands."""
+
     def test_same_fixed_point_as_a_zero_start(self, nested):
         sys, window, m, traj = nested
         want, deltas = zero_start(sys, window, m)
-        assert [lv[0] for lv in traj.meta["levels"]] == {200: [12, 50], 60: [15]}[m]
-        assert np.abs(traj.samples - want).max() <= 2e-11
-        assert traj.meta["iterate_deltas"][-1] <= 1e-10
+        assert "levels" not in traj.meta
+        assert np.array_equal(traj.samples, want)
+        assert traj.meta["iterate_deltas"] == tuple(deltas)
         assert deltas[-1] <= 1e-10
 
     def test_coarse_sweeps_contract(self, nested):
-        # criterion 04's law, on every ratio of every level; each coarse
-        # level stops at its own target, 1e-10 (m / m_l)^4
-        meta, m = nested[3].meta, nested[2]
-        for m_l, stop, deltas in meta["levels"]:
-            assert stop == 1e-10 * (m / m_l) ** 4
-            assert deltas[-1] <= stop < deltas[-2]
-        for deltas in [lv[2] for lv in meta["levels"]] + [meta["iterate_deltas"]]:
-            assert len(deltas) >= 2
-            for prev, cur in zip(deltas, deltas[1:]):
-                assert cur / prev <= 0.30
+        # criterion 04's law on every ratio, the first sweeps from zero
+        # included, which the coarse levels once took
+        deltas = nested[3].meta["iterate_deltas"]
+        assert len(deltas) >= 2
+        for prev, cur in zip(deltas, deltas[1:]):
+            assert cur / prev <= 0.30
 
     @pytest.mark.parametrize("substeps", [4, 10, 15])
     def test_fewer_than_16_substeps_start_from_zero(self, homo, substeps):
         traj = solve_bounded(homo.system, (-2, 2), substeps)
         want, deltas = zero_start(homo.system, (-2, 2), substeps)
-        assert traj.meta["levels"] == ()
         assert np.array_equal(traj.samples, want)
         assert traj.meta["iterate_deltas"] == tuple(deltas)
 
     @pytest.mark.parametrize("substeps, coarse", [(50, 12), (201, 50)])
     def test_substeps_not_divisible_by_four(self, homo, substeps, coarse):
-        traj = solve_bounded(homo.system, (-2, 2), substeps)
-        assert traj.meta["levels"][-1][0] == coarse
+        # the substeps set only the output grid: a coarser one solves the
+        # same equations in the same sweeps, to the same node values and
+        # frozen arguments bit for bit; only the sup norm over the samples
+        # may differ
+        traj, other = (solve_bounded(homo.system, (-2, 2), m) for m in (substeps, coarse))
         assert residual_defect(homo.system, traj) <= 1e-6
-        assert np.abs(traj.samples - zero_start(homo.system, (-2, 2), substeps)[0]).max() <= 2e-11
+        assert {**traj.meta, "sup_norm": 0} == {**other.meta, "sup_norm": 0}
+        assert np.array_equal(traj.frozen, other.frozen)
+        assert np.array_equal(traj.samples[::substeps], other.samples[::coarse])
 
     def test_refine_reproduces_interval_cubics(self):
-        # a different cubic on every interval, so the values jump at every node
+        # the output table refines the nodes onto any substep grid, as
+        # _refine once refined a coarse grid onto a fine one: exact for a
+        # different cubic integrand on every interval, jumping at each node
         coeffs = np.random.default_rng(5).standard_normal((6, 4, 2))
-
-        def cubics(m_sub):
-            s = np.arange(m_sub + 1) / m_sub
-            return np.einsum("ikd,jk->ijd", coeffs, s[:, None] ** np.arange(4))
-
         for coarse, fine in ((12, 50), (8, 32), (50, 201)):
-            assert np.abs(solver._refine(cubics(coarse), fine) - cubics(fine)).max() <= 1e-13
+            for m in (coarse, fine):
+                got, want = interval_polynomials(coeffs, m)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), m
 
     def test_refine_reproduces_interval_quintics(self):
-        # the hand-over interpolates through six grid points, so it is
-        # exact on a different quintic on every interval; a 4-substep grid
-        # has five points, and is exact on quartics
+        # and for quintics, and on the 4-substep grid for quartics: every
+        # degree below the node count is exact
         rng = np.random.default_rng(6)
-
-        def poly(coeffs, m_sub):
-            s = np.arange(m_sub + 1) / m_sub
-            return np.einsum("ikd,jk->ijd", coeffs, s[:, None] ** np.arange(coeffs.shape[1]))
-
         coeffs = rng.standard_normal((6, 6, 2))
         for coarse, fine in ((12, 50), (8, 32), (50, 201)):
-            assert np.abs(solver._refine(poly(coeffs, coarse), fine) - poly(coeffs, fine)).max() <= 1e-13
-        coeffs = rng.standard_normal((6, 5, 2))
-        assert np.abs(solver._refine(poly(coeffs, 4), 16) - poly(coeffs, 16)).max() <= 1e-13
+            for m in (coarse, fine):
+                got, want = interval_polynomials(coeffs, m)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), m
+        got, want = interval_polynomials(rng.standard_normal((6, 5, 2)), solver.MIN_SUBSTEPS)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_refine_does_not_leak_across_a_jump(self):
+        # integrands constant on each interval: the first interval, whose
+        # integrand and start are zero, stays exactly zero, and the others
+        # carry only their node values across the jumps
         levels = np.array([0.0, 1.0, 0.0, -2.0])
-        got = solver._refine(np.broadcast_to(levels[:, None, None], (4, 13, 2)), 50)
-        assert not got[0].any() and not got[2].any()
-        assert np.abs(got - levels[:, None, None]).max() <= 1e-14
+        got, want = interval_polynomials(np.broadcast_to(levels[:, None, None], (4, 1, 2)), 50)
+        assert not got[:51].any()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_fewer_contract_evaluations(self, homo):
-        f, rows = counting_rows(homo.system.f)
-        sys = replace(homo.system, f=f)
-        solve_bounded(sys, (-20, 20))
-        nested_rows = sum(rows)
-        rows.clear()
-        zero_start(sys, (-20, 20), 200)
-        # 0.35 measured: 2 sweeps at 200 substeps after 5 at 12 and 2 at
-        # 50, against 8 at 200 from zero
-        assert nested_rows <= 0.55 * sum(rows)
+    def test_reference_f_evals(self, homo, het):
+        # per interval 8 sweeps of the NODES = 16 nodes, over 109
+        # intervals (pad 49), in both scenarios
+        for sc in (homo, het):
+            meta = solve_bounded(sc.system, (-30, 30)).meta
+            assert (meta["f_evals"], meta["iterations"]) == (13_952, 8)
 
     @pytest.mark.parametrize("substeps", [16, 60, 120, 200, 240])
     @pytest.mark.parametrize("batch", [True, False])
     def test_cascade_keeps_the_fixed_point(self, substeps, batch):
-        # seeded random systems within 2e-11 of a start from zero (at 120
-        # substeps over three levels, 7, 30 and 120, each handing over
-        # through six points); at the (A4) limit kappa_pi is 0.7-0.9,
-        # and the stop leaves each solve at most 1e-10 of iteration
-        # error, so they differ by at most 2e-10 (7.0e-11 measured at
-        # 0.9, 0.5 and 60 substeps; 5.8e-10 under the old absolute stop);
-        # their 241 sweeps from zero are batched only, as scalar calls
-        # they would take a minute
-        cases = [(random_system(seed), (-2, 2), 2e-11) for seed in range(4)]
+        # the cascade once had to keep the fixed point of a start from
+        # zero; Picard now starts from zero, and its fixed point is the one
+        # burn-in's sliding window reaches, as both solve the same
+        # collocation equations. Seeded random systems agree within the
+        # stops' 1e-10 (1.9e-12 measured); at the (A4) limit kappa_pi is
+        # 0.7-0.9, and each stop leaves at most 1e-10 of iteration error
+        # (7.0e-11 apart measured). The (A4)-limit solves take up to 241
+        # sweeps and are batched only
+        cases = [(random_system(seed), (-2, 2), 1e-10) for seed in range(4)]
         if batch:
             cases += [(a4_limit_system(*lz), (-3, 3), 2e-10) for lz in ((0.7, 1.0), (0.9, 0.5), (0.9, 1.0))]
         for sys, window, tol in cases:
             if not batch:
                 sys = replace(sys, f=replace(sys.f, eval_batch=None))
-            traj = solve_bounded(sys, window, substeps)
-            assert np.abs(traj.samples - zero_start(sys, window, substeps)[0]).max() <= tol
-
-    def test_reference_f_evals(self, homo, het):
-        # per interval 2 sweeps at 200 substeps after 5 at 12 and 2 at
-        # 50, over 109 intervals (pad 49), in both scenarios; from zero it
-        # is 8 at 200
-        for sc in (homo, het):
-            meta = solve_bounded(sc.system, (-30, 30)).meta
-            assert [(m_l, len(d)) for m_l, _, d in meta["levels"]] == [(12, 5), (50, 2)]
-            assert (meta["f_evals"], meta["iterations"]) == (62_021, 2)
+            pic = solve_bounded(sys, window, substeps)
+            burn = solve_bounded(sys, window, substeps, method="burn_in")
+            assert np.abs(pic.samples - burn.samples).max() <= tol
+            assert np.abs(pic.frozen - burn.frozen).max() <= tol
 
     def test_hand_over_does_not_leak_across_nodes(self, homo):
-        # a different cubic on every interval jumps at every node: the
-        # hand-over equals the convolution of the fine samples, and an
-        # integrand zero up to interval 2 hands over zero before it
+        # the cascade handed each grid the convolution of the last one's
+        # integrand; a sweep now hands the output table its integrand at
+        # the nodes. An integrand zero up to interval 2 hands over zero
+        # before it, in the sweep's targets and in the samples
         ctx = solver._context(homo.system, 48)
-        coeffs = np.random.default_rng(9).standard_normal((5, 4, 2))
-
-        def cubics(m_sub):
-            s = np.arange(m_sub + 1) / m_sub
-            return np.einsum("ikd,jk->ijd", coeffs, s[:, None] ** np.arange(4))
-
-        want = solver._convolve(ctx, cubics(48))
-        got = solver._convolve(ctx, solver._refine(cubics(12), 48))
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        coeffs[:2] = 0.0
-        got = solver._convolve(ctx, solver._refine(cubics(12), 48))
-        assert not got[:2].any() and got[2, 1:].all()
+        hv = np.random.default_rng(9).standard_normal((5, solver.NODES, 2))
+        hv[:2] = 0.0
+        new = solver._convolve(ctx, hv)
+        samples = solver._output(ctx, hv, np.concatenate([np.zeros((1, 2)), new[:, -1]]))
+        assert not new[:2].any() and new[2:].all()
+        assert not samples[: 2 * 48 + 1].any() and samples[2 * 48 + 1 :].all()
 
 
 class TestRandomSystems:
@@ -834,19 +993,25 @@ def a4_limit_system(lip_y, zeta_fraction):
 
 
 def interval_chain(sys, k_lo, k_hi, pad, m, warm):
-    """Burn-in written out as step_interval calls on intervals k_lo - pad
-    .. k_hi - 1, each from the end of the one before it, and started from
-    that one moved onto its start state if warm (from its free response
-    otherwise). Returns the samples on [k_lo, k_hi], the frozen arguments
-    and each interval's sweep count."""
-    e_rows = solver._context(sys, m).e_rows
-    z, guess, pieces, frozen, sweeps = np.zeros(sys.dim), None, [], [], []
+    """Burn-in written out interval by interval on k_lo - pad .. k_hi - 1,
+    each from the end of the one before it: step_interval calls from the
+    free response if not warm, else the solver's sweep loop on one
+    interval started from the one before it moved onto its start state.
+    Returns the samples on [k_lo, k_hi], the frozen arguments and each
+    interval's sweep count."""
+    ctx, cap = solver._context(sys, m), solver._picard_cap(sys)
+    z, psi, pieces, frozen, sweeps = np.zeros(sys.dim), None, [], [], []
     for k in range(k_lo - pad, k_hi):
-        samples, w, inner = step_interval(sys, k, z, m, solver.INNER_DEFAULT_TOL, solver._picard_cap(sys), guess)
-        z = samples[-1]
         if warm:
-            guess = samples + ((z - samples[0]) @ e_rows).reshape(samples.shape)
-        sweeps.append(inner)
+            moved = z @ ctx.shift if psi is None else psi.ravel() + (z - start) @ ctx.shift
+            psi, _, inner, hv = solver._iterate(sys, ctx, k, solver._node_times(sys, ctx, k, 1),
+                                                sys.driver.value(k)[None], moved.reshape(1, -1, sys.dim),
+                                                solver.INNER_DEFAULT_TOL, cap, z)
+            samples, w, inner = solver._output(ctx, hv, np.stack([z, psi[0, -1]])), psi[0, solver.NODES], inner[0]
+        else:
+            samples, w, inner = step_interval(sys, k, z, m, solver.INNER_DEFAULT_TOL, cap)
+        start, z = z, samples[-1]
+        sweeps.append(int(inner))
         if k >= k_lo:
             pieces.append(samples[:-1])
             frozen.append(w)
@@ -864,7 +1029,7 @@ class TestQuasiNewtonBurnIn:
         # Picard's sweeps are the plain fixed-point iteration of the whole
         # window; burn-in solves the same discrete equations interval by
         # interval, so only their stops part them: Picard's leaves at most
-        # 1e-10 of iteration error (3.2e-12 apart measured)
+        # 1e-10 of iteration error (1.9e-12 apart measured)
         if isinstance(case, str):
             sys, window, m = request.getfixturevalue(case).system, (-10, 10), 200
         else:
@@ -890,7 +1055,7 @@ class TestQuasiNewtonBurnIn:
     def test_warm_start_matches_cold_started_intervals(self, request, case):
         # burn-in starts each interval from the one before it; a chain of
         # step_interval calls from the free response solves the same
-        # equations to the same stop (at most 1.1e-14 apart measured)
+        # equations to the same stop (at most 1.3e-14 apart measured)
         if isinstance(case, str):
             sys, (k_lo, k_hi), m = request.getfixturevalue(case).system, (-10, 10), 200
         else:
@@ -910,7 +1075,7 @@ class TestQuasiNewtonBurnIn:
     def test_a_window_of_one_is_the_warm_started_chain(self, homo, het, monkeypatch):
         # a window of one interval sweeps each interval alone, started
         # from the one before it moved onto its start state: a warm chain
-        # of step_interval calls, to the same sweep counts
+        # of one-interval sweep loops, to the same sweep counts
         monkeypatch.setattr(solver, "BURN_IN_WINDOW", 1)
         totals = {}
         for name, sc in (("homoclinic", homo), ("heteroclinic", het)):
@@ -927,26 +1092,24 @@ class TestQuasiNewtonBurnIn:
         sys = random_system(0)
         pad = default_pad(sys, 1e-8)
         monkeypatch.setattr(solver, "_picard_cap", lambda sys: 3)
-        message = rf"interval {-2 - pad}: picard iteration did not reach 1e-12 in 3 sweeps at 60 substeps"
+        message = rf"interval {-2 - pad}: picard iteration did not reach 1e-12 in 3 sweeps$"
         with pytest.raises(InnerDivergenceError, match=message):
             solve_bounded(sys, (-2, 2), 60, method="burn_in")
 
     def test_picard_sweep_cap_follows_kappa(self, homo, monkeypatch):
         # kappa_pi = 0.9 stops at (1 - 0.9) / 0.9 of the stop of kappa_pi
-        # <= 1/2 and takes 189 sweeps at the coarse level, past the old
-        # fixed cap of 80; the reference's 0.265 keeps the stop and the floor
+        # <= 1/2 and takes 241 sweeps from zero, past the old fixed cap
+        # of 80; the reference's 0.265 keeps the stop and the floor
         sys = a4_limit_system(0.9, 1.0)
         assert solver._picard_stop(homo.system) == solver.PICARD_STOP == 1e-10
         assert solver._picard_cap(homo.system) == solver.PICARD_MAX_ITERS == 80
         stop = 1e-10 * (1.0 - 0.9) / 0.9
         assert solver._picard_stop(sys) == pytest.approx(stop, rel=1e-15)
         assert solver._picard_cap(sys) == math.ceil(2.0 * math.log(stop) / math.log(0.9)) == 479
-        traj = solve_bounded(sys, (-3, 3), 40)
-        (m_l, level_stop, deltas), = traj.meta["levels"]
-        assert m_l == 10 and level_stop == pytest.approx(stop * 4**4, rel=1e-15)
+        deltas = solve_bounded(sys, (-3, 3), 40).meta["iterate_deltas"]
         assert solver.PICARD_MAX_ITERS < len(deltas) < solver._picard_cap(sys)
         monkeypatch.setattr(solver, "_picard_cap", lambda sys: 80)
-        with pytest.raises(InnerDivergenceError, match=r"did not reach 2.84444e-09 in 80 sweeps at 10 substeps"):
+        with pytest.raises(InnerDivergenceError, match=r"did not reach 1.11111e-11 in 80 sweeps$"):
             solve_bounded(sys, (-3, 3), 40)
 
 
@@ -1049,15 +1212,25 @@ class TestResidualDefect:
 
 
 class TestConvergenceOrder:
-    def test_fourth_order_in_the_substep(self, homo):
-        # Richardson: quadrupling the substep count must shrink the gap
-        # to the finest grid by about 2^4 per refinement
-        fine = solve_bounded(homo.system, (-2, 2), substeps=400)
-        mid = solve_bounded(homo.system, (-2, 2), substeps=200)
-        coarse = solve_bounded(homo.system, (-2, 2), substeps=100)
-        e_mid = np.abs(mid.samples[::2] - fine.samples[::4]).max()
-        e_coarse = np.abs(coarse.samples - fine.samples[::4]).max()
-        assert 8.0 <= e_coarse / e_mid <= 40.0
+    def test_geometric_in_the_node_count(self, homo, het, monkeypatch):
+        # inside an interval the integrand is analytic, so the error of n
+        # collocation nodes falls geometrically in n; NODES = 16 is the
+        # fewest that stay within 1e-12 of a 28-node solve in both
+        # scenarios on (-30, 30). Measured (homoclinic / heteroclinic):
+        # 12: 5.9e-10 / 2.2e-11, 14: 2.1e-11 / 6.4e-13,
+        # 16: 5.1e-13 / 4.8e-14, 20: 4.7e-15 / 2.7e-15
+        assert solver.NODES == 16
+        for sc in (homo, het):
+            solves = {}
+            for n in (12, 14, 16, 20, 28):
+                monkeypatch.setattr(solver, "NODES", n)
+                solves[n] = solve_bounded(sc.system, (-20, 20))
+            errors = [np.abs(solves[n].samples - solves[28].samples).max() for n in (12, 14, 16, 20)]
+            assert errors == sorted(errors, reverse=True), sc.kind
+            assert errors[2] <= 1e-12 < errors[0], sc.kind
+            assert errors[3] <= 1e-14, sc.kind
+        # the contract rows grow with n: 8 sweeps of n rows per interval
+        assert solves[16].meta["f_evals"] == 89 * 16 * solves[16].meta["iterations"]
 
     def test_margin_positive(self, homo):
         assert contraction_margin(homo.system) == pytest.approx(0.5 - 0.1325175, abs=1e-6)

@@ -55,12 +55,11 @@ burn_in
     it moved onto its own start, last + exp(A tau) (end - start of
     last). Neighbouring intervals see similar forcing, so this start
     saves sweeps and leaves the fixed point where it was. The window
-    holds up to BURN_IN_WINDOW = 24 intervals for a contract with
-    eval_batch, which evaluates the whole window in one call, so that a
-    sweep costs mostly fixed overhead (on the reference system, 2 CPUs:
-    98 us for 24 intervals, 83 us for 8, 60 us for one); a row-by-row
-    contract pays for every row and keeps BURN_IN_ROW_WINDOW = 8. The
-    first window starts from zero. Both methods solve the same discrete
+    holds up to BURN_IN_WINDOW = 24 intervals: the contract evaluates
+    the whole window in one eval_many call, so a sweep costs mostly
+    fixed overhead (on the reference system, 2 CPUs: 98 us for 24
+    intervals, 83 us for 8, 60 us for one). The first window starts
+    from zero. Both methods solve the same discrete
     equations to the same stop and differ in the order of their sweeps,
     so comparing them checks the iteration and the truncation, not the
     quadrature.
@@ -119,10 +118,8 @@ PICARD_MAX_ITERS = 80
 # step_interval's default stop and sweep cap
 INNER_DEFAULT_TOL = 1e-12
 INNER_MAX_ITERS = 100
-# most unfinished intervals burn-in sweeps together, for a contract with
-# eval_batch and for a row-by-row one (module docstring)
+# most unfinished intervals burn-in sweeps together (module docstring)
 BURN_IN_WINDOW = 24
-BURN_IN_ROW_WINDOW = 8
 # fewest substeps per interval: five grid points hold the 5-point
 # residual stencil
 MIN_SUBSTEPS = 4
@@ -634,8 +631,7 @@ def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: i
     k0 = k_lo - pad
     n_all = k_hi - k0
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
-    window = BURN_IN_WINDOW if sys.f.eval_batch is not None else BURN_IN_ROW_WINDOW
-    psi = np.zeros((min(window, n_all), ctx.nodes + 2, sys.dim))
+    psi = np.zeros((min(BURN_IN_WINDOW, n_all), ctx.nodes + 2, sys.dim))
     out, _, sweeps, hv = _iterate(sys, ctx, k0, _node_times(sys, ctx, k0, n_all), alpha, psi,
                                   _picard_stop(sys), _picard_cap(sys), np.zeros(sys.dim), sliding=True)
     samples, frozen, peak = _samples_and_frozen(ctx, out, hv, pad)

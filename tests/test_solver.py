@@ -746,11 +746,9 @@ class TestSolveBounded:
 
 class TestBlockedArguments:
     @pytest.mark.parametrize("method", ["picard", "burn_in"])
-    def test_scalar_fallback_solves_bit_identically(self, homo, method, monkeypatch):
+    def test_scalar_fallback_solves_bit_identically(self, homo, method):
         # dropping eval_batch keeps the blocked_ys flag, and eval_many must
-        # still hand eval one argument row per row. Burn-in sizes its
-        # window by the contract's eval_batch, so both take one window here
-        monkeypatch.setattr(solver, "BURN_IN_ROW_WINDOW", solver.BURN_IN_WINDOW)
+        # still hand eval one argument row per row
         sys = replace(homo.system, f=clipped_contract())
         scalar = replace(sys, f=replace(sys.f, eval_batch=None))
         batched, looped = (solve_bounded(s, (-3, 3), 40, method=method) for s in (sys, scalar))
@@ -1127,13 +1125,10 @@ class TestQuasiNewtonBurnIn:
         assert np.abs(burn.samples - pic.samples).max() <= bound
         assert np.abs(burn.frozen - pic.frozen).max() <= bound
 
-    @pytest.mark.parametrize("batch, window", [(True, 24), (False, 8)])
-    def test_window_follows_the_contract(self, homo, batch, window, monkeypatch):
+    def test_window_holds_burn_in_window_intervals(self, homo, monkeypatch):
         # each sweep hands the contract its window's nodes in one
-        # eval_many call: 24 intervals for a contract with eval_batch,
-        # whose sweeps cost mostly fixed overhead, and 8 for a row-by-row
-        # one, which pays for every row
-        f, rows = counting_rows(homo.system.f, batch)
+        # eval_many call, and the first windows are full
+        f, rows = counting_rows(homo.system.f)
         swept = []
 
         def eval_many(contract, ts, xs, ys, _eval_many=solver.eval_many):
@@ -1142,10 +1137,9 @@ class TestQuasiNewtonBurnIn:
 
         monkeypatch.setattr(solver, "eval_many", eval_many)
         traj = solve_bounded(replace(homo.system, f=f), (-20, 20), method="burn_in")
-        assert max(swept) == window * solver.NODES
-        assert sum(swept) == sum(rows) == traj.meta["f_evals"]
-        if batch:
-            assert rows == swept
+        assert max(swept) == solver.BURN_IN_WINDOW * solver.NODES == 24 * 16
+        assert rows == swept
+        assert sum(swept) == traj.meta["f_evals"]
 
     def test_non_converging_interval_is_named(self, monkeypatch):
         # a cap of 3 sweeps stops the first interval of the window

@@ -92,7 +92,7 @@ from .reference import (
     reference_schedule,
     transfer_catalog,
 )
-from .schedule import Located, Schedule, locate, make_schedule
+from .schedule import Schedule, make_schedule
 from .solver import (
     SampledTrajectory,
     default_pad,
@@ -126,7 +126,6 @@ _LAZY = {
             "export_trajectory_csv",
             "parse_config",
             "run",
-            "serialize_config",
         ),
         ".io",
     ),

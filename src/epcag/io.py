@@ -20,8 +20,9 @@ Configs are JSON documents with the shape
 
 The envelope block is optional (estimated from the matrix when absent),
 as are the driver's k_min/k_max (sized to cover the solve window plus
-the lead-in pad). Scalar map orbits drive both components of a 2-D
-system; higher dimensions are library-API territory.
+the lead-in pad; orbit takes build_orbit's default window). Scalar map
+orbits drive both components of a 2-D system; higher dimensions are
+library-API territory.
 
 All files are written atomically (temp file + rename), with %.17g
 number formatting and LF line endings, so identical runs produce
@@ -192,11 +193,6 @@ def _parse_fields(obj, table, spec_cls, prefix: str, allowed=None) -> dict:
     return out
 
 
-def _fields_dict(spec, table) -> dict:
-    """Inverse of _parse_fields: the block's keys in table order, None left out."""
-    return {key: v for key, attr, *_ in table if (v := getattr(spec, attr)) is not None}
-
-
 def _parse_matrix(obj) -> tuple:
     rows = obj.get("matrix")
     if not isinstance(rows, list) or not rows:
@@ -287,28 +283,6 @@ def parse_config(text: str) -> RunSpec:
                    targets=targets, numeric=numeric, out_dir=out_dir)
 
 
-def serialize_config(spec: RunSpec) -> str:
-    """Inverse of parse_config: parse_config(serialize_config(s)) == s."""
-    obj = _fields_dict(spec, _RUN)
-    if spec.system is not None:
-        s = spec.system
-        obj["system"] = {
-            "matrix": [list(row) for row in s.matrix],
-            "schedule": _fields_dict(s, _SCHEDULE),
-            "f": _fields_dict(s, _F),
-        }
-        if s.envelope is not None:
-            obj["system"]["envelope"] = _fields_dict(s.envelope, _ENVELOPE)
-    if spec.driver is not None:
-        obj["driver"] = _fields_dict(spec.driver, _DRIVER)
-    if spec.targets:
-        obj["targets"] = [_fields_dict(t, _DRIVER) for t in spec.targets]
-    obj["numeric"] = _fields_dict(spec.numeric, _NUMERIC)
-    if spec.out_dir is not None:
-        obj["out_dir"] = spec.out_dir
-    return json.dumps(obj, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # building runtime objects from specs
 
@@ -328,14 +302,14 @@ def _auto_range(spec: RunSpec, sys_parts) -> tuple[int, int]:
     return _coverage_range(window, pad)
 
 
-def _build_scalar_orbit(dspec: DriverSpec, k_min: int, k_max: int) -> DriverOrbit:
+def _build_scalar_orbit(dspec: DriverSpec, **window) -> DriverOrbit:
+    """window holds k_min and k_max, or neither for build_orbit's defaults."""
     return build_orbit(
         ScalarMap(dspec.map, dspec.mu),
         dspec.kind,
         dspec.seed,
         backward_branch=dspec.branch,
-        k_min=k_min,
-        k_max=k_max,
+        **window,
     )
 
 
@@ -362,7 +336,7 @@ def _build_system_and_driver(spec: RunSpec):
             k_min, k_max = dspec.k_min, dspec.k_max
         else:
             k_min, k_max = _auto_range(spec, (envelope, contract))
-        scalar = _build_scalar_orbit(dspec, k_min, k_max)
+        scalar = _build_scalar_orbit(dspec, k_min=k_min, k_max=k_max)
         return pair_orbits(scalar, scalar)
 
     driver = paired(spec.driver)
@@ -523,9 +497,8 @@ def _run(spec: RunSpec) -> int:
 
     if spec.command == "orbit":
         d = spec.driver
-        k_min = d.k_min if d.k_min is not None else -40
-        k_max = d.k_max if d.k_max is not None else 40
-        orbit = _build_scalar_orbit(d, k_min, k_max)
+        window = {} if d.k_min is None else {"k_min": d.k_min, "k_max": d.k_max}
+        orbit = _build_scalar_orbit(d, **window)
         _emit(out / "orbit.csv", export_orbit_csv, orbit)
         return 0
 

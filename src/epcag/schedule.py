@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import BadFractionError, BadStepError
-
-# snap tolerance for mapping t to an interval index; values this close to a
-# node (in index units) belong to the right interval
-NODE_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -32,32 +27,8 @@ class Schedule:
         return self.origin + k * self.omega + self.zeta_fraction * self.omega
 
 
-class Located(NamedTuple):
-    k: int
-    theta: float
-    zeta: float
-
-
 def make_schedule(omega, origin: float = 0.0, zeta_fraction: float = 0.0) -> Schedule:
-    """Build a schedule, or one of the named presets.
-
-    make_schedule("integer") gives omega=1, origin=0, zeta_fraction=0
-    (argument frozen at the left node). make_schedule("shifted", m1, m2)
-    with integers m1 > m2 > 0 gives nodes m1*k - m2 and argument points
-    m1*k, i.e. omega=m1, origin=-m2, zeta_fraction=m2/m1.
-    """
-    if isinstance(omega, str):
-        preset = omega
-        if preset == "integer":
-            return Schedule(1.0, 0.0, 0.0)
-        if preset == "shifted":
-            m1, m2 = origin, zeta_fraction
-            if not (isinstance(m1, int) and isinstance(m2, int) and m1 > m2 > 0):
-                raise BadStepError(
-                    f"shifted preset needs integers m1 > m2 > 0, got {m1!r}, {m2!r}"
-                )
-            return Schedule(float(m1), -float(m2), m2 / m1)
-        raise BadStepError(f"unknown preset {preset!r}")
+    """A checked schedule: omega > 0, origin finite, zeta_fraction in [0, 1]."""
     if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega > 0):
         raise BadStepError(f"omega must be a positive finite number, got {omega!r}")
     if not (math.isfinite(origin)):
@@ -68,19 +39,3 @@ def make_schedule(omega, origin: float = 0.0, zeta_fraction: float = 0.0) -> Sch
         )
     return Schedule(float(omega), float(origin), float(zeta_fraction))
 
-
-def locate(schedule: Schedule, t: float) -> Located:
-    """Interval index and node data for time t.
-
-    k satisfies theta_k <= t < theta_{k+1}, with a 1e-12 snap so that a
-    t within rounding distance of a node lands in the right interval.
-    """
-    if not math.isfinite(t):
-        raise BadStepError(f"t must be finite, got {t!r}")
-    x = (t - schedule.origin) / schedule.omega
-    r = round(x)
-    if abs(x - r) <= NODE_SNAP * max(1.0, abs(x)):
-        k = int(r)
-    else:
-        k = int(math.floor(x))
-    return Located(k, schedule.node(k), schedule.zeta(k))

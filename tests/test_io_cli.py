@@ -20,6 +20,7 @@ from epcag import (
     REFERENCE_N,
     DecayEnvelope,
     RunSpec,
+    ScalarMap,
     assemble_system,
     build_orbit,
     certificate_dict,
@@ -36,7 +37,6 @@ from epcag import (
     parse_config,
     reference_matrix,
     run,
-    serialize_config,
 )
 from epcag.errors import IoError, ParseError, ValidationError
 from epcag.io import DriverSpec, NumericSpec, SystemSpec, _auto_range
@@ -145,20 +145,6 @@ class TestParse:
         with pytest.raises(ValidationError) as exc:
             parse(cfg)
         assert exc.value.field == "numeric.substeps"
-
-    def test_round_trip(self):
-        cfg = reference_config(
-            "certify",
-            targets=[{"map": "logistic", "mu": 4.0, "kind": "fixed", "seed": 0.75,
-                      "k_min": -50, "k_max": 40}],
-            numeric={"substeps": 100, "tol": 1e-7, "window": 10, "method": "burn_in",
-                     "cert_tol": 1e-3},
-            out_dir="artifacts",
-        )
-        cfg["driver"] = {"map": "logistic", "mu": 4.0, "kind": "heteroclinic",
-                         "seed": 0.25, "branch": "lower_G"}
-        spec = parse(cfg)
-        assert parse_config(serialize_config(spec)) == spec
 
 
 DROP = object()  # mutation value that deletes the key
@@ -378,6 +364,18 @@ class TestRun:
         assert len(lines) >= 27
         assert "orbit.csv" in capsys.readouterr().out
 
+    def test_orbit_command_default_window(self, tmp_path, capsys):
+        # without k_min/k_max the command writes build_orbit's own window
+        driver = {"map": "logistic", "mu": 3.9, "kind": "homoclinic",
+                  "seed": 0.2564102564102564, "branch": "upper_H"}
+        assert run(parse({"command": "orbit", "out_dir": str(tmp_path), "driver": driver})) == 0
+        export_orbit_csv(build_orbit(ScalarMap("logistic", 3.9), "homoclinic", driver["seed"],
+                                     backward_branch="upper_H"), tmp_path / "direct.csv")
+        written = (tmp_path / "orbit.csv").read_bytes()
+        assert written == (tmp_path / "direct.csv").read_bytes()
+        assert written.splitlines()[-1].startswith(b"40,")
+        capsys.readouterr()
+
     def test_check_command(self, tmp_path, capsys):
         cfg = reference_config("check", out_dir=str(tmp_path))
         assert run(parse(cfg)) == 0
@@ -580,7 +578,7 @@ def test_import_leaves_out_the_command_line_layer():
     layer = {
         "main": "epcag.cli",
         **dict.fromkeys(("RunSpec", "certificate_dict", "export_frozen_csv", "export_orbit_csv",
-                         "export_trajectory_csv", "parse_config", "run", "serialize_config"), "epcag.io"),
+                         "export_trajectory_csv", "parse_config", "run"), "epcag.io"),
     }
     done = fresh_python("-c", f"""
 import sys, epcag

@@ -158,6 +158,19 @@ class DriverOrbit:
             )
         return self.right_limit
 
+    def span(self, k_lo: int, k_hi: int) -> np.ndarray:
+        """alpha_k for k_lo <= k < k_hi as one (k_hi - k_lo, m) array: the
+        window's values, padded with the limits; equal to stacking value(k),
+        and raising for the same first uncovered k."""
+        n_left = max(0, min(k_hi, self.k_min) - k_lo)
+        first_right = max(k_lo, self.k_max + 1)
+        n_right = max(0, k_hi - first_right)
+        parts = [np.broadcast_to(self.value(k_lo), (n_left, self.dim))] if n_left else []
+        parts.append(self.values[max(k_lo, self.k_min) - self.k_min : max(0, min(k_hi, first_right) - self.k_min)])
+        if n_right:
+            parts.append(np.broadcast_to(self.value(first_right), (n_right, self.dim)))
+        return np.concatenate(parts)
+
 
 def build_orbit(
     scalar_map: ScalarMap,

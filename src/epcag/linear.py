@@ -33,8 +33,9 @@ ABSCISSA_MAX_DIM = 8
 # mu(A t) beyond this risks overflow: ||exp(A t)|| <= exp(mu(A t))
 OVERFLOW_NORM_LIMIT = 700.0
 
-# sample_norm_curve's block length: one exact anchor exp(A t) per block
-ANCHOR_EVERY = 512
+# largest m n k of one matrix product in _serial_matmul: OpenBLAS runs larger
+# products on all its threads (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD)
+SERIAL_MATMUL_MNK = 1 << 18
 
 
 def _as_square(a) -> np.ndarray:
@@ -142,6 +143,23 @@ def mat_exp(a, t=1.0) -> np.ndarray:
     return out[0] if ts.ndim == 0 else out
 
 
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D a and b, in row chunks whose m n k stays at most
+    SERIAL_MATMUL_MNK, below OpenBLAS's threshold for threading a product.
+    A threaded product leaves its helper thread spinning, and on two CPUs
+    that halved the speed of the small products that followed (burn-in
+    after a Picard solve ran 1.8 times slower). It lives here, below the
+    solver, so that the envelope scan's block product and the solver's
+    convolution share it."""
+    rows = max(1, SERIAL_MATMUL_MNK // b.size)
+    if a.shape[0] <= rows:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        np.matmul(a[i : i + rows], b, out=out[i : i + rows])
+    return out
+
+
 def spectral_abscissa(a) -> float:
     """Largest real part among the eigenvalues of A (order <= 8 only)."""
     m = _as_square(a)
@@ -183,23 +201,30 @@ class EnvelopeValidation:
 def sample_norm_curve(a, horizon: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Spectral norms of exp(A t) on a uniform grid of `count` points over [0, horizon].
 
-    With step h and block length B = 512, sample j is the product
-    exp(A (j mod B) h) exp(A t_{B floor(j / B)}): one stacked mat_exp
-    call gives the anchors, one the B in-block powers, and one
-    broadcast matmul every sample, so rounding never accumulates along
-    the scan. For a 2x2 matrix the norms come from the closed form in
-    `_spectral_norms`, which needs no SVD; larger orders take a batched
-    SVD.
+    With step h and block length B = isqrt(count - 1) + 1 (64 for the
+    4001 and 4002 points of estimation and validation), sample j is the
+    product exp(A (j mod B) h) exp(A t_{B floor(j / B)}). One stacked
+    mat_exp call gives the B in-block powers and the ceil(count / B)
+    anchors, about 2 sqrt(count) exponentials, and one 2-D product of
+    the stacked powers with the side-by-side anchors gives every sample,
+    so rounding never accumulates along the scan. For a 2x2 matrix the
+    norms come from the closed form in `_spectral_norms`, which needs no
+    SVD; larger orders take a batched SVD.
     """
     m = _as_square(a)
     if count < 2:
         raise ValueError("need at least 2 samples")
     ts = np.linspace(0.0, horizon, count)
-    h = ts[1] - ts[0]
     dim = m.shape[0]
-    inblock = mat_exp(m, h * np.arange(min(count, ANCHOR_EVERY)))
-    anchors = mat_exp(m, ts[::ANCHOR_EVERY])
-    mats = (inblock @ anchors[:, None]).reshape(-1, dim, dim)[:count]
+    block = math.isqrt(count - 1) + 1
+    exps = mat_exp(m, np.concatenate([(ts[1] - ts[0]) * np.arange(block), ts[::block]]))
+    inblock, anchors = exps[:block], exps[block:]
+    n_anchor = len(anchors)
+    # row (r, i) of the product holds row i of exp(A r h) exp(A t_{Bq})
+    # for every anchor q side by side
+    side = anchors.transpose(1, 0, 2).reshape(dim, n_anchor * dim)
+    prod = _serial_matmul(inblock.reshape(block * dim, dim), side)
+    mats = prod.reshape(block, dim, n_anchor, dim).transpose(2, 0, 1, 3).reshape(-1, dim, dim)[:count]
     return ts, _spectral_norms(mats)
 
 

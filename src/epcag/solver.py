@@ -99,7 +99,7 @@ from .errors import (
     OutOfRangeError,
     PadTooSmallError,
 )
-from .linear import mat_exp
+from .linear import _serial_matmul, mat_exp
 from .nonlinearity import eval_many
 from .schedule import Schedule
 from .system import (
@@ -250,9 +250,6 @@ NODES = 16
 PIECE_NORM = 8.0
 # contexts kept for the most recent keys
 CONTEXT_CACHE_SIZE = 8
-# largest m n k of one matrix product in _serial_matmul: OpenBLAS runs larger
-# products on all its threads (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD)
-SERIAL_MATMUL_MNK = 1 << 18
 
 
 @functools.lru_cache(maxsize=4)
@@ -386,21 +383,6 @@ def _context(sys: EpcagSystem, substeps: int) -> _Context:
     a = np.ascontiguousarray(sys.a, dtype=float)
     sched = sys.schedule
     return _cached_context(a.tobytes(), a.shape[0], sched.omega, sched.zeta_fraction, substeps, NODES)
-
-
-def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D a and b, in row chunks whose m n k stays at most
-    SERIAL_MATMUL_MNK, below OpenBLAS's threshold for threading a product.
-    A threaded product leaves its helper thread spinning, and on two CPUs
-    that halved the speed of the small products that followed (burn-in
-    after a Picard solve ran 1.8 times slower)."""
-    rows = max(1, SERIAL_MATMUL_MNK // b.size)
-    if a.shape[0] <= rows:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]))
-    for i in range(0, a.shape[0], rows):
-        np.matmul(a[i : i + rows], b, out=out[i : i + rows])
-    return out
 
 
 def _convolve(ctx: _Context, hv: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
@@ -565,7 +547,7 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
     ctx = _context(sys, substeps)
     k0 = k_lo - pad
     n_int = k_hi - k0
-    alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
+    alpha = sys.driver.span(k0, k_hi)
     psi = np.zeros((n_int, ctx.nodes + 2, sys.dim))
     psi, deltas, _, hv = _iterate(sys, ctx, k0, _node_times(sys, ctx, k0, n_int), alpha, psi,
                                   _picard_stop(sys), _picard_cap(sys))
@@ -630,7 +612,7 @@ def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: i
     ctx = _context(sys, substeps)
     k0 = k_lo - pad
     n_all = k_hi - k0
-    alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
+    alpha = sys.driver.span(k0, k_hi)
     psi = np.zeros((min(BURN_IN_WINDOW, n_all), ctx.nodes + 2, sys.dim))
     out, _, sweeps, hv = _iterate(sys, ctx, k0, _node_times(sys, ctx, k0, n_all), alpha, psi,
                                   _picard_stop(sys), _picard_cap(sys), np.zeros(sys.dim), sliding=True)
@@ -708,7 +690,7 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     # where the view is contiguous (one interval)
     x = seg[..., 2 : c + 2].transpose(0, 2, 1).copy()
     idx = ((m_sub * np.arange(n_int))[:, None] + np.arange(2, m_sub - 1)).reshape(-1)
-    alpha = np.stack([sys.driver.value(k) for k in range(k_lo, k_hi)])
+    alpha = sys.driver.span(k_lo, k_hi)
     # one (c, dim) product per interval, as an interval alone takes it; one
     # (n_int c, dim) product rounds differently where c is 1
     rhs = x @ sys.a.T

@@ -258,6 +258,30 @@ class TestBuildOrbit:
         with pytest.raises(OrbitCoverageError):
             orb.value(3)
 
+    @pytest.mark.parametrize("left, right", [(None, None), (-1.0, None), (None, 9.0), (-1.0, 9.0)])
+    def test_span_equals_stacked_values(self, left, right):
+        orb = DriverOrbit(k_min=2, k_max=6, values=np.arange(10.0).reshape(5, 2),
+                          left_limit=None if left is None else np.array([left, -left]),
+                          right_limit=None if right is None else np.array([right, -right]), edge_gap=1e-8)
+        lo_k = 2 if left is None else -3
+        hi_k = 7 if right is None else 12
+        for k_lo in range(lo_k, hi_k):
+            for k_hi in range(k_lo + 1, hi_k + 1):
+                want = np.stack([orb.value(k) for k in range(k_lo, k_hi)])
+                got = orb.span(k_lo, k_hi)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_span_names_the_first_uncovered_interval(self):
+        orb = DriverOrbit(k_min=0, k_max=2, values=np.zeros((3, 1)),
+                          left_limit=None, right_limit=None, edge_gap=1e-8)
+        with pytest.raises(OrbitCoverageError, match=r"^k = -2 below window start 0 and no left limit declared$"):
+            orb.span(-2, 5)
+        with pytest.raises(OrbitCoverageError, match=r"^k = 3 above window end 2 and no right limit declared$"):
+            orb.span(1, 5)
+        with pytest.raises(OrbitCoverageError, match=r"^k = 4 above window end 2 and no right limit declared$"):
+            orb.span(4, 5)
+
 
 class TestPairAndGaps:
     def test_pair_orbits(self):

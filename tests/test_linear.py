@@ -312,7 +312,7 @@ class TestEnvelope:
         ts, norms = sample_norm_curve(reference_matrix(), 60.0, 6001)
         assert float(np.max(norms * np.exp(0.5 * ts))) <= REFERENCE_N
 
-    @pytest.mark.parametrize("count", [2, 513, 1000, 6001])
+    @pytest.mark.parametrize("count", [2, 513, 1000, 4001, 4002, 6001])
     def test_batched_scan_matches_the_recursion_on_the_reference(self, count):
         a = reference_matrix()
         ts, norms = sample_norm_curve(a, 60.0, count)
@@ -327,10 +327,59 @@ class TestEnvelope:
         # differ by more than 1e-12 of themselves (the batched scan being
         # the closer one to a 40-digit reference); compare at the peak
         for a, sigma in random_hurwitz(np.random.default_rng(5), 20):
-            for count in (2, 513, 1000):
+            for count in (2, 513, 1000, 4001, 4002):
                 _, norms = sample_norm_curve(a, 12.0 / -sigma, count)
                 old = recursion_norms(a, 12.0 / -sigma, count)
                 assert np.abs(norms - old).max() <= 1e-12 * old.max()
+
+    @pytest.mark.parametrize("count, block", [(2, 2), (3, 2), (1000, 32), (4001, 64), (4002, 64)])
+    def test_scan_takes_one_exponential_call_and_one_product(self, monkeypatch, count, block):
+        # blocks of isqrt(count - 1) + 1 samples: one stacked mat_exp call
+        # gives the in-block powers and the anchors, one 2-D product
+        # (block m, m) x (m, anchors m) every sample
+        a3 = np.array([[-1.0, 4.0, 0.0], [0.0, -1.0, 4.0], [0.0, 0.0, -2.0]])
+        exps, products = [], []
+
+        def recording_exp(a, t):
+            exps.append(np.array(t))
+            return mat_exp(a, t)
+
+        def recording_product(x, y):
+            products.append((x.shape, y.shape))
+            return x @ y
+
+        monkeypatch.setattr(epcag.linear, "mat_exp", recording_exp)
+        monkeypatch.setattr(epcag.linear, "_serial_matmul", recording_product)
+        ts, norms = sample_norm_curve(a3, 12.0, count)
+        anchors = -(-count // block)
+        assert [len(t) for t in exps] == [block + anchors]
+        assert products == [((3 * block, 3), (3, 3 * anchors))]
+        h = ts[1] - ts[0]
+        want = [np.linalg.svd(mat_exp(a3, (j % block) * h) @ mat_exp(a3, ts[j - j % block]), compute_uv=False)[0]
+                for j in range(count)]
+        assert np.allclose(norms, want, rtol=1e-13, atol=0.0)
+
+    def test_estimates_and_validations_equal_those_of_a_per_sample_scan(self, monkeypatch):
+        # every sample of a per-sample scan is one exp(A t_j); the blocked
+        # scan's products of two differ by rounding only, which the 0.01
+        # rounding of n_const and the validation's slack absorb
+        draws = [a for a, _ in random_hurwitz(np.random.default_rng(8), 30)]
+
+        def run():
+            out = []
+            for a in draws:
+                env = estimate_decay_envelope(a)
+                out.append((env, validate_envelope(a, env, env.validated_horizon / 4001.5).passed))
+            return out
+
+        blocked = run()
+
+        def per_sample(a, horizon, count):
+            ts = np.linspace(0.0, horizon, count)
+            return ts, np.linalg.svd(mat_exp(a, ts), compute_uv=False)[:, 0]
+
+        monkeypatch.setattr(epcag.linear, "sample_norm_curve", per_sample)
+        assert blocked == run()
 
     def test_not_hurwitz_rejected(self):
         with pytest.raises(NotHurwitzError):

@@ -44,3 +44,17 @@ class TestConstruction:
             make_schedule(1.5, 0.0, 1.5)
         with pytest.raises(BadFractionError):
             make_schedule(1.5, 0.0, -0.1)
+
+    def test_bool_omega(self):
+        with pytest.raises(BadStepError, match=r"^omega must be a positive finite number, got True$"):
+            make_schedule(True)
+
+    @pytest.mark.parametrize("origin", ["0", None, False])
+    def test_origin_that_is_not_a_number(self, origin):
+        with pytest.raises(BadStepError, match=rf"^origin must be finite, got {origin!r}$"):
+            make_schedule(1.0, origin)
+
+    @pytest.mark.parametrize("fraction", ["0.5", None, True])
+    def test_fraction_that_is_not_a_number(self, fraction):
+        with pytest.raises(BadFractionError, match=rf"^zeta_fraction must lie in \[0, 1\], got {fraction!r}$"):
+            make_schedule(1.0, 0.0, fraction)

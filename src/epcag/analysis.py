@@ -35,6 +35,7 @@ from .errors import (
     OutOfRangeError,
     PremiseFailureError,
 )
+from .linear import _row_norms
 from .solver import SampledTrajectory, solve_bounded
 from .system import EpcagSystem, ProofConstants, _require_a4, proof_constants
 
@@ -106,7 +107,7 @@ def difference_profile(traj_a: SampledTrajectory, traj_b: SampledTrajectory) -> 
     grid_a, grid_b = ((t.k_window, t.substeps, t.schedule.omega, t.schedule.origin) for t in (traj_a, traj_b))
     if grid_a != grid_b:
         raise GridMismatchError("trajectories live on different grids")
-    gaps = np.linalg.norm(traj_a.samples - traj_b.samples, axis=1)
+    gaps = _row_norms(traj_a.samples - traj_b.samples)
     return np.column_stack([traj_a.times, gaps])
 
 

@@ -82,9 +82,16 @@ def _expm(x: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     out = np.linalg.solve(v - u, v + u)
-    for k in range(int(squarings.max(initial=0))):
-        sel = squarings > k
-        out[sel] = out[sel] @ out[sel]
+    if not squarings.any():
+        return out
+    # the matrices in order of squaring count, most first (stable), so
+    # that each squaring takes a leading slice; scattered back once
+    order = np.argsort(-squarings, kind="stable")
+    counts, sq = squarings[order], out[order]
+    for k in range(int(counts[0])):
+        lead = sq[: np.count_nonzero(counts > k)]
+        lead[...] = lead @ lead
+    out[order] = sq
     return out
 
 
@@ -160,6 +167,17 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of v, summed column by column.
+    np.linalg.norm(v, axis=-1) takes a slow path over a short last axis
+    (177 us against 23 us on 8001 rows of 2, 2 CPUs); below 8 columns its
+    sum runs in column order too, so the two agree bit for bit."""
+    sq = v[..., 0] * v[..., 0]
+    for j in range(1, v.shape[-1]):
+        sq += v[..., j] * v[..., j]
+    return np.sqrt(sq)
+
+
 def spectral_abscissa(a) -> float:
     """Largest real part among the eigenvalues of A (order <= 8 only)."""
     m = _as_square(a)
@@ -206,8 +224,10 @@ def sample_norm_curve(a, horizon: float, count: int) -> tuple[np.ndarray, np.nda
     product exp(A (j mod B) h) exp(A t_{B floor(j / B)}). One stacked
     mat_exp call gives the B in-block powers and the ceil(count / B)
     anchors, about 2 sqrt(count) exponentials, and one 2-D product of
-    the stacked powers with the side-by-side anchors gives every sample,
-    so rounding never accumulates along the scan. For a 2x2 matrix the
+    the stacked anchors with the side-by-side powers gives every sample,
+    so rounding never accumulates along the scan. The product is laid
+    out (column, anchor, power, row), so the samples in time order are
+    a strided view of it, never copied. For a 2x2 matrix the
     norms come from the closed form in `_spectral_norms`, which needs no
     SVD; larger orders take a batched SVD.
     """
@@ -220,16 +240,18 @@ def sample_norm_curve(a, horizon: float, count: int) -> tuple[np.ndarray, np.nda
     exps = mat_exp(m, np.concatenate([(ts[1] - ts[0]) * np.arange(block), ts[::block]]))
     inblock, anchors = exps[:block], exps[block:]
     n_anchor = len(anchors)
-    # row (r, i) of the product holds row i of exp(A r h) exp(A t_{Bq})
-    # for every anchor q side by side
-    side = anchors.transpose(1, 0, 2).reshape(dim, n_anchor * dim)
-    prod = _serial_matmul(inblock.reshape(block * dim, dim), side)
-    mats = prod.reshape(block, dim, n_anchor, dim).transpose(2, 0, 1, 3).reshape(-1, dim, dim)[:count]
+    # row (j, q) of the product holds column j of exp(A r h) exp(A t_{Bq})
+    # for every power r side by side; each entry sums exp(A r h)[i, k]
+    # exp(A t_{Bq})[k, j] over k in order, as the product of the two does
+    stacked = anchors.transpose(2, 0, 1).reshape(dim * n_anchor, dim)
+    side = inblock.transpose(2, 0, 1).reshape(dim, block * dim)
+    prod = _serial_matmul(stacked, side)
+    mats = prod.reshape(dim, n_anchor * block, dim).transpose(1, 2, 0)[:count]
     return ts, _spectral_norms(mats)
 
 
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of an (n, m, m) stack.
+    """Largest singular value of each matrix of a (..., m, m) stack.
 
     For m = 2, [[a, b], [c, d]] has sigma_1 = (hypot(a + d, c - b) +
     hypot(a - d, b + c)) / 2 (Blinn 1996, "Consider the lowly 2x2
@@ -237,8 +259,8 @@ def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     which loses half the digits near sigma_1 = sigma_2.
     """
     if mats.shape[-1] != 2:
-        return np.linalg.svd(mats, compute_uv=False)[:, 0]
-    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+        return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
     return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
 
 

@@ -54,15 +54,16 @@ burn_in
     window is topped up with intervals each started from the one before
     it moved onto its own start, last + exp(A tau) (end - start of
     last). Neighbouring intervals see similar forcing, so this start
-    saves sweeps and leaves the fixed point where it was. The window
-    holds up to BURN_IN_WINDOW = 24 intervals: the contract evaluates
-    the whole window in one eval_many call, so a sweep costs mostly
-    fixed overhead (on the reference system, 2 CPUs: 98 us for 24
-    intervals, 83 us for 8, 60 us for one). The first window starts
-    from zero. Both methods solve the same discrete
-    equations to the same stop and differ in the order of their sweeps,
-    so comparing them checks the iteration and the truncation, not the
-    quadrature.
+    saves sweeps and leaves the fixed point where it was. The whole
+    top-up is one product of end - start of the last interval with
+    stored sums of powers of exp(A omega) (_top_up). The window holds up
+    to BURN_IN_WINDOW = 24 intervals: the contract evaluates the whole
+    window in one eval_many call, so a sweep costs mostly fixed overhead
+    (on the reference system, 2 CPUs: 53 us for 24 intervals, 40 us for
+    8, 31 us for one). The first window starts from zero. Both methods
+    solve the same discrete equations to the same stop and differ in the
+    order of their sweeps, so comparing them checks the iteration and the
+    truncation, not the quadrature.
 
 One loop, _iterate, runs every fixed-point iteration: Picard, burn-in,
 and step_interval. It sweeps, refuses non-finite deltas and stops at
@@ -99,7 +100,7 @@ from .errors import (
     OutOfRangeError,
     PadTooSmallError,
 )
-from .linear import _serial_matmul, mat_exp
+from .linear import _row_norms, _serial_matmul, mat_exp
 from .nonlinearity import eval_many
 from .schedule import Schedule
 from .system import (
@@ -208,13 +209,16 @@ def _tail_rates(envelope, f, m_phi: float, omega: float, zeta_fraction: float):
     return mu[ok], n * m_phi / (1.0 - q[ok])
 
 
-def _tail_bound(sys: EpcagSystem, pad: int) -> float:
+def _tail_bound(mu: np.ndarray, pre: np.ndarray, omega: float, pad: int) -> float:
     """Bound on what starting from zero `pad` intervals early leaves in
     the window: the least N M_phi / (1 - q(mu)) e^{-mu pad omega} over
-    the rates of _tail_rates."""
-    omega = sys.schedule.omega
-    mu, pre = _tail_rates(sys.envelope, sys.f, solution_bound(sys), omega, sys.schedule.zeta_fraction)
+    the rates mu and prefactors pre of _tail_rates."""
     return float(np.min(pre * np.exp(-mu * pad * omega)))
+
+
+def _fewest_pad(mu: np.ndarray, pre: np.ndarray, omega: float, tol: float) -> int:
+    """Fewest intervals of lead-in whose _tail_bound is at most tol."""
+    return max(1, math.ceil(float(np.min(np.log(pre / tol) / (mu * omega)))))
 
 
 def _lead_in_pad(envelope, f, map_sup: float, omega: float, zeta_fraction: float, tol: float) -> int:
@@ -222,7 +226,7 @@ def _lead_in_pad(envelope, f, map_sup: float, omega: float, zeta_fraction: float
     the parts of a system; driver coverage is sized with it before the
     system exists. Requires (A4)."""
     mu, pre = _tail_rates(envelope, f, _solution_bound(envelope, f, map_sup), omega, zeta_fraction)
-    return max(1, math.ceil(float(np.min(np.log(pre / tol) / (mu * omega)))))
+    return _fewest_pad(mu, pre, omega, tol)
 
 
 def _coverage_range(window: int, pad: int) -> tuple[int, int]:
@@ -372,6 +376,19 @@ class _Context:
             out[:, k:] += (power @ out[:, :-k].reshape(dim, -1)).reshape(dim, m - k, nodes + 1, dim)
         self.table = out.transpose(2, 3, 1, 0).reshape((nodes + 1) * dim, m * dim)
 
+    @functools.cached_property
+    def tops(self) -> np.ndarray:
+        """Burn-in's top-up (_top_up), built on first use: tops[j] maps a
+        difference e (dim,) to exp(A tau) (I + E + ... + E^j) e at every
+        target, E = exp(A omega), for j < BURN_IN_WINDOW."""
+        power = sums = np.eye(len(self.shift))
+        tops = [self.shift]
+        for _ in range(1, BURN_IN_WINDOW):
+            power = power @ self.scan[0]
+            sums = sums + power
+            tops.append(sums @ self.shift)
+        return np.stack(tops)
+
 
 @functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def _cached_context(a_bytes: bytes, dim: int, omega: float, zeta_fraction: float, substeps: int,
@@ -453,18 +470,31 @@ def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, p
            start: np.ndarray | None, hv: np.ndarray, d: np.ndarray):
     """One Picard sweep from the iterate psi (n_int, n+2, dim) at the
     targets of intervals whose nodes run at times ts (n_int, n) and which
-    carry driver values alpha (n_int, dim): hv (n_int, n, dim) is filled
-    with the integrand f + alpha at the nodes, with the frozen argument
-    read at the zeta target, and the new iterate is its _convolve from the
-    start value `start` (zero if None). d is scratch of psi's shape.
+    carry driver values alpha (n_int, n, dim), one row per node: hv
+    (n_int, n, dim) is filled with the integrand f + alpha at the nodes,
+    with the frozen argument read at the zeta target, and the new iterate
+    is its _convolve from the start value `start` (zero if None). d is
+    scratch of psi's shape.
     Returns the new iterate and each interval's sup-norm delta to psi."""
     n_int, _, dim = psi.shape
     n = ctx.nodes
     fv = eval_many(sys.f, ts.reshape(-1), psi[:, :n].reshape(-1, dim), psi[:, n])
-    np.add(fv.reshape(n_int, n, dim), alpha[:, None, :], out=hv)
+    np.add(fv.reshape(n_int, n, dim), alpha, out=hv)
     new = _convolve(ctx, hv, start)
     np.subtract(new, psi, out=d)
-    return new, np.sqrt(np.einsum("ijk,ijk->ij", d, d).max(axis=1))
+    return new, _row_norms(d).max(axis=1)
+
+
+def _top_up(ctx: _Context, new: np.ndarray, start: np.ndarray | None, count: int) -> np.ndarray:
+    """`count` intervals to follow the window `new` (size, n+2, dim) whose
+    start value is `start`, each started from the one before it moved
+    onto its own start. With last the window's last interval and e its
+    end minus its start, interval j after it is last + exp(A tau) (I +
+    E + ... + E^(j-1)) e at every target, E = exp(A omega): one product
+    of e with the stored ctx.tops. For one interval that is last +
+    exp(A tau) e, as the step taken alone."""
+    e = new[-1, -1] - (new[-2, -1] if len(new) > 1 else start)
+    return new[-1] + (e @ ctx.tops[:count]).reshape((count,) + new.shape[1:])
 
 
 def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np.ndarray, psi: np.ndarray,
@@ -479,13 +509,17 @@ def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np
     a window of the whole grid. A sliding window then takes the end of the
     last retired interval as its start value and is topped up to its
     first size with intervals each started from the one before it moved
-    onto its own start, last + exp(A tau) (end - start of last). An
+    onto its own start, last + exp(A tau) (end - start of last), all in
+    one product with the stored powers (_top_up). The driver values are
+    repeated to one row per node once, for every sweep to add. An
     interval unretired after cap sweeps, or a non-finite delta, raises
     InnerDivergenceError naming the interval. Returns the retired
     intervals (n_all, n+2, dim), each sweep's largest delta, each
     interval's sweep count and their integrands (n_all, n, dim) from the
     sweep that retired them."""
     n_all, size, dim = len(ts), len(psi), psi.shape[2]
+    # the driver once per node, so that each sweep adds it elementwise
+    alpha = np.repeat(alpha[:, None], ctx.nodes, axis=1)
     # only a sliding window retires part of the grid; allocating these
     # for Picard too would copy its whole grid once more
     out, out_hv = (np.empty((n_all,) + psi.shape[1:]), np.empty((n_all, ctx.nodes, dim))) if sliding else (None, None)
@@ -519,11 +553,7 @@ def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np
             return new, deltas, sweeps, hv
         out[i0 : i0 + done], out_hv[i0 : i0 + done] = new[:done], hv[:done]
         i0 += done
-        psi, last, s = [new[done:]], new[-1], (new[-2, -1] if n > 1 else start)
-        for _ in range(min(size, n_all - i0) - (n - done)):
-            last, s = last + ((last[-1] - s) @ ctx.shift).reshape(last.shape), last[-1]
-            psi.append(last[None])
-        psi = np.concatenate(psi)
+        psi = np.concatenate([new[done:], _top_up(ctx, new, start, min(size, n_all - i0) - (n - done))])
         start = new[done - 1, -1]
     return out, deltas, sweeps, out_hv
 
@@ -538,7 +568,7 @@ def _samples_and_frozen(ctx: _Context, psi: np.ndarray, hv: np.ndarray, pad: int
     first = psi[pad - 1, -1] if pad else np.zeros(psi.shape[2])
     nodes = np.concatenate([first[None], psi[pad:, -1]])
     samples = _output(ctx, hv[pad:], nodes)
-    peak = max(np.linalg.norm(samples, axis=1).max(), np.linalg.norm(psi[pad:, : ctx.nodes], axis=2).max())
+    peak = max(_row_norms(samples).max(), _row_norms(psi[pad:, : ctx.nodes]).max())
     return samples, psi[pad:, ctx.nodes].copy(), float(peak)
 
 
@@ -649,9 +679,11 @@ def solve_bounded(
     _require_a4(sys.envelope, sys.f)
     if method not in METHODS:
         raise OutOfRangeError(f"method must be picard or burn_in, got {method!r}")
+    sched, m_phi = sys.schedule, solution_bound(sys)
+    mu, pre = _tail_rates(sys.envelope, sys.f, m_phi, sched.omega, sched.zeta_fraction)
     if pad is None:
-        pad = default_pad(sys, tol)
-    bound = _tail_bound(sys, pad)
+        pad = _fewest_pad(mu, pre, sched.omega, tol)
+    bound = _tail_bound(mu, pre, sched.omega, pad)
     if bound > tol:
         kind = "truncation" if method == "picard" else "transient"
         raise PadTooSmallError(
@@ -660,7 +692,7 @@ def solve_bounded(
     solve = _solve_picard if method == "picard" else _solve_burn_in
     samples, frozen, peak, counts = solve(sys, k_lo, k_hi, pad, substeps)
     meta = {"method": method, **counts, "pad": pad, "tail_bound": bound, "sup_norm": peak}
-    limit = solution_bound(sys) + bound
+    limit = m_phi + bound
     if not meta["sup_norm"] <= limit:
         raise InnerDivergenceError(
             f"{method} solution reaches norm {meta['sup_norm']:.6g}, above the a-priori "
@@ -682,13 +714,17 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
         raise GridMismatchError("trajectory and system have different schedules")
     m_sub, (k_lo, k_hi) = traj.substeps, traj.k_window
     n_int, h, c = k_hi - k_lo, traj.step, m_sub - 3
-    # every interval's grid points as a strided view, (n_int, dim, m_sub+1);
-    # stencil centres 2 .. m_sub - 2 of each
-    seg = np.lib.stride_tricks.sliding_window_view(traj.samples, m_sub + 1, axis=0)[::m_sub]
-    dz = (seg[..., :c] - 8.0 * seg[..., 1 : c + 1] + 8.0 * seg[..., 3 : c + 3] - seg[..., 4:]) / (12.0 * h)
-    # the contract may write into its arguments, so it gets copies, even
-    # where the view is contiguous (one interval)
-    x = seg[..., 2 : c + 2].transpose(0, 2, 1).copy()
+    z = traj.samples
+
+    def centres(v: np.ndarray, first: int) -> np.ndarray:
+        # rows first + i m_sub + j of v, j < c, as an (n_int, c, dim) view
+        return np.lib.stride_tricks.as_strided(v[first:], (n_int, c, v.shape[1]), (m_sub * v.strides[0],) + v.strides)
+
+    # the stencil at every grid point in one pass; row p is centred on
+    # sample p + 2, and each interval's centres 2 .. m_sub - 2 are kept
+    dz = (z[:-4] - 8.0 * z[1:-3] + 8.0 * z[3:-1] - z[4:]) / (12.0 * h)
+    # the contract may write into its arguments, so it gets copies
+    x = centres(z, 2).copy()
     idx = ((m_sub * np.arange(n_int))[:, None] + np.arange(2, m_sub - 1)).reshape(-1)
     alpha = sys.driver.span(k_lo, k_hi)
     # one (c, dim) product per interval, as an interval alone takes it; one
@@ -696,5 +732,5 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     rhs = x @ sys.a.T
     rhs += eval_many(sys.f, traj.t0 + h * idx, x.reshape(-1, sys.dim), traj.frozen.copy()).reshape(rhs.shape)
     rhs += alpha[:, None]
-    diff = dz.transpose(0, 2, 1) - rhs
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    rhs -= centres(dz, 0)
+    return float(_row_norms(rhs).max())

@@ -25,7 +25,7 @@ import numpy as np
 
 from .driver import DriverOrbit
 from .errors import AssumptionFailureError, ContractViolatedError, DimensionMismatchError
-from .linear import DecayEnvelope, estimate_decay_envelope, validate_envelope
+from .linear import DecayEnvelope, _row_norms, estimate_decay_envelope, validate_envelope
 from .nonlinearity import NonlinearityContract, eval_many
 from .schedule import Schedule
 
@@ -258,15 +258,15 @@ def _spot_check_contract(sys: EpcagSystem) -> None:
     t_rep = np.repeat(ts, rep)
     x_rep, y_rep = np.repeat(xs, rep, axis=0), np.repeat(ys, rep, axis=0)
     flat_steps = steps.reshape(-1, dim)
-    step_len = np.linalg.norm(steps, axis=2)
+    step_len = _row_norms(steps)
 
     def quotients(x_at, y_at):
         moved = eval_many(f, t_rep, x_at, y_at).reshape(count, rep, dim)
-        return np.linalg.norm(moved - val[:, None, :], axis=2) / step_len
+        return _row_norms(moved - val[:, None, :]) / step_len
 
     qx = quotients(x_rep + flat_steps, y_rep)
     qy = quotients(x_rep, y_rep + flat_steps)
-    norms = np.linalg.norm(val, axis=1)
+    norms = _row_norms(val)
 
     # report the first violation in per-sample order: the bound, then for
     # each direction the x quotient and the y quotient

@@ -37,7 +37,7 @@ from epcag.errors import (
     OutOfRangeError,
     OverflowRiskError,
 )
-from epcag.linear import _spectral_norms
+from epcag.linear import _THETA13, _expm, _row_norms, _spectral_norms
 
 ROT_HALF = math.sqrt(15.0) / 2.0
 P = np.array([[0.0, 4.0], [-math.sqrt(15.0), 5.0]])
@@ -182,6 +182,20 @@ class TestMatExp:
         for t, got in zip(ts, stack):
             assert np.array_equal(got, mat_exp(a, t)), t
         assert mat_exp(a, ts[:0]).shape == (0, 2, 2)
+
+    def test_unsorted_squaring_counts_equal_their_elements_bit_for_bit(self):
+        # squarings run on the stack sorted by count, most first; shuffled
+        # times, repeats and matrices needing none must all come back in
+        # place and as each would alone
+        rng = np.random.default_rng(8)
+        a = np.array([[-1.0, 4.0, 0.0], [0.0, -1.0, 4.0], [0.0, 0.0, -2.0]])
+        ts = rng.permutation(np.concatenate([[0.0, 0.01, 0.01, 60.0, 3.0, 3.0], rng.uniform(-5.0, 60.0, 40)]))
+        x = ts[:, None, None] * a
+        counts = np.ceil(np.log2(np.maximum(np.abs(x).sum(axis=1).max(axis=1) / _THETA13, 1.0)))
+        assert len(set(counts)) >= 5 and np.any(np.diff(counts) > 0) and np.any(np.diff(counts) < 0)
+        stack = _expm(x)
+        for t, xt, got in zip(ts, x, stack):
+            assert np.array_equal(got, _expm(xt[None])[0]), t
 
     def test_stack_guards_every_element(self):
         with pytest.raises(OverflowRiskError, match=r"at t = 800"):
@@ -336,7 +350,7 @@ class TestEnvelope:
     def test_scan_takes_one_exponential_call_and_one_product(self, monkeypatch, count, block):
         # blocks of isqrt(count - 1) + 1 samples: one stacked mat_exp call
         # gives the in-block powers and the anchors, one 2-D product
-        # (block m, m) x (m, anchors m) every sample
+        # (anchors m, m) x (m, block m) every sample
         a3 = np.array([[-1.0, 4.0, 0.0], [0.0, -1.0, 4.0], [0.0, 0.0, -2.0]])
         exps, products = [], []
 
@@ -353,7 +367,7 @@ class TestEnvelope:
         ts, norms = sample_norm_curve(a3, 12.0, count)
         anchors = -(-count // block)
         assert [len(t) for t in exps] == [block + anchors]
-        assert products == [((3 * block, 3), (3, 3 * anchors))]
+        assert products == [((3 * anchors, 3), (3, 3 * block))]
         h = ts[1] - ts[0]
         want = [np.linalg.svd(mat_exp(a3, (j % block) * h) @ mat_exp(a3, ts[j - j % block]), compute_uv=False)[0]
                 for j in range(count)]
@@ -513,6 +527,11 @@ class TestSpectralNorms:
         mats = np.concatenate([rng.standard_normal((100, 2, 2)), near_normal_rotations(rng, 100)])
         self.assert_matches_svd(scale * mats)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_any_leading_shape(self, dim):
+        mats = np.random.default_rng(9).standard_normal((4, 5, 3, dim, dim))
+        assert np.array_equal(_spectral_norms(mats), _spectral_norms(mats.reshape(-1, dim, dim)).reshape(4, 5, 3))
+
     def test_only_larger_orders_take_the_svd(self, monkeypatch):
         calls = []
         svd = np.linalg.svd
@@ -535,3 +554,19 @@ class TestSpectralNorms:
         got = [estimate_decay_envelope(a) for a in draws]
         monkeypatch.setattr(epcag.linear, "_spectral_norms", svd_norms)
         assert got == [estimate_decay_envelope(a) for a in draws]
+
+
+class TestRowNorms:
+    """_row_norms sums squares column by column, as np.linalg.norm's
+    reduction does over fewer than 8 columns."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_equals_numpy_norm_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        flat = rng.standard_normal((501, dim)) * np.exp(rng.uniform(-20.0, 20.0, (501, dim)))
+        stacked = rng.standard_normal((6, 7, dim))
+        # non-contiguous: every other column, and every other row of a transpose
+        strided = rng.standard_normal((40, 2 * dim))[:, ::2]
+        transposed = np.asfortranarray(rng.standard_normal((30, dim)))[::2]
+        for v in (flat, stacked, strided, transposed):
+            assert np.array_equal(_row_norms(v), np.linalg.norm(v, axis=-1))

@@ -653,10 +653,11 @@ class TestSolveBounded:
         window, m = (-2, 2), 50
         long, *_ = solver._solve_picard(sys, *window, 200, m)
         errors = {}
+        rates = solver._tail_rates(sys.envelope, sys.f, solution_bound(sys), 1.5, sys.schedule.zeta_fraction)
         for pad in (20, 30, 45):
             short, *_ = solver._solve_picard(sys, *window, pad, m)
             errors[pad] = np.abs(short - long).max()
-            assert errors[pad] <= solver._tail_bound(sys, pad), pad
+            assert errors[pad] <= solver._tail_bound(*rates, 1.5, pad), pad
         assert solution_bound(sys) * math.exp(-0.5 * 30 * 1.5) < 1e-8 < errors[30]
         with pytest.raises(PadTooSmallError):
             solve_bounded(sys, window, m, pad=30)
@@ -1032,6 +1033,50 @@ def interval_chain(sys, k_lo, k_hi, pad, m, warm):
     return np.concatenate(pieces + [z[None]]), frozen, tuple(sweeps)
 
 
+def top_up_loop(ctx, new, start, count):
+    """Burn-in's top-up one interval after another, each the one before
+    it moved onto its own start."""
+    out, last, s = [], new[-1], (new[-2, -1] if len(new) > 1 else start)
+    for _ in range(count):
+        last, s = last + ((last[-1] - s) @ ctx.shift).reshape(last.shape), last[-1]
+        out.append(last)
+    return np.stack(out)
+
+
+def top_up_long(ctx, new, start, count):
+    """The top-up's formula last + exp(A tau) (I + E + ... + E^(j-1)) e,
+    e = end - start of last, in long double."""
+    ld = np.longdouble
+    shift, power = ctx.shift.astype(ld), ctx.scan[0].astype(ld)
+    term = new[-1, -1].astype(ld) - (new[-2, -1] if len(new) > 1 else start).astype(ld)
+    out, total = [], np.zeros_like(term)
+    for _ in range(count):
+        total, term = total + term, term @ power
+        out.append(new[-1] + (total @ shift).reshape(new.shape[1:]))
+    return np.stack(out)
+
+
+class TestTopUp:
+    @pytest.mark.parametrize("case", ["homo", "het", 0, 1, 2, 3])
+    def test_one_product_matches_the_interval_loop(self, request, case):
+        # windows cut from a solved grid, as burn-in tops them up: one
+        # interval is the loop's step exactly; longer top-ups stay within
+        # 1e-15 of the formula, where the loop's sums drift further
+        # (2.4e-15 measured at 24)
+        sys = request.getfixturevalue(case).system if isinstance(case, str) else random_system(case)
+        ctx = solver._context(sys, 50)
+        k0, n_all = -30, 40
+        psi, *_ = solver._iterate(sys, ctx, k0, solver._node_times(sys, ctx, k0, n_all), sys.driver.span(k0, k0 + n_all),
+                                  np.zeros((n_all, ctx.nodes + 2, sys.dim)), 1e-12, 200)
+        for size in (1, 2, 8, solver.BURN_IN_WINDOW):
+            for i in range(0, n_all - size, 3):
+                new, start = psi[i : i + size], (psi[i - 1, -1] if i else np.zeros(sys.dim))
+                assert np.array_equal(solver._top_up(ctx, new, start, 1), top_up_loop(ctx, new, start, 1))
+                got = solver._top_up(ctx, new, start, size)
+                assert np.abs(got - top_up_long(ctx, new, start, size)).max() <= 1e-15
+                assert np.abs(got - top_up_loop(ctx, new, start, size)).max() <= 3e-15
+
+
 class TestQuasiNewtonBurnIn:
     """Burn-in's frozen arguments. The class is named for the quasi-Newton
     step that burn-in once took on each of them; burn-in now takes plain
@@ -1183,6 +1228,22 @@ def per_interval_defect(sys, traj):
     return worst
 
 
+def sliding_window_defect(sys, traj):
+    """residual_defect as it was computed from sliding_window_view
+    segments, with an einsum for the row norms."""
+    m_sub, (k_lo, k_hi) = traj.substeps, traj.k_window
+    n_int, h, c = k_hi - k_lo, traj.step, m_sub - 3
+    seg = np.lib.stride_tricks.sliding_window_view(traj.samples, m_sub + 1, axis=0)[::m_sub]
+    dz = (seg[..., :c] - 8.0 * seg[..., 1 : c + 1] + 8.0 * seg[..., 3 : c + 3] - seg[..., 4:]) / (12.0 * h)
+    x = seg[..., 2 : c + 2].transpose(0, 2, 1).copy()
+    idx = ((m_sub * np.arange(n_int))[:, None] + np.arange(2, m_sub - 1)).reshape(-1)
+    rhs = x @ sys.a.T
+    rhs += solver.eval_many(sys.f, traj.t0 + h * idx, x.reshape(-1, sys.dim), traj.frozen.copy()).reshape(rhs.shape)
+    rhs += sys.driver.span(k_lo, k_hi)[:, None]
+    diff = dz.transpose(0, 2, 1) - rhs
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+
+
 def overwriting(contract):
     """The contract, writing NaN over its state and argument arrays once
     it has read them."""
@@ -1223,6 +1284,18 @@ class TestResidualDefect:
             want = per_interval_defect(sys, traj)
             assert abs(residual_defect(sys, traj) - want) <= 1e-15 * want
             assert np.array_equal(traj.samples, before)
+
+    @pytest.mark.parametrize("substeps", [solver.MIN_SUBSTEPS, 5, 50, 200])
+    def test_equals_the_sliding_window_form_bit_for_bit(self, homo, het, substeps):
+        # one stencil pass over the samples, read through strided views,
+        # gives the floats of the per-interval sliding windows; at 4
+        # substeps each interval has one centre (c = 1)
+        cases = [(sc.system, window) for sc in (homo, het) for window in ((-3, 3), (-1, 0))]
+        cases += [(random_system(seed), (-2, 2)) for seed in range(6)]
+        for sys, window in cases:
+            for method in solver.METHODS:
+                traj = solve_bounded(sys, window, substeps, method=method)
+                assert residual_defect(sys, traj) == sliding_window_defect(sys, traj)
 
     def test_one_contract_call(self, homo, homo_traj):
         f, rows = counting_rows(homo.system.f)

@@ -60,7 +60,8 @@ burn = solve_bounded(sys, (-20, 20), method="burn_in")
 gap = np.abs(traj.samples - burn.samples).max()
 print(f"\nburn-in solve agrees with picard to {gap:.2e}")
 
-# plug the samples back into the equation: the five-point residual stays at
-# the discretization floor, nowhere near the solver tolerance
+# plug the collocation solution back into the equation: its exact defect,
+# read at 33 points per interval from the kept node values and integrands,
+# sits far below the solver tolerance whatever the output density
 defect = residual_defect(sys, traj)
 print(f"residual defect of the picard trajectory: {defect:.2e}")

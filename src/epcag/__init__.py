@@ -95,7 +95,6 @@ from .reference import (
 from .schedule import Schedule, make_schedule
 from .solver import (
     SampledTrajectory,
-    default_pad,
     residual_defect,
     solve_bounded,
     step_interval,

@@ -48,7 +48,15 @@ from .linear import DecayEnvelope, estimate_decay_envelope
 from .nonlinearity import example_contract, zero_contract
 from .reference import heteroclinic_scenario, homoclinic_scenario
 from .schedule import make_schedule
-from .solver import METHODS, MIN_SUBSTEPS, SampledTrajectory, _coverage_range, _lead_in_pad, solve_bounded
+from .solver import (
+    METHODS,
+    MIN_SUBSTEPS,
+    SampledTrajectory,
+    _coverage_range,
+    _lead_in_pad,
+    residual_defect,
+    solve_bounded,
+)
 from .system import _logistic_sup, assemble_system, check_assumptions, proof_constants
 
 COMMANDS = ("check", "constants", "orbit", "solve", "certify", "example4")
@@ -521,7 +529,7 @@ def _run(spec: RunSpec) -> int:
         _emit(out / "frozen_args.csv", export_frozen_csv, traj)
         passes = traj.meta.get("inner_iterations")
         stage = f" at most, {sum(passes)} inner passes over {len(passes)} intervals" if passes else ""
-        print(f"sup norm {traj.meta['sup_norm']:.6g}, "
+        print(f"sup norm {traj.meta['sup_norm']:.6g}, residual defect {residual_defect(system, traj):.3g}, "
               f"{traj.meta['iterations']} iterations{stage}, tail bound {traj.meta['tail_bound']:.3g}, "
               f"{traj.meta['f_evals']} f evaluations")
         return 0

@@ -75,8 +75,21 @@ on. step_interval is a window of one interval started from a given
 value, where the two rules agree.
 
 Both methods return a SampledTrajectory: the schedule, node window and
-substep count that fix its grid, the samples on it, and one frozen
-argument per interval. Both report their truncation/transient bound
+substep count that fix its grid, the samples on it, one frozen argument
+per interval, and the collocation solution itself, the node values z_k
+and the integrands F of the final sweep. residual_defect checks that
+solution against the equation exactly: as W_r' = A W_r + l_r, on
+interval k its defect z' - A z - f(t, z, w_k) - alpha_k is
+
+    sum_r l_r(tau) F_r - f(theta_k + tau, z(tau), w_k) - alpha_k,
+
+the integrand's interpolant minus the integrand, with no derivative
+taken (residual control, Kierzenka & Shampine, ACM TOMS 27, 2001). It
+is read at the DEFECT_POINTS + 1 points tau_j = j omega / DEFECT_POINTS
+of every interval, both ends included, where a table built by
+translation, as the output's is, gives z(tau_j) from [z_k, F]. It reads
+the kept solution, never the samples, so `substeps` does not change it.
+Both report their truncation/transient bound
 (_tail_bound) in the trajectory meta and refuse pads whose bound
 exceeds the requested tolerance. Every solve checks its samples and
 its collocation node values against the a-priori bound M_phi plus that
@@ -108,7 +121,6 @@ from .system import (
     _kappa_pi,
     _require_a4,
     _solution_bound,
-    map_supremum,
     solution_bound,
 )
 
@@ -121,9 +133,13 @@ INNER_DEFAULT_TOL = 1e-12
 INNER_MAX_ITERS = 100
 # most unfinished intervals burn-in sweeps together (module docstring)
 BURN_IN_WINDOW = 24
-# fewest substeps per interval: five grid points hold the 5-point
-# residual stencil
+# fewest substeps per interval. It bounds only how sparse the output may
+# be: the sweeps and residual_defect work at fixed points per interval
 MIN_SUBSTEPS = 4
+# residual_defect reads each interval at DEFECT_POINTS + 1 uniform points,
+# both ends included: its sup sits at an interval's end, and every count
+# from 8 to 512 gives the reference scenarios' defect to 3 digits
+DEFECT_POINTS = 32
 
 
 def _too_few_substeps(substeps: int) -> str:
@@ -138,13 +154,19 @@ class SampledTrajectory:
     to t1 = theta_{k_hi}; frozen holds the frozen arguments
     w_k = z(zeta_k), row i for interval k_lo + i. These fields are the
     one record of the grid, and construction refuses arrays that do not
-    fill it with GridMismatchError; meta carries only solver diagnostics."""
+    fill it with GridMismatchError; meta carries only solver diagnostics.
+    node_values (n_int + 1, dim) and integrands (n_int, NODES, dim) keep
+    the collocation solution itself: z at theta_{k_lo} .. theta_{k_hi} and
+    each interval's integrand F_r at its nodes, from which residual_defect
+    reads the solution between the samples."""
 
     schedule: Schedule
     k_window: tuple[int, int]
     substeps: int
     samples: np.ndarray
     frozen: np.ndarray
+    node_values: np.ndarray
+    integrands: np.ndarray
     meta: dict
 
     def __post_init__(self):
@@ -158,6 +180,12 @@ class SampledTrajectory:
             raise GridMismatchError(
                 f"{len(self.samples)} samples and {len(self.frozen)} frozen arguments do not fill "
                 f"{n_int} intervals of {self.substeps} substeps"
+            )
+        dim = self.samples.shape[1]
+        if self.node_values.shape != (n_int + 1, dim) or self.integrands.shape != (n_int, NODES, dim):
+            raise GridMismatchError(
+                f"node values of shape {self.node_values.shape} and integrands of shape "
+                f"{self.integrands.shape} do not fill {n_int} intervals of {NODES} nodes in dimension {dim}"
             )
 
     @property
@@ -233,12 +261,6 @@ def _coverage_range(window: int, pad: int) -> tuple[int, int]:
     """(k_min, k_max) of driver coverage for a solve on [-window, window]
     with `pad` intervals of lead-in, plus two intervals of headroom."""
     return -(window + pad + 2), window + 2
-
-
-def default_pad(sys: EpcagSystem, tol: float) -> int:
-    """Fewest intervals of lead-in whose tail bound is at most tol."""
-    sched = sys.schedule
-    return _lead_in_pad(sys.envelope, sys.f, map_supremum(sys.driver), sched.omega, sched.zeta_fraction, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +339,28 @@ def _rule(length: float, piece: float, points: int) -> tuple[np.ndarray, np.ndar
     return (lo + (hi - lo) * (1.0 + x) / 2.0).ravel(), ((hi - lo) / 2.0 * v).ravel()
 
 
+def _translation(x_nodes: np.ndarray, bary: np.ndarray, omega: float, h: float, count: int, local_rule,
+                 pows: np.ndarray, e_local: np.ndarray) -> np.ndarray:
+    """The table mapping [z, F] ((n+1) dim,) of an interval to the
+    collocation solution at j h, j < count, by translation: out[j] =
+    [exp(A j h), W_1(j h), .., W_n(j h)] obeys out[j] = exp(A h) out[j-1]
+    + [0, L_j], L_j the local rule over step j, whose exponentials e_local
+    every step shares; the recurrence runs as a doubling scan over pows[s]
+    = exp(A h 2^s). out is laid out (row of A, j, r, column) so that each
+    step is one product."""
+    local, local_w = local_rule
+    nodes, dim = len(x_nodes), e_local.shape[1]
+    at = (h * np.arange(1, count)[:, None] - local).ravel()
+    lw = _lagrange(x_nodes, bary, 2.0 * at / omega - 1.0).reshape(-1, len(local)) * local_w
+    out = np.zeros((dim, count, nodes + 1, dim))
+    out[:, 0, 0] = np.eye(dim)
+    out[:, 1:, 1:] = (lw @ e_local.reshape(len(local), -1)).reshape(nodes, count - 1, dim, dim).transpose(2, 1, 0, 3)
+    for s, power in enumerate(pows):
+        k = 1 << s
+        out[:, k:] += (power @ out[:, :-k].reshape(dim, -1)).reshape(dim, count - k, nodes + 1, dim)
+    return out.transpose(2, 3, 1, 0).reshape((nodes + 1) * dim, count * dim)
+
+
 class _Context:
     """Weight tables of n-node Gauss-Legendre collocation on intervals of
     length omega (module docstring). offsets holds the nodes tau_r in an
@@ -324,7 +368,9 @@ class _Context:
     c omega and the end omega: weights maps an interval's integrand
     (n dim,) to the convolution part sum_r W_r(tau) F_r at every target,
     and shift maps a start value z (dim,) to exp(A tau) z at every target.
-    table maps [z, F] ((n+1) dim,) to the samples at substeps 0..m-1.
+    table maps [z, F] ((n+1) dim,) to the samples at substeps 0..m-1,
+    and points to the solution at the residual_defect points
+    point_offsets, where interpolant gives the integrand's interpolant.
     The node scan's powers scan[s] = (exp(A omega)^(2^s)).T are built as
     far as the longest scan has reached, as later ones underflow to slow
     subnormals."""
@@ -340,18 +386,22 @@ class _Context:
         targets = np.append(self.offsets, [zeta_fraction * omega, omega])
 
         # every exponential in one stacked call, all at times in [0, omega]:
-        # the targets, exp(A h 2^s) for the output scan, the output rule
-        # over one substep, and the rule of each target
+        # the targets, the rule of each target, and for the output grid's
+        # table and the defect points' table (_translation) exp(A h 2^s)
+        # and the rule over one step of h
         piece = PIECE_NORM / np.linalg.norm(a)
         rules = [_rule(tau, piece, nodes + 4) for tau in targets]
-        local, local_w = _rule(h, piece / 4.0, nodes // 2 + 2)
-        doublings = h * 2.0 ** np.arange((m - 1).bit_length())
-        sigma, counts = np.concatenate([s for s, _ in rules]), [len(s) for s, _ in rules]
-        exps = mat_exp(a, np.concatenate([targets, doublings, local, sigma]))
-        free, pows, e_local, e_rule = np.split(exps, np.cumsum([len(targets), len(doublings), len(local)]))
+        grids = [(h, m), (omega / DEFECT_POINTS, DEFECT_POINTS + 1)]
+        steps = [_rule(step, piece / 4.0, nodes // 2 + 2) for step, _ in grids]
+        sigma = np.concatenate([s for s, _ in rules])
+        times = [targets, sigma]
+        for (step, count), (local, _) in zip(grids, steps):
+            times += [step * 2.0 ** np.arange((count - 1).bit_length()), local]
+        free, e_rule, *scans = np.split(mat_exp(a, np.concatenate(times)), np.cumsum([len(t) for t in times[:-1]]))
 
         # W_r(tau) = sum_p w_p l_r(tau - sigma_p) exp(A sigma_p) over each
         # target's rule
+        counts = [len(s) for s, _ in rules]
         at = np.repeat(targets, counts) - sigma
         lw = _lagrange(x_nodes, bary, 2.0 * at / omega - 1.0) * np.concatenate([w for _, w in rules])
         starts = np.cumsum([0] + counts[:-1])
@@ -360,21 +410,12 @@ class _Context:
         self.weights = w_tau.transpose(1, 3, 0, 2).reshape(nodes * dim, -1)
         self.shift = free.transpose(2, 0, 1).reshape(dim, -1)
         self.scan = (free[-1].T,)
-
-        # the output by translation: out[j] = [exp(A j h), W_1(j h), ..,
-        # W_n(j h)] obeys out[j] = exp(A h) out[j-1] + [0, L_j], L_j the
-        # local rule over substep j, whose exponentials every substep
-        # shares; the recurrence runs as a doubling scan. out is laid out
-        # (row of A, j, r, column) so that each step is one product
-        at = (h * np.arange(1, m)[:, None] - local).ravel()
-        lw = _lagrange(x_nodes, bary, 2.0 * at / omega - 1.0).reshape(-1, len(local)) * local_w
-        out = np.zeros((dim, m, nodes + 1, dim))
-        out[:, 0, 0] = np.eye(dim)
-        out[:, 1:, 1:] = (lw @ e_local.reshape(len(local), -1)).reshape(nodes, m - 1, dim, dim).transpose(2, 1, 0, 3)
-        for s, power in enumerate(pows):
-            k = 1 << s
-            out[:, k:] += (power @ out[:, :-k].reshape(dim, -1)).reshape(dim, m - k, nodes + 1, dim)
-        self.table = out.transpose(2, 3, 1, 0).reshape((nodes + 1) * dim, m * dim)
+        self.table, self.points = (_translation(x_nodes, bary, omega, step, count, rule, pows, e_local)
+                                   for (step, count), rule, pows, e_local in zip(grids, steps, scans[::2], scans[1::2]))
+        # the defect points and the integrand's interpolant there, a map of
+        # F (n dim,) to sum_r l_r(tau_j) F_r
+        self.point_offsets = grids[1][0] * np.arange(DEFECT_POINTS + 1)
+        self.interpolant = np.kron(_lagrange(x_nodes, bary, 2.0 * self.point_offsets / omega - 1.0), np.eye(dim))
 
     @functools.cached_property
     def tops(self) -> np.ndarray:
@@ -459,11 +500,11 @@ def _picard_cap(sys: EpcagSystem) -> int:
     return max(PICARD_MAX_ITERS, math.ceil(2.0 * math.log(_picard_stop(sys)) / math.log(kappa)))
 
 
-def _node_times(sys: EpcagSystem, ctx: _Context, k0: int, n_int: int) -> np.ndarray:
-    """Times of the collocation nodes of intervals k0 .. k0 + n_int - 1,
-    shape (n_int, n)."""
+def _times(sys: EpcagSystem, offsets: np.ndarray, k0: int, n_int: int) -> np.ndarray:
+    """Times at the offsets (p,) into intervals k0 .. k0 + n_int - 1,
+    shape (n_int, p)."""
     sched = sys.schedule
-    return (sched.origin + np.arange(k0, k0 + n_int) * sched.omega)[:, None] + ctx.offsets
+    return (sched.origin + np.arange(k0, k0 + n_int) * sched.omega)[:, None] + offsets
 
 
 def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, psi: np.ndarray,
@@ -558,18 +599,20 @@ def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np
     return out, deltas, sweeps, out_hv
 
 
-def _samples_and_frozen(ctx: _Context, psi: np.ndarray, hv: np.ndarray, pad: int):
-    """The samples of the solved intervals psi (n_int, n+2, dim), whose
-    integrands are hv, from interval pad on, their frozen arguments, read
-    at the zeta target, and the largest norm over those samples and the
-    intervals' node values; the grid starts from zero before interval 0.
-    The nodes lie between the output grid's points, so a coarse grid
-    alone can miss the solution's peak."""
+def _window(ctx: _Context, psi: np.ndarray, hv: np.ndarray, pad: int):
+    """What a solve keeps of the solved intervals psi (n_int, n+2, dim),
+    whose integrands are hv, from interval pad on: their samples, their
+    frozen arguments, read at the zeta target, the node values z_k from
+    the start of interval pad to the end, a copy of their integrands,
+    and the largest norm over those samples and the intervals'
+    collocation values; the grid starts from zero before interval 0. The
+    collocation nodes lie between the output grid's points, so a coarse
+    grid alone can miss the solution's peak."""
     first = psi[pad - 1, -1] if pad else np.zeros(psi.shape[2])
     nodes = np.concatenate([first[None], psi[pad:, -1]])
     samples = _output(ctx, hv[pad:], nodes)
     peak = max(_row_norms(samples).max(), _row_norms(psi[pad:, : ctx.nodes]).max())
-    return samples, psi[pad:, ctx.nodes].copy(), float(peak)
+    return samples, psi[pad:, ctx.nodes].copy(), nodes, hv[pad:].copy(), float(peak)
 
 
 def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
@@ -579,11 +622,11 @@ def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: in
     n_int = k_hi - k0
     alpha = sys.driver.span(k0, k_hi)
     psi = np.zeros((n_int, ctx.nodes + 2, sys.dim))
-    psi, deltas, _, hv = _iterate(sys, ctx, k0, _node_times(sys, ctx, k0, n_int), alpha, psi,
+    psi, deltas, _, hv = _iterate(sys, ctx, k0, _times(sys, ctx.offsets, k0, n_int), alpha, psi,
                                   _picard_stop(sys), _picard_cap(sys))
-    samples, frozen, peak = _samples_and_frozen(ctx, psi, hv, pad)
+    kept = _window(ctx, psi, hv, pad)
     sweeps = {"iterations": len(deltas), "iterate_deltas": tuple(deltas), "f_evals": n_int * ctx.nodes * len(deltas)}
-    return samples, frozen, peak, sweeps
+    return kept, sweeps
 
 
 def step_interval(
@@ -613,7 +656,7 @@ def step_interval(
     ctx = _context(sys, substeps)
     psi = (z0 @ ctx.shift).reshape(1, -1, sys.dim)
     alpha = sys.driver.value(k)[None]
-    psi, _, sweeps, hv = _iterate(sys, ctx, k, _node_times(sys, ctx, k, 1), alpha, psi, tol, max_inner, z0)
+    psi, _, sweeps, hv = _iterate(sys, ctx, k, _times(sys, ctx.offsets, k, 1), alpha, psi, tol, max_inner, z0)
     return _output(ctx, hv, np.stack([z0, psi[0, -1]])), psi[0, ctx.nodes].copy(), int(sweeps[0])
 
 
@@ -644,12 +687,12 @@ def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: i
     n_all = k_hi - k0
     alpha = sys.driver.span(k0, k_hi)
     psi = np.zeros((min(BURN_IN_WINDOW, n_all), ctx.nodes + 2, sys.dim))
-    out, _, sweeps, hv = _iterate(sys, ctx, k0, _node_times(sys, ctx, k0, n_all), alpha, psi,
+    out, _, sweeps, hv = _iterate(sys, ctx, k0, _times(sys, ctx.offsets, k0, n_all), alpha, psi,
                                   _picard_stop(sys), _picard_cap(sys), np.zeros(sys.dim), sliding=True)
-    samples, frozen, peak = _samples_and_frozen(ctx, out, hv, pad)
+    kept = _window(ctx, out, hv, pad)
     passes = {"iterations": int(sweeps.max()), "inner_iterations": tuple(int(s) for s in sweeps),
               "f_evals": int(sweeps.sum()) * ctx.nodes}
-    return samples, frozen, peak, passes
+    return kept, passes
 
 
 def solve_bounded(
@@ -690,7 +733,7 @@ def solve_bounded(
             f"pad {pad} leaves a {kind} bound {bound:.3g} above tol {tol:.3g}"
         )
     solve = _solve_picard if method == "picard" else _solve_burn_in
-    samples, frozen, peak, counts = solve(sys, k_lo, k_hi, pad, substeps)
+    (samples, frozen, node_values, integrands, peak), counts = solve(sys, k_lo, k_hi, pad, substeps)
     meta = {"method": method, **counts, "pad": pad, "tail_bound": bound, "sup_norm": peak}
     limit = m_phi + bound
     if not meta["sup_norm"] <= limit:
@@ -698,39 +741,37 @@ def solve_bounded(
             f"{method} solution reaches norm {meta['sup_norm']:.6g}, above the a-priori "
             f"bound M_phi + tail bound {limit:.6g}"
         )
-    return SampledTrajectory(sys.schedule, (k_lo, k_hi), substeps, samples, frozen, meta)
+    return SampledTrajectory(sys.schedule, (k_lo, k_hi), substeps, samples, frozen, node_values, integrands, meta)
 
 
 def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
-    """Max ODE residual over interior grid points.
+    """Max ODE residual of the trajectory's collocation solution.
 
-    Differentiates the samples with the 5-point 4th-order centered
-    stencil and compares against A z + f(t, z, w_k) + alpha_k. Points
-    within two substeps of a node are skipped: the solution has corners
-    there and the stencil would straddle them. A trajectory on another
+    On interval k the kept solution is z(tau) = exp(A tau) z_k +
+    sum_r W_r(tau) F_r with W_r' = A W_r + l_r, so its defect
+    z' - A z - f(t, z, w_k) - alpha_k is
+
+        sum_r l_r(tau) F_r - f(theta_k + tau, z(tau), w_k) - alpha_k,
+
+    the integrand's interpolant minus the integrand, with no derivative
+    taken (residual control, Kierzenka & Shampine, ACM TOMS 27, 2001).
+    It is read at tau_j = j omega / DEFECT_POINTS, j = 0 .. DEFECT_POINTS,
+    of every interval, both ends included, from the kept node values,
+    integrands and frozen arguments, never from the samples, so it does
+    not depend on `substeps`: one product for z at the points, one for
+    the interpolant and one contract call. A trajectory on another
     schedule than the system's raises GridMismatchError.
     """
     if traj.schedule != sys.schedule:
         raise GridMismatchError("trajectory and system have different schedules")
-    m_sub, (k_lo, k_hi) = traj.substeps, traj.k_window
-    n_int, h, c = k_hi - k_lo, traj.step, m_sub - 3
-    z = traj.samples
-
-    def centres(v: np.ndarray, first: int) -> np.ndarray:
-        # rows first + i m_sub + j of v, j < c, as an (n_int, c, dim) view
-        return np.lib.stride_tricks.as_strided(v[first:], (n_int, c, v.shape[1]), (m_sub * v.strides[0],) + v.strides)
-
-    # the stencil at every grid point in one pass; row p is centred on
-    # sample p + 2, and each interval's centres 2 .. m_sub - 2 are kept
-    dz = (z[:-4] - 8.0 * z[1:-3] + 8.0 * z[3:-1] - z[4:]) / (12.0 * h)
-    # the contract may write into its arguments, so it gets copies
-    x = centres(z, 2).copy()
-    idx = ((m_sub * np.arange(n_int))[:, None] + np.arange(2, m_sub - 1)).reshape(-1)
-    alpha = sys.driver.span(k_lo, k_hi)
-    # one (c, dim) product per interval, as an interval alone takes it; one
-    # (n_int c, dim) product rounds differently where c is 1
-    rhs = x @ sys.a.T
-    rhs += eval_many(sys.f, traj.t0 + h * idx, x.reshape(-1, sys.dim), traj.frozen.copy()).reshape(rhs.shape)
-    rhs += alpha[:, None]
-    rhs -= centres(dz, 0)
+    ctx = _context(sys, traj.substeps)
+    (k_lo, k_hi), dim = traj.k_window, sys.dim
+    n_int, per = k_hi - k_lo, DEFECT_POINTS + 1
+    hv = traj.integrands.reshape(n_int, -1)
+    # fresh arrays for the contract, which may write into its arguments
+    z = _serial_matmul(np.concatenate([traj.node_values[:-1], hv], axis=1), ctx.points).reshape(-1, dim)
+    ts = _times(sys, ctx.point_offsets, k_lo, n_int)
+    rhs = _serial_matmul(hv, ctx.interpolant).reshape(n_int, per, dim)
+    rhs -= eval_many(sys.f, ts.reshape(-1), z, traj.frozen.copy()).reshape(rhs.shape)
+    rhs -= sys.driver.span(k_lo, k_hi)[:, None]
     return float(_row_norms(rhs).max())

@@ -56,14 +56,17 @@ class TestDifferenceProfile:
 
     def test_grid_mismatch(self, homo_traj):
         clipped = replace(homo_traj, k_window=(-20, 19), samples=homo_traj.samples[:-200],
-                          frozen=homo_traj.frozen[:-1])
+                          frozen=homo_traj.frozen[:-1], node_values=homo_traj.node_values[:-1],
+                          integrands=homo_traj.integrands[:-1])
         with pytest.raises(GridMismatchError):
             difference_profile(homo_traj, clipped)
         moved = replace(homo_traj, schedule=replace(homo_traj.schedule, origin=homo_traj.schedule.origin + 0.5))
         with pytest.raises(GridMismatchError):
             difference_profile(homo_traj, moved)
         # as many samples from the same t0, at half the step
-        finer = replace(homo_traj, k_window=(-20, 60), substeps=100, frozen=np.tile(homo_traj.frozen, (2, 1)))
+        finer = replace(homo_traj, k_window=(-20, 60), substeps=100, frozen=np.tile(homo_traj.frozen, (2, 1)),
+                        node_values=np.tile(homo_traj.node_values, (2, 1))[1:],
+                        integrands=np.tile(homo_traj.integrands, (2, 1, 1)))
         with pytest.raises(GridMismatchError):
             difference_profile(homo_traj, finer)
 

@@ -25,7 +25,6 @@ from epcag import (
     build_orbit,
     certificate_dict,
     custom_contract,
-    default_pad,
     estimate_decay_envelope,
     export_frozen_csv,
     export_orbit_csv,
@@ -33,6 +32,7 @@ from epcag import (
     logistic_map,
     main,
     make_schedule,
+    map_supremum,
     pair_orbits,
     parse_config,
     reference_matrix,
@@ -40,7 +40,7 @@ from epcag import (
 )
 from epcag.errors import IoError, ParseError, ValidationError
 from epcag.io import DriverSpec, NumericSpec, SystemSpec, _auto_range
-from epcag.solver import NODES
+from epcag.solver import NODES, _lead_in_pad
 
 
 def reference_config(command, **over):
@@ -442,7 +442,10 @@ class TestRun:
         assert len(traj_lines) == 6 * 64 + 2
         frozen_lines = (tmp_path / "frozen_args.csv").read_text().splitlines()
         assert len(frozen_lines) == 7
-        assert "sup norm" in capsys.readouterr().out
+        # the defect of the kept collocation solution, between the sup
+        # norm and the sweeps
+        line = re.search(r"^sup norm \S+, residual defect (\S+), \d+ iterations, ", capsys.readouterr().out, re.M)
+        assert line and float(line[1]) <= 1e-9
 
     def test_picard_solve_reports_its_sweeps(self, tmp_path, capsys):
         # each Picard sweep evaluates the contract at the NODES collocation
@@ -558,7 +561,8 @@ class TestAutoRange:
         orbit = build_orbit(logistic_map(mu), "fixed", star, k_min=k_min, k_max=k_max)
         sys = assemble_system(reference_matrix(), make_schedule(omega, 0.0, 1.0 / 3.0), contract,
                               pair_orbits(orbit, orbit), envelope=envelope)
-        assert k_min <= -(window + default_pad(sys, tol))
+        pad = _lead_in_pad(envelope, contract, map_supremum(sys.driver), omega, 1.0 / 3.0, tol)
+        assert k_min <= -(window + pad)
         assert k_max >= window
 
 

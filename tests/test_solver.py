@@ -23,10 +23,10 @@ from epcag import (
     check_assumptions,
     contraction_margin,
     custom_contract,
-    default_pad,
     estimate_decay_envelope,
     logistic_map,
     make_schedule,
+    map_supremum,
     mat_exp,
     pair_orbits,
     reference_envelope,
@@ -217,16 +217,37 @@ class TestConvolve:
 
     def test_context_takes_forward_exponentials_only(self, monkeypatch):
         # exp(-A t) grows like exp(lambda t) and overflows for a strongly
-        # decaying A; the weights are built from exp(A t), t >= 0, alone
-        times = []
+        # decaying A; the weights are built from exp(A t), t >= 0, alone,
+        # all in one stacked call
+        calls = []
 
         def recording(a, t=1.0):
-            times.extend(np.atleast_1d(t).tolist())
+            calls.append(np.atleast_1d(t).tolist())
             return mat_exp(a, t)
 
         monkeypatch.setattr(solver, "mat_exp", recording)
         self.context(reference_matrix(), 200)
-        assert times and min(times) >= 0.0
+        assert len(calls) == 1 and calls[0] and min(calls[0]) >= 0.0
+
+    @pytest.mark.parametrize("m", [4, 200])
+    def test_defect_points_match_the_interval_by_interval_form(self, m):
+        # the solution at residual_defect's points, both ends included,
+        # and the integrand's interpolant there; the output grid leaves
+        # both tables as they are
+        ctx = self.context(reference_matrix(), m)
+        assert ctx.point_offsets[0] == 0.0 and ctx.point_offsets[-1] == pytest.approx(self.OMEGA, abs=1e-15)
+        assert np.array_equal(ctx.points, self.context(reference_matrix(), 60).points)
+        for n_int in (1, 50):
+            hv = np.random.default_rng(n_int).standard_normal((n_int, solver.NODES, 2))
+            nodes = np.concatenate([np.zeros((1, 2)), solver._convolve(ctx, hv)[:, -1]])
+            got = (np.concatenate([nodes[:-1], hv.reshape(n_int, -1)], axis=1) @ ctx.points).reshape(n_int, -1, 2)
+            want, _ = sequential_form(reference_matrix(), self.OMEGA, hv, ctx.point_offsets)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n_int
+        x_nodes, _ = solver._gauss(solver.NODES)
+        basis = solver._lagrange(x_nodes, solver._bary(x_nodes), 2.0 * ctx.point_offsets / self.OMEGA - 1.0)
+        want = np.einsum("rj,krd->kjd", basis, hv)
+        got = (hv.reshape(n_int, -1) @ ctx.interpolant).reshape(n_int, -1, 2)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     # output grids from MIN_SUBSTEPS up, across powers of two; interval
     # counts on either side of the node scan's doubling steps
@@ -411,7 +432,7 @@ class TestStepInterval:
         """The sweep loop on interval 0 alone from the iterate psi (the
         guess step_interval once took) and the start value z0."""
         ctx = solver._context(sys, 200)
-        return solver._iterate(sys, ctx, 0, solver._node_times(sys, ctx, 0, 1), sys.driver.value(0)[None], psi,
+        return solver._iterate(sys, ctx, 0, solver._times(sys, ctx.offsets, 0, 1), sys.driver.value(0)[None], psi,
                                solver.INNER_DEFAULT_TOL, solver.INNER_MAX_ITERS, z0)
 
     def test_converged_guess_stops_after_one_sweep(self, homo):
@@ -616,7 +637,7 @@ class TestSolveBounded:
         assert homo_traj.k_window == (-20, 20)
 
     def test_default_pad_reference_value(self, homo):
-        assert default_pad(homo.system, 1e-8) == 49
+        assert solve_bounded(homo.system, (-2, 2), 4).meta["pad"] == lead_in_pad(homo.system) == 49
 
     def test_reference_driver_windows(self, homo, het):
         # coverage_pad sizes every reference orbit from the mu = 4 bound:
@@ -651,11 +672,11 @@ class TestSolveBounded:
 
         sys = replace(homo.system, f=custom_contract(tanh_eval, 0.8486, 0.12, 0.0, eval_batch=tanh_batch))
         window, m = (-2, 2), 50
-        long, *_ = solver._solve_picard(sys, *window, 200, m)
+        (long, *_), _ = solver._solve_picard(sys, *window, 200, m)
         errors = {}
         rates = solver._tail_rates(sys.envelope, sys.f, solution_bound(sys), 1.5, sys.schedule.zeta_fraction)
         for pad in (20, 30, 45):
-            short, *_ = solver._solve_picard(sys, *window, pad, m)
+            (short, *_), _ = solver._solve_picard(sys, *window, pad, m)
             errors[pad] = np.abs(short - long).max()
             assert errors[pad] <= solver._tail_bound(*rates, 1.5, pad), pad
         assert solution_bound(sys) * math.exp(-0.5 * 30 * 1.5) < 1e-8 < errors[30]
@@ -761,13 +782,13 @@ class TestBlockedArguments:
     @pytest.mark.parametrize("declared", [True, False])
     def test_argument_rows(self, homo, declared):
         # declared: one argument row per interval in each sweep (NODES
-        # collocation nodes) and in residual_defect (13 stencil centres at
-        # 16 substeps); undeclared: one per row, as before blocks
+        # collocation nodes) and in residual_defect (DEFECT_POINTS + 1
+        # points); undeclared: one per row, as before blocks
         f, seen = recording(replace(homo.system.f, blocked_ys=declared))
         sys = replace(homo.system, f=f)
         residual_defect(sys, solve_bounded(sys, (-3, 3), 16))
         assert all(len(ts) % len(ys) == 0 for ts, _, _, ys, _ in seen)
-        assert {len(ts) // len(ys) for ts, _, _, ys, _ in seen} == ({solver.NODES, 13} if declared else {1})
+        assert {len(ts) // len(ys) for ts, _, _, ys, _ in seen} == ({solver.NODES, solver.DEFECT_POINTS + 1} if declared else {1})
 
 
 def random_system(seed):
@@ -813,15 +834,21 @@ def random_system(seed):
     return sys
 
 
+def lead_in_pad(sys, tol=1e-8):
+    """solve_bounded's default pad at tol, from the system's parts."""
+    sched = sys.schedule
+    return solver._lead_in_pad(sys.envelope, sys.f, map_supremum(sys.driver), sched.omega, sched.zeta_fraction, tol)
+
+
 def zero_start(sys, window, substeps, tol=1e-8):
     """Picard samples and sweep deltas of solve_bounded's grid, swept from
     zero through the solver's sweep loop and written out by its output
     table."""
-    (k_lo, k_hi), pad = window, default_pad(sys, tol)
+    (k_lo, k_hi), pad = window, lead_in_pad(sys, tol)
     k0 = k_lo - pad
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
     ctx = solver._context(sys, substeps)
-    psi, deltas, _, hv = solver._iterate(sys, ctx, k0, solver._node_times(sys, ctx, k0, k_hi - k0), alpha,
+    psi, deltas, _, hv = solver._iterate(sys, ctx, k0, solver._times(sys, ctx.offsets, k0, k_hi - k0), alpha,
                                          np.zeros((k_hi - k0, solver.NODES + 2, sys.dim)),
                                          solver._picard_stop(sys), solver._picard_cap(sys))
     return solver._output(ctx, hv[pad:], psi[pad - 1 :, -1]), deltas
@@ -1019,7 +1046,7 @@ def interval_chain(sys, k_lo, k_hi, pad, m, warm):
     for k in range(k_lo - pad, k_hi):
         if warm:
             moved = z @ ctx.shift if psi is None else psi.ravel() + (z - start) @ ctx.shift
-            psi, _, inner, hv = solver._iterate(sys, ctx, k, solver._node_times(sys, ctx, k, 1),
+            psi, _, inner, hv = solver._iterate(sys, ctx, k, solver._times(sys, ctx.offsets, k, 1),
                                                 sys.driver.value(k)[None], moved.reshape(1, -1, sys.dim),
                                                 stop, cap, z)
             samples, w, inner = solver._output(ctx, hv, np.stack([z, psi[0, -1]])), psi[0, solver.NODES], inner[0]
@@ -1066,7 +1093,7 @@ class TestTopUp:
         sys = request.getfixturevalue(case).system if isinstance(case, str) else random_system(case)
         ctx = solver._context(sys, 50)
         k0, n_all = -30, 40
-        psi, *_ = solver._iterate(sys, ctx, k0, solver._node_times(sys, ctx, k0, n_all), sys.driver.span(k0, k0 + n_all),
+        psi, *_ = solver._iterate(sys, ctx, k0, solver._times(sys, ctx.offsets, k0, n_all), sys.driver.span(k0, k0 + n_all),
                                   np.zeros((n_all, ctx.nodes + 2, sys.dim)), 1e-12, 200)
         for size in (1, 2, 8, solver.BURN_IN_WINDOW):
             for i in range(0, n_all - size, 3):
@@ -1189,7 +1216,7 @@ class TestQuasiNewtonBurnIn:
     def test_non_converging_interval_is_named(self, monkeypatch):
         # a cap of 3 sweeps stops the first interval of the window
         sys = random_system(0)
-        pad = default_pad(sys, 1e-8)
+        pad = lead_in_pad(sys)
         monkeypatch.setattr(solver, "_picard_cap", lambda sys: 3)
         message = rf"interval {-2 - pad}: picard iteration did not reach 1e-10 in 3 sweeps$"
         with pytest.raises(InnerDivergenceError, match=message):
@@ -1212,38 +1239,6 @@ class TestQuasiNewtonBurnIn:
             solve_bounded(sys, (-3, 3), 40)
 
 
-def per_interval_defect(sys, traj):
-    """residual_defect interval by interval, one contract call each."""
-    m_sub = round(sys.schedule.omega / traj.step)
-    h, worst = traj.step, 0.0
-    for i in range((len(traj.samples) - 1) // m_sub):
-        k = traj.k_window[0] + i
-        seg = traj.samples[i * m_sub : (i + 1) * m_sub + 1]
-        ts = traj.t0 + h * (i * m_sub + np.arange(m_sub + 1))
-        j = np.arange(2, m_sub - 1)
-        dz = (seg[j - 2] - 8.0 * seg[j - 1] + 8.0 * seg[j + 1] - seg[j + 2]) / (12.0 * h)
-        ws = np.repeat(traj.frozen[i][None], len(j), axis=0)
-        rhs = seg[j] @ sys.a.T + solver.eval_many(sys.f, ts[j], seg[j], ws) + sys.driver.value(k)
-        worst = max(worst, float(np.max(np.linalg.norm(dz - rhs, axis=1))))
-    return worst
-
-
-def sliding_window_defect(sys, traj):
-    """residual_defect as it was computed from sliding_window_view
-    segments, with an einsum for the row norms."""
-    m_sub, (k_lo, k_hi) = traj.substeps, traj.k_window
-    n_int, h, c = k_hi - k_lo, traj.step, m_sub - 3
-    seg = np.lib.stride_tricks.sliding_window_view(traj.samples, m_sub + 1, axis=0)[::m_sub]
-    dz = (seg[..., :c] - 8.0 * seg[..., 1 : c + 1] + 8.0 * seg[..., 3 : c + 3] - seg[..., 4:]) / (12.0 * h)
-    x = seg[..., 2 : c + 2].transpose(0, 2, 1).copy()
-    idx = ((m_sub * np.arange(n_int))[:, None] + np.arange(2, m_sub - 1)).reshape(-1)
-    rhs = x @ sys.a.T
-    rhs += solver.eval_many(sys.f, traj.t0 + h * idx, x.reshape(-1, sys.dim), traj.frozen.copy()).reshape(rhs.shape)
-    rhs += sys.driver.span(k_lo, k_hi)[:, None]
-    diff = dz.transpose(0, 2, 1) - rhs
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
-
-
 def overwriting(contract):
     """The contract, writing NaN over its state and argument arrays once
     it has read them."""
@@ -1260,53 +1255,59 @@ class TestResidualDefect:
     def test_reference_defect(self, homo, homo_traj):
         assert residual_defect(homo.system, homo_traj) <= 1e-6
 
-    def test_one_pass_equals_the_per_interval_form(self, homo, het, homo_traj):
-        # interval -20 alone, whose samples a strided view holds contiguously
-        one = replace(homo_traj, k_window=(-20, -19), samples=homo_traj.samples[:201].copy(),
-                      frozen=homo_traj.frozen[:1])
-        overwriter = replace(homo.system, f=overwriting(homo.system.f))
-        cases = [
-            (homo.system, homo_traj),
-            (het.system, solve_bounded(het.system, (-20, 20))),
-            (homo.system, solve_bounded(homo.system, (-2, 2), substeps=solver.MIN_SUBSTEPS)),
-            (het.system, solve_bounded(het.system, (-2, 2), substeps=5)),
-            (homo.system, one),
-            (homo.system, replace(homo_traj, samples=np.repeat(homo_traj.samples, 2, axis=1)[:, ::2])),
-            # the contract must get copies, whatever the layout of the samples
-            (overwriter, one),
-            (overwriter, replace(homo_traj, samples=homo_traj.samples.copy())),
-        ]
-        for seed in range(20):
-            sys = random_system(seed)
-            cases.append((sys, solve_bounded(sys, (-2, 2), substeps=(20, 60)[seed % 2])))
-        for sys, traj in cases:
-            before = traj.samples.copy()
-            want = per_interval_defect(sys, traj)
-            assert abs(residual_defect(sys, traj) - want) <= 1e-15 * want
-            assert np.array_equal(traj.samples, before)
-
     @pytest.mark.parametrize("substeps", [solver.MIN_SUBSTEPS, 5, 50, 200])
-    def test_equals_the_sliding_window_form_bit_for_bit(self, homo, het, substeps):
-        # one stencil pass over the samples, read through strided views,
-        # gives the floats of the per-interval sliding windows; at 4
-        # substeps each interval has one centre (c = 1)
+    def test_zero_contract_at_rounding(self, substeps):
+        # with f = 0 every integrand value is the driver's alpha, and the
+        # interpolant of a constant is that constant to rounding
+        sys = linear_system()
+        traj = solve_bounded(sys, (-3, 3), substeps)
+        assert residual_defect(sys, traj) <= 1e-14
+
+    def test_same_at_every_substep_count(self, homo, het):
+        # the defect reads the kept collocation solution, which the output
+        # density does not touch
         cases = [(sc.system, window) for sc in (homo, het) for window in ((-3, 3), (-1, 0))]
         cases += [(random_system(seed), (-2, 2)) for seed in range(6)]
         for sys, window in cases:
             for method in solver.METHODS:
-                traj = solve_bounded(sys, window, substeps, method=method)
-                assert residual_defect(sys, traj) == sliding_window_defect(sys, traj)
+                defects = {residual_defect(sys, solve_bounded(sys, window, m, method=method))
+                           for m in (solver.MIN_SUBSTEPS, 5, 50, 200)}
+                assert len(defects) == 1 and defects.pop() <= 1e-10, method
+
+    def test_kept_solution(self, homo_traj):
+        # each interval's first sample is its node value, exactly; the kept
+        # arrays are the window's own, not views of the solve's grid
+        m = homo_traj.substeps
+        assert homo_traj.node_values.shape == (41, 2)
+        assert homo_traj.integrands.shape == (40, solver.NODES, 2)
+        assert np.array_equal(homo_traj.samples[::m], homo_traj.node_values)
+        assert homo_traj.node_values.base is None and homo_traj.integrands.base is None
+
+    def test_corrupted_integrand_detected(self, homo, homo_traj):
+        # one integrand row moved by 1e-6 moves the interpolant by 1e-6
+        # times its basis function, whose largest value at the points is
+        # 0.96, and the state by less than 1e-7; the samples are never read
+        integrands = homo_traj.integrands.copy()
+        integrands[20, 8, 0] += 1e-6
+        bad = replace(homo_traj, integrands=integrands, samples=np.full_like(homo_traj.samples, np.nan))
+        x_nodes, _ = solver._gauss(solver.NODES)
+        basis = solver._lagrange(x_nodes, solver._bary(x_nodes), np.linspace(-1.0, 1.0, solver.DEFECT_POINTS + 1))
+        assert residual_defect(homo.system, bad) == pytest.approx(1e-6 * np.abs(basis[8]).max(), rel=1e-2)
+
+    def test_contract_gets_copies(self, homo, homo_traj):
+        # a contract that writes NaN over its arguments leaves the
+        # trajectory as it was, and the defect as well
+        traj = replace(homo_traj, samples=homo_traj.samples.copy(), frozen=homo_traj.frozen.copy(),
+                       node_values=homo_traj.node_values.copy(), integrands=homo_traj.integrands.copy())
+        overwriter = replace(homo.system, f=overwriting(homo.system.f))
+        assert residual_defect(overwriter, traj) == residual_defect(homo.system, homo_traj)
+        for name in ("samples", "frozen", "node_values", "integrands"):
+            assert np.array_equal(getattr(traj, name), getattr(homo_traj, name)), name
 
     def test_one_contract_call(self, homo, homo_traj):
         f, rows = counting_rows(homo.system.f)
         residual_defect(replace(homo.system, f=f), homo_traj)
-        assert rows == [40 * 197]
-
-    def test_corrupted_sample_detected(self, homo, homo_traj):
-        samples = homo_traj.samples.copy()
-        samples[4100, 0] += 0.1  # mid-interval, well away from the nodes
-        bad = replace(homo_traj, samples=samples)
-        assert residual_defect(homo.system, bad) >= 0.01
+        assert rows == [40 * (solver.DEFECT_POINTS + 1)]
 
     def test_schedule_mismatch(self, homo, homo_traj):
         other = replace(homo.system, schedule=make_schedule(1.5, 0.0, 0.5))
@@ -1318,23 +1319,23 @@ class TestResidualDefect:
         (lambda t: {"k_window": (0, 0), "samples": t.samples[:1], "frozen": t.frozen[:0]},
          r"node window \(0, 0\) holds no interval"),
         (lambda t: {"frozen": t.frozen[1:]}, "8001 samples and 39 frozen arguments do not fill 40 intervals"),
-    ], ids=["partial-interval", "no-whole-interval", "missing-frozen-argument"])
+        (lambda t: {"node_values": t.node_values[1:]},
+         r"node values of shape \(40, 2\) and integrands of shape \(40, 16, 2\) do not fill 40 intervals of "
+         r"16 nodes in dimension 2$"),
+        (lambda t: {"integrands": t.integrands[:, 1:]},
+         r"node values of shape \(41, 2\) and integrands of shape \(40, 15, 2\) do not fill"),
+    ], ids=["partial-interval", "no-whole-interval", "missing-frozen-argument", "missing-node-value",
+            "missing-integrand-node"])
     def test_inconsistent_grid_refused(self, homo_traj, change, message):
         with pytest.raises(GridMismatchError, match=message):
             replace(homo_traj, **change(homo_traj))
-
-    def test_fewest_substeps(self, homo):
-        # four substeps leave one interior point per interval for the stencil
-        traj = solve_bounded(homo.system, (-2, 2), substeps=4)
-        defect = residual_defect(homo.system, traj)
-        assert math.isfinite(defect)
-        assert defect > residual_defect(homo.system, solve_bounded(homo.system, (-2, 2), substeps=40))
 
     def test_too_few_substeps_same_wording(self, homo):
         with pytest.raises(OutOfRangeError) as solving:
             solve_bounded(homo.system, (-2, 2), substeps=3)
         with pytest.raises(GridMismatchError) as recording:
-            SampledTrajectory(homo.system.schedule, (-2, 2), 3, np.zeros((13, 2)), np.zeros((4, 2)), {})
+            SampledTrajectory(homo.system.schedule, (-2, 2), 3, np.zeros((13, 2)), np.zeros((4, 2)),
+                              np.zeros((5, 2)), np.zeros((4, solver.NODES, 2)), {})
         assert str(solving.value) == str(recording.value)
 
 

@@ -15,7 +15,6 @@ from epcag import (
     build_orbit,
     check_assumptions,
     custom_contract,
-    default_pad,
     eval_many,
     example_contract,
     logistic_map,
@@ -29,7 +28,7 @@ from epcag import (
     unstable_gap_bound,
     zero_contract,
 )
-from epcag import system
+from epcag import solver, system
 from epcag.errors import (
     AssumptionFailureError,
     ContractViolatedError,
@@ -501,10 +500,10 @@ class TestA4Guard:
         [
             proof_constants,
             lambda sys: solve_bounded(sys, (-2, 2)),
-            lambda sys: default_pad(sys, 1e-8),
+            lambda sys: solver._lead_in_pad(sys.envelope, sys.f, map_supremum(sys.driver), 1.5, 1.0 / 3.0, 1e-8),
             lambda sys: unstable_gap_bound(sys, 1e-3),
         ],
-        ids=["proof_constants", "solve_bounded", "default_pad", "unstable_gap_bound"],
+        ids=["proof_constants", "solve_bounded", "lead_in_pad", "unstable_gap_bound"],
     )
     def test_one_message(self, homo, call):
         bad = replace(homo.system, envelope=replace(homo.system.envelope, rate=0.05))

@@ -227,9 +227,8 @@ def _connect(sys: EpcagSystem, forward, backward, tol: float, window: int, solve
                     f"{where}{direction} {role} driver dimension {orbit.dim} "
                     f"does not match the system ({sys.dim})"
                 )
-    ks = range(-window, window + 1)
-    seq_f = _sequence_gaps(*forward, ks)
-    seq_b = _sequence_gaps(*backward, ks)
+    seq_f = _sequence_gaps(*forward, window)
+    seq_b = _sequence_gaps(*backward, window)
     for direction, gap, k in (("forward", seq_f[-1], window), ("backward", seq_b[0], -window)):
         if gap > tol:
             raise PremiseFailureError(

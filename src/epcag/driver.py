@@ -31,6 +31,7 @@ from .errors import (
     OutOfRangeError,
     RangeMismatchError,
 )
+from .linear import _row_norms
 
 LOWER_BRANCH = "lower_G"
 UPPER_BRANCH = "upper_H"
@@ -332,7 +333,7 @@ def pair_orbits(first: DriverOrbit, second: DriverOrbit) -> DriverOrbit:
     )
 
 
-def _sequence_gaps(orbit: DriverOrbit, target: DriverOrbit, ks) -> np.ndarray:
-    """||alpha_k - target_k|| for k in ks; the target orbit may have any
-    window, and is extended by its limits where needed."""
-    return np.array([np.linalg.norm(orbit.value(k) - target.value(k)) for k in ks])
+def _sequence_gaps(orbit: DriverOrbit, target: DriverOrbit, window: int) -> np.ndarray:
+    """||alpha_k - target_k|| for -window <= k <= window; either orbit may
+    have any window, and is extended by its limits where needed."""
+    return _row_norms(orbit.span(-window, window + 1) - target.span(-window, window + 1))

@@ -375,13 +375,15 @@ def _write_json(obj, path: Path) -> None:
 
 
 def _write_csv(path, header: str, row: str, table: np.ndarray) -> None:
-    """The header line, then `row % values` for each table row. One % per
-    row on Python floats; a block of rows at a time becomes one string, so
-    few small objects are alive at once."""
+    """The header line, then `row % values` for each table row. Each block
+    of _CSV_BLOCK_ROWS rows is one %, the row format repeated once per
+    row, on the block's Python floats, so few small objects are alive at
+    once."""
     row += "\n"
     parts = [header + "\n"]
     for lo in range(0, len(table), _CSV_BLOCK_ROWS):
-        parts.append("".join([row % tuple(vals) for vals in table[lo : lo + _CSV_BLOCK_ROWS].tolist()]))
+        block = table[lo : lo + _CSV_BLOCK_ROWS]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
     _atomic_write(Path(path), "".join(parts))
 
 

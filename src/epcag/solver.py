@@ -140,6 +140,11 @@ MIN_SUBSTEPS = 4
 # both ends included: its sup sits at an interval's end, and every count
 # from 8 to 512 gives the reference scenarios' defect to 3 digits
 DEFECT_POINTS = 32
+# largest jump, relative to max(1, max |z_k|), that residual_defect allows
+# between an interval's rebuilt end and the next node value: at most
+# 1.3e-15 under a trajectory's own matrix (reference scenarios and the
+# tests' random systems, both methods), 0.07-0.32 under 1.1 A
+END_JUMP_RTOL = 1e-9
 
 
 def _too_few_substeps(substeps: int) -> str:
@@ -759,8 +764,12 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     of every interval, both ends included, from the kept node values,
     integrands and frozen arguments, never from the samples, so it does
     not depend on `substeps`: one product for z at the points, one for
-    the interpolant and one contract call. A trajectory on another
-    schedule than the system's raises GridMismatchError.
+    the interpolant and one contract call. The defect's formula has no A
+    term, so the matrix shows in the last point, z(theta_k + omega): a
+    trajectory whose rebuilt ends miss the next node values by more than
+    END_JUMP_RTOL max(1, max |z_k|), as one solved under another matrix
+    does, raises GridMismatchError, as does one on another schedule than
+    the system's.
     """
     if traj.schedule != sys.schedule:
         raise GridMismatchError("trajectory and system have different schedules")
@@ -770,6 +779,13 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     hv = traj.integrands.reshape(n_int, -1)
     # fresh arrays for the contract, which may write into its arguments
     z = _serial_matmul(np.concatenate([traj.node_values[:-1], hv], axis=1), ctx.points).reshape(-1, dim)
+    jumps = _row_norms(z[per - 1 :: per] - traj.node_values[1:])
+    k = int(np.argmax(jumps))
+    if jumps[k] > END_JUMP_RTOL * max(1.0, float(np.abs(traj.node_values).max())):
+        raise GridMismatchError(
+            f"interval k={k_lo + k} rebuilt under the system's matrix ends {jumps[k]:.3g} "
+            "from the next node value; the trajectory does not belong to this system"
+        )
     ts = _times(sys, ctx.point_offsets, k_lo, n_int)
     rhs = _serial_matmul(hv, ctx.interpolant).reshape(n_int, per, dim)
     rhs -= eval_many(sys.f, ts.reshape(-1), z, traj.frozen.copy()).reshape(rhs.shape)

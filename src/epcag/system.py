@@ -30,7 +30,10 @@ from .nonlinearity import NonlinearityContract, eval_many
 from .schedule import Schedule
 
 # deterministic seed and point count for contract spot checks; the seed
-# keeps artifact runs reproducible
+# keeps artifact runs reproducible. The generator is the package's own
+# (_uniforms): numpy.random's streams may change between numpy releases
+# (NEP 19), and importing it costs every process that assembles a system
+# about 6 MB and 12 ms
 SPOT_CHECK_SEED = 20260814
 SPOT_CHECK_SAMPLES = 1000
 
@@ -207,33 +210,67 @@ def assemble_system(
     return sys
 
 
+# SplitMix64's counter increment and output multipliers (Steele, Lea &
+# Flood, OOPSLA 2014)
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+
+
+def _uniforms(stream: int, n: int) -> np.ndarray:
+    """n uniforms in [0, 1) from the spot check's stream `stream`:
+    SplitMix64's output function on the counters SPOT_CHECK_SEED +
+    gamma (2^32 stream + i), i = 1 .. n, the top 53 bits of each output
+    times 2^-53. Every step works on arrays, which wrap silently; numpy
+    warns on scalar uint64 overflow."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z += np.uint64(stream << 32)
+    z *= np.uint64(_SPLITMIX_GAMMA)
+    z += np.uint64(SPOT_CHECK_SEED)
+    for shift, mult in _SPLITMIX_MIX:
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
+def _normals(stream: int, shape: tuple[int, int]) -> np.ndarray:
+    """Standard normals of the given shape from one stream, by Box-Muller:
+    the stream's first half gives the radii, its second half the angles,
+    and the cosines fill the array before the sines."""
+    n = shape[0] * shape[1]
+    half = (n + 1) // 2
+    u = _uniforms(stream, 2 * half)
+    r = np.sqrt(-2.0 * np.log1p(-u[:half]))
+    angle = 2.0 * np.pi * u[half:]
+    return np.concatenate([r * np.cos(angle), r * np.sin(angle)])[:n].reshape(shape)
+
+
 @functools.lru_cache(maxsize=SPOT_DESIGN_CACHE_SIZE)
 def _spot_design(dim: int) -> tuple[np.ndarray, ...]:
     """The spot check's seeded draws, read-only: times ts, the unit
     directions and radial factors of the x and y balls, and the steps of
     the Lipschitz quotients. Only the ball radius differs between
-    assemblies, so the stream is drawn once per dimension."""
-    rng, count = np.random.default_rng(SPOT_CHECK_SEED), SPOT_CHECK_SAMPLES
+    assemblies, so the draws are made once per dimension. Each of the
+    seven drawn arrays has a stream of its own from _uniforms, a
+    generator the package owns: numpy.random's streams may change between
+    numpy releases (NEP 19), and importing it would cost every process
+    that assembles a system about 6 MB and 12 ms."""
+    count = SPOT_CHECK_SAMPLES
 
-    def _ball(n):
-        v = rng.standard_normal((n, dim))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return v, rng.random(n) ** (1.0 / dim)
+    def unit_rows(v):
+        return v / _row_norms(v)[..., None]
 
-    ts = rng.uniform(-60.0, 60.0, count)
-    x_ball, y_ball = _ball(count), _ball(count)
+    ts = -60.0 + 120.0 * _uniforms(0, count)
+    x_dirs, x_radii = unit_rows(_normals(1, (count, dim))), _uniforms(2, count) ** (1.0 / dim)
+    y_dirs, y_radii = unit_rows(_normals(3, (count, dim))), _uniforms(4, count) ** (1.0 / dim)
     # Lipschitz quotients: per sample a random direction plus each
     # coordinate axis, so directional structure cannot hide behind
-    # averaging; per sample the stream gives the random direction, then
-    # one step length per direction
+    # averaging
     dirs = np.empty((count, dim + 1, dim))
+    dirs[:, 0] = unit_rows(_normals(5, (count, dim)))
     dirs[:, 1:] = np.eye(dim)
-    lengths = np.empty((count, dim + 1))
-    for i in range(count):
-        dirs[i, 0] = rng.standard_normal(dim)
-        lengths[i] = rng.random(dim + 1)
-    steps = dirs / np.linalg.norm(dirs, axis=2, keepdims=True) * (1e-3 + lengths * 0.5)[:, :, None]
-    design = (ts, *x_ball, *y_ball, steps)
+    lengths = 1e-3 + 0.5 * _uniforms(6, count * (dim + 1)).reshape(count, dim + 1)
+    design = (ts, x_dirs, x_radii, y_dirs, y_radii, dirs * lengths[:, :, None])
     for arr in design:
         arr.flags.writeable = False
     return design

@@ -39,7 +39,7 @@ from epcag import (
     run,
 )
 from epcag.errors import IoError, ParseError, ValidationError
-from epcag.io import DriverSpec, NumericSpec, SystemSpec, _auto_range
+from epcag.io import DriverSpec, NumericSpec, SystemSpec, _auto_range, _write_csv
 from epcag.solver import NODES, _lead_in_pad
 
 
@@ -319,6 +319,21 @@ class TestExports:
             lines.append(f"{fmt % homo_traj.times[r]},{vals},{-20 + r // 200}")
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
+    @pytest.mark.parametrize("rows", [0, 1, 999, 1000, 1001, 2500])
+    def test_csv_blocks_match_per_row_formatting(self, tmp_path, rows):
+        # _write_csv formats a block of rows with one %; the bytes are
+        # those of one % per row
+        ks = np.arange(rows) - 7
+        vals = np.sin(np.arange(2 * rows, dtype=float)).reshape(rows, 2) * 1e3
+        vals.ravel()[::7] = -0.0
+        vals.ravel()[3::11] = 1e-300
+        table = np.column_stack([ks, vals, ks])
+        row = "%d,%.17g,%.17g,%d"
+        path = tmp_path / "table.csv"
+        _write_csv(path, "k,a,b,j", row, table)
+        expected = "k,a,b,j\n" + "".join(row % tuple(r) + "\n" for r in table.tolist())
+        assert path.read_bytes() == expected.encode()
+
     def test_frozen_csv(self, tmp_path, homo_traj):
         path = tmp_path / "frozen.csv"
         export_frozen_csv(homo_traj, path)
@@ -596,6 +611,13 @@ print(sorted(n for n, m in layer.items() if getattr(epcag, n) is not getattr(sys
     assert not hasattr(epcag, "no_such_name")
     with pytest.raises(AttributeError, match="^module 'epcag' has no attribute 'no_such_name'$"):
         epcag.no_such_name
+
+
+def test_assembly_leaves_numpy_random_unloaded():
+    # the assembly spot check draws from the package's own generator
+    done = fresh_python("-c", "import sys, epcag; epcag.homoclinic_scenario(); print('numpy.random' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 class TestCli:

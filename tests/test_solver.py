@@ -1284,15 +1284,29 @@ class TestResidualDefect:
         assert homo_traj.node_values.base is None and homo_traj.integrands.base is None
 
     def test_corrupted_integrand_detected(self, homo, homo_traj):
-        # one integrand row moved by 1e-6 moves the interpolant by 1e-6
+        # one integrand row moved by 1e-9 moves the interpolant by 1e-9
         # times its basis function, whose largest value at the points is
-        # 0.96, and the state by less than 1e-7; the samples are never read
+        # 0.96, and the interval's end by 2.9e-10, below the jump allowed;
+        # the samples are never read
         integrands = homo_traj.integrands.copy()
-        integrands[20, 8, 0] += 1e-6
+        integrands[20, 8, 0] += 1e-9
         bad = replace(homo_traj, integrands=integrands, samples=np.full_like(homo_traj.samples, np.nan))
         x_nodes, _ = solver._gauss(solver.NODES)
         basis = solver._lagrange(x_nodes, solver._bary(x_nodes), np.linspace(-1.0, 1.0, solver.DEFECT_POINTS + 1))
-        assert residual_defect(homo.system, bad) == pytest.approx(1e-6 * np.abs(basis[8]).max(), rel=1e-2)
+        assert residual_defect(homo.system, bad) == pytest.approx(1e-9 * np.abs(basis[8]).max(), rel=1e-2)
+        # moved by 1e-6, the end misses the next node value by 2.9e-7
+        integrands[20, 8, 0] += 1e-6
+        with pytest.raises(GridMismatchError, match=r"^interval k=0 rebuilt under the system's matrix ends 2\.95e-07 "):
+            residual_defect(homo.system, replace(bad, integrands=integrands))
+
+    def test_other_matrix_detected(self, homo, homo_traj):
+        # the defect's formula has no A term; the rebuilt interval ends do
+        other = replace(homo.system, a=1.1 * homo.system.a)
+        with pytest.raises(GridMismatchError, match=(
+            r"^interval k=1 rebuilt under the system's matrix ends 0\.32 from the next node value; "
+            r"the trajectory does not belong to this system$"
+        )):
+            residual_defect(other, homo_traj)
 
     def test_contract_gets_copies(self, homo, homo_traj):
         # a contract that writes NaN over its arguments leaves the

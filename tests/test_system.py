@@ -227,9 +227,9 @@ class TestAssembly:
     @pytest.mark.parametrize(
         "declared, message",
         [
-            ({"lip_x": 0.001}, "lip_x: sampled quotient 0.00982494 exceeds declared 0.001"),
-            ({"lip_y": 0.001}, "lip_y: sampled quotient 0.00871657 exceeds declared 0.001"),
-            ({"bound_mf": 0.5}, "bound_mf: sampled ||f|| = 1.00515 exceeds declared 0.5 at t = 32.1991"),
+            ({"lip_x": 0.001}, "lip_x: sampled quotient 0.0124891 exceeds declared 0.001"),
+            ({"lip_y": 0.001}, "lip_y: sampled quotient 0.00503605 exceeds declared 0.001"),
+            ({"bound_mf": 0.5}, "bound_mf: sampled ||f|| = 0.964011 exceeds declared 0.5 at t = 15.8459"),
         ],
     )
     @pytest.mark.parametrize("batched", [True, False])
@@ -279,25 +279,50 @@ class TestAssembly:
         assert not np.array_equal(first[0][0][1], first[1][0][1])
         assert not any(arr.flags.writeable for arr in system._spot_design(2))
 
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_spot_design_draws(self, dim):
+        system._spot_design.cache_clear()
+        first = system._spot_design(dim)
+        system._spot_design.cache_clear()
+        second = system._spot_design(dim)
+        for a, b in zip(first, second, strict=True):
+            np.testing.assert_array_equal(a, b)
+        ts, x_dirs, x_radii, y_dirs, y_radii, steps = first
+        count = system.SPOT_CHECK_SAMPLES
+        assert ts.shape == x_radii.shape == y_radii.shape == (count,)
+        assert x_dirs.shape == y_dirs.shape == (count, dim)
+        assert steps.shape == (count, dim + 1, dim)
+        assert ts.min() >= -60.0 and ts.max() < 60.0
+        lengths = np.linalg.norm(steps, axis=2)
+        for dirs in (x_dirs, y_dirs, steps[:, 0] / lengths[:, :1], steps[:, 1:] / lengths[:, 1:, None]):
+            assert np.all(np.any(dirs != 0.0, axis=-1))
+            np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, rtol=1e-15, atol=0)
+        # after the random direction, the steps run along the axes
+        axes = np.broadcast_to(np.eye(dim, dtype=bool), (count, dim, dim))
+        np.testing.assert_array_equal(steps[:, 1:] != 0.0, axes)
+        for radii in (x_radii, y_radii):
+            assert radii.min() >= 0.0 and radii.max() <= 1.0
+        assert lengths.min() >= 1e-3 and lengths.max() < 0.501
+
     @pytest.mark.parametrize("batched", [True, False])
     def test_first_violation_in_sample_order(self, batched):
-        # x-gain understated only for t < -50, y-gain only for t > 50; the
-        # third sample is the first with t > 50, the twentieth the first with
-        # t < -50, so the lip_y violation comes first in per-sample order
+        # x-gain understated only for t > 50, y-gain only for t < -50; the
+        # fifth sample is the first with t < -50, the twenty-third the first
+        # with t > 50, so the lip_y violation comes first in per-sample order
         honest = example_contract()
 
         def regional(t, x, y):
             v = honest.eval(t, x, y)
-            if t < -50.0:
-                v[0] += 0.05 * math.sin(x[0])
             if t > 50.0:
+                v[0] += 0.05 * math.sin(x[0])
+            if t < -50.0:
                 v[1] += 0.05 * math.sin(y[0])
             return v
 
         def regional_batch(ts, xs, ys):
             v = honest.eval_batch(ts, xs, ys)
-            v[:, 0] += np.where(ts < -50.0, 0.05 * np.sin(xs[:, 0]), 0.0)
-            v[:, 1] += np.where(ts > 50.0, 0.05 * np.sin(ys[:, 0]), 0.0)
+            v[:, 0] += np.where(ts > 50.0, 0.05 * np.sin(xs[:, 0]), 0.0)
+            v[:, 1] += np.where(ts < -50.0, 0.05 * np.sin(ys[:, 0]), 0.0)
             return v
 
         lying = custom_contract(regional, 1.2, honest.lip_x, honest.lip_y,
@@ -307,7 +332,7 @@ class TestAssembly:
                 reference_matrix(), reference_schedule(), lying, fixed_driver(),
                 envelope=reference_envelope(),
             )
-        assert str(caught.value) == "lip_y: sampled quotient 0.0412428 exceeds declared 0.01"
+        assert str(caught.value) == "lip_y: sampled quotient 0.0200491 exceeds declared 0.01"
 
     def test_batch_disagreeing_with_eval_is_caught(self):
         # the solvers evaluate f through eval_batch, the contract is declared by eval

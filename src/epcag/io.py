@@ -32,7 +32,6 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys as _sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -47,7 +46,7 @@ from .errors import AssumptionFailureError, EpcagError, IoError, ParseError, Val
 from .linear import DecayEnvelope, estimate_decay_envelope
 from .nonlinearity import example_contract, zero_contract
 from .reference import heteroclinic_scenario, homoclinic_scenario
-from .schedule import make_schedule
+from .schedule import _real, make_schedule
 from .solver import (
     METHODS,
     MIN_SUBSTEPS,
@@ -167,10 +166,6 @@ def _check_keys(obj: dict, allowed, fieldname: str) -> None:
             raise ValidationError(prefix, "unknown field")
 
 
-def _is_real(v) -> bool:
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-
-
 def _parse_fields(obj, table, spec_cls, prefix: str, allowed=None) -> dict:
     """The checked values of one block, by spec attribute. allowed widens
     the accepted keys beyond the table's (the top level holds blocks)."""
@@ -190,7 +185,7 @@ def _parse_fields(obj, table, spec_cls, prefix: str, allowed=None) -> dict:
             if v not in kind:
                 raise ValidationError(name, f"must be one of {', '.join(kind)}")
         elif kind is float:
-            if not _is_real(v):
+            if not _real(v):
                 raise ValidationError(name, "must be a finite number")
             v = float(v)
         elif isinstance(v, bool) or not isinstance(v, int):
@@ -210,7 +205,7 @@ def _parse_matrix(obj) -> tuple:
     for row in rows:
         if not isinstance(row, list) or len(row) != m:
             raise ValidationError("system.matrix", "must be square")
-        if not all(_is_real(x) for x in row):
+        if not all(_real(x) for x in row):
             raise ValidationError("system.matrix", "entries must be finite numbers")
         out.append(tuple(float(x) for x in row))
     return tuple(out)
@@ -361,12 +356,15 @@ _CSV_BLOCK_ROWS = 1000
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write text to path through path.tmp, which a failed write or
+    replace removes again."""
     tmp = Path(str(path) + ".tmp")
     try:
         with open(tmp, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as e:
+        tmp.unlink(missing_ok=True)
         raise IoError(f"cannot write {path}: {e}") from None
 
 
@@ -468,14 +466,11 @@ def _run_certification(system, beta, alphas, kind, numeric: NumericSpec, out: Pa
     traj_beta, *traj_alphas = cert.trajectories
     _emit(out / "beta.csv", export_orbit_csv, beta)
     _emit(out / "traj_beta.csv", export_trajectory_csv, traj_beta)
-    if kind == "homoclinic":
-        _emit(out / "alpha.csv", export_orbit_csv, alphas[0])
-        _emit(out / "traj_alpha.csv", export_trajectory_csv, traj_alphas[0])
-    else:
-        _emit(out / "alpha1.csv", export_orbit_csv, alphas[0])
-        _emit(out / "alpha2.csv", export_orbit_csv, alphas[1])
-        _emit(out / "traj_alpha1.csv", export_trajectory_csv, traj_alphas[0])
-        _emit(out / "traj_alpha2.csv", export_trajectory_csv, traj_alphas[1])
+    names = ("alpha",) if kind == "homoclinic" else ("alpha1", "alpha2")
+    for name, alpha in zip(names, alphas):
+        _emit(out / f"{name}.csv", export_orbit_csv, alpha)
+    for name, traj in zip(names, traj_alphas):
+        _emit(out / f"traj_{name}.csv", export_trajectory_csv, traj)
     _emit(out / "certificate.json", _write_json,
           certificate_dict(cert, system.envelope.n_const, system.envelope.rate))
     print(f"verdict: {'pass' if cert.verdict else 'fail'} "

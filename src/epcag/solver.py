@@ -26,9 +26,12 @@ adding exp(A tau) z_k. The samples on the uniform grid of `substeps`
 substeps, and the frozen arguments, are written once per solve, over
 the requested window only, from a table built by translation: one set
 of exponentials over one substep and the powers of exp(A h) serve
-every substep. So `substeps` only sets how densely the output is
-sampled. The linear part is exact, so no node or substep count is
-unstable.
+every substep. The sweeps and residual_defect never read the samples,
+so `substeps` leaves the collocation solution and its defect as they
+are; but meta["sup_norm"] and the a-priori guard read the samples
+along with the node values, so they move with it (2.36986 at 4
+substeps, 2.37057 at 50 and 200, homoclinic scenario on (-20, 20)).
+The linear part is exact, so no node or substep count is unstable.
 
 picard
     Iterates the integral operator
@@ -65,37 +68,34 @@ burn_in
     order of their sweeps, so comparing them checks the iteration and the
     truncation, not the quadrature.
 
-One loop, _iterate, runs every fixed-point iteration: Picard, burn-in,
-and step_interval. It sweeps, refuses non-finite deltas and stops at
-the sweep cap, naming the interval; its callers differ only in when a
-converged interval retires. Picard retires the whole grid once every
-interval has met its stop. Burn-in is the loop's windowed use: it
-retires the leading intervals that met the stop and moves the window
-on. step_interval is a window of one interval started from a given
-value, where the two rules agree.
+One routine, _solve, runs both methods; they differ only in the
+window of intervals each sweep covers (the whole grid for Picard, up
+to BURN_IN_WINDOW for burn-in) and in when a converged interval
+retires. Under it one loop, _iterate, runs every fixed-point
+iteration, step_interval's too: it sweeps from an explicit start value
+at the window's first node (zero for a solve), refuses non-finite
+deltas and stops at the sweep cap, naming the interval. Picard retires
+the whole grid once every interval has met its stop. Burn-in is the
+loop's sliding use: it retires the leading intervals that met the stop
+and moves the window on. step_interval is a window of one interval
+started from a given value, where the two rules agree.
 
 Both methods return a SampledTrajectory: the schedule, node window and
 substep count that fix its grid, the samples on it, one frozen argument
 per interval, and the collocation solution itself, the node values z_k
 and the integrands F of the final sweep. residual_defect checks that
-solution against the equation exactly: as W_r' = A W_r + l_r, on
-interval k its defect z' - A z - f(t, z, w_k) - alpha_k is
-
-    sum_r l_r(tau) F_r - f(theta_k + tau, z(tau), w_k) - alpha_k,
-
-the integrand's interpolant minus the integrand, with no derivative
-taken (residual control, Kierzenka & Shampine, ACM TOMS 27, 2001). It
-is read at the DEFECT_POINTS + 1 points tau_j = j omega / DEFECT_POINTS
-of every interval, both ends included, where a table built by
-translation, as the output's is, gives z(tau_j) from [z_k, F]. It reads
-the kept solution, never the samples, so `substeps` does not change it.
-Both report their truncation/transient bound
-(_tail_bound) in the trajectory meta and refuse pads whose bound
-exceeds the requested tolerance. Every solve checks its samples and
-its collocation node values against the a-priori bound M_phi plus that
-bound, which the bounded solution meets, and raises
-InnerDivergenceError above it: a contract that breaks its declared
-bound, or an iteration gone wrong.
+solution against the equation exactly (its docstring gives the
+formula), at DEFECT_POINTS + 1 points of every interval, both ends
+included, where a table built by translation, as the output's is,
+gives z from [z_k, F]; one helper, _solution_at, forms that product for
+both tables. It reads the kept solution, never the samples, so
+`substeps` does not change it. Both methods report their
+truncation/transient bound (_tail_bound) in the trajectory meta and
+refuse pads whose bound exceeds the requested tolerance. Every solve
+checks its samples and its collocation node values against the
+a-priori bound M_phi plus that bound, which the bounded solution
+meets, and raises InnerDivergenceError above it: a contract that
+breaks its declared bound, or an iteration gone wrong.
 """
 
 from __future__ import annotations
@@ -448,19 +448,18 @@ def _context(sys: EpcagSystem, substeps: int) -> _Context:
     return _cached_context(a.tobytes(), a.shape[0], sched.omega, sched.zeta_fraction, substeps, NODES)
 
 
-def _convolve(ctx: _Context, hv: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+def _convolve(ctx: _Context, hv: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The collocation solution at every target of every interval, from
     the integrand hv (n_int, n, dim) at the nodes and the start value
-    `start` (dim,) at the first node (zero if None): one product with the
-    weight block per interval, the node values z_k by a doubling scan
-    over exp(A omega)^(2^s) (Blelloch 1990), and one product adding
-    exp(A tau) z_k. Returns (n_int, n+2, dim); the end target holds the
+    `start` (dim,) at the first node: one product with the weight block
+    per interval, the node values z_k by a doubling scan over exp(A
+    omega)^(2^s) (Blelloch 1990), and one product adding exp(A tau) z_k.
+    Returns (n_int, n+2, dim); the end target holds the
     scan's node values, so the next interval starts exactly there."""
     n_int, _, dim = hv.shape
     out = _serial_matmul(hv.reshape(n_int, -1), ctx.weights).reshape(n_int, -1, dim)
     ends = out[:, -1].copy()
-    if start is not None:
-        ends[0] += start @ ctx.scan[0]
+    ends[0] += start @ ctx.scan[0]
     # powers are built on first need: later ones underflow to subnormals,
     # whose products are slow
     need, scan = (n_int - 1).bit_length(), ctx.scan
@@ -469,19 +468,26 @@ def _convolve(ctx: _Context, hv: np.ndarray, start: np.ndarray | None = None) ->
     ctx.scan = scan
     for s, power in enumerate(scan[:need]):
         ends[1 << s :] += ends[: -(1 << s)] @ power
-    nodes = np.concatenate([np.zeros((1, dim)) if start is None else start[None], ends[:-1]])
+    nodes = np.concatenate([start[None], ends[:-1]])
     out += (nodes @ ctx.shift).reshape(out.shape)
     out[:, -1] = ends
     return out
 
 
+def _solution_at(table: np.ndarray, hv: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The collocation solution at the points of a translation table
+    (_translation) in every interval, from the integrands hv (n_int, n,
+    dim) and the node values nodes (n_int + 1, dim): one product of each
+    interval's [z_k, F] with the table. Returns (n_int points, dim)."""
+    n_int, _, dim = hv.shape
+    return _serial_matmul(np.concatenate([nodes[:-1], hv.reshape(n_int, -1)], axis=1), table).reshape(-1, dim)
+
+
 def _output(ctx: _Context, hv: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Samples at substeps 0..m of intervals with integrands hv (n_int, n,
-    dim) and node values nodes (n_int + 1, dim): one product with the
+    dim) and node values nodes (n_int + 1, dim): the solution on the
     output table, the last node appended."""
-    n_int, _, dim = hv.shape
-    rows = _serial_matmul(np.concatenate([nodes[:-1], hv.reshape(n_int, -1)], axis=1), ctx.table)
-    return np.concatenate([rows.reshape(-1, dim), nodes[-1:]])
+    return np.concatenate([_solution_at(ctx.table, hv, nodes), nodes[-1:]])
 
 
 def _picard_stop(sys: EpcagSystem) -> float:
@@ -513,14 +519,14 @@ def _times(sys: EpcagSystem, offsets: np.ndarray, k0: int, n_int: int) -> np.nda
 
 
 def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, psi: np.ndarray,
-           start: np.ndarray | None, hv: np.ndarray, d: np.ndarray):
+           start: np.ndarray, hv: np.ndarray, d: np.ndarray):
     """One Picard sweep from the iterate psi (n_int, n+2, dim) at the
     targets of intervals whose nodes run at times ts (n_int, n) and which
     carry driver values alpha (n_int, n, dim), one row per node: hv
     (n_int, n, dim) is filled with the integrand f + alpha at the nodes,
     with the frozen argument read at the zeta target, and the new iterate
-    is its _convolve from the start value `start` (zero if None). d is
-    scratch of psi's shape.
+    is its _convolve from the start value `start`. d is scratch of psi's
+    shape.
     Returns the new iterate and each interval's sup-norm delta to psi."""
     n_int, _, dim = psi.shape
     n = ctx.nodes
@@ -531,7 +537,7 @@ def _sweep(sys: EpcagSystem, ctx: _Context, ts: np.ndarray, alpha: np.ndarray, p
     return new, _row_norms(d).max(axis=1)
 
 
-def _top_up(ctx: _Context, new: np.ndarray, start: np.ndarray | None, count: int) -> np.ndarray:
+def _top_up(ctx: _Context, new: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
     """`count` intervals to follow the window `new` (size, n+2, dim) whose
     start value is `start`, each started from the one before it moved
     onto its own start. With last the window's last interval and e its
@@ -544,21 +550,20 @@ def _top_up(ctx: _Context, new: np.ndarray, start: np.ndarray | None, count: int
 
 
 def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np.ndarray, psi: np.ndarray,
-             stop: float, cap: int, start: np.ndarray | None = None, sliding: bool = False):
+             stop: float, cap: int, start: np.ndarray, sliding: bool = False):
     """Picard sweeps over intervals k0, k0 + 1, ... whose nodes run at
     times ts (n_all, n) and which carry driver values alpha (n_all, dim),
     from the iterate psi (size, n+2, dim) on a window of the leading
-    intervals and the start value `start` at its first node (zero if
-    None). Each sweep is _sweep over the window. After it the intervals
-    whose delta is at most stop retire: the leading ones if `sliding`
-    (burn-in), else all of them once every one has (Picard), which needs
-    a window of the whole grid. A sliding window then takes the end of the
-    last retired interval as its start value and is topped up to its
-    first size with intervals each started from the one before it moved
-    onto its own start, last + exp(A tau) (end - start of last), all in
-    one product with the stored powers (_top_up). The driver values are
-    repeated to one row per node once, for every sweep to add. An
-    interval unretired after cap sweeps, or a non-finite delta, raises
+    intervals and the start value `start` (dim,) at its first node. Each
+    sweep is _sweep over the window. After it the intervals whose delta
+    is at most stop retire: the leading ones if `sliding` (burn-in), else
+    all of them once every one has (Picard), which needs a window of the
+    whole grid. A sliding window then takes the end of the last retired
+    interval as its start value and is topped up to its first size with
+    intervals each started from the one before it moved onto its own
+    start, last + exp(A tau) (end - start of last), all in one product
+    with the stored powers (_top_up). The driver values are repeated to
+    one row per node once, for every sweep to add. An interval unretired after cap sweeps, or a non-finite delta, raises
     InnerDivergenceError naming the interval. Returns the retired
     intervals (n_all, n+2, dim), each sweep's largest delta, each
     interval's sweep count and their integrands (n_all, n, dim) from the
@@ -604,34 +609,48 @@ def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np
     return out, deltas, sweeps, out_hv
 
 
-def _window(ctx: _Context, psi: np.ndarray, hv: np.ndarray, pad: int):
-    """What a solve keeps of the solved intervals psi (n_int, n+2, dim),
-    whose integrands are hv, from interval pad on: their samples, their
-    frozen arguments, read at the zeta target, the node values z_k from
-    the start of interval pad to the end, a copy of their integrands,
-    and the largest norm over those samples and the intervals'
-    collocation values; the grid starts from zero before interval 0. The
-    collocation nodes lie between the output grid's points, so a coarse
-    grid alone can miss the solution's peak."""
-    first = psi[pad - 1, -1] if pad else np.zeros(psi.shape[2])
-    nodes = np.concatenate([first[None], psi[pad:, -1]])
+def _solve(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int, method: str):
+    """`method` on [k_lo - pad, k_hi] from zero: _iterate over a window
+    of the whole grid (Picard) or a sliding window of up to
+    BURN_IN_WINDOW intervals (burn-in, as the module docstring
+    describes). An interval unfinished after _picard_cap sweeps raises
+    InnerDivergenceError. Returns what a solve keeps from interval k_lo
+    on: the samples, the frozen arguments, read at the zeta target, the
+    node values z_k, the integrands, and the largest norm over those
+    samples and the intervals' collocation values (the collocation nodes
+    lie between the output grid's points, so a coarse grid alone can
+    miss the solution's peak); and the sweep counts for meta. iterations
+    is the most sweeps any interval took and f_evals n times their sum;
+    Picard adds each sweep's delta (iterate_deltas), burn-in each
+    interval's sweep count (inner_iterations).
+
+    Burn-in's intervals retire at Picard's stop, and the reason carries
+    over. The leading block that retires after a sweep depends only on
+    its final start value and on itself, never on the intervals after
+    it, so the sweep restricted to it is Picard's map on a closed
+    sub-problem, which contracts by at most kappa_pi. Its delta is at
+    most the stop, so the block lies within eps = kappa_pi / (1 -
+    kappa_pi) stop <= PICARD_STOP of the sub-problem's fixed point, the
+    solution from the block's start value. Each block's error is carried
+    into the later intervals through its end value, and two solutions
+    from start values e apart differ by at most N e / (1 - q(mu))
+    e^{-mu (t - theta)} after theta, as the start transient does in
+    _tail_rates. Block ends are nodes at least omega apart, so the
+    samples lie within eps (1 + N / ((1 - q(mu)) (1 - e^{-mu omega})))
+    of the solution from zero, for every rate mu of _tail_rates: the
+    errors add as a geometric series and do not compound."""
+    ctx = _context(sys, substeps)
+    k0, sliding, start = k_lo - pad, method == "burn_in", np.zeros(sys.dim)
+    n_all = k_hi - k0
+    psi = np.zeros((min(BURN_IN_WINDOW, n_all) if sliding else n_all, ctx.nodes + 2, sys.dim))
+    psi, deltas, sweeps, hv = _iterate(sys, ctx, k0, _times(sys, ctx.offsets, k0, n_all), sys.driver.span(k0, k_hi),
+                                       psi, _picard_stop(sys), _picard_cap(sys), start, sliding)
+    nodes = np.concatenate([(psi[pad - 1, -1] if pad else start)[None], psi[pad:, -1]])
     samples = _output(ctx, hv[pad:], nodes)
     peak = max(_row_norms(samples).max(), _row_norms(psi[pad:, : ctx.nodes]).max())
-    return samples, psi[pad:, ctx.nodes].copy(), nodes, hv[pad:].copy(), float(peak)
-
-
-def _solve_picard(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
-    """Picard on [k_lo - pad, k_hi] from zero."""
-    ctx = _context(sys, substeps)
-    k0 = k_lo - pad
-    n_int = k_hi - k0
-    alpha = sys.driver.span(k0, k_hi)
-    psi = np.zeros((n_int, ctx.nodes + 2, sys.dim))
-    psi, deltas, _, hv = _iterate(sys, ctx, k0, _times(sys, ctx.offsets, k0, n_int), alpha, psi,
-                                  _picard_stop(sys), _picard_cap(sys))
-    kept = _window(ctx, psi, hv, pad)
-    sweeps = {"iterations": len(deltas), "iterate_deltas": tuple(deltas), "f_evals": n_int * ctx.nodes * len(deltas)}
-    return kept, sweeps
+    key, per = ("inner_iterations", tuple(int(c) for c in sweeps)) if sliding else ("iterate_deltas", tuple(deltas))
+    counts = {"iterations": int(sweeps.max()), key: per, "f_evals": int(sweeps.sum()) * ctx.nodes}
+    return (samples, psi[pad:, ctx.nodes].copy(), nodes, hv[pad:].copy(), float(peak)), counts
 
 
 def step_interval(
@@ -663,41 +682,6 @@ def step_interval(
     alpha = sys.driver.value(k)[None]
     psi, _, sweeps, hv = _iterate(sys, ctx, k, _times(sys, ctx.offsets, k, 1), alpha, psi, tol, max_inner, z0)
     return _output(ctx, hv, np.stack([z0, psi[0, -1]])), psi[0, ctx.nodes].copy(), int(sweeps[0])
-
-
-def _solve_burn_in(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int):
-    """Burn-in on [k_lo - pad, k_hi] from zero, by the sliding window the
-    module docstring describes. An interval still unfinished after
-    _picard_cap sweeps in the window raises InnerDivergenceError;
-    inner_iterations counts each interval's sweeps in the window, so
-    f_evals is n times their sum.
-
-    Intervals retire at Picard's stop, and the reason carries over. The
-    leading block that retires after a sweep depends only on its final
-    start value and on itself, never on the intervals after it, so the
-    sweep restricted to it is Picard's map on a closed sub-problem,
-    which contracts by at most kappa_pi. Its delta is at most the stop,
-    so the block lies within eps = kappa_pi / (1 - kappa_pi) stop <=
-    PICARD_STOP of the sub-problem's fixed point, the solution from the
-    block's start value. Each block's error is carried into the later
-    intervals through its end value, and two solutions from start values
-    e apart differ by at most N e / (1 - q(mu)) e^{-mu (t - theta)} after
-    theta, as the start transient does in _tail_rates. Block ends are
-    nodes at least omega apart, so the samples lie within
-    eps (1 + N / ((1 - q(mu)) (1 - e^{-mu omega}))) of the solution from
-    zero, for every rate mu of _tail_rates: the errors add as a
-    geometric series and do not compound."""
-    ctx = _context(sys, substeps)
-    k0 = k_lo - pad
-    n_all = k_hi - k0
-    alpha = sys.driver.span(k0, k_hi)
-    psi = np.zeros((min(BURN_IN_WINDOW, n_all), ctx.nodes + 2, sys.dim))
-    out, _, sweeps, hv = _iterate(sys, ctx, k0, _times(sys, ctx.offsets, k0, n_all), alpha, psi,
-                                  _picard_stop(sys), _picard_cap(sys), np.zeros(sys.dim), sliding=True)
-    kept = _window(ctx, out, hv, pad)
-    passes = {"iterations": int(sweeps.max()), "inner_iterations": tuple(int(s) for s in sweeps),
-              "f_evals": int(sweeps.sum()) * ctx.nodes}
-    return kept, passes
 
 
 def solve_bounded(
@@ -737,8 +721,7 @@ def solve_bounded(
         raise PadTooSmallError(
             f"pad {pad} leaves a {kind} bound {bound:.3g} above tol {tol:.3g}"
         )
-    solve = _solve_picard if method == "picard" else _solve_burn_in
-    (samples, frozen, node_values, integrands, peak), counts = solve(sys, k_lo, k_hi, pad, substeps)
+    (samples, frozen, node_values, integrands, peak), counts = _solve(sys, k_lo, k_hi, pad, substeps, method)
     meta = {"method": method, **counts, "pad": pad, "tail_bound": bound, "sup_norm": peak}
     limit = m_phi + bound
     if not meta["sup_norm"] <= limit:
@@ -776,9 +759,8 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     ctx = _context(sys, traj.substeps)
     (k_lo, k_hi), dim = traj.k_window, sys.dim
     n_int, per = k_hi - k_lo, DEFECT_POINTS + 1
-    hv = traj.integrands.reshape(n_int, -1)
     # fresh arrays for the contract, which may write into its arguments
-    z = _serial_matmul(np.concatenate([traj.node_values[:-1], hv], axis=1), ctx.points).reshape(-1, dim)
+    z = _solution_at(ctx.points, traj.integrands, traj.node_values)
     jumps = _row_norms(z[per - 1 :: per] - traj.node_values[1:])
     k = int(np.argmax(jumps))
     if jumps[k] > END_JUMP_RTOL * max(1.0, float(np.abs(traj.node_values).max())):
@@ -787,7 +769,7 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
             "from the next node value; the trajectory does not belong to this system"
         )
     ts = _times(sys, ctx.point_offsets, k_lo, n_int)
-    rhs = _serial_matmul(hv, ctx.interpolant).reshape(n_int, per, dim)
+    rhs = _serial_matmul(traj.integrands.reshape(n_int, -1), ctx.interpolant).reshape(n_int, per, dim)
     rhs -= eval_many(sys.f, ts.reshape(-1), z, traj.frozen.copy()).reshape(rhs.shape)
     rhs -= sys.driver.span(k_lo, k_hi)[:, None]
     return float(_row_norms(rhs).max())

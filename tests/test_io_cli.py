@@ -391,6 +391,18 @@ class TestRun:
         assert written.splitlines()[-1].startswith(b"40,")
         capsys.readouterr()
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # a directory holds orbit.csv's name, so replacing it with the
+        # written temporary file fails; the temporary file goes too
+        (tmp_path / "orbit.csv").mkdir()
+        driver = {"map": "logistic", "mu": 3.9, "kind": "homoclinic",
+                  "seed": 0.2564102564102564, "branch": "upper_H"}
+        assert run(parse({"command": "orbit", "out_dir": str(tmp_path), "driver": driver})) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {tmp_path / 'orbit.csv'}: ")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_check_command(self, tmp_path, capsys):
         cfg = reference_config("check", out_dir=str(tmp_path))
         assert run(parse(cfg)) == 0

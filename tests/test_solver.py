@@ -135,7 +135,7 @@ def interval_polynomials(coeffs, m, a=None, omega=1.5):
     a = reference_matrix() if a is None else a
     ctx = solver._Context(a, omega, 1.0 / 3.0, m, solver.NODES)
     hv = np.einsum("ikd,rk->ird", coeffs, ctx.offsets[:, None] ** np.arange(coeffs.shape[1]))
-    new = solver._convolve(ctx, hv)
+    new = solver._convolve(ctx, hv, np.zeros(a.shape[0]))
     got = solver._output(ctx, hv, np.concatenate([np.zeros((1, a.shape[0])), new[:, -1]]))
     taus, z, want = omega * np.arange(m + 1) / m, np.zeros(a.shape[0]), []
     for c in coeffs:
@@ -187,7 +187,7 @@ class TestConvolve:
     def solve(self, ctx, hv):
         """The targets by _convolve, and the samples by _output from its
         node values."""
-        new = solver._convolve(ctx, hv)
+        new = solver._convolve(ctx, hv, np.zeros(hv.shape[2]))
         return new, solver._output(ctx, hv, np.concatenate([np.zeros((1, hv.shape[2])), new[:, -1]]))
 
     @pytest.mark.parametrize("m", [4, 60, 200])
@@ -239,7 +239,7 @@ class TestConvolve:
         assert np.array_equal(ctx.points, self.context(reference_matrix(), 60).points)
         for n_int in (1, 50):
             hv = np.random.default_rng(n_int).standard_normal((n_int, solver.NODES, 2))
-            nodes = np.concatenate([np.zeros((1, 2)), solver._convolve(ctx, hv)[:, -1]])
+            nodes = np.concatenate([np.zeros((1, 2)), solver._convolve(ctx, hv, np.zeros(2))[:, -1]])
             got = (np.concatenate([nodes[:-1], hv.reshape(n_int, -1)], axis=1) @ ctx.points).reshape(n_int, -1, 2)
             want, _ = sequential_form(reference_matrix(), self.OMEGA, hv, ctx.point_offsets)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n_int
@@ -316,7 +316,7 @@ class TestCollocationRules:
         targets = np.append(ctx.offsets, [0.5, 1.5])
         times = 1.5 * np.arange(50)[:, None] + targets
         free = np.einsum("kab,b->ka", mat_exp(reference_matrix(), times.ravel()), start).reshape(50, -1, 2)
-        got = solver._convolve(ctx, hv, start) - solver._convolve(ctx, hv)
+        got = solver._convolve(ctx, hv, start) - solver._convolve(ctx, hv, np.zeros(2))
         assert np.abs(got - free).max() <= 1e-14 * np.abs(free).max()
 
     def test_contract_sees_the_collocation_nodes(self, homo):
@@ -672,11 +672,11 @@ class TestSolveBounded:
 
         sys = replace(homo.system, f=custom_contract(tanh_eval, 0.8486, 0.12, 0.0, eval_batch=tanh_batch))
         window, m = (-2, 2), 50
-        (long, *_), _ = solver._solve_picard(sys, *window, 200, m)
+        (long, *_), _ = solver._solve(sys, *window, 200, m, "picard")
         errors = {}
         rates = solver._tail_rates(sys.envelope, sys.f, solution_bound(sys), 1.5, sys.schedule.zeta_fraction)
         for pad in (20, 30, 45):
-            (short, *_), _ = solver._solve_picard(sys, *window, pad, m)
+            (short, *_), _ = solver._solve(sys, *window, pad, m, "picard")
             errors[pad] = np.abs(short - long).max()
             assert errors[pad] <= solver._tail_bound(*rates, 1.5, pad), pad
         assert solution_bound(sys) * math.exp(-0.5 * 30 * 1.5) < 1e-8 < errors[30]
@@ -730,7 +730,9 @@ class TestSolveBounded:
     def test_cold_caches_solve_bit_for_bit(self, homo, method):
         # a solve that builds its weights, Gauss rules and node-scan powers
         # afresh equals one that finds them cached, samples, frozen
-        # arguments and meta alike
+        # arguments and meta alike. meta carries each sweep's delta for
+        # Picard alone and each interval's sweep count for burn-in alone;
+        # `epcag solve` prints inner passes only when that key is there
         for cache in (solver._cached_context, solver._gauss, system._spot_design):
             cache.cache_clear()
         cold = solve_bounded(homo.system, (-20, 20), method=method)
@@ -739,6 +741,8 @@ class TestSolveBounded:
         np.testing.assert_array_equal(cold.samples, warm.samples)
         np.testing.assert_array_equal(cold.frozen, warm.frozen)
         assert cold.meta == warm.meta
+        per = {"picard": "iterate_deltas", "burn_in": "inner_iterations"}[method]
+        assert list(cold.meta) == ["method", "iterations", per, "f_evals", "pad", "tail_bound", "sup_norm"]
 
     def test_context_cache_is_bounded(self, homo):
         for m in range(4, 8 + solver.CONTEXT_CACHE_SIZE):
@@ -850,7 +854,7 @@ def zero_start(sys, window, substeps, tol=1e-8):
     ctx = solver._context(sys, substeps)
     psi, deltas, _, hv = solver._iterate(sys, ctx, k0, solver._times(sys, ctx.offsets, k0, k_hi - k0), alpha,
                                          np.zeros((k_hi - k0, solver.NODES + 2, sys.dim)),
-                                         solver._picard_stop(sys), solver._picard_cap(sys))
+                                         solver._picard_stop(sys), solver._picard_cap(sys), np.zeros(sys.dim))
     return solver._output(ctx, hv[pad:], psi[pad - 1 :, -1]), deltas
 
 
@@ -993,7 +997,7 @@ class TestNestedStart:
         ctx = solver._context(homo.system, 48)
         hv = np.random.default_rng(9).standard_normal((5, solver.NODES, 2))
         hv[:2] = 0.0
-        new = solver._convolve(ctx, hv)
+        new = solver._convolve(ctx, hv, np.zeros(2))
         samples = solver._output(ctx, hv, np.concatenate([np.zeros((1, 2)), new[:, -1]]))
         assert not new[:2].any() and new[2:].all()
         assert not samples[: 2 * 48 + 1].any() and samples[2 * 48 + 1 :].all()
@@ -1094,7 +1098,7 @@ class TestTopUp:
         ctx = solver._context(sys, 50)
         k0, n_all = -30, 40
         psi, *_ = solver._iterate(sys, ctx, k0, solver._times(sys, ctx.offsets, k0, n_all), sys.driver.span(k0, k0 + n_all),
-                                  np.zeros((n_all, ctx.nodes + 2, sys.dim)), 1e-12, 200)
+                                  np.zeros((n_all, ctx.nodes + 2, sys.dim)), 1e-12, 200, np.zeros(sys.dim))
         for size in (1, 2, 8, solver.BURN_IN_WINDOW):
             for i in range(0, n_all - size, 3):
                 new, start = psi[i : i + size], (psi[i - 1, -1] if i else np.zeros(sys.dim))
@@ -1177,7 +1181,7 @@ class TestQuasiNewtonBurnIn:
     def test_retired_blocks_meet_the_stop_bound(self, case, monkeypatch):
         # burn-in retires intervals at Picard's stop: each retired block
         # lies within eps = kappa_pi / (1 - kappa_pi) stop of the solution
-        # from its start value, and _solve_burn_in's docstring bounds the
+        # from its start value, and _solve's docstring bounds the
         # samples by eps (1 + N / ((1 - q(mu)) (1 - e^{-mu omega}))). A
         # Picard solve at PICARD_STOP 1e-14 stands in for the solution
         # from zero (3.6e-13 to 5.1e-11 apart measured, at most 3% of the

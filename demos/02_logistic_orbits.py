@@ -13,7 +13,6 @@ from epcag import (
     UPPER_BRANCH,
     build_orbit,
     logistic_inverse,
-    logistic_map,
     logistic_step,
     pair_orbits,
 )
@@ -25,10 +24,10 @@ print(f"F_{mu}({s:.6f}) = {logistic_step(mu, s):.6f}")
 print(f"  lower preimage of {s:.6f}: {logistic_inverse(mu, s, LOWER_BRANCH):.6f}")
 print(f"  upper preimage of {s:.6f}: {logistic_inverse(mu, s, UPPER_BRANCH):.6f}")
 
-# an orbit homoclinic to the positive fixed point s* = 1 - 1/mu:
-# forward iterates reach s* exactly in one step, backward iterates walk the
-# upper branch toward s* again
-homo = build_orbit(logistic_map(mu), "homoclinic", seed=s, backward_branch=UPPER_BRANCH)
+# an orbit homoclinic to the positive fixed point s* = 1 - 1/mu, built from
+# the map's parameter mu itself: forward iterates reach s* exactly in one
+# step, backward iterates walk the upper branch toward s* again
+homo = build_orbit(mu, "homoclinic", seed=s, backward_branch=UPPER_BRANCH)
 star = 1.0 - 1.0 / mu
 print(f"\nhomoclinic orbit over k in [{homo.k_min}, {homo.k_max}], s* = {star:.6f}")
 print(f"  value at k=0: {homo.value(0)[0]:.6f}")
@@ -46,7 +45,7 @@ for k in (-5, -15, -25, -35):
 
 # heteroclinic orbits connect two different fixed points. At mu = 4 the orbit
 # through 1/4 climbs from 0 (backward, lower branch) to 3/4 (forward).
-het = build_orbit(logistic_map(4.0), "heteroclinic", seed=0.25, backward_branch=LOWER_BRANCH)
+het = build_orbit(4.0, "heteroclinic", seed=0.25, backward_branch=LOWER_BRANCH)
 print(f"\nheteroclinic orbit: {het.left_limit[0]:.4f} -> {het.right_limit[0]:.4f}")
 print(f"  value at k=0: {het.value(0)[0]:.4f}, at k=1: {het.value(1)[0]:.4f}")
 gaps = {k: abs(het.value(k)[0] - het.left_limit[0]) for k in range(het.k_min, 1)}

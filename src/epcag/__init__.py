@@ -30,10 +30,8 @@ from .driver import (
     LOWER_BRANCH,
     UPPER_BRANCH,
     DriverOrbit,
-    ScalarMap,
     build_orbit,
     logistic_inverse,
-    logistic_map,
     logistic_step,
     pair_orbits,
 )

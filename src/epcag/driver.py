@@ -1,5 +1,8 @@
 """Logistic-map orbits that drive the piecewise constant forcing term.
 
+The logistic family F_mu is the one map family bundled, so build_orbit
+takes its parameter mu.
+
 An orbit window stores alpha_k for k_min <= k <= k_max together with its
 limits at both ends, so a solver may read alpha_k outside the window:
 beyond the stored range the orbit is extended by its declared limit
@@ -32,6 +35,7 @@ from .errors import (
     RangeMismatchError,
 )
 from .linear import _row_norms
+from .schedule import _real
 
 LOWER_BRANCH = "lower_G"
 UPPER_BRANCH = "upper_H"
@@ -47,24 +51,6 @@ PIN_TOL = 1e-13
 
 # orbit consistency |alpha_{k+1} - F(alpha_k)| allowed after construction
 CONSISTENCY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ScalarMap:
-    """One scalar map family member. Only the logistic family is bundled."""
-
-    kind: str
-    mu: float
-
-    def __post_init__(self):
-        if self.kind != "logistic":
-            raise OutOfRangeError(f"unknown map kind {self.kind!r}")
-        if not (math.isfinite(self.mu) and 0.0 < self.mu <= 4.0):
-            raise OutOfRangeError(f"logistic mu must lie in (0, 4], got {self.mu!r}")
-
-
-def logistic_map(mu: float) -> ScalarMap:
-    return ScalarMap("logistic", mu)
 
 
 def logistic_step(mu: float, s: float) -> float:
@@ -174,7 +160,7 @@ class DriverOrbit:
 
 
 def build_orbit(
-    scalar_map: ScalarMap,
+    mu: float,
     kind: str,
     seed: float,
     backward_branch: str | None = None,
@@ -182,20 +168,26 @@ def build_orbit(
     k_max: int = 40,
     edge_gap: float = 1e-8,
 ) -> DriverOrbit:
-    """Construct a scalar orbit window through seed at k = 0.
+    """Construct an orbit window of the logistic map F_mu through seed at
+    k = 0.
 
-    kind "fixed" requires seed to be a fixed point and fills the window
-    with it. Kinds "homoclinic" and "heteroclinic" iterate F forward and
-    the chosen inverse branch backward; the backward window is widened
-    automatically (down to k = -200) until the gap to the backward limit
-    is <= edge_gap. Forward iterates landing within 1e-13 of a fixed
-    point are pinned there.
+    mu and seed are real numbers, not bools, with mu in (0, 4] and seed
+    in [0, 1]; k_min <= 0 <= k_max are integers, not bools. kind "fixed"
+    requires seed to be a fixed point and fills the window with it. Kinds
+    "homoclinic" and "heteroclinic" iterate F forward and the chosen
+    inverse branch backward; the backward window is widened automatically
+    (down to k = -200) until the gap to the backward limit is <= edge_gap.
+    The forward sweep stops at the first iterate within 1e-13 of a fixed
+    point and pins the rest of the window there.
     """
-    mu = scalar_map.mu
-    if not (0.0 <= seed <= 1.0):
+    if not (_real(mu) and 0.0 < mu <= 4.0):
+        raise OutOfRangeError(f"logistic mu must lie in (0, 4], got {mu!r}")
+    if not (_real(seed) and 0.0 <= seed <= 1.0):
         raise OutOfDomainError(f"seed must lie in [0, 1], got {seed!r}")
-    if not (k_min <= 0 <= k_max and k_min < k_max):
+    whole = all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in (k_min, k_max))
+    if not (whole and k_min <= 0 <= k_max and k_min < k_max):
         raise OutOfRangeError(f"need k_min <= 0 <= k_max with k_min < k_max, got {k_min}, {k_max}")
+    seed, k_min, k_max = float(seed), int(k_min), int(k_max)
 
     if kind == "fixed":
         if abs(logistic_step(mu, seed) - seed) > CONSISTENCY_TOL:
@@ -217,34 +209,22 @@ def build_orbit(
             "for the inverse iteration"
         )
 
-    # forward sweep with fixed-point pinning
-    fps = _fixed_points(mu)
-    fwd = [seed]
-    pinned: float | None = None
+    # forward sweep up to the first iterate within PIN_TOL of a fixed
+    # point, which fills the rest of the window
+    fps, fwd = _fixed_points(mu), [seed]
     for _ in range(k_max):
-        if pinned is not None:
-            fwd.append(pinned)
-            continue
         nxt = logistic_step(mu, fwd[-1])
-        for p in fps:
-            if abs(nxt - p) <= PIN_TOL:
-                nxt = p
-                pinned = p
-                break
+        fwd_limit = next((p for p in fps if abs(nxt - p) <= PIN_TOL), None)
+        if fwd_limit is not None:
+            fwd += [fwd_limit] * (k_max + 1 - len(fwd))
+            break
         fwd.append(nxt)
-
-    if pinned is None:
-        # accept a slow approach if the tail already sits within edge_gap
-        # of some fixed point
-        tail = fwd[-1]
-        near = [p for p in fps if abs(tail - p) <= edge_gap]
-        if not near:
-            raise NoConvergenceError(
-                f"forward orbit does not reach a fixed point within edge_gap by k = {k_max}"
-            )
-        fwd_limit = near[0]
     else:
-        fwd_limit = pinned
+        # no pin: accept a slow approach if the tail already sits within
+        # edge_gap of some fixed point
+        fwd_limit = next((p for p in fps if abs(fwd[-1] - p) <= edge_gap), None)
+        if fwd_limit is None:
+            raise NoConvergenceError(f"forward orbit does not reach a fixed point within edge_gap by k = {k_max}")
 
     if kind == "homoclinic" and abs(fwd_limit - back_fp) > 0.0:
         raise NoConvergenceError(
@@ -256,21 +236,16 @@ def build_orbit(
             "heteroclinic orbit limits coincide; this is a homoclinic orbit"
         )
 
-    # backward sweep, extended 20 intervals at a time until the edge gap
-    # target is met
-    bwd = []
-    cur = seed
-    lo = k_min
+    # backward sweep from the seed, alpha_0, alpha_-1, ..., widened 20
+    # intervals at a time until the edge gap target is met
+    bwd, lo = [seed], k_min
     while True:
-        while len(bwd) < -lo:
+        while len(bwd) <= -lo:
             try:
-                cur = logistic_inverse(mu, cur, backward_branch)
+                bwd.append(logistic_inverse(mu, bwd[-1], backward_branch))
             except OutOfDomainError as exc:
-                raise BranchEscapeError(
-                    f"backward iterate left the branch domain: {exc}"
-                ) from exc
-            bwd.append(cur)
-        gap = abs(cur - back_fp)
+                raise BranchEscapeError(f"backward iterate left the branch domain: {exc}") from exc
+        gap = abs(bwd[-1] - back_fp)
         if gap <= edge_gap:
             break
         if lo <= WIDEN_K_MIN:
@@ -280,23 +255,15 @@ def build_orbit(
             )
         lo = max(WIDEN_K_MIN, lo - 20)
 
-    vals = np.array(list(reversed(bwd)) + fwd)
-    orbit = DriverOrbit(
-        k_min=lo,
-        k_max=k_max,
-        values=vals.reshape(-1, 1),
-        left_limit=np.array([back_fp]),
-        right_limit=np.array([fwd_limit]),
-        edge_gap=edge_gap,
-        mus=(mu,),
-    )
-    _check_consistency(scalar_map, orbit)
+    vals = np.array(bwd[:0:-1] + fwd).reshape(-1, 1)
+    orbit = DriverOrbit(lo, k_max, vals, np.array([back_fp]), np.array([fwd_limit]), edge_gap, (mu,))
+    _check_consistency(mu, orbit)
     return orbit
 
 
-def _check_consistency(scalar_map: ScalarMap, orbit: DriverOrbit) -> None:
+def _check_consistency(mu: float, orbit: DriverOrbit) -> None:
     vals = orbit.values[:, 0]
-    stepped = scalar_map.mu * vals[:-1] * (1.0 - vals[:-1])
+    stepped = mu * vals[:-1] * (1.0 - vals[:-1])
     worst = float(np.max(np.abs(stepped - vals[1:]))) if len(vals) > 1 else 0.0
     if worst > CONSISTENCY_TOL:
         raise NoConvergenceError(

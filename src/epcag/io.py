@@ -41,7 +41,7 @@ import numpy as np
 
 from .analysis import CONNECTION_KINDS as MODES
 from .analysis import ConnectionCertificate, certify_connection
-from .driver import BRANCHES, ORBIT_KINDS, DriverOrbit, ScalarMap, build_orbit, pair_orbits
+from .driver import BRANCHES, ORBIT_KINDS, DriverOrbit, build_orbit, pair_orbits
 from .errors import AssumptionFailureError, EpcagError, IoError, ParseError, ValidationError
 from .linear import DecayEnvelope, estimate_decay_envelope
 from .nonlinearity import example_contract, zero_contract
@@ -307,13 +307,7 @@ def _auto_range(spec: RunSpec, sys_parts) -> tuple[int, int]:
 
 def _build_scalar_orbit(dspec: DriverSpec, **window) -> DriverOrbit:
     """window holds k_min and k_max, or neither for build_orbit's defaults."""
-    return build_orbit(
-        ScalarMap(dspec.map, dspec.mu),
-        dspec.kind,
-        dspec.seed,
-        backward_branch=dspec.branch,
-        **window,
-    )
+    return build_orbit(dspec.mu, dspec.kind, dspec.seed, backward_branch=dspec.branch, **window)
 
 
 def _build_system_and_driver(spec: RunSpec):

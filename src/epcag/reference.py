@@ -29,7 +29,6 @@ from .driver import (
     LOWER_BRANCH,
     UPPER_BRANCH,
     DriverOrbit,
-    ScalarMap,
     build_orbit,
     pair_orbits,
 )
@@ -76,11 +75,10 @@ def homoclinic_driver(window: int = 30, tol: float = 1e-8) -> tuple[DriverOrbit,
     """(beta, alpha): the paired mu=3.9 homoclinic orbit and the paired
     positive fixed point it is homoclinic to."""
     k_min, k_max = _coverage_range(window, coverage_pad(tol))
-    m = ScalarMap("logistic", HOMOCLINIC_MU)
     star = (HOMOCLINIC_MU - 1.0) / HOMOCLINIC_MU
-    beta = build_orbit(m, "homoclinic", 1.0 / HOMOCLINIC_MU, backward_branch=UPPER_BRANCH,
+    beta = build_orbit(HOMOCLINIC_MU, "homoclinic", 1.0 / HOMOCLINIC_MU, backward_branch=UPPER_BRANCH,
                        k_min=k_min, k_max=k_max)
-    alpha = build_orbit(m, "fixed", star, k_min=k_min, k_max=k_max)
+    alpha = build_orbit(HOMOCLINIC_MU, "fixed", star, k_min=k_min, k_max=k_max)
     return pair_orbits(beta, beta), pair_orbits(alpha, alpha)
 
 
@@ -88,11 +86,10 @@ def heteroclinic_driver(window: int = 30, tol: float = 1e-8):
     """(beta, alpha_fwd, alpha_bwd): the paired mu=4 orbit through 1/4
     and the fixed points 3/4 (forward target) and 0 (backward target)."""
     k_min, k_max = _coverage_range(window, coverage_pad(tol))
-    m = ScalarMap("logistic", HETEROCLINIC_MU)
-    beta = build_orbit(m, "heteroclinic", 0.25, backward_branch=LOWER_BRANCH,
+    beta = build_orbit(HETEROCLINIC_MU, "heteroclinic", 0.25, backward_branch=LOWER_BRANCH,
                        k_min=k_min, k_max=k_max)
-    alpha_f = build_orbit(m, "fixed", 0.75, k_min=k_min, k_max=k_max)
-    alpha_b = build_orbit(m, "fixed", 0.0, k_min=k_min, k_max=k_max)
+    alpha_f = build_orbit(HETEROCLINIC_MU, "fixed", 0.75, k_min=k_min, k_max=k_max)
+    alpha_b = build_orbit(HETEROCLINIC_MU, "fixed", 0.0, k_min=k_min, k_max=k_max)
     return pair_orbits(beta, beta), pair_orbits(alpha_f, alpha_f), pair_orbits(alpha_b, alpha_b)
 
 
@@ -134,10 +131,9 @@ def transfer_catalog(window: int = 30, tol: float = 1e-8):
     two heteroclinic orbits exchange roles between the rows.
     """
     k_min, k_max = _coverage_range(window, coverage_pad(tol))
-    m4 = ScalarMap("logistic", HETEROCLINIC_MU)
     beta_h, alpha_h = homoclinic_driver(window, tol)
     het, alpha_34, alpha_0 = heteroclinic_driver(window, tol)
-    downhill = build_orbit(m4, "heteroclinic", 1.0, backward_branch=UPPER_BRANCH,
+    downhill = build_orbit(HETEROCLINIC_MU, "heteroclinic", 1.0, backward_branch=UPPER_BRANCH,
                            k_min=k_min, k_max=k_max)
     downhill = pair_orbits(downhill, downhill)
     catalog = [

@@ -78,7 +78,8 @@ deltas and stops at the sweep cap, naming the interval. Picard retires
 the whole grid once every interval has met its stop. Burn-in is the
 loop's sliding use: it retires the leading intervals that met the stop
 and moves the window on. step_interval is a window of one interval
-started from a given value, where the two rules agree.
+started from a given value, where the two rules agree, at Picard's
+stop and sweep cap.
 
 Both methods return a SampledTrajectory: the schedule, node window and
 substep count that fix its grid, the samples on it, one frozen argument
@@ -128,9 +129,6 @@ METHODS = ("picard", "burn_in")
 PICARD_STOP = 1e-10
 # fewest sweeps Picard may take; _picard_cap raises it near the (A4) limit
 PICARD_MAX_ITERS = 80
-# step_interval's default stop and sweep cap
-INNER_DEFAULT_TOL = 1e-12
-INNER_MAX_ITERS = 100
 # most unfinished intervals burn-in sweeps together (module docstring)
 BURN_IN_WINDOW = 24
 # fewest substeps per interval. It bounds only how sparse the output may
@@ -495,9 +493,11 @@ def _picard_stop(sys: EpcagSystem) -> float:
     Successive iterates delta apart leave an iteration error of at most
     kappa_pi / (1 - kappa_pi) delta (the contraction mapping theorem's
     a-posteriori bound), so at most PICARD_STOP at this stop whatever
-    kappa_pi is; kappa_pi <= 1/2 keeps PICARD_STOP itself."""
+    kappa_pi is; kappa_pi <= 1/2 keeps PICARD_STOP itself. So does
+    kappa_pi >= 1, where no contraction bounds the error: solve_bounded
+    refuses such systems, step_interval sweeps them at PICARD_STOP."""
     kappa = _kappa_pi(sys)
-    return PICARD_STOP * (1.0 - kappa) / kappa if kappa > 0.5 else PICARD_STOP
+    return PICARD_STOP * (1.0 - kappa) / kappa if 0.5 < kappa < 1.0 else PICARD_STOP
 
 
 def _picard_cap(sys: EpcagSystem) -> int:
@@ -653,26 +653,19 @@ def _solve(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int, meth
     return (samples, psi[pad:, ctx.nodes].copy(), nodes, hv[pad:].copy(), float(peak)), counts
 
 
-def step_interval(
-    sys: EpcagSystem,
-    k: int,
-    z0,
-    substeps: int = 200,
-    tol: float = INNER_DEFAULT_TOL,
-    max_inner: int = INNER_MAX_ITERS,
-):
+def step_interval(sys: EpcagSystem, k: int, z0, substeps: int = 200):
     """Solve one interval [theta_k, theta_{k+1}] from z(theta_k) = z0.
 
     Picard sweeps on this interval alone, from the free response
     exp(A tau) z0: each evaluates f(t, z, w_k) + alpha_k at the
     collocation nodes, with w_k = z(zeta_k) from the iterate, and sets
     z(tau) = exp(A tau) z0 + sum_r W_r(tau) F_r as Picard does. The
-    linear part is exact, so every substep count is stable. Stops when
-    successive sweeps differ by at most tol in the sup norm, after at
-    most max_inner sweeps (InnerDivergenceError otherwise, or on
-    non-finite samples). Returns (samples on the substep grid, w_k,
-    sweep count). The a-priori bound check on the samples belongs to
-    solve_bounded.
+    linear part is exact, so every substep count is stable. Stops at
+    Picard's stop (_picard_stop) after at most _picard_cap sweeps, as
+    burn-in's window of one interval does (InnerDivergenceError
+    otherwise, or on non-finite samples). Returns (samples on the
+    substep grid, w_k, sweep count). The a-priori bound check on the
+    samples belongs to solve_bounded.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.dim,):
@@ -680,7 +673,8 @@ def step_interval(
     ctx = _context(sys, substeps)
     psi = (z0 @ ctx.shift).reshape(1, -1, sys.dim)
     alpha = sys.driver.value(k)[None]
-    psi, _, sweeps, hv = _iterate(sys, ctx, k, _times(sys, ctx.offsets, k, 1), alpha, psi, tol, max_inner, z0)
+    psi, _, sweeps, hv = _iterate(sys, ctx, k, _times(sys, ctx.offsets, k, 1), alpha, psi, _picard_stop(sys),
+                                  _picard_cap(sys), z0)
     return _output(ctx, hv, np.stack([z0, psi[0, -1]])), psi[0, ctx.nodes].copy(), int(sweeps[0])
 
 

@@ -13,7 +13,6 @@ from epcag import (
     contraction_margin,
     difference_profile,
     fit_decay_rate,
-    logistic_map,
     proof_constants,
     solve_bounded,
     transfer_catalog,
@@ -226,7 +225,7 @@ class TestCertifyGuards:
             certify_connection(homo.system, homo.alphas, homo.beta, "periodic")
 
     def test_driver_dimension(self, homo):
-        scalar = build_orbit(logistic_map(4.0), "fixed", 0.75, k_min=-35, k_max=35)
+        scalar = build_orbit(4.0, "fixed", 0.75, k_min=-35, k_max=35)
         with pytest.raises(DimensionMismatchError,
                            match=r"^forward target driver dimension 1 does not match the system \(2\)$"):
             certify_connection(homo.system, (scalar,), homo.beta, "homoclinic")

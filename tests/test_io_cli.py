@@ -20,7 +20,6 @@ from epcag import (
     REFERENCE_N,
     DecayEnvelope,
     RunSpec,
-    ScalarMap,
     assemble_system,
     build_orbit,
     certificate_dict,
@@ -29,7 +28,6 @@ from epcag import (
     export_frozen_csv,
     export_orbit_csv,
     export_trajectory_csv,
-    logistic_map,
     main,
     make_schedule,
     map_supremum,
@@ -280,7 +278,7 @@ def test_top_level_must_be_an_object():
 
 
 def small_orbit():
-    orb = build_orbit(logistic_map(4.0), "fixed", 0.75, k_min=-2, k_max=2)
+    orb = build_orbit(4.0, "fixed", 0.75, k_min=-2, k_max=2)
     return pair_orbits(orb, orb)
 
 
@@ -384,8 +382,8 @@ class TestRun:
         driver = {"map": "logistic", "mu": 3.9, "kind": "homoclinic",
                   "seed": 0.2564102564102564, "branch": "upper_H"}
         assert run(parse({"command": "orbit", "out_dir": str(tmp_path), "driver": driver})) == 0
-        export_orbit_csv(build_orbit(ScalarMap("logistic", 3.9), "homoclinic", driver["seed"],
-                                     backward_branch="upper_H"), tmp_path / "direct.csv")
+        export_orbit_csv(build_orbit(3.9, "homoclinic", driver["seed"], backward_branch="upper_H"),
+                         tmp_path / "direct.csv")
         written = (tmp_path / "orbit.csv").read_bytes()
         assert written == (tmp_path / "direct.csv").read_bytes()
         assert written.splitlines()[-1].startswith(b"40,")
@@ -585,7 +583,7 @@ class TestAutoRange:
             numeric=NumericSpec(tol=tol, window=window),
         )
         k_min, k_max = _auto_range(spec, (envelope, contract))
-        orbit = build_orbit(logistic_map(mu), "fixed", star, k_min=k_min, k_max=k_max)
+        orbit = build_orbit(mu, "fixed", star, k_min=k_min, k_max=k_max)
         sys = assemble_system(reference_matrix(), make_schedule(omega, 0.0, 1.0 / 3.0), contract,
                               pair_orbits(orbit, orbit), envelope=envelope)
         pad = _lead_in_pad(envelope, contract, map_supremum(sys.driver), omega, 1.0 / 3.0, tol)

@@ -271,7 +271,7 @@ class TestSpectralAbscissa:
 def fixed_point_system(a, envelope):
     """A planar system on a, with a zero contract and a constant driver,
     assembled with the given envelope (estimated if None)."""
-    orbit = epcag.build_orbit(epcag.logistic_map(4.0), "fixed", 0.75, k_min=-60, k_max=60)
+    orbit = epcag.build_orbit(4.0, "fixed", 0.75, k_min=-60, k_max=60)
     return epcag.assemble_system(a, epcag.make_schedule(3.0, 0.0, 0.5), epcag.zero_contract(2),
                                  epcag.pair_orbits(orbit, orbit), envelope=envelope)
 

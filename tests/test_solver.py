@@ -24,7 +24,6 @@ from epcag import (
     contraction_margin,
     custom_contract,
     estimate_decay_envelope,
-    logistic_map,
     make_schedule,
     map_supremum,
     mat_exp,
@@ -47,7 +46,7 @@ from epcag.errors import (
 
 
 def constant_driver(value=0.75, k=60):
-    orb = build_orbit(logistic_map(4.0), "fixed", value, k_min=-k, k_max=k)
+    orb = build_orbit(4.0, "fixed", value, k_min=-k, k_max=k)
     return pair_orbits(orb, orb)
 
 
@@ -359,7 +358,7 @@ class TestStepInterval:
         table = direct_table(a, 1.2, np.append(offsets, zeta_fraction * 1.2))
         ts = sys.schedule.node(1) + offsets
         psi, deltas = table[:, 0] @ z0, []
-        while not deltas or deltas[-1] > solver.INNER_DEFAULT_TOL:
+        while not deltas or deltas[-1] > solver._picard_stop(sys):
             hv = np.array([sys.f.eval(t, x, psi[n]) for t, x in zip(ts, psi[:n])]) + sys.driver.value(1)
             new = table[:, 0] @ z0 + np.einsum("trab,rb->ta", table[:, 1:], hv)
             deltas.append(np.linalg.norm(new - psi, axis=1).max())
@@ -411,11 +410,12 @@ class TestStepInterval:
         # the last sweep froze the argument its predecessor gave, which is
         # w to within the stop, as the zeta target is one of the targets
         # whose delta the stop bounds
-        assert np.abs(seen[-1][3] - w).max() <= solver.INNER_DEFAULT_TOL
+        assert np.abs(seen[-1][3] - w).max() <= solver._picard_stop(sys)
 
     def test_reference_interval_inner_iterations(self, homo):
-        samples, w, inner = step_interval(homo.system, 0, np.zeros(2), tol=1e-12)
-        # contraction factor ~1e-2 per sweep: 12 decades in at most 8 sweeps
+        samples, w, inner = step_interval(homo.system, 0, np.zeros(2))
+        # contraction factor ~1e-2 per sweep: Picard's stop of 1e-10 in
+        # at most 8 sweeps
         assert inner <= 8
         assert samples.shape == (201, 2)
         # zeta_0 = 0.5 sits between grid points 66 and 67; the frozen
@@ -433,12 +433,12 @@ class TestStepInterval:
         guess step_interval once took) and the start value z0."""
         ctx = solver._context(sys, 200)
         return solver._iterate(sys, ctx, 0, solver._times(sys, ctx.offsets, 0, 1), sys.driver.value(0)[None], psi,
-                               solver.INNER_DEFAULT_TOL, solver.INNER_MAX_ITERS, z0)
+                               solver._picard_stop(sys), solver._picard_cap(sys), z0)
 
     def test_converged_guess_stops_after_one_sweep(self, homo):
         # step_interval starts from the free response; the loop under it
         # starts from any iterate, as burn-in's warm start does
-        z0, tol = np.array([0.3, -0.2]), solver.INNER_DEFAULT_TOL
+        z0, tol = np.array([0.3, -0.2]), solver._picard_stop(homo.system)
         free = (z0 @ solver._context(homo.system, 200).shift).reshape(1, -1, 2)
         psi, _, inner, _ = self.one_interval(homo.system, z0, free)
         again, _, one, _ = self.one_interval(homo.system, z0, psi)
@@ -447,7 +447,9 @@ class TestStepInterval:
 
     def test_poor_guess_reaches_the_same_fixed_point(self, homo):
         # a start 100 times the solution costs sweeps, not accuracy:
-        # both stops leave about kappa_pi / (1 - kappa_pi) 1e-12 of error
+        # both stops leave at most kappa_pi / (1 - kappa_pi) times Picard's
+        # stop of error, and the sweeps contract faster than kappa_pi
+        # (1.2e-13 apart measured)
         z0 = np.array([0.3, -0.2])
         free = (z0 @ solver._context(homo.system, 200).shift).reshape(1, -1, 2)
         psi, _, _, _ = self.one_interval(homo.system, z0, free)
@@ -476,17 +478,25 @@ class TestStepInterval:
         with pytest.raises(InnerDivergenceError, match="interval 2: non-finite samples in picard sweep 1$"):
             solve_bounded(sys, (-3, 3), substeps=20, method="picard")
 
-    def test_a_cap_of_no_sweeps_names_the_interval(self, homo):
-        with pytest.raises(InnerDivergenceError, match="interval 4: picard iteration did not reach 1e-12 in 0 sweeps"):
-            step_interval(homo.system, 4, np.zeros(2), max_inner=0)
-
     def test_inner_divergence_guard(self):
         # a frozen-argument gain this large defeats the fixed point loop
         # (its declared bound is too small, so assembly would refuse it)
         wild = custom_contract(lambda t, x, y: 5.0 * y, 10.0, 0.0, 5.0)
         sys = replace(linear_system(), f=wild)
         with pytest.raises(InnerDivergenceError):
-            step_interval(sys, 0, np.array([1.0, 1.0]), max_inner=20)
+            step_interval(sys, 0, np.array([1.0, 1.0]))
+
+    def test_a_system_without_a4_stops_at_picard_stop(self):
+        # kappa_pi only bounds the contraction: a zero term declared with
+        # gains past (A4) still settles, and (1 - kappa_pi) / kappa_pi
+        # would make the stop negative
+        loose = custom_contract(lambda t, x, y: np.zeros(2), 10.0, 0.0, 5.0)
+        sys, z0 = replace(linear_system(), f=loose), np.array([1.0, 1.0])
+        assert solver._kappa_pi(sys) > 1.0 and solver._picard_stop(sys) == solver.PICARD_STOP
+        samples, w, inner = step_interval(sys, 0, z0)
+        want, want_w, want_inner = step_interval(linear_system(), 0, z0)
+        assert inner == want_inner <= 2
+        assert np.array_equal(samples, want) and np.array_equal(w, want_w)
 
 
 def stiff_system(rate=50.0):
@@ -1055,7 +1065,7 @@ def interval_chain(sys, k_lo, k_hi, pad, m, warm):
                                                 stop, cap, z)
             samples, w, inner = solver._output(ctx, hv, np.stack([z, psi[0, -1]])), psi[0, solver.NODES], inner[0]
         else:
-            samples, w, inner = step_interval(sys, k, z, m, stop, cap)
+            samples, w, inner = step_interval(sys, k, z, m)
         start, z = z, samples[-1]
         sweeps.append(int(inner))
         if k >= k_lo:
@@ -1135,7 +1145,7 @@ class TestQuasiNewtonBurnIn:
         # an interval's sweeps contract by up to about kappa_pi = lip_y
         # here: at 0.9 and zeta_fraction 1 an interval spends up to 239
         # sweeps in burn-in's window (178 for the first, started from
-        # zero), past INNER_MAX_ITERS and within _picard_cap's 479
+        # zero), past PICARD_MAX_ITERS and within _picard_cap's 479
         sys = a4_limit_system(lip_y, zeta_fraction)
         burn = solve_bounded(sys, (-3, 3), 40, method="burn_in")
         pic = solve_bounded(sys, (-3, 3), 40)

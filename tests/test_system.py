@@ -17,7 +17,6 @@ from epcag import (
     custom_contract,
     eval_many,
     example_contract,
-    logistic_map,
     map_supremum,
     pair_orbits,
     proof_constants,
@@ -37,7 +36,7 @@ from epcag.errors import (
 
 
 def fixed_driver(mu=4.0, value=0.75, k=5):
-    orb = build_orbit(logistic_map(mu), "fixed", value, k_min=-k, k_max=k)
+    orb = build_orbit(mu, "fixed", value, k_min=-k, k_max=k)
     return pair_orbits(orb, orb)
 
 
@@ -183,7 +182,7 @@ class TestAssembly:
         assert sys.envelope.rate == pytest.approx(0.49)
 
     def test_driver_dimension_mismatch(self):
-        scalar = build_orbit(logistic_map(4.0), "fixed", 0.75, k_min=-3, k_max=3)
+        scalar = build_orbit(4.0, "fixed", 0.75, k_min=-3, k_max=3)
         with pytest.raises(DimensionMismatchError):
             assemble_system(
                 reference_matrix(),

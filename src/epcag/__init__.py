@@ -56,7 +56,6 @@ from .errors import (
     OutOfDomainError,
     OutOfRangeError,
     OverflowRiskError,
-    PadTooSmallError,
     ParseError,
     PremiseFailureError,
     RangeMismatchError,

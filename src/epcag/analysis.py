@@ -50,6 +50,14 @@ DISTINCTNESS_FACTOR = 10.0
 ENVELOPE_SLACK = 0.1
 # certify_connection's kinds of connection
 CONNECTION_KINDS = ("homoclinic", "heteroclinic")
+# certify_connection's defaults, which verify_hyperbolic_transfer always
+# takes: the end-gap tolerance, the solve window (-WINDOW, WINDOW), and
+# solve_bounded's substeps, tol and method
+CERT_TOL = 1e-4
+WINDOW = 30
+SUBSTEPS = 200
+SOLVE_TOL = 1e-8
+METHOD = "picard"
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,12 +263,12 @@ def certify_connection(
     alphas,
     beta: DriverOrbit,
     kind: str,
-    tol: float = 1e-4,
+    tol: float = CERT_TOL,
     *,
-    window: int = 30,
-    substeps: int = 200,
-    solve_tol: float = 1e-8,
-    method: str = "picard",
+    window: int = WINDOW,
+    substeps: int = SUBSTEPS,
+    solve_tol: float = SOLVE_TOL,
+    method: str = METHOD,
 ) -> ConnectionCertificate:
     """Certify that beta's bounded solution connects to the targets'.
 
@@ -302,33 +310,28 @@ def unstable_gap_bound(sys: EpcagSystem, seq_gap: float) -> float:
     return sys.envelope.n_const * seq_gap / _require_a4(sys.envelope, sys.f)
 
 
-def verify_hyperbolic_transfer(
-    sys: EpcagSystem,
-    catalog,
-    tol: float = 1e-4,
-    *,
-    window: int = 30,
-    substeps: int = 200,
-    solve_tol: float = 1e-8,
-    method: str = "picard",
-) -> TransferReport:
+def verify_hyperbolic_transfer(sys: EpcagSystem, catalog) -> TransferReport:
     """Check that every catalog entry (alpha, beta_stable, beta_unstable)
     has function-level stable and unstable companions.
 
     The stable companion is checked forward and the unstable one
     backward, each against alpha; when both are one orbit this is a
-    homoclinic certification. Premise failures name the entry index.
-    An empty catalog passes vacuously, with a note saying so.
+    homoclinic certification. Every entry is certified at
+    certify_connection's defaults: end gaps at most CERT_TOL on the
+    window (-WINDOW, WINDOW), solved by METHOD at SUBSTEPS substeps and
+    tol SOLVE_TOL, the window and tolerance reference.transfer_catalog
+    sizes its orbits for. Premise failures name the entry index. An
+    empty catalog passes vacuously, with a note saying so.
     """
     catalog = list(catalog)
     if not catalog:
         return TransferReport(entries=(), passed=True, notes=("empty catalog: vacuous pass",))
 
-    solved = _solve_once(sys, window, substeps, solve_tol, method)
+    solved = _solve_once(sys, WINDOW, SUBSTEPS, SOLVE_TOL, METHOD)
     entries = []
     notes: list[str] = []
     for idx, (alpha, beta_s, beta_u) in enumerate(catalog):
-        entry, _ = _connect(sys, (beta_s, alpha), (beta_u, alpha), tol, window, solved, f"entry {idx}: ")
+        entry, _ = _connect(sys, (beta_s, alpha), (beta_u, alpha), CERT_TOL, WINDOW, solved, f"entry {idx}: ")
         if not entry.passed:
             notes.append(f"entry {idx} failed (distinctness {entry.distinctness:.3g})")
         entries.append(entry)

@@ -54,10 +54,10 @@ CONSISTENCY_TOL = 1e-12
 
 
 def logistic_step(mu: float, s: float) -> float:
-    """F_mu(s) = mu s (1 - s) on [0, 1]."""
-    if not (0.0 < mu <= 4.0):
+    """F_mu(s) = mu s (1 - s) on [0, 1]; mu and s real numbers, not bools."""
+    if not (_real(mu) and 0.0 < mu <= 4.0):
         raise OutOfRangeError(f"mu must lie in (0, 4], got {mu!r}")
-    if not (0.0 <= s <= 1.0):
+    if not (_real(s) and 0.0 <= s <= 1.0):
         raise OutOfDomainError(f"s must lie in [0, 1], got {s!r}")
     return mu * s * (1.0 - s)
 
@@ -74,11 +74,11 @@ def logistic_inverse(mu: float, s: float, branch: str) -> float:
     as mu/4, whose preimage on both branches is exactly 1/2, so the
     consistency check of build_orbit reads the same |F(1/2) - s| this
     forgives. The lower branch lands in [0, 1/2] and the upper in
-    [1/2, 1], in floating point too.
+    [1/2, 1], in floating point too. mu and s are real numbers, not bools.
     """
-    if not (0.0 < mu <= 4.0):
+    if not (_real(mu) and 0.0 < mu <= 4.0):
         raise OutOfRangeError(f"mu must lie in (0, 4], got {mu!r}")
-    if not (0.0 <= s):
+    if not (_real(s) and 0.0 <= s):
         raise OutOfDomainError(f"s must be nonnegative, got {s!r}")
     top = mu / 4.0
     if s > top:

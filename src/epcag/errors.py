@@ -88,10 +88,6 @@ class InnerDivergenceError(EpcagError):
     pass
 
 
-class PadTooSmallError(EpcagError):
-    pass
-
-
 # asymptotics
 
 class GridMismatchError(EpcagError):

@@ -39,8 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import CERT_TOL, METHOD, SOLVE_TOL, SUBSTEPS, WINDOW, ConnectionCertificate, certify_connection
 from .analysis import CONNECTION_KINDS as MODES
-from .analysis import ConnectionCertificate, certify_connection
 from .driver import BRANCHES, ORBIT_KINDS, DriverOrbit, build_orbit, pair_orbits
 from .errors import AssumptionFailureError, EpcagError, IoError, ParseError, ValidationError
 from .linear import DecayEnvelope, estimate_decay_envelope
@@ -92,11 +92,11 @@ class DriverSpec:
 
 @dataclass(frozen=True)
 class NumericSpec:
-    substeps: int = 200
-    tol: float = 1e-8
-    window: int = 30
-    method: str = "picard"
-    cert_tol: float = 1e-4
+    substeps: int = SUBSTEPS
+    tol: float = SOLVE_TOL
+    window: int = WINDOW
+    method: str = METHOD
+    cert_tol: float = CERT_TOL
 
 
 @dataclass(frozen=True)
@@ -321,10 +321,7 @@ def _build_system_and_driver(spec: RunSpec):
     schedule = make_schedule(s.omega, s.origin, s.zeta_fraction)
     contract = example_contract() if s.f_catalog == "example4" else zero_contract(2)
     if s.envelope is not None:
-        envelope = DecayEnvelope(
-            n_const=s.envelope.n_const, rate=s.envelope.rate,
-            validated_horizon=s.envelope.horizon, sample_count=0,
-        )
+        envelope = DecayEnvelope(s.envelope.n_const, s.envelope.rate, s.envelope.horizon)
     else:
         envelope = estimate_decay_envelope(a)
 

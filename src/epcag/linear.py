@@ -37,6 +37,9 @@ OVERFLOW_NORM_LIMIT = 700.0
 # products on all its threads (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD)
 SERIAL_MATMUL_MNK = 1 << 18
 
+# points of estimate_decay_envelope's scan over [0, 12 / |abscissa|]
+ENVELOPE_SAMPLES = 4001
+
 
 def _as_square(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
@@ -196,7 +199,6 @@ class DecayEnvelope:
     n_const: float
     rate: float
     validated_horizon: float
-    sample_count: int
 
     def __post_init__(self):
         if not (self.n_const >= 1.0):
@@ -288,17 +290,15 @@ def _scaled_norms(ts: np.ndarray, norms: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
-def estimate_decay_envelope(
-    a,
-    rate_margin: float = 0.02,
-    horizon: float | None = None,
-    samples: int = 4001,
-) -> DecayEnvelope:
+def estimate_decay_envelope(a, rate_margin: float = 0.02) -> DecayEnvelope:
     """Estimate a decay envelope for a Hurwitz matrix by dense sampling.
 
     The rate is set to (1 - rate_margin) * |spectral abscissa| and the
     constant to the sampled supremum of ||exp(A t)|| exp(rate t) over
-    [0, horizon], rounded up to the next 0.01 and floored at 1.
+    ENVELOPE_SAMPLES points of [0, 12 / |abscissa|], the validated
+    horizon, rounded up to the next 0.01 and floored at 1.
+    ||exp(A t)|| is at least exp(abscissa t) >= exp(-12) there, so no
+    sampled norm underflows.
 
     Parameters
     ----------
@@ -308,13 +308,6 @@ def estimate_decay_envelope(
         and stable. rate_margin = 0 is allowed and appropriate for
         semisimple spectra; with a defective leading eigenvalue the
         sampled constant then grows with the horizon.
-    horizon : float, optional
-        Scan length; must be >= 10 / |abscissa|. Default 12 / |abscissa|.
-    samples : int
-        Grid size of the scan.
-
-    Raises OutOfRangeError when a sampled norm falls below the smallest
-    normal double, naming the horizon that avoids it.
     """
     m = _as_square(a)
     if not (0.0 <= rate_margin < 1.0):
@@ -322,19 +315,12 @@ def estimate_decay_envelope(
     sigma = spectral_abscissa(m)
     if sigma >= 0.0:
         raise NotHurwitzError(f"spectral abscissa {sigma:.6g} is not negative")
-    if horizon is None:
-        horizon = 12.0 / abs(sigma)
-    if horizon < 10.0 / abs(sigma):
-        raise HorizonTooShortError(
-            f"horizon {horizon:.6g} < 10/|abscissa| = {10.0 / abs(sigma):.6g}"
-        )
+    horizon = 12.0 / abs(sigma)
     rate = (1.0 - rate_margin) * abs(sigma)
-    ts, norms = sample_norm_curve(m, horizon, samples)
+    ts, norms = sample_norm_curve(m, horizon, ENVELOPE_SAMPLES)
     sup = float(np.max(_scaled_norms(ts, norms, rate)))
     n_const = max(1.0, math.ceil(sup * 100.0) / 100.0)
-    return DecayEnvelope(
-        n_const=n_const, rate=rate, validated_horizon=float(horizon), sample_count=samples
-    )
+    return DecayEnvelope(n_const=n_const, rate=rate, validated_horizon=horizon)
 
 
 def validate_envelope(

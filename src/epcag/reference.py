@@ -15,7 +15,10 @@ Two connection scenarios ship ready-made:
                  lower-branch tail falls to 0 with ratio 1/4.
 
 plus a three-row catalog exercising stable and unstable companions for
-the hyperbolicity transfer check.
+the hyperbolicity transfer check. Every orbit covers the solve window
+(-analysis.WINDOW, analysis.WINDOW) and the lead-in pad at
+analysis.SOLVE_TOL by default; the catalog always does, as the transfer
+check always solves there.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import SOLVE_TOL, WINDOW
 from .driver import (
     LOWER_BRANCH,
     UPPER_BRANCH,
@@ -53,17 +57,16 @@ def reference_matrix() -> np.ndarray:
 
 
 def reference_envelope() -> DecayEnvelope:
-    """Analytic envelope; sample_count 0 marks it as closed-form."""
-    return DecayEnvelope(
-        n_const=REFERENCE_N, rate=REFERENCE_RATE, validated_horizon=REFERENCE_HORIZON, sample_count=0
-    )
+    """The analytic envelope of the module docstring; assembly validates
+    it on [0, REFERENCE_HORIZON]."""
+    return DecayEnvelope(n_const=REFERENCE_N, rate=REFERENCE_RATE, validated_horizon=REFERENCE_HORIZON)
 
 
 def reference_schedule() -> Schedule:
     return make_schedule(REFERENCE_OMEGA, 0.0, REFERENCE_ZETA_FRACTION)
 
 
-def coverage_pad(tol: float = 1e-8) -> int:
+def coverage_pad(tol: float = SOLVE_TOL) -> int:
     """Driver coverage needed left of the solve window, sized from the
     worst-case (mu = 4) solution bound so one figure fits every scenario."""
     map_sup = _logistic_sup((HETEROCLINIC_MU, HETEROCLINIC_MU))
@@ -71,7 +74,7 @@ def coverage_pad(tol: float = 1e-8) -> int:
                         REFERENCE_ZETA_FRACTION, tol) + 2
 
 
-def homoclinic_driver(window: int = 30, tol: float = 1e-8) -> tuple[DriverOrbit, DriverOrbit]:
+def homoclinic_driver(window: int = WINDOW, tol: float = SOLVE_TOL) -> tuple[DriverOrbit, DriverOrbit]:
     """(beta, alpha): the paired mu=3.9 homoclinic orbit and the paired
     positive fixed point it is homoclinic to."""
     k_min, k_max = _coverage_range(window, coverage_pad(tol))
@@ -82,7 +85,7 @@ def homoclinic_driver(window: int = 30, tol: float = 1e-8) -> tuple[DriverOrbit,
     return pair_orbits(beta, beta), pair_orbits(alpha, alpha)
 
 
-def heteroclinic_driver(window: int = 30, tol: float = 1e-8):
+def heteroclinic_driver(window: int = WINDOW, tol: float = SOLVE_TOL):
     """(beta, alpha_fwd, alpha_bwd): the paired mu=4 orbit through 1/4
     and the fixed points 3/4 (forward target) and 0 (backward target)."""
     k_min, k_max = _coverage_range(window, coverage_pad(tol))
@@ -111,18 +114,19 @@ def _assemble(driver: DriverOrbit) -> EpcagSystem:
     )
 
 
-def homoclinic_scenario(window: int = 30, tol: float = 1e-8) -> ReferenceScenario:
+def homoclinic_scenario(window: int = WINDOW, tol: float = SOLVE_TOL) -> ReferenceScenario:
     beta, alpha = homoclinic_driver(window, tol)
     return ReferenceScenario("homoclinic", _assemble(beta), beta, (alpha,))
 
 
-def heteroclinic_scenario(window: int = 30, tol: float = 1e-8) -> ReferenceScenario:
+def heteroclinic_scenario(window: int = WINDOW, tol: float = SOLVE_TOL) -> ReferenceScenario:
     beta, alpha_f, alpha_b = heteroclinic_driver(window, tol)
     return ReferenceScenario("heteroclinic", _assemble(beta), beta, (alpha_f, alpha_b))
 
 
-def transfer_catalog(window: int = 30, tol: float = 1e-8):
-    """(system template, catalog) for verify_hyperbolic_transfer.
+def transfer_catalog():
+    """(system template, catalog) for verify_hyperbolic_transfer, with
+    orbits covering its window (-WINDOW, WINDOW) and lead-in at SOLVE_TOL.
 
     Rows: the mu=3.9 homoclinic companion serving both directions; then
     the two mu=4 fixed points, each with a stable companion approaching
@@ -130,9 +134,9 @@ def transfer_catalog(window: int = 30, tol: float = 1e-8):
     mu=4 orbit runs the opposite way (3/4 down to 0, seed 1), so the
     two heteroclinic orbits exchange roles between the rows.
     """
-    k_min, k_max = _coverage_range(window, coverage_pad(tol))
-    beta_h, alpha_h = homoclinic_driver(window, tol)
-    het, alpha_34, alpha_0 = heteroclinic_driver(window, tol)
+    k_min, k_max = _coverage_range(WINDOW, coverage_pad())
+    beta_h, alpha_h = homoclinic_driver()
+    het, alpha_34, alpha_0 = heteroclinic_driver()
     downhill = build_orbit(HETEROCLINIC_MU, "heteroclinic", 1.0, backward_branch=UPPER_BRANCH,
                            k_min=k_min, k_max=k_max)
     downhill = pair_orbits(downhill, downhill)

@@ -91,8 +91,9 @@ included, where a table built by translation, as the output's is,
 gives z from [z_k, F]; one helper, _solution_at, forms that product for
 both tables. It reads the kept solution, never the samples, so
 `substeps` does not change it. Both methods report their
-truncation/transient bound (_tail_bound) in the trajectory meta and
-refuse pads whose bound exceeds the requested tolerance. Every solve
+truncation/transient bound (_tail_bound) in the trajectory meta, at
+the fewest intervals of lead-in that bring it to the requested
+tolerance (_fewest_pad). Every solve
 checks its samples and its collocation node values against the
 a-priori bound M_phi plus that bound, which the bounded solution
 meets, and raises InnerDivergenceError above it: a contract that
@@ -108,22 +109,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    InnerDivergenceError,
-    OutOfRangeError,
-    PadTooSmallError,
-)
+from .errors import GridMismatchError, InnerDivergenceError, OutOfRangeError
 from .linear import _row_norms, _serial_matmul, mat_exp
 from .nonlinearity import eval_many
 from .schedule import Schedule
-from .system import (
-    EpcagSystem,
-    _kappa_pi,
-    _require_a4,
-    _solution_bound,
-    solution_bound,
-)
+from .system import EpcagSystem, _kappa_pi, _require_a4, _solution_bound, solution_bound
 
 METHODS = ("picard", "burn_in")
 PICARD_STOP = 1e-10
@@ -154,7 +144,7 @@ class SampledTrajectory:
     """A solution sampled on the node window k_window = (k_lo, k_hi) of a
     schedule, at `substeps` substeps per interval. samples holds
     substeps (k_hi - k_lo) + 1 rows at t0 + j step, from t0 = theta_{k_lo}
-    to t1 = theta_{k_hi}; frozen holds the frozen arguments
+    to theta_{k_hi}; frozen holds the frozen arguments
     w_k = z(zeta_k), row i for interval k_lo + i. These fields are the
     one record of the grid, and construction refuses arrays that do not
     fill it with GridMismatchError; meta carries only solver diagnostics.
@@ -194,10 +184,6 @@ class SampledTrajectory:
     @property
     def t0(self) -> float:
         return self.schedule.node(self.k_window[0])
-
-    @property
-    def t1(self) -> float:
-        return self.schedule.node(self.k_window[1])
 
     @property
     def step(self) -> float:
@@ -610,7 +596,7 @@ def _iterate(sys: EpcagSystem, ctx: _Context, k0: int, ts: np.ndarray, alpha: np
 
 
 def _solve(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int, method: str):
-    """`method` on [k_lo - pad, k_hi] from zero: _iterate over a window
+    """`method` on [k_lo - pad, k_hi], pad >= 1, from zero: _iterate over a window
     of the whole grid (Picard) or a sliding window of up to
     BURN_IN_WINDOW intervals (burn-in, as the module docstring
     describes). An interval unfinished after _picard_cap sweeps raises
@@ -645,7 +631,7 @@ def _solve(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int, meth
     psi = np.zeros((min(BURN_IN_WINDOW, n_all) if sliding else n_all, ctx.nodes + 2, sys.dim))
     psi, deltas, sweeps, hv = _iterate(sys, ctx, k0, _times(sys, ctx.offsets, k0, n_all), sys.driver.span(k0, k_hi),
                                        psi, _picard_stop(sys), _picard_cap(sys), start, sliding)
-    nodes = np.concatenate([(psi[pad - 1, -1] if pad else start)[None], psi[pad:, -1]])
+    nodes = psi[pad - 1 :, -1].copy()
     samples = _output(ctx, hv[pad:], nodes)
     peak = max(_row_norms(samples).max(), _row_norms(psi[pad:, : ctx.nodes]).max())
     key, per = ("inner_iterations", tuple(int(c) for c in sweeps)) if sliding else ("iterate_deltas", tuple(deltas))
@@ -684,37 +670,29 @@ def solve_bounded(
     substeps: int = 200,
     tol: float = 1e-8,
     method: str = "picard",
-    pad: int | None = None,
 ) -> SampledTrajectory:
     """Sample the unique bounded solution on node window [k_lo, k_hi],
-    a pair of integral values (int, numpy integers).
+    a pair of integral values (int, numpy integers, not bools).
 
-    Requires (A4). `pad` lead-in intervals (defaulted from the
-    contraction margin so the associated bound sits below tol) are
-    solved and discarded; an explicit pad whose transient/truncation
-    bound exceeds tol raises PadTooSmallError. A solution whose norm,
-    over the samples and the collocation node values, exceeds M_phi
-    plus that bound raises InnerDivergenceError.
+    Requires (A4). The fewest lead-in intervals whose transient/truncation
+    bound (meta["tail_bound"]) is at most tol (meta["pad"]) are solved and
+    discarded. A solution whose norm, over the samples and the collocation
+    node values, exceeds M_phi plus that bound raises InnerDivergenceError.
     """
     try:
+        if any(isinstance(k, (bool, np.bool_)) for k in t_window):  # operator.index reads True as 1
+            raise TypeError
         k_lo, k_hi = map(operator.index, t_window)
     except (TypeError, ValueError):
         k_lo = k_hi = 0
     if not k_lo < k_hi:
         raise OutOfRangeError(f"t_window must be an increasing pair of node indices, got {t_window!r}")
-    _require_a4(sys.envelope, sys.f)
     if method not in METHODS:
         raise OutOfRangeError(f"method must be picard or burn_in, got {method!r}")
     sched, m_phi = sys.schedule, solution_bound(sys)
     mu, pre = _tail_rates(sys.envelope, sys.f, m_phi, sched.omega, sched.zeta_fraction)
-    if pad is None:
-        pad = _fewest_pad(mu, pre, sched.omega, tol)
+    pad = _fewest_pad(mu, pre, sched.omega, tol)
     bound = _tail_bound(mu, pre, sched.omega, pad)
-    if bound > tol:
-        kind = "truncation" if method == "picard" else "transient"
-        raise PadTooSmallError(
-            f"pad {pad} leaves a {kind} bound {bound:.3g} above tol {tol:.3g}"
-        )
     (samples, frozen, node_values, integrands, peak), counts = _solve(sys, k_lo, k_hi, pad, substeps, method)
     meta = {"method": method, **counts, "pad": pad, "tail_bound": bound, "sup_norm": peak}
     limit = m_phi + bound

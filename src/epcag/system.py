@@ -25,7 +25,7 @@ import numpy as np
 
 from .driver import DriverOrbit
 from .errors import AssumptionFailureError, ContractViolatedError, DimensionMismatchError
-from .linear import DecayEnvelope, _row_norms, estimate_decay_envelope, validate_envelope
+from .linear import ENVELOPE_SAMPLES, DecayEnvelope, _row_norms, estimate_decay_envelope, validate_envelope
 from .nonlinearity import NonlinearityContract, eval_many
 from .schedule import Schedule
 
@@ -194,11 +194,12 @@ def assemble_system(
             f"contract eval returned shape {probe.shape}, expected ({dim},)"
         )
 
-    # 4002 points, of which only the ends lie on estimate_decay_envelope's
-    # 4001-point scan (4000 and 4001 are coprime): an estimated envelope
-    # is checked where its constant was not read off, so the check can
-    # fail; the default slack of 1e-2 covers the rounding of that constant
-    report = validate_envelope(a, envelope, envelope.validated_horizon / 4001.5)
+    # ENVELOPE_SAMPLES + 1 points, of which only the ends lie on
+    # estimate_decay_envelope's scan (4000 and 4001 intervals are coprime):
+    # an estimated envelope is checked where its constant was not read
+    # off, so the check can fail; the default slack of 1e-2 covers the
+    # rounding of that constant
+    report = validate_envelope(a, envelope, envelope.validated_horizon / (ENVELOPE_SAMPLES + 0.5))
     if not report.passed:
         raise AssumptionFailureError(
             f"envelope failed validation: max ratio {report.max_ratio:.6g} "

@@ -1,6 +1,7 @@
 """Logistic map steps, inverse branches, and orbit construction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,23 @@ class TestStepAndInverse:
         for mu in (0.0, 4.5, math.nan):
             with pytest.raises(OutOfRangeError, match=r"mu must lie in \(0, 4\]"):
                 logistic_inverse(mu, 0.1, "lower_G")
+
+    # mu and s are real numbers, not bools: True read as 1, and a string
+    # raised a bare TypeError. Each refusal keeps the range's message
+    @pytest.mark.parametrize("mu", [True, np.True_, "4", None], ids=["bool", "numpy-bool", "string", "none"])
+    def test_mu_must_be_a_real_number(self, mu):
+        msg = re.escape(f"mu must lie in (0, 4], got {mu!r}")
+        with pytest.raises(OutOfRangeError, match=msg):
+            logistic_step(mu, 0.5)
+        with pytest.raises(OutOfRangeError, match=msg):
+            logistic_inverse(mu, 0.1, "lower_G")
+
+    @pytest.mark.parametrize("s", [True, np.True_, "0.5", None], ids=["bool", "numpy-bool", "string", "none"])
+    def test_s_must_be_a_real_number(self, s):
+        with pytest.raises(OutOfDomainError, match=re.escape(f"s must lie in [0, 1], got {s!r}")):
+            logistic_step(4.0, s)
+        with pytest.raises(OutOfDomainError, match=re.escape(f"s must be nonnegative, got {s!r}")):
+            logistic_inverse(4.0, s, "lower_G")
 
     def test_branch_ranges(self):
         for s in np.linspace(0.0, 1.0, 41):

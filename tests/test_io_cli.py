@@ -571,7 +571,7 @@ class TestAutoRange:
                                           omega, mu, tol, window):
         # envelopes no tighter than the reference one validate against its
         # matrix; the Lipschitz constants use a share of the (A4) room
-        envelope = DecayEnvelope(n_const=n_const, rate=rate, validated_horizon=60.0, sample_count=0)
+        envelope = DecayEnvelope(n_const=n_const, rate=rate, validated_horizon=60.0)
         lip = a4_share * rate / n_const
         contract = custom_contract(lambda t, x, y: np.zeros(2), bound_mf, x_share * lip, (1.0 - x_share) * lip)
         star = (mu - 1.0) / mu

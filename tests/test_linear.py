@@ -293,7 +293,7 @@ class TestEnvelope:
     def test_estimated_envelope_validates_on_finer_grid(self):
         a = reference_matrix()
         env = estimate_decay_envelope(a)
-        step = env.validated_horizon / (2 * (env.sample_count - 1))
+        step = env.validated_horizon / (2 * (epcag.linear.ENVELOPE_SAMPLES - 1))
         report = validate_envelope(a, env, step)
         assert report.passed
         assert report.max_ratio <= 1.01
@@ -307,7 +307,7 @@ class TestEnvelope:
         assert report.max_ratio == pytest.approx(1.0, abs=1e-6)
 
     def test_undersized_constant_fails(self):
-        env = DecayEnvelope(n_const=1.0, rate=0.5, validated_horizon=60.0, sample_count=0)
+        env = DecayEnvelope(n_const=1.0, rate=0.5, validated_horizon=60.0)
         report = validate_envelope(reference_matrix(), env, 1e-2, slack=1e-9)
         assert not report.passed
         assert report.max_ratio > 2.0
@@ -399,39 +399,33 @@ class TestEnvelope:
         with pytest.raises(NotHurwitzError):
             estimate_decay_envelope(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
-    def test_horizon_floor(self):
-        with pytest.raises(HorizonTooShortError):
-            estimate_decay_envelope(-np.eye(2), horizon=5.0)
-
     def test_validation_refuses_a_matrix_that_is_not_hurwitz(self):
-        env = DecayEnvelope(n_const=1.0, rate=0.5, validated_horizon=60.0, sample_count=0)
+        env = DecayEnvelope(n_const=1.0, rate=0.5, validated_horizon=60.0)
         with pytest.raises(NotHurwitzError, match=r"^spectral abscissa 0 is not negative$"):
             validate_envelope(np.array([[0.0, 1.0], [-1.0, 0.0]]), env, 1e-2)
 
     def test_validation_refuses_a_short_horizon(self):
         # -I decays at abscissa -1, so the scan must reach t = 10
-        env = DecayEnvelope(n_const=1.0, rate=0.5, validated_horizon=5.0, sample_count=0)
+        env = DecayEnvelope(n_const=1.0, rate=0.5, validated_horizon=5.0)
         with pytest.raises(HorizonTooShortError, match=r"^envelope horizon 5 < 10/\|abscissa\| = 10$"):
             validate_envelope(-np.eye(2), env, 1e-2)
 
     def test_underflowing_scan_is_refused(self):
         # ||exp(-20 t)|| falls below the smallest normal double at t = 35.43
-        # of the 4001-point scan to 60 that estimation runs (35.4211 of
-        # assembly's 4002-point one), and 1517 samples are 0: their ratio
+        # of a 4001-point scan to 60 (35.4211 of assembly's 4002-point
+        # one), and 1517 samples are 0: their ratio
         # to the exact envelope read nan, the subnormal ones a wrong finite
         # value; the scans to 35.415 (35.4061) keep every sample
         a = -20.0 * np.eye(2)
-        env = DecayEnvelope(n_const=1.0, rate=20.0, validated_horizon=60.0, sample_count=0)
+        env = DecayEnvelope(n_const=1.0, rate=20.0, validated_horizon=60.0)
         msg = r"at t = 35\.43 is below the smallest normal double; scan to a horizon of at most 35\.415 instead of 60"
         with pytest.raises(OutOfRangeError, match=msg):
             validate_envelope(a, env, 60.0 / 4000.0, 1e-9)
-        with pytest.raises(OutOfRangeError, match=msg):
-            estimate_decay_envelope(a, rate_margin=0.0, horizon=60.0)
         msg = r"at t = 35\.4211 is below the smallest normal double; scan to a horizon of at most 35\.4061 instead of 60"
         with pytest.raises(OutOfRangeError, match=msg):
             fixed_point_system(a, env)
         for horizon, step in ((35.415, 35.415 / 4000.0), (35.4061, 35.4061 / 4001.5)):
-            shorter = DecayEnvelope(n_const=1.0, rate=20.0, validated_horizon=horizon, sample_count=0)
+            shorter = DecayEnvelope(n_const=1.0, rate=20.0, validated_horizon=horizon)
             report = validate_envelope(a, shorter, step, 1e-9)
             assert report.passed and report.max_ratio == pytest.approx(1.0, abs=1e-9)
 
@@ -449,23 +443,23 @@ class TestEnvelope:
         envelope = fixed_point_system(reference_matrix(), None).envelope
         estimated, validated = scans
         horizon = envelope.validated_horizon
-        assert len(estimated) == envelope.sample_count == 4001 and len(validated) == 4002
+        assert len(estimated) == epcag.linear.ENVELOPE_SAMPLES == 4001 and len(validated) == 4002
         # the two grids are at least horizon / (4000 * 4001) apart inside
         assert np.abs(validated[:, None] - estimated[None, 1:-1]).min() >= 0.5 * horizon / 4001**2
 
     def test_overflowing_growth_factor_takes_log_space(self):
         # exp(1.01 t) overflows past t = 702.8 while exp(-t) is still a
         # normal double: the ratio exp(0.01 t) stays finite (it read inf)
-        env = DecayEnvelope(n_const=1.0, rate=1.01, validated_horizon=705.0, sample_count=0)
+        env = DecayEnvelope(n_const=1.0, rate=1.01, validated_horizon=705.0)
         report = validate_envelope(-np.eye(2), env, 705.0 / 4000.0)
         assert not report.passed and report.t_at_max == 705.0
         assert report.max_ratio == pytest.approx(math.exp(0.01 * 705.0), rel=1e-10)
 
     def test_envelope_field_guards(self):
         with pytest.raises(ValueError):
-            DecayEnvelope(n_const=0.5, rate=0.5, validated_horizon=60.0, sample_count=0)
+            DecayEnvelope(n_const=0.5, rate=0.5, validated_horizon=60.0)
         with pytest.raises(ValueError):
-            DecayEnvelope(n_const=2.0, rate=0.0, validated_horizon=60.0, sample_count=0)
+            DecayEnvelope(n_const=2.0, rate=0.0, validated_horizon=60.0)
 
     def test_bound_is_vectorized(self):
         env = reference_envelope()

@@ -7,6 +7,7 @@ and a constant driver pins the bounded solution at the equilibrium
 two methods and through the residual defect.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -41,7 +42,6 @@ from epcag.errors import (
     GridMismatchError,
     InnerDivergenceError,
     OutOfRangeError,
-    PadTooSmallError,
 )
 
 
@@ -507,7 +507,7 @@ def stiff_system(rate=50.0):
         make_schedule(3.0, 0.0, 0.5),
         zero_contract(2),
         constant_driver(),
-        envelope=DecayEnvelope(n_const=1.0, rate=rate, validated_horizon=10.0 / rate, sample_count=0),
+        envelope=DecayEnvelope(n_const=1.0, rate=rate, validated_horizon=10.0 / rate),
     )
 
 
@@ -541,8 +541,7 @@ class TestStabilityGuards:
         # check, which saw an honest contract here, would have caught it
         liar = custom_contract(lambda t, x, y: np.full(2, 5.0), 0.01, 0.0, 0.0)
         sys = assemble_system(-np.eye(2), make_schedule(1.5, 0.0, 1.0 / 3.0), zero_contract(2), constant_driver(),
-                              envelope=DecayEnvelope(n_const=1.0, rate=1.0, validated_horizon=10.0,
-                                                     sample_count=0))
+                              envelope=DecayEnvelope(n_const=1.0, rate=1.0, validated_horizon=10.0))
         sys = replace(sys, f=liar)
         with pytest.raises(InnerDivergenceError, match="above the a-priori bound M_phi"):
             solve_bounded(sys, (-3, 3), 32, method=method)
@@ -641,7 +640,6 @@ class TestSolveBounded:
 
     def test_times_and_window(self, homo_traj):
         assert homo_traj.t0 == -30.0
-        assert homo_traj.t1 == 30.0
         assert homo_traj.times[0] == -30.0
         assert homo_traj.times[-1] == pytest.approx(30.0, abs=1e-9)
         assert homo_traj.k_window == (-20, 20)
@@ -654,20 +652,6 @@ class TestSolveBounded:
         # pad 49 at tol 1e-8, plus headroom, left of the 30-node window
         for orbit in (homo.beta, *homo.alphas, het.beta, *het.alphas):
             assert (orbit.k_min, orbit.k_max) == (-83, 32)
-
-    def test_pad_too_small(self, homo):
-        with pytest.raises(PadTooSmallError):
-            solve_bounded(homo.system, (-2, 2), pad=1)
-
-    @pytest.mark.parametrize("method", ["picard", "burn_in"])
-    def test_no_lead_in_starts_the_window_from_zero(self, homo, method):
-        # a tol above the tail bound of no lead-in at all (73 here) allows
-        # pad 0: the samples are the initial-value problem from zero at
-        # the window's start
-        traj = solve_bounded(homo.system, (-2, 2), 40, tol=100.0, pad=0, method=method)
-        assert traj.meta["pad"] == 0 and not traj.samples[0].any()
-        first, _, _ = step_interval(homo.system, -2, np.zeros(2), 40)
-        assert np.abs(traj.samples[:41] - first).max() <= 1e-11
 
     def test_tail_bound_decays_at_the_contraction_margin(self, homo):
         # f = 0.6 tanh(x/5): L1 = 0.12 leaves a margin of 0.102 against
@@ -690,8 +674,7 @@ class TestSolveBounded:
             errors[pad] = np.abs(short - long).max()
             assert errors[pad] <= solver._tail_bound(*rates, 1.5, pad), pad
         assert solution_bound(sys) * math.exp(-0.5 * 30 * 1.5) < 1e-8 < errors[30]
-        with pytest.raises(PadTooSmallError):
-            solve_bounded(sys, window, m, pad=30)
+        assert solver._tail_bound(*rates, 1.5, 30) > 1e-8
         traj = solve_bounded(sys, window, m)
         assert traj.meta["tail_bound"] <= 1e-8
         assert np.abs(traj.samples - long).max() <= 1e-8
@@ -705,9 +688,26 @@ class TestSolveBounded:
         # errors of 9.5e-5, 5.7e-4 and 4.2e-3 against tol 1e-8
         sys = a4_limit_system(lip_y, 0.0)
         traj = solve_bounded(sys, (-3, 3), 40, 1e-8, method)
-        long = solve_bounded(sys, (-3, 3), 40, 1e-8, method, pad=600)
+        (long, *_), _ = solver._solve(sys, -3, 3, 600, 40, method)
         assert traj.meta["pad"] == {0.5: 51, 0.7: 102, 0.9: 360}[lip_y]
-        assert np.abs(traj.samples - long.samples).max() <= 1e-8
+        assert np.abs(traj.samples - long).max() <= 1e-8
+
+    def test_pad_is_the_fewest_that_meets_tol(self):
+        # seeded (A4) systems, near the limit too, at tolerances from 1e-13
+        # to 1: the lead-in solve_bounded picks bounds the transient by tol,
+        # and one interval less would not
+        rng = np.random.default_rng(35)
+        systems = [random_system(seed) for seed in range(3)]
+        systems += [a4_limit_system(lip_y, zeta) for lip_y, zeta in zip(rng.uniform(0.0, 0.9, 3), (0.0, 0.5, 1.0))]
+        systems.append(a4_limit_system(0.9, 0.0))
+        for sys in systems:
+            sched = sys.schedule
+            rates = solver._tail_rates(sys.envelope, sys.f, solution_bound(sys), sched.omega, sched.zeta_fraction)
+            for tol in (1e-13, 1.0, *10.0 ** rng.uniform(-13.0, 0.0, 4)):
+                meta = solve_bounded(sys, (0, 1), solver.MIN_SUBSTEPS, tol).meta
+                assert meta["tail_bound"] <= tol, (sys.f.lip_y, tol)
+                pad = meta["pad"]
+                assert pad == 1 or solver._tail_bound(*rates, sched.omega, pad - 1) > tol, (sys.f.lip_y, tol)
 
     @pytest.mark.parametrize("zeta_fraction", [0.0, 0.37, 1.0])
     def test_frozen_arguments_at_every_zeta_fraction(self, homo, zeta_fraction):
@@ -774,6 +774,13 @@ class TestSolveBounded:
         traj = solve_bounded(homo.system, (np.int64(-2), np.int64(2)))
         assert traj.k_window == (-2, 2)
         assert all(type(k) is int for k in traj.k_window)
+
+    @pytest.mark.parametrize("window", [(False, True), (0, True), (np.False_, np.True_), (0, True, 5)])
+    def test_bools_are_not_node_indices(self, homo, window):
+        # operator.index(True) is 1, so (False, True) read as the window (0, 1);
+        # a bool refused is not dropped, so (0, True, 5) is no pair (0, 5)
+        with pytest.raises(OutOfRangeError, match=r"^t_window must be an increasing pair of node indices, got \("):
+            solve_bounded(homo.system, window)
 
     def test_unknown_method(self, homo):
         with pytest.raises(OutOfRangeError):
@@ -1043,7 +1050,7 @@ def a4_limit_system(lip_y, zeta_fraction):
         make_schedule(3.0, 0.0, zeta_fraction),
         f,
         constant_driver(k=90),
-        envelope=DecayEnvelope(1.0, 1.0, 60.0, 0),
+        envelope=DecayEnvelope(1.0, 1.0, 60.0),
     )
 
 
@@ -1175,8 +1182,11 @@ class TestQuasiNewtonBurnIn:
     def test_a_window_of_one_is_the_warm_started_chain(self, homo, het, monkeypatch):
         # a window of one interval sweeps each interval alone, started
         # from the one before it moved onto its start state: a warm chain
-        # of one-interval sweep loops, to the same sweep counts
+        # of one-interval sweep loops, to the same sweep counts. Contexts
+        # size their top-up table by BURN_IN_WINDOW, so they come from a
+        # cache of this test's own, not left for tests at the full window
         monkeypatch.setattr(solver, "BURN_IN_WINDOW", 1)
+        monkeypatch.setattr(solver, "_cached_context", functools.lru_cache(solver._cached_context.__wrapped__))
         totals = {}
         for name, sc in (("homoclinic", homo), ("heteroclinic", het)):
             burn = solve_bounded(sc.system, (-20, 20), method="burn_in")

@@ -178,7 +178,7 @@ class TestAssembly:
         sys = assemble_system(
             reference_matrix(), reference_schedule(), example_contract(), fixed_driver()
         )
-        assert sys.envelope.sample_count > 0
+        assert sys.envelope.validated_horizon == pytest.approx(24.0)
         assert sys.envelope.rate == pytest.approx(0.49)
 
     def test_driver_dimension_mismatch(self):

@@ -36,7 +36,7 @@ from .errors import (
     PremiseFailureError,
 )
 from .linear import _row_norms
-from .solver import SampledTrajectory, solve_bounded
+from .solver import SampledTrajectory, _index, solve_bounded
 from .system import EpcagSystem, ProofConstants, _require_a4, proof_constants
 
 # gaps at or below this are left out of rate fits as rounding noise: the
@@ -279,10 +279,16 @@ def certify_connection(
 
     Raises PremiseFailureError when the driver sequences themselves do
     not meet at the window ends, and AssumptionFailureError when the
-    contraction conditions behind the certified bounds fail.
+    contraction conditions behind the certified bounds fail. window is
+    a positive int or numpy integer, not a bool.
     """
     if kind not in CONNECTION_KINDS:
         raise OutOfRangeError(f"kind must be homoclinic or heteroclinic, got {kind!r}")
+    try:
+        if _index(window) < 1:
+            raise TypeError
+    except TypeError:
+        raise OutOfRangeError(f"window must be a positive integer, got {window!r}") from None
     if isinstance(alphas, DriverOrbit):
         alphas = (alphas,)
     else:

@@ -22,16 +22,22 @@ away from the target, in one stacked mat_exp call. A sweep evaluates
 the contract at the nodes, then takes one product with the (n dim) x
 ((n+2) dim) weight block per interval, a doubling scan over exp(A
 omega)^(2^s) for the node values z_k (Blelloch 1990), and one product
-adding exp(A tau) z_k. The samples on the uniform grid of `substeps`
-substeps, and the frozen arguments, are written once per solve, over
-the requested window only, from a table built by translation: one set
-of exponentials over one substep and the powers of exp(A h) serve
-every substep. The sweeps and residual_defect never read the samples,
-so `substeps` leaves the collocation solution and its defect as they
-are; but meta["sup_norm"] and the a-priori guard read the samples
-along with the node values, so they move with it (2.36986 at 4
-substeps, 2.37057 at 50 and 200, homoclinic scenario on (-20, 20)).
-The linear part is exact, so no node or substep count is unstable.
+adding exp(A tau) z_k. The linear part is exact, so no node or substep
+count is unstable.
+
+The output density `substeps` sets only how densely the solution is
+written out. The weights, the node scan and the defect table belong
+to (A, omega, zeta fraction, nodes) and are cached by that alone; the
+samples on the uniform grid of `substeps` substeps are written once
+per solve, over the requested window only, from a table built by
+translation (one set of exponentials over one substep and the powers
+of exp(A h) serve every substep), which the context builds on a
+density's first use and keeps. The sweeps and residual_defect never
+read the samples, so `substeps` leaves the collocation solution and
+its defect as they are; but meta["sup_norm"] and the a-priori guard
+read the samples along with the node values, so they move with it
+(2.36986 at 4 substeps, 2.37057 at 50 and 200, homoclinic scenario on
+(-20, 20)).
 
 picard
     Iterates the integral operator
@@ -89,8 +95,8 @@ solution against the equation exactly (its docstring gives the
 formula), at DEFECT_POINTS + 1 points of every interval, both ends
 included, where a table built by translation, as the output's is,
 gives z from [z_k, F]; one helper, _solution_at, forms that product for
-both tables. It reads the kept solution, never the samples, so
-`substeps` does not change it. Both methods report their
+both tables. It reads the kept solution, never the samples or the
+substep count. Both methods report their
 truncation/transient bound (_tail_bound) in the trajectory meta, at
 the fewest intervals of lead-in that bring it to the requested
 tolerance (_fewest_pad). Every solve
@@ -112,7 +118,7 @@ import numpy as np
 from .errors import GridMismatchError, InnerDivergenceError, OutOfRangeError
 from .linear import _row_norms, _serial_matmul, mat_exp
 from .nonlinearity import eval_many
-from .schedule import Schedule
+from .schedule import Schedule, _real
 from .system import EpcagSystem, _kappa_pi, _require_a4, _solution_bound, solution_bound
 
 METHODS = ("picard", "burn_in")
@@ -137,6 +143,26 @@ END_JUMP_RTOL = 1e-9
 
 def _too_few_substeps(substeps: int) -> str:
     return f"need at least {MIN_SUBSTEPS} substeps per interval, got {substeps}"
+
+
+def _index(x) -> int:
+    """x as an int if it is an int or numpy integer, else TypeError. A
+    bool raises too, though operator.index reads True as 1."""
+    if isinstance(x, (bool, np.bool_)):
+        raise TypeError(f"{x!r} is a bool")
+    return operator.index(x)
+
+
+def _density(substeps) -> int:
+    """The output density substeps as an int (_index), at least
+    MIN_SUBSTEPS. The solvers check it here alone, before any sweep."""
+    try:
+        m = _index(substeps)
+    except TypeError:
+        raise OutOfRangeError(f"substeps must be an integer, got {substeps!r}") from None
+    if m < MIN_SUBSTEPS:
+        raise OutOfRangeError(_too_few_substeps(m))
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +280,7 @@ def _coverage_range(window: int, pad: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # collocation context: weight tables per (matrix, omega, zeta fraction,
-# substeps, nodes)
+# nodes), and an output table per substep count on first use
 
 # collocation nodes per interval: the fewest whose solves of both reference
 # scenarios on (-30, 30) lie within 1e-12 of 28-node solves
@@ -328,83 +354,98 @@ def _rule(length: float, piece: float, points: int) -> tuple[np.ndarray, np.ndar
     return (lo + (hi - lo) * (1.0 + x) / 2.0).ravel(), ((hi - lo) / 2.0 * v).ravel()
 
 
-def _translation(x_nodes: np.ndarray, bary: np.ndarray, omega: float, h: float, count: int, local_rule,
-                 pows: np.ndarray, e_local: np.ndarray) -> np.ndarray:
-    """The table mapping [z, F] ((n+1) dim,) of an interval to the
-    collocation solution at j h, j < count, by translation: out[j] =
-    [exp(A j h), W_1(j h), .., W_n(j h)] obeys out[j] = exp(A h) out[j-1]
-    + [0, L_j], L_j the local rule over step j, whose exponentials e_local
-    every step shares; the recurrence runs as a doubling scan over pows[s]
-    = exp(A h 2^s). out is laid out (row of A, j, r, column) so that each
-    step is one product."""
-    local, local_w = local_rule
-    nodes, dim = len(x_nodes), e_local.shape[1]
-    at = (h * np.arange(1, count)[:, None] - local).ravel()
-    lw = _lagrange(x_nodes, bary, 2.0 * at / omega - 1.0).reshape(-1, len(local)) * local_w
-    out = np.zeros((dim, count, nodes + 1, dim))
-    out[:, 0, 0] = np.eye(dim)
-    out[:, 1:, 1:] = (lw @ e_local.reshape(len(local), -1)).reshape(nodes, count - 1, dim, dim).transpose(2, 1, 0, 3)
-    for s, power in enumerate(pows):
-        k = 1 << s
-        out[:, k:] += (power @ out[:, :-k].reshape(dim, -1)).reshape(dim, count - k, nodes + 1, dim)
-    return out.transpose(2, 3, 1, 0).reshape((nodes + 1) * dim, count * dim)
-
-
 class _Context:
     """Weight tables of n-node Gauss-Legendre collocation on intervals of
-    length omega (module docstring). offsets holds the nodes tau_r in an
-    interval. The sweep's targets are the n nodes, the zeta point
-    c omega and the end omega: weights maps an interval's integrand
-    (n dim,) to the convolution part sum_r W_r(tau) F_r at every target,
-    and shift maps a start value z (dim,) to exp(A tau) z at every target.
-    table maps [z, F] ((n+1) dim,) to the samples at substeps 0..m-1,
-    and points to the solution at the residual_defect points
-    point_offsets, where interpolant gives the integrand's interpolant.
-    The node scan's powers scan[s] = (exp(A omega)^(2^s)).T are built as
-    far as the longest scan has reached, as later ones underflow to slow
-    subnormals."""
+    length omega (module docstring), all that the sweeps and
+    residual_defect read; none depends on the output density. offsets
+    holds the nodes tau_r in an interval. The sweep's targets are the n
+    nodes, the zeta point c omega and the end omega: weights maps an
+    interval's integrand (n dim,) to the convolution part sum_r W_r(tau)
+    F_r at every target, and shift maps a start value z (dim,) to
+    exp(A tau) z at every target. points maps [z, F] ((n+1) dim,) to the
+    solution at the residual_defect points point_offsets, where
+    interpolant gives the integrand's interpolant. samples(m, ...) writes
+    the samples at m substeps per interval from a table built on first
+    use and kept in tables, so that it leaves the cache with its
+    context. The node scan's powers scan[s] = (exp(A omega)^(2^s)).T are
+    built as far as the longest scan has reached, as later ones underflow
+    to slow subnormals."""
 
-    def __init__(self, a: np.ndarray, omega: float, zeta_fraction: float, substeps: int, nodes: int):
-        if substeps < MIN_SUBSTEPS:
-            raise OutOfRangeError(_too_few_substeps(substeps))
-        dim, m, h = a.shape[0], substeps, omega / substeps
+    def __init__(self, a: np.ndarray, omega: float, zeta_fraction: float, nodes: int):
+        dim = a.shape[0]
         x_nodes, _ = _gauss(nodes)
-        bary = _bary(x_nodes)
-        self.nodes = nodes
-        self.offsets = omega * (1.0 + x_nodes) / 2.0
+        self.a, self.omega, self.nodes, self.x_nodes, self.bary = a, omega, nodes, x_nodes, _bary(x_nodes)
+        self.piece, self.offsets = PIECE_NORM / np.linalg.norm(a), omega * (1.0 + x_nodes) / 2.0
+        self.tables: dict[int, np.ndarray] = {}
         targets = np.append(self.offsets, [zeta_fraction * omega, omega])
 
-        # every exponential in one stacked call, all at times in [0, omega]:
-        # the targets, the rule of each target, and for the output grid's
-        # table and the defect points' table (_translation) exp(A h 2^s)
-        # and the rule over one step of h
-        piece = PIECE_NORM / np.linalg.norm(a)
-        rules = [_rule(tau, piece, nodes + 4) for tau in targets]
-        grids = [(h, m), (omega / DEFECT_POINTS, DEFECT_POINTS + 1)]
-        steps = [_rule(step, piece / 4.0, nodes // 2 + 2) for step, _ in grids]
+        # every exponential but the output tables' in one stacked call, all
+        # at times in [0, omega]: the targets, the rule of each target, and
+        # those of the defect points' table
+        rules = [_rule(tau, self.piece, nodes + 4) for tau in targets]
         sigma = np.concatenate([s for s, _ in rules])
-        times = [targets, sigma]
-        for (step, count), (local, _) in zip(grids, steps):
-            times += [step * 2.0 ** np.arange((count - 1).bit_length()), local]
-        free, e_rule, *scans = np.split(mat_exp(a, np.concatenate(times)), np.cumsum([len(t) for t in times[:-1]]))
+        step = omega / DEFECT_POINTS
+        grid, rule = self._grid(step, DEFECT_POINTS + 1)
+        free, e_rule, e_grid = np.split(mat_exp(a, np.concatenate([targets, sigma, grid])),
+                                        np.cumsum([len(targets), len(sigma)]))
 
         # W_r(tau) = sum_p w_p l_r(tau - sigma_p) exp(A sigma_p) over each
         # target's rule
         counts = [len(s) for s, _ in rules]
         at = np.repeat(targets, counts) - sigma
-        lw = _lagrange(x_nodes, bary, 2.0 * at / omega - 1.0) * np.concatenate([w for _, w in rules])
+        lw = _lagrange(x_nodes, self.bary, 2.0 * at / omega - 1.0) * np.concatenate([w for _, w in rules])
         starts = np.cumsum([0] + counts[:-1])
         w_tau = np.add.reduceat(lw.T[:, :, None] * e_rule.reshape(len(at), 1, -1), starts, axis=0)
         w_tau = w_tau.reshape(len(targets), nodes, dim, dim)
         self.weights = w_tau.transpose(1, 3, 0, 2).reshape(nodes * dim, -1)
         self.shift = free.transpose(2, 0, 1).reshape(dim, -1)
         self.scan = (free[-1].T,)
-        self.table, self.points = (_translation(x_nodes, bary, omega, step, count, rule, pows, e_local)
-                                   for (step, count), rule, pows, e_local in zip(grids, steps, scans[::2], scans[1::2]))
+        self.points = self._translation(step, DEFECT_POINTS + 1, rule, e_grid)
         # the defect points and the integrand's interpolant there, a map of
         # F (n dim,) to sum_r l_r(tau_j) F_r
-        self.point_offsets = grids[1][0] * np.arange(DEFECT_POINTS + 1)
-        self.interpolant = np.kron(_lagrange(x_nodes, bary, 2.0 * self.point_offsets / omega - 1.0), np.eye(dim))
+        self.point_offsets = step * np.arange(DEFECT_POINTS + 1)
+        self.interpolant = np.kron(_lagrange(x_nodes, self.bary, 2.0 * self.point_offsets / omega - 1.0), np.eye(dim))
+
+    def _grid(self, h: float, count: int):
+        """The times whose exponentials a table of `count` points h apart
+        takes (_translation), exp(A h 2^s) for its scan and then its rule
+        over one step, and that rule: pieces a quarter of the targets', at
+        half as many points."""
+        rule = _rule(h, self.piece / 4.0, self.nodes // 2 + 2)
+        return np.concatenate([h * 2.0 ** np.arange((count - 1).bit_length()), rule[0]]), rule
+
+    def _translation(self, h: float, count: int, rule, exps: np.ndarray) -> np.ndarray:
+        """The table mapping [z, F] ((n+1) dim,) of an interval to the
+        collocation solution at j h, j < count, from the exponentials at
+        _grid's times, by translation: out[j] = [exp(A j h), W_1(j h), ..,
+        W_n(j h)] obeys out[j] = exp(A h) out[j-1] + [0, L_j], L_j the
+        rule over step j, whose exponentials every step shares; the
+        recurrence runs as a doubling scan over pows[s] = exp(A h 2^s).
+        out is laid out (row of A, j, r, column) so that each step is one
+        product."""
+        local, local_w = rule
+        nodes, dim = self.nodes, exps.shape[1]
+        pows, e_local = np.split(exps, [len(exps) - len(local)])
+        at = (h * np.arange(1, count)[:, None] - local).ravel()
+        lw = _lagrange(self.x_nodes, self.bary, 2.0 * at / self.omega - 1.0).reshape(-1, len(local)) * local_w
+        out = np.zeros((dim, count, nodes + 1, dim))
+        out[:, 0, 0] = np.eye(dim)
+        out[:, 1:, 1:] = (lw @ e_local.reshape(len(local), -1)).reshape(nodes, count - 1, dim, dim).transpose(2, 1, 0, 3)
+        for s, power in enumerate(pows):
+            k = 1 << s
+            out[:, k:] += (power @ out[:, :-k].reshape(dim, -1)).reshape(dim, count - k, nodes + 1, dim)
+        return out.transpose(2, 3, 1, 0).reshape((nodes + 1) * dim, count * dim)
+
+    def samples(self, m: int, hv: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Samples at substeps 0..m of intervals with integrands hv (n_int,
+        n, dim) and node values nodes (n_int + 1, dim): the solution on
+        the table of m substeps (_translation), the last node appended.
+        The table takes one mat_exp call of its own on first use and
+        stays in tables."""
+        if m not in self.tables:
+            grid, rule = self._grid(self.omega / m, m)
+            self.tables[m] = self._translation(self.omega / m, m, rule, mat_exp(self.a, grid))
+        return np.concatenate([_solution_at(self.tables[m], hv, nodes), nodes[-1:]])
 
     @functools.cached_property
     def tops(self) -> np.ndarray:
@@ -421,15 +462,14 @@ class _Context:
 
 
 @functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def _cached_context(a_bytes: bytes, dim: int, omega: float, zeta_fraction: float, substeps: int,
-                    nodes: int) -> _Context:
-    return _Context(np.frombuffer(a_bytes).reshape(dim, dim), omega, zeta_fraction, substeps, nodes)
+def _cached_context(a_bytes: bytes, dim: int, omega: float, zeta_fraction: float, nodes: int) -> _Context:
+    return _Context(np.frombuffer(a_bytes).reshape(dim, dim), omega, zeta_fraction, nodes)
 
 
-def _context(sys: EpcagSystem, substeps: int) -> _Context:
+def _context(sys: EpcagSystem) -> _Context:
     a = np.ascontiguousarray(sys.a, dtype=float)
     sched = sys.schedule
-    return _cached_context(a.tobytes(), a.shape[0], sched.omega, sched.zeta_fraction, substeps, NODES)
+    return _cached_context(a.tobytes(), a.shape[0], sched.omega, sched.zeta_fraction, NODES)
 
 
 def _convolve(ctx: _Context, hv: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -465,13 +505,6 @@ def _solution_at(table: np.ndarray, hv: np.ndarray, nodes: np.ndarray) -> np.nda
     interval's [z_k, F] with the table. Returns (n_int points, dim)."""
     n_int, _, dim = hv.shape
     return _serial_matmul(np.concatenate([nodes[:-1], hv.reshape(n_int, -1)], axis=1), table).reshape(-1, dim)
-
-
-def _output(ctx: _Context, hv: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Samples at substeps 0..m of intervals with integrands hv (n_int, n,
-    dim) and node values nodes (n_int + 1, dim): the solution on the
-    output table, the last node appended."""
-    return np.concatenate([_solution_at(ctx.table, hv, nodes), nodes[-1:]])
 
 
 def _picard_stop(sys: EpcagSystem) -> float:
@@ -625,14 +658,14 @@ def _solve(sys: EpcagSystem, k_lo: int, k_hi: int, pad: int, substeps: int, meth
     samples lie within eps (1 + N / ((1 - q(mu)) (1 - e^{-mu omega})))
     of the solution from zero, for every rate mu of _tail_rates: the
     errors add as a geometric series and do not compound."""
-    ctx = _context(sys, substeps)
+    ctx = _context(sys)
     k0, sliding, start = k_lo - pad, method == "burn_in", np.zeros(sys.dim)
     n_all = k_hi - k0
     psi = np.zeros((min(BURN_IN_WINDOW, n_all) if sliding else n_all, ctx.nodes + 2, sys.dim))
     psi, deltas, sweeps, hv = _iterate(sys, ctx, k0, _times(sys, ctx.offsets, k0, n_all), sys.driver.span(k0, k_hi),
                                        psi, _picard_stop(sys), _picard_cap(sys), start, sliding)
     nodes = psi[pad - 1 :, -1].copy()
-    samples = _output(ctx, hv[pad:], nodes)
+    samples = ctx.samples(substeps, hv[pad:], nodes)
     peak = max(_row_norms(samples).max(), _row_norms(psi[pad:, : ctx.nodes]).max())
     key, per = ("inner_iterations", tuple(int(c) for c in sweeps)) if sliding else ("iterate_deltas", tuple(deltas))
     counts = {"iterations": int(sweeps.max()), key: per, "f_evals": int(sweeps.sum()) * ctx.nodes}
@@ -651,17 +684,23 @@ def step_interval(sys: EpcagSystem, k: int, z0, substeps: int = 200):
     burn-in's window of one interval does (InnerDivergenceError
     otherwise, or on non-finite samples). Returns (samples on the
     substep grid, w_k, sweep count). The a-priori bound check on the
-    samples belongs to solve_bounded.
+    samples belongs to solve_bounded. k and substeps are integral values
+    as in solve_bounded.
     """
+    try:
+        k = _index(k)
+    except TypeError:
+        raise OutOfRangeError(f"k must be a node index, got {k!r}") from None
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.dim,):
         raise OutOfRangeError(f"z0 must have shape ({sys.dim},), got {z0.shape}")
-    ctx = _context(sys, substeps)
+    m = _density(substeps)
+    ctx = _context(sys)
     psi = (z0 @ ctx.shift).reshape(1, -1, sys.dim)
     alpha = sys.driver.value(k)[None]
     psi, _, sweeps, hv = _iterate(sys, ctx, k, _times(sys, ctx.offsets, k, 1), alpha, psi, _picard_stop(sys),
                                   _picard_cap(sys), z0)
-    return _output(ctx, hv, np.stack([z0, psi[0, -1]])), psi[0, ctx.nodes].copy(), int(sweeps[0])
+    return ctx.samples(m, hv, np.stack([z0, psi[0, -1]])), psi[0, ctx.nodes].copy(), int(sweeps[0])
 
 
 def solve_bounded(
@@ -672,7 +711,9 @@ def solve_bounded(
     method: str = "picard",
 ) -> SampledTrajectory:
     """Sample the unique bounded solution on node window [k_lo, k_hi],
-    a pair of integral values (int, numpy integers, not bools).
+    a pair of integral values (int, numpy integers, not bools), at
+    `substeps` substeps per interval, an integral value of at least
+    MIN_SUBSTEPS; tol is a positive finite number.
 
     Requires (A4). The fewest lead-in intervals whose transient/truncation
     bound (meta["tail_bound"]) is at most tol (meta["pad"]) are solved and
@@ -680,20 +721,21 @@ def solve_bounded(
     node values, exceeds M_phi plus that bound raises InnerDivergenceError.
     """
     try:
-        if any(isinstance(k, (bool, np.bool_)) for k in t_window):  # operator.index reads True as 1
-            raise TypeError
-        k_lo, k_hi = map(operator.index, t_window)
+        k_lo, k_hi = map(_index, t_window)
     except (TypeError, ValueError):
         k_lo = k_hi = 0
     if not k_lo < k_hi:
         raise OutOfRangeError(f"t_window must be an increasing pair of node indices, got {t_window!r}")
+    m = _density(substeps)
+    if not (_real(tol) and tol > 0):
+        raise OutOfRangeError(f"tol must be a positive finite number, got {tol!r}")
     if method not in METHODS:
         raise OutOfRangeError(f"method must be picard or burn_in, got {method!r}")
     sched, m_phi = sys.schedule, solution_bound(sys)
     mu, pre = _tail_rates(sys.envelope, sys.f, m_phi, sched.omega, sched.zeta_fraction)
     pad = _fewest_pad(mu, pre, sched.omega, tol)
     bound = _tail_bound(mu, pre, sched.omega, pad)
-    (samples, frozen, node_values, integrands, peak), counts = _solve(sys, k_lo, k_hi, pad, substeps, method)
+    (samples, frozen, node_values, integrands, peak), counts = _solve(sys, k_lo, k_hi, pad, m, method)
     meta = {"method": method, **counts, "pad": pad, "tail_bound": bound, "sup_norm": peak}
     limit = m_phi + bound
     if not meta["sup_norm"] <= limit:
@@ -701,7 +743,7 @@ def solve_bounded(
             f"{method} solution reaches norm {meta['sup_norm']:.6g}, above the a-priori "
             f"bound M_phi + tail bound {limit:.6g}"
         )
-    return SampledTrajectory(sys.schedule, (k_lo, k_hi), substeps, samples, frozen, node_values, integrands, meta)
+    return SampledTrajectory(sys.schedule, (k_lo, k_hi), m, samples, frozen, node_values, integrands, meta)
 
 
 def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
@@ -728,7 +770,7 @@ def residual_defect(sys: EpcagSystem, traj: SampledTrajectory) -> float:
     """
     if traj.schedule != sys.schedule:
         raise GridMismatchError("trajectory and system have different schedules")
-    ctx = _context(sys, traj.substeps)
+    ctx = _context(sys)
     (k_lo, k_hi), dim = traj.k_window, sys.dim
     n_int, per = k_hi - k_lo, DEFECT_POINTS + 1
     # fresh arrays for the contract, which may write into its arguments

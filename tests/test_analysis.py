@@ -224,6 +224,28 @@ class TestCertifyGuards:
         with pytest.raises(OutOfRangeError):
             certify_connection(homo.system, homo.alphas, homo.beta, "periodic")
 
+    @pytest.mark.parametrize("window", [-3, 0, 2.5, True, np.True_, "30", None])
+    def test_window_guard(self, homo, solve_counter, window):
+        # refused before any solve: -3 once failed on an index, 2.5 on a
+        # slice, and True ran as a window of 1
+        with pytest.raises(OutOfRangeError, match=r"^window must be a positive integer, got "):
+            certify_connection(homo.system, homo.alphas, homo.beta, "homoclinic", window=window)
+        assert not solve_counter
+
+    @pytest.mark.parametrize("solve_tol", [0.0, -1e-8, math.inf, math.nan, True])
+    def test_solve_tol_guard(self, homo, solve_tol):
+        with pytest.raises(OutOfRangeError, match=r"^tol must be a positive finite number, got "):
+            certify_connection(homo.system, homo.alphas, homo.beta, "homoclinic", solve_tol=solve_tol)
+
+    def test_numpy_integer_window_and_density(self, homo):
+        # a numpy density once failed on int.bit_length, unless a cached
+        # context of its count hid it; 52 substeps is no other test's
+        cert, want = (certify_connection(homo.system, homo.alphas, homo.beta, "homoclinic", window=w, substeps=m)
+                      for w, m in ((np.int64(30), np.int64(52)), (30, 52)))
+        for got, ref in zip(cert.trajectories, want.trajectories):
+            assert np.array_equal(got.samples, ref.samples)
+        assert (cert.forward.end_gap, cert.backward.end_gap) == (want.forward.end_gap, want.backward.end_gap)
+
     def test_driver_dimension(self, homo):
         scalar = build_orbit(4.0, "fixed", 0.75, k_min=-35, k_max=35)
         with pytest.raises(DimensionMismatchError,

@@ -128,14 +128,14 @@ def cubic_convolution(a, coeffs, ts):
 
 
 def interval_polynomials(coeffs, m, a=None, omega=1.5):
-    """Samples at m substeps, by _convolve and _output from zero, of the
+    """Samples at m substeps, by _convolve and the context's samples from zero, of the
     integrand sum_k coeffs[i, k] tau^k on interval i (tau from its node),
     and the exact ones, each interval from the exact node value before it."""
     a = reference_matrix() if a is None else a
-    ctx = solver._Context(a, omega, 1.0 / 3.0, m, solver.NODES)
+    ctx = solver._Context(a, omega, 1.0 / 3.0, solver.NODES)
     hv = np.einsum("ikd,rk->ird", coeffs, ctx.offsets[:, None] ** np.arange(coeffs.shape[1]))
     new = solver._convolve(ctx, hv, np.zeros(a.shape[0]))
-    got = solver._output(ctx, hv, np.concatenate([np.zeros((1, a.shape[0])), new[:, -1]]))
+    got = ctx.samples(m, hv, np.concatenate([np.zeros((1, a.shape[0])), new[:, -1]]))
     taus, z, want = omega * np.arange(m + 1) / m, np.zeros(a.shape[0]), []
     for c in coeffs:
         rows = mat_exp(a, taus) @ z + cubic_convolution(a, list(c), taus)
@@ -180,14 +180,14 @@ class TestConvolve:
     N_INT = 50
     OMEGA = 1.5
 
-    def context(self, a, m):
-        return solver._Context(a, self.OMEGA, 1.0 / 3.0, m, solver.NODES)
+    def context(self, a):
+        return solver._Context(a, self.OMEGA, 1.0 / 3.0, solver.NODES)
 
-    def solve(self, ctx, hv):
-        """The targets by _convolve, and the samples by _output from its
+    def solve(self, ctx, m, hv):
+        """The targets by _convolve, and the samples at m substeps from its
         node values."""
         new = solver._convolve(ctx, hv, np.zeros(hv.shape[2]))
-        return new, solver._output(ctx, hv, np.concatenate([np.zeros((1, hv.shape[2])), new[:, -1]]))
+        return new, ctx.samples(m, hv, np.concatenate([np.zeros((1, hv.shape[2])), new[:, -1]]))
 
     @pytest.mark.parametrize("m", [4, 60, 200])
     @pytest.mark.parametrize("degree", [0, 3])
@@ -204,9 +204,9 @@ class TestConvolve:
         ]
         for name, a in (("reference", reference_matrix()), ("-300 I", -300.0 * np.eye(2)),
                         ("-3000 I", -3000.0 * np.eye(2))):
-            ctx = self.context(a, m)
+            ctx = self.context(a)
             ts = self.OMEGA * np.arange(self.N_INT)[:, None] + ctx.offsets
-            new, samples = self.solve(ctx, sum(np.multiply.outer(ts**k, c) for k, c in enumerate(coeffs)))
+            new, samples = self.solve(ctx, m, sum(np.multiply.outer(ts**k, c) for k, c in enumerate(coeffs)))
             got = np.array([samples[k * m + j] for k, j in checks])
             want = cubic_convolution(a, coeffs, [self.OMEGA * (k + j / m) for k, j in checks])
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
@@ -217,7 +217,8 @@ class TestConvolve:
     def test_context_takes_forward_exponentials_only(self, monkeypatch):
         # exp(-A t) grows like exp(lambda t) and overflows for a strongly
         # decaying A; the weights are built from exp(A t), t >= 0, alone,
-        # all in one stacked call
+        # all in one stacked call, and each output density's table takes
+        # one call of its own, once
         calls = []
 
         def recording(a, t=1.0):
@@ -225,17 +226,23 @@ class TestConvolve:
             return mat_exp(a, t)
 
         monkeypatch.setattr(solver, "mat_exp", recording)
-        self.context(reference_matrix(), 200)
-        assert len(calls) == 1 and calls[0] and min(calls[0]) >= 0.0
+        ctx = self.context(reference_matrix())
+        assert len(calls) == 1
+        hv, nodes = np.zeros((1, solver.NODES, 2)), np.zeros((2, 2))
+        for m in (200, 4, 200):
+            ctx.samples(m, hv, nodes)
+        assert len(calls) == 3 and sorted(ctx.tables) == [4, 200]
+        assert all(t and min(t) >= 0.0 for t in calls)
 
     @pytest.mark.parametrize("m", [4, 200])
     def test_defect_points_match_the_interval_by_interval_form(self, m):
         # the solution at residual_defect's points, both ends included,
-        # and the integrand's interpolant there; the output grid leaves
-        # both tables as they are
-        ctx = self.context(reference_matrix(), m)
+        # and the integrand's interpolant there; an output table of m
+        # substeps leaves both tables as they are
+        ctx = self.context(reference_matrix())
+        ctx.samples(m, np.zeros((1, solver.NODES, 2)), np.zeros((2, 2)))
         assert ctx.point_offsets[0] == 0.0 and ctx.point_offsets[-1] == pytest.approx(self.OMEGA, abs=1e-15)
-        assert np.array_equal(ctx.points, self.context(reference_matrix(), 60).points)
+        assert np.array_equal(ctx.points, self.context(reference_matrix()).points)
         for n_int in (1, 50):
             hv = np.random.default_rng(n_int).standard_normal((n_int, solver.NODES, 2))
             nodes = np.concatenate([np.zeros((1, 2)), solver._convolve(ctx, hv, np.zeros(2))[:, -1]])
@@ -252,13 +259,13 @@ class TestConvolve:
     # counts on either side of the node scan's doubling steps
     @pytest.mark.parametrize("m", [4, 5, 7, 12, 15, 17, 33, 50, 60, 200, 240])
     def test_matches_interval_by_interval_form(self, m):
-        ctx = self.context(reference_matrix(), m)
+        ctx = self.context(reference_matrix())
         grid = np.arange(m) * self.OMEGA / m
         targets = np.append(ctx.offsets, [self.OMEGA / 3.0, self.OMEGA])
         for n_int in (1, 2, 50, 109):
             # random integrands jump at every node, as Picard's do
             hv = np.random.default_rng(m).standard_normal((n_int, solver.NODES, 2))
-            new, samples = self.solve(ctx, hv)
+            new, samples = self.solve(ctx, m, hv)
             want, end = sequential_form(reference_matrix(), self.OMEGA, hv, np.append(grid, targets))
             scale = np.abs(want).max()
             assert np.abs(samples[:-1].reshape(n_int, m, 2) - want[:, :m]).max() <= 1e-14 * scale, n_int
@@ -309,7 +316,7 @@ class TestCollocationRules:
     def test_start_value_is_carried_by_the_scan(self):
         # a start value adds its free response exp(A (t - t0)) start to
         # every target of every interval
-        ctx = solver._Context(reference_matrix(), 1.5, 1.0 / 3.0, 60, solver.NODES)
+        ctx = solver._Context(reference_matrix(), 1.5, 1.0 / 3.0, solver.NODES)
         hv = np.random.default_rng(4).standard_normal((50, solver.NODES, 2))
         start = np.array([0.6, -1.3])
         targets = np.append(ctx.offsets, [0.5, 1.5])
@@ -354,7 +361,7 @@ class TestStepInterval:
         z0, m, n = rng.standard_normal(dim), 150, solver.NODES
         samples, w, inner = step_interval(sys, 1, z0, substeps=m)
 
-        offsets = solver._context(sys, m).offsets
+        offsets = solver._context(sys).offsets
         table = direct_table(a, 1.2, np.append(offsets, zeta_fraction * 1.2))
         ts = sys.schedule.node(1) + offsets
         psi, deltas = table[:, 0] @ z0, []
@@ -428,10 +435,22 @@ class TestStepInterval:
         with pytest.raises(OutOfRangeError, match=r"z0 must have shape \(2,\)"):
             step_interval(homo.system, 0, z0)
 
+    @pytest.mark.parametrize("k", [True, np.False_])
+    def test_bools_are_not_node_indices(self, homo, k):
+        # operator.index(True) is 1, so True once solved interval 1
+        with pytest.raises(OutOfRangeError, match=r"^k must be a node index, got "):
+            step_interval(homo.system, k, np.zeros(2))
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, "1", None])
+    def test_non_integers_are_not_node_indices(self, homo, k):
+        # they once raised a bare IndexError or TypeError from the driver
+        with pytest.raises(OutOfRangeError, match=r"^k must be a node index, got "):
+            step_interval(homo.system, k, np.zeros(2))
+
     def one_interval(self, sys, z0, psi):
         """The sweep loop on interval 0 alone from the iterate psi (the
         guess step_interval once took) and the start value z0."""
-        ctx = solver._context(sys, 200)
+        ctx = solver._context(sys)
         return solver._iterate(sys, ctx, 0, solver._times(sys, ctx.offsets, 0, 1), sys.driver.value(0)[None], psi,
                                solver._picard_stop(sys), solver._picard_cap(sys), z0)
 
@@ -439,7 +458,7 @@ class TestStepInterval:
         # step_interval starts from the free response; the loop under it
         # starts from any iterate, as burn-in's warm start does
         z0, tol = np.array([0.3, -0.2]), solver._picard_stop(homo.system)
-        free = (z0 @ solver._context(homo.system, 200).shift).reshape(1, -1, 2)
+        free = (z0 @ solver._context(homo.system).shift).reshape(1, -1, 2)
         psi, _, inner, _ = self.one_interval(homo.system, z0, free)
         again, _, one, _ = self.one_interval(homo.system, z0, psi)
         assert inner[0] > 1 and one[0] == 1
@@ -451,7 +470,7 @@ class TestStepInterval:
         # stop of error, and the sweeps contract faster than kappa_pi
         # (1.2e-13 apart measured)
         z0 = np.array([0.3, -0.2])
-        free = (z0 @ solver._context(homo.system, 200).shift).reshape(1, -1, 2)
+        free = (z0 @ solver._context(homo.system).shift).reshape(1, -1, 2)
         psi, _, _, _ = self.one_interval(homo.system, z0, free)
         far, _, inner, _ = self.one_interval(homo.system, z0, 100.0 * psi)
         assert inner[0] > 1
@@ -555,10 +574,10 @@ class TestStabilityGuards:
         a = np.array([[-300.0, 40.0], [0.0, -310.0]])
         sys = assemble_system(a, make_schedule(3.0, 0.0, 0.5), zero_contract(2), constant_driver(),
                               envelope=estimate_decay_envelope(a))
-        ctx = solver._context(sys, 40)
-        assert all(np.isfinite(t).all() for t in (ctx.weights, ctx.shift, ctx.table))
         want = np.linalg.solve(a, -np.full(2, 0.75))
         traj = solve_bounded(sys, (-3, 3), 40, method=method)
+        ctx = solver._context(sys)
+        assert all(np.isfinite(t).all() for t in (ctx.weights, ctx.shift, ctx.tables[40]))
         assert np.abs(traj.samples - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_a_priori_bound_reads_the_node_values(self, homo, monkeypatch):
@@ -755,8 +774,9 @@ class TestSolveBounded:
         assert list(cold.meta) == ["method", "iterations", per, "f_evals", "pad", "tail_bound", "sup_norm"]
 
     def test_context_cache_is_bounded(self, homo):
-        for m in range(4, 8 + solver.CONTEXT_CACHE_SIZE):
-            solver._context(homo.system, m)
+        # densities make no keys, so distinct omegas fill the cache
+        for i in range(4 + solver.CONTEXT_CACHE_SIZE):
+            solver._context(replace(homo.system, schedule=make_schedule(1.0 + i / 8.0, 0.0, 1.0 / 3.0)))
         info = solver._cached_context.cache_info()
         assert info.maxsize == solver.CONTEXT_CACHE_SIZE
         assert info.currsize <= solver.CONTEXT_CACHE_SIZE
@@ -785,6 +805,59 @@ class TestSolveBounded:
     def test_unknown_method(self, homo):
         with pytest.raises(OutOfRangeError):
             solve_bounded(homo.system, (-2, 2), method="rk45")
+
+    def test_numpy_integer_densities_and_node_indices(self, homo):
+        # densities once failed on int.bit_length, unless a cached context
+        # of their count hid it (13 substeps is no other test's); the
+        # trajectory keeps a Python int
+        got, want = (solve_bounded(homo.system, (-2, 2), m) for m in (np.int64(13), 13))
+        assert type(got.substeps) is int
+        np.testing.assert_array_equal(got.samples, want.samples)
+        z0 = np.array([0.3, -0.2])
+        got, want = (step_interval(homo.system, k, z0, m) for k, m in ((np.int64(1), np.int64(13)), (1, 13)))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("substeps", [4.0, np.float64(8.0), 8.5, "8", None])
+    def test_non_integer_densities_are_refused(self, homo, substeps):
+        for solve in (lambda: solve_bounded(homo.system, (-2, 2), substeps),
+                      lambda: step_interval(homo.system, 0, np.zeros(2), substeps)):
+            with pytest.raises(OutOfRangeError, match=r"^substeps must be an integer, got "):
+                solve()
+
+    @pytest.mark.parametrize("substeps", [True, np.True_])
+    def test_bool_densities_are_refused(self, homo, substeps):
+        # True was refused only because True < 4
+        for solve in (lambda: solve_bounded(homo.system, (-2, 2), substeps),
+                      lambda: step_interval(homo.system, 0, np.zeros(2), substeps)):
+            with pytest.raises(OutOfRangeError, match=r"^substeps must be an integer, got "):
+                solve()
+
+    @pytest.mark.parametrize("tol", [0, 0.0, -1e-8, math.inf, -math.inf, math.nan, True, "1e-8", None])
+    def test_tol_must_be_positive_and_finite(self, homo, tol):
+        # refused before any work: _fewest_pad's logarithms once warned
+        # and then failed on int(inf) or int(nan), and True solved at tol 1
+        with pytest.raises(OutOfRangeError, match=r"^tol must be a positive finite number, got "):
+            solve_bounded(homo.system, (-2, 2), tol=tol)
+
+    @pytest.mark.parametrize("method", ["picard", "burn_in"])
+    @pytest.mark.parametrize("scenario", ["homo", "het"])
+    def test_the_density_sets_only_the_samples(self, request, scenario, method):
+        # solves at three densities share one context and keep one
+        # collocation solution, defect and meta bit for bit, but for the
+        # sup norm, which reads the samples; the samples agree at the nodes
+        sys = request.getfixturevalue(scenario).system
+        solver._cached_context.cache_clear()
+        trajs = {m: solve_bounded(sys, (-20, 20), m, method=method) for m in (4, 50, 200)}
+        info = solver._cached_context.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        base, defect = trajs[200], residual_defect(sys, trajs[200])
+        for m, traj in trajs.items():
+            for field in ("node_values", "integrands", "frozen"):
+                assert np.array_equal(getattr(traj, field), getattr(base, field)), (m, field)
+            assert residual_defect(sys, traj) == defect, m
+            assert {**traj.meta, "sup_norm": None} == {**base.meta, "sup_norm": None}, m
+            assert np.array_equal(traj.samples[::m], base.node_values), m
 
 
 class TestBlockedArguments:
@@ -868,11 +941,11 @@ def zero_start(sys, window, substeps, tol=1e-8):
     (k_lo, k_hi), pad = window, lead_in_pad(sys, tol)
     k0 = k_lo - pad
     alpha = np.stack([sys.driver.value(k) for k in range(k0, k_hi)])
-    ctx = solver._context(sys, substeps)
+    ctx = solver._context(sys)
     psi, deltas, _, hv = solver._iterate(sys, ctx, k0, solver._times(sys, ctx.offsets, k0, k_hi - k0), alpha,
                                          np.zeros((k_hi - k0, solver.NODES + 2, sys.dim)),
                                          solver._picard_stop(sys), solver._picard_cap(sys), np.zeros(sys.dim))
-    return solver._output(ctx, hv[pad:], psi[pad - 1 :, -1]), deltas
+    return ctx.samples(substeps, hv[pad:], psi[pad - 1 :, -1]), deltas
 
 
 def counting_rows(contract, batch=True):
@@ -942,8 +1015,11 @@ class TestNestedStart:
         # may differ
         traj, other = (solve_bounded(homo.system, (-2, 2), m) for m in (substeps, coarse))
         assert residual_defect(homo.system, traj) <= 1e-6
+        assert residual_defect(homo.system, traj) == residual_defect(homo.system, other)
         assert {**traj.meta, "sup_norm": 0} == {**other.meta, "sup_norm": 0}
         assert np.array_equal(traj.frozen, other.frozen)
+        assert np.array_equal(traj.node_values, other.node_values)
+        assert np.array_equal(traj.integrands, other.integrands)
         assert np.array_equal(traj.samples[::substeps], other.samples[::coarse])
 
     def test_refine_reproduces_interval_cubics(self):
@@ -1011,11 +1087,11 @@ class TestNestedStart:
         # integrand; a sweep now hands the output table its integrand at
         # the nodes. An integrand zero up to interval 2 hands over zero
         # before it, in the sweep's targets and in the samples
-        ctx = solver._context(homo.system, 48)
+        ctx = solver._context(homo.system)
         hv = np.random.default_rng(9).standard_normal((5, solver.NODES, 2))
         hv[:2] = 0.0
         new = solver._convolve(ctx, hv, np.zeros(2))
-        samples = solver._output(ctx, hv, np.concatenate([np.zeros((1, 2)), new[:, -1]]))
+        samples = ctx.samples(48, hv, np.concatenate([np.zeros((1, 2)), new[:, -1]]))
         assert not new[:2].any() and new[2:].all()
         assert not samples[: 2 * 48 + 1].any() and samples[2 * 48 + 1 :].all()
 
@@ -1062,7 +1138,7 @@ def interval_chain(sys, k_lo, k_hi, pad, m, warm):
     both at Picard's stop, as burn-in retires its intervals. Returns the
     samples on [k_lo, k_hi], the frozen arguments and each interval's
     sweep count."""
-    ctx, cap, stop = solver._context(sys, m), solver._picard_cap(sys), solver._picard_stop(sys)
+    ctx, cap, stop = solver._context(sys), solver._picard_cap(sys), solver._picard_stop(sys)
     z, psi, pieces, frozen, sweeps = np.zeros(sys.dim), None, [], [], []
     for k in range(k_lo - pad, k_hi):
         if warm:
@@ -1070,7 +1146,7 @@ def interval_chain(sys, k_lo, k_hi, pad, m, warm):
             psi, _, inner, hv = solver._iterate(sys, ctx, k, solver._times(sys, ctx.offsets, k, 1),
                                                 sys.driver.value(k)[None], moved.reshape(1, -1, sys.dim),
                                                 stop, cap, z)
-            samples, w, inner = solver._output(ctx, hv, np.stack([z, psi[0, -1]])), psi[0, solver.NODES], inner[0]
+            samples, w, inner = ctx.samples(m, hv, np.stack([z, psi[0, -1]])), psi[0, solver.NODES], inner[0]
         else:
             samples, w, inner = step_interval(sys, k, z, m)
         start, z = z, samples[-1]
@@ -1112,7 +1188,7 @@ class TestTopUp:
         # 1e-15 of the formula, where the loop's sums drift further
         # (2.4e-15 measured at 24)
         sys = request.getfixturevalue(case).system if isinstance(case, str) else random_system(case)
-        ctx = solver._context(sys, 50)
+        ctx = solver._context(sys)
         k0, n_all = -30, 40
         psi, *_ = solver._iterate(sys, ctx, k0, solver._times(sys, ctx.offsets, k0, n_all), sys.driver.span(k0, k0 + n_all),
                                   np.zeros((n_all, ctx.nodes + 2, sys.dim)), 1e-12, 200, np.zeros(sys.dim))
